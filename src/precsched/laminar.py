@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import Instance, JobId, Schedule, build_instance
+from .model import Instance, JobId, Schedule
 
 
 class BadHorizon(ValueError):
@@ -136,17 +136,32 @@ def pad_to_power_of_two(inst: Instance, T: int) -> tuple[Instance, int]:
     extra = tstar - T
     if extra == 0:
         return inst, tstar
+    # The padded relation is already closed (every original precedes every
+    # dummy, each chain is a total order), so write it down directly.
     n = inst.n
-    edges = list(inst.prec)
+    total = n + inst.m * extra
+    originals = (1 << n) - 1
+    dummies = ((1 << total) - 1) ^ originals
+    chain = (1 << extra) - 1
+    preds = list(inst.pred_masks)
+    succs = [mask | dummies for mask in inst.succ_masks]
+    pairs = set(inst.prec)
     for c in range(inst.m):
         base = n + c * extra
         for i in range(extra):
-            for j in range(i + 1, extra):
-                edges.append((base + i, base + j))
-    for orig in range(n):
-        for d in range(n, n + inst.m * extra):
-            edges.append((orig, d))
-    return build_instance(n + inst.m * extra, inst.m, edges), tstar
+            below = (1 << i) - 1
+            preds.append(originals | below << base)
+            succs.append((chain ^ (below << 1 | 1)) << base)
+            pairs.update((base + i, base + j) for j in range(i + 1, extra))
+    pairs.update((u, d) for u in range(n) for d in range(n, total))
+    padded = Instance(
+        n=total,
+        m=inst.m,
+        prec=frozenset(pairs),
+        pred_masks=tuple(preds),
+        succ_masks=tuple(succs),
+    )
+    return padded, tstar
 
 
 def feasible_window(inst: Instance, j: JobId, pinned, T: int) -> tuple[int, int]:

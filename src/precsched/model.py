@@ -28,8 +28,12 @@ class Instance:
     """A scheduling instance with a transitively closed precedence DAG.
 
     prec holds (pred, succ) pairs meaning pred must complete before succ
-    starts. pred_masks/succ_masks are bitmask views of the same relation,
-    derived at construction; they do not participate in equality.
+    starts. pred_masks/succ_masks are bitmask views of the same relation
+    (bit u of pred_masks[v] and bit v of succ_masks[u] for each pair). They
+    are derived from prec at construction unless the caller passes them in;
+    a caller that already holds the closed relation as masks (padding does)
+    passes both and skips the derivation, and must make them agree with
+    prec. They do not participate in equality.
     """
 
     n: int
@@ -177,10 +181,20 @@ def validate_schedule(inst: Instance, sched: Schedule) -> ValidationReport:
     for t in sorted(load):
         if load[t] > inst.m:
             violations.append(Violation("capacity", (t, load[t])))
-    for u, v in sorted(inst.prec):
-        if u in sched.start and v in sched.start:
-            if sched.start[u] + 1 > sched.start[v]:
-                violations.append(Violation("precedence", (u, v)))
+    # at_or_before[t]: mask of the jobs starting at slot t or earlier. A
+    # successor v of u in that mask for t = start[u] starts too early.
+    by_slot: dict[int, int] = {}
+    for j, t in sched.start.items():
+        if 0 <= j < inst.n:
+            by_slot[t] = by_slot.get(t, 0) | 1 << j
+    at_or_before: dict[int, int] = {}
+    acc = 0
+    for t in sorted(by_slot):
+        acc |= by_slot[t]
+        at_or_before[t] = acc
+    for u in sorted(j for j in sched.start if 0 <= j < inst.n):
+        for v in _bits(inst.succ_masks[u] & at_or_before[sched.start[u]]):
+            violations.append(Violation("precedence", (u, v)))
     known = [t for j, t in sched.start.items() if 0 <= j < inst.n]
     makespan = max(known) + 1 if known else 0
     complete = all(j in sched.start for j in range(inst.n))

@@ -20,7 +20,7 @@ from a caller-supplied plan or bounded random samples.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -179,13 +179,15 @@ def windows_for_top(inst, top, cells, placed):
             s = placed.get(p)
             if s is not None and s + 1 > bound:
                 bound = s + 1
-        r = next((c for c in starts if c >= bound), ends[-1])
+        i = bisect_left(starts, bound)
+        r = starts[i] if i < len(starts) else ends[-1]
         bound = ends[-1]
         for q in _bits(inst.succ_masks[j]):
             s = placed.get(q)
             if s is not None and s < bound:
                 bound = s
-        d = next((c for c in reversed(ends) if c <= bound), starts[0])
+        i = bisect_right(ends, bound) - 1
+        d = ends[i] if i >= 0 else starts[0]
         out.append(TopWindow(j, r, d))
     return out
 
@@ -194,56 +196,58 @@ def edf_insert(inst, tops, occupancy, start, end, trace=None):
     """Sweep [start, end) placing tops earliest-deadline-first.
 
     At each slot: discard unplaced jobs whose deadline has arrived, then
-    fill the residual capacity with eligible jobs in (deadline, id) order.
-    Eligible means released, with every same-batch predecessor either
-    discarded or finished. Returns (placements, discards).
+    fill the residual capacity (none when the slot is already full or over)
+    with eligible jobs in (deadline, id) order. A bitmask `pending` holds the
+    batch's jobs that are neither placed nor discarded; a job is eligible
+    when released and none of its predecessors is pending, one mask test per
+    job. Jobs placed at this slot only leave `pending` after every job's
+    test, so they block their successors until the next slot. Returns
+    (placements, discards).
     """
-    window = {w.job: w for w in tops}
-    order = sorted(tops, key=lambda w: (w.d, w.job))
-    placed: dict[JobId, int] = {}
-    finish: dict[JobId, int] = {}
+    pred_masks = inst.pred_masks
+    rest = []
+    pending = 0
     discards: set[JobId] = set()
-    for w in order:
+    for w in sorted(tops, key=lambda w: (w.d, w.job)):
         if w.degenerate:
             discards.add(w.job)
             if trace is not None:
                 trace.discard_time[w.job] = start
-
-    def eligible(w, t):
-        if w.r > t:
-            return False
-        for p in _bits(inst.pred_masks[w.job]):
-            if p in window and p not in discards and finish.get(p, end + 1) > t:
-                return False
-        return True
-
+        else:
+            rest.append(w)
+            pending |= 1 << w.job
+    placed: dict[JobId, int] = {}
     for t in range(start, end):
-        for w in order:
-            if w.job not in placed and w.job not in discards and w.d <= t:
-                discards.add(w.job)
-                if trace is not None:
-                    trace.discard_time[w.job] = t
-        free = inst.m - occupancy.get(t, 0)
-        ready = [
-            w
-            for w in order
-            if w.job not in placed and w.job not in discards and eligible(w, t)
-        ]
-        for w in ready[:free]:
-            placed[w.job] = t
-            finish[w.job] = t + 1
+        # rest is sorted by deadline, so the expired jobs form a prefix.
+        k = 0
+        while k < len(rest) and rest[k].d <= t:
+            w = rest[k]
+            discards.add(w.job)
+            pending ^= 1 << w.job
+            if trace is not None:
+                trace.discard_time[w.job] = t
+            k += 1
+        if k:
+            del rest[:k]
+        occ = occupancy.get(t, 0)
+        free = max(0, inst.m - occ)
+        ready = [w for w in rest if w.r <= t and not pred_masks[w.job] & pending]
+        if ready and free:
+            for w in ready[:free]:
+                placed[w.job] = t
+                pending ^= 1 << w.job
+            rest = [w for w in rest if pending >> w.job & 1]
         if trace is not None:
-            load = inst.m - free + min(free, len(ready))
+            load = occ + min(free, len(ready))
             trace.loads[t] = load
             if load < inst.m:
-                left = tuple(w.job for w in ready[free:] if w.d > t)
+                left = tuple(w.job for w in ready[free:])
                 if left:
                     trace.starved[t] = left
-    for w in order:
-        if w.job not in placed and w.job not in discards:
-            discards.add(w.job)
-            if trace is not None:
-                trace.discard_time[w.job] = end
+    for w in rest:
+        discards.add(w.job)
+        if trace is not None:
+            trace.discard_time[w.job] = end
     return placed, discards
 
 

@@ -90,6 +90,31 @@ def test_padding_noop_when_already_a_power_of_two():
     assert padded is inst and tstar == 4
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=9),
+    st.randoms(use_true_random=False),
+)
+def test_padding_matches_closing_the_padded_edge_list(n, m, T, rng):
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+    inst = build_instance(n, m, edges)
+    padded, tstar = pad_to_power_of_two(inst, T)
+    extra = tstar - T
+    total = n + m * extra
+    padded_edges = list(edges)
+    for c in range(m):
+        base = n + c * extra
+        padded_edges += [(base + i, base + i + 1) for i in range(extra - 1)]
+    padded_edges += [(u, d) for u in range(n) for d in range(n, total)]
+    want = build_instance(total, m, padded_edges)
+    assert tstar >= T and tstar & (tstar - 1) == 0
+    assert padded == want
+    assert padded.pred_masks == want.pred_masks
+    assert padded.succ_masks == want.succ_masks
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=2), st.randoms(use_true_random=False))
 def test_padding_lands_exactly_on_the_power_of_two(n, m, rng):

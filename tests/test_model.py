@@ -6,6 +6,7 @@ from precsched.model import (
     BadMachineCount,
     CycleError,
     Schedule,
+    Violation,
     build_instance,
     longest_chain,
     predecessors,
@@ -156,3 +157,20 @@ def test_longest_chain_agrees_with_enumeration(case, rng):
     inst = build_instance(n, 2, edges)
     subset = {j for j in range(n) if rng.random() < 0.7}
     assert longest_chain(inst, subset) == _chains_by_enumeration(n, inst.prec, subset)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_sets(), st.randoms(use_true_random=False))
+def test_precedence_violations_match_a_scan_of_all_pairs(case, rng):
+    n, edges = case
+    inst = build_instance(n, 2, edges)
+    horizon = rng.randint(1, n + 1)
+    # Some jobs unscheduled, some unknown, some slots outside the horizon.
+    start = {j: rng.randint(-1, horizon) for j in range(-1, n + 2) if rng.random() < 0.8}
+    report = validate_schedule(inst, Schedule(start, horizon))
+    want = [
+        Violation("precedence", (u, v))
+        for u, v in sorted(inst.prec)
+        if u in start and v in start and start[u] + 1 > start[v]
+    ]
+    assert [v for v in report.violations if v.kind == "precedence"] == want

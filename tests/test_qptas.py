@@ -149,6 +149,87 @@ def test_edf_discards_degenerates_immediately():
     assert trace.discard_time == {0: 0}
 
 
+def test_edf_places_nothing_in_an_overfull_slot():
+    inst = build_instance(3, 2, [])
+    tops = [TopWindow(j, 0, 1) for j in range(3)]
+    trace = EdfTrace()
+    placed, disc = edf_insert(inst, tops, {0: 3}, 0, 1, trace=trace)
+    assert placed == {} and disc == {0, 1, 2}
+    assert trace.loads == {0: 3}
+
+
+def _reference_edf(inst, tops, occupancy, start, end, trace):
+    # Per-predecessor eligibility scan: a predecessor in the batch blocks
+    # until it is discarded or has finished. Valid for occupancies up to m;
+    # the over-full slot has its own test above.
+    window = {w.job: w for w in tops}
+    order = sorted(tops, key=lambda w: (w.d, w.job))
+    placed, finish, discards = {}, {}, set()
+    for w in order:
+        if w.degenerate:
+            discards.add(w.job)
+            trace.discard_time[w.job] = start
+
+    def eligible(w, t):
+        if w.r > t:
+            return False
+        for p in range(inst.n):
+            if inst.pred_masks[w.job] >> p & 1 and p in window and p not in discards:
+                if finish.get(p, end + 1) > t:
+                    return False
+        return True
+
+    for t in range(start, end):
+        for w in order:
+            if w.job not in placed and w.job not in discards and w.d <= t:
+                discards.add(w.job)
+                trace.discard_time[w.job] = t
+        free = inst.m - occupancy.get(t, 0)
+        ready = [w for w in order if w.job not in placed and w.job not in discards and eligible(w, t)]
+        for w in ready[:free]:
+            placed[w.job] = t
+            finish[w.job] = t + 1
+        load = inst.m - free + min(free, len(ready))
+        trace.loads[t] = load
+        if load < inst.m:
+            left = tuple(w.job for w in ready[free:] if w.d > t)
+            if left:
+                trace.starved[t] = left
+    for w in order:
+        if w.job not in placed and w.job not in discards:
+            discards.add(w.job)
+            trace.discard_time[w.job] = end
+    return placed, discards
+
+
+@st.composite
+def _edf_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    m = draw(st.integers(min_value=1, max_value=3))
+    start = draw(st.integers(min_value=0, max_value=3))
+    end = draw(st.integers(min_value=start, max_value=start + 6))
+    jobs = draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True))
+    bound = st.integers(min_value=start - 1, max_value=end + 1)
+    tops = [TopWindow(j, draw(bound), draw(bound)) for j in jobs]
+    occ = draw(st.dictionaries(st.integers(min_value=start, max_value=end), st.integers(min_value=0, max_value=m)))
+    return build_instance(n, m, edges), tops, occ, start, end
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edf_cases())
+def test_edf_matches_the_per_predecessor_reference(case):
+    inst, tops, occ, start, end = case
+    trace, want_trace = EdfTrace(), EdfTrace()
+    placed, disc = edf_insert(inst, tops, occ, start, end, trace=trace)
+    want_placed, want_disc = _reference_edf(inst, tops, occ, start, end, want_trace)
+    assert list(placed.items()) == list(want_placed.items())
+    assert disc == want_disc
+    assert trace == want_trace
+    assert edf_insert(inst, tops, occ, start, end) == (placed, disc)
+
+
 def test_enumeration_count_matches_the_forced_example():
     inst = build_instance(1, 1, [])
     rin = RecursionInput((0, 2), frozenset({0}), {}, 0)
