@@ -1,22 +1,23 @@
 """Empirical auditors for the analysis claims behind the laminar solver.
 
-Each auditor replays or inspects one structural claim (level uniqueness,
-offset shifting, window slack, degenerate counts, idle slots, level count)
-and returns an AuditReport. run_oracle_pinned replays the recursion with
-every guess pinned to an exact optimal schedule, producing per-call traces
-the window and idle auditors consume. Everything here is desk-scale: it
-sits on top of the exact oracle.
+Each auditor inspects one structural claim (level uniqueness, offset
+shifting, window slack, degenerate counts, idle slots, level count) and
+returns an AuditReport. run_oracle_pinned runs the solver itself
+(qptas.solve) with an oracle-pinned guess source: every call pins the jobs
+the level assignment guessed at their slots in an exact optimal schedule.
+The solver's per-call traces, extended by their level data, feed the window
+and idle auditors. Everything here is desk-scale: it sits on top of the
+exact oracle.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .laminar import (
-    IntervalNode,
     LaminarFamily,
     LevelAssignment,
     assign_levels,
@@ -25,18 +26,13 @@ from .laminar import (
     check_eps,
     default_depth_max,
     pad_to_power_of_two,
+    partition_level,
     analysis_depth_limit,
+    stride_of,
 )
 from .model import Instance, JobId, Schedule
 from .oracle import EXACT_CAP, optimal_makespan, optimal_schedule
-from .qptas import (
-    EdfTrace,
-    TopWindow,
-    classify,
-    edf_insert,
-    stride_of,
-    windows_for_top,
-)
+from .qptas import CallTrace, GuessConfig, solve
 
 # Claims whose violation means the implementation (or the analysis) is wrong,
 # versus bounds that are only expected to hold in the audited regime.
@@ -66,29 +62,20 @@ class AuditReport:
 
 
 @dataclass
-class CallTrace:
-    """One recursion call of the pinned replay.
+class PinnedTrace(CallTrace):
+    """A solver CallTrace of the oracle-pinned run plus its level data.
 
-    windows holds every top window (degenerate included); top1 are the tops
-    the level assignment put in this call's own level range, top2 those at
-    the partition level. loads and discard times come from the EDF sweep.
+    level is the family level of the call's interval, partition_level that
+    of its cells, and lam their length. top1 are the tops the level
+    assignment put in the call's own level range [level, partition_level),
+    top2 those at the partition level.
     """
 
-    depth: int
-    interval: tuple[int, int]
     level: int
     partition_level: int
-    cells: list[tuple[int, int]]
     lam: int
-    pins: dict[JobId, int]
-    tops: frozenset[JobId]
-    windows: list[TopWindow]
     top1: frozenset[JobId]
     top2: frozenset[JobId]
-    placed_tops: dict[JobId, int]
-    edf: EdfTrace = field(default_factory=EdfTrace)
-    degenerate: frozenset[JobId] = frozenset()
-    edf_discarded: frozenset[JobId] = frozenset()
 
 
 def check_unique_level(assign: LevelAssignment) -> AuditReport:
@@ -270,21 +257,34 @@ def run_oracle_pinned(
     assign: LevelAssignment | None = None,
     divide_by_m: bool = True,
 ):
-    """Replay the recursion with every guess pinned at its optimal slot.
+    """Run the solver with every guess pinned at its optimal slot.
 
-    The call at depth r over a family interval pins the level assignment's
-    guess sets for all levels from the interval's own level up to (but not
-    including) the partition level offset + r*stride + 1, then classifies,
-    recurses on bottoms, windows the tops against the recursion's
-    placements, and runs the EDF sweep. Returns (traces, starts, discarded);
-    traces are appended children-first.
+    The guess source gives each call one guess: the level assignment's guess
+    sets inside the call's interval for all levels from the interval's own
+    level up to (but not including) its partition level, pinned at their
+    slots in opt, on the partition level's cells. The solver then
+    classifies, recurses on bottoms, windows the tops and runs the EDF sweep
+    as it always does. Its depth cap is the family's level count, which no
+    call reaches. Returns (traces, starts, discarded); traces are
+    PinnedTraces, children first.
     """
     e = check_eps(eps)
     if assign is None:
         assign = assign_levels(inst, opt, fam, e, divide_by_m)
-    stride = stride_of(inst.m, e)
-    traces: list[CallTrace] = []
-    discarded: set[JobId] = set()
+
+    def oracle_guess(rin):
+        s, end = rin.interval
+        node = fam.find(s, end)
+        p = partition_level(fam, node, rin.depth, inst.m, e, offset)
+        pins = {
+            j: opt.start[j]
+            for lvl in range(node.level, p)
+            for (ks, ke), members in assign.guess.get(lvl, {}).items()
+            if ks >= s and ke <= end
+            for j in members
+            if j in rin.jobs
+        }
+        yield pins, [c.key for c in fam.descendants(node, p)]
 
     def tops_at(levels) -> frozenset[JobId]:
         acc: set[JobId] = set()
@@ -292,66 +292,24 @@ def run_oracle_pinned(
             acc |= assign.top_at_level(lvl)
         return frozenset(acc)
 
-    def call(node: IntervalNode, jobs: frozenset[JobId], pins, depth: int):
-        s, e0 = node.start, node.end
-        if not jobs:
-            return {}
-        if e0 - s == 1:
-            tops = [TopWindow(j, s, e0) for j in sorted(jobs)]
-            occ = Counter(t for t in pins.values() if t == s)
-            placed, disc = edf_insert(inst, tops, occ, s, e0)
-            discarded.update(disc)
-            return placed
-        p = min(offset + depth * stride + 1, fam.deepest)
-        p = max(p, node.level + 1)
-        cells = [(c.start, c.end) for c in fam.descendants(node, p)]
-        new_pins: dict[JobId, int] = {}
-        for lvl in range(node.level, p):
-            for (ks, ke), members in assign.guess.get(lvl, {}).items():
-                if ks >= s and ke <= e0:
-                    for j in members:
-                        if j in jobs:
-                            new_pins[j] = opt.start[j]
-        bottom, top = classify(inst, jobs, new_pins, cells, pins)
-        merged = {**pins, **new_pins}
-        starts = dict(new_pins)
-        for cell in cells:
-            sub = bottom[cell] - new_pins.keys()
-            if sub:
-                child = fam.find(*cell)
-                starts.update(call(child, frozenset(sub), merged, depth + 1))
-        placed_all = {**pins, **starts}
-        windows = windows_for_top(inst, top, cells, placed_all)
-        occ = Counter(t for t in placed_all.values() if s <= t < e0)
-        etrace = EdfTrace()
-        tplaced, tdisc = edf_insert(inst, windows, occ, s, e0, trace=etrace)
-        discarded.update(tdisc)
-        starts.update(tplaced)
-        degen = frozenset(w.job for w in windows if w.degenerate)
+    calls: list[CallTrace] = []
+    cfg = GuessConfig(depth_max=fam.level_count(), eps=e, offset=offset)
+    result = solve(inst, fam.T, cfg, guesses=oracle_guess, traces=calls)
+    traces = []
+    for tr in calls:
+        level = fam.find(*tr.interval).level
+        p = fam.find(*tr.cells[0]).level
         traces.append(
-            CallTrace(
-                depth=depth,
-                interval=(s, e0),
-                level=node.level,
+            PinnedTrace(
+                **vars(tr),
+                level=level,
                 partition_level=p,
-                cells=cells,
                 lam=fam.level_lengths[p],
-                pins=dict(new_pins),
-                tops=top,
-                windows=windows,
-                top1=top & tops_at(range(node.level, p)),
-                top2=top & tops_at((p,)),
-                placed_tops=dict(tplaced),
-                edf=etrace,
-                degenerate=degen,
-                edf_discarded=frozenset(tdisc) - degen,
+                top1=tr.tops & tops_at(range(level, p)),
+                top2=tr.tops & tops_at((p,)),
             )
         )
-        return starts
-
-    root = fam.find(0, fam.T)
-    starts = call(root, frozenset(range(inst.n)), {}, 0)
-    return traces, starts, discarded
+    return traces, result.schedule.start, set(result.discarded)
 
 
 def _merge_margin(name: str, reports) -> AuditReport:

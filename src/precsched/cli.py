@@ -145,18 +145,15 @@ def _solve_qptas(inst: Instance, args) -> tuple[Schedule, int, int]:
             partition_mode="exhaustive",
             depth_max=args.depth_max or 1,
             eps=eps,
-            exhaustive_job_guessing=True,
         )
         result = solve(inst, T, cfg)
         sched = insert_discarded(inst, result.schedule, result.discarded)
         return sched, len(result.discarded), result.stats.guesses_explored
     padded, tstar = pad_to_power_of_two(inst, T)
     cfg = GuessConfig(
-        k_max=args.kmax or 0,
         partition_mode="laminar",
         depth_max=args.depth_max or default_depth_max(padded.n, padded.m, eps),
         eps=eps,
-        seed=args.seed,
     )
     result = solve(padded, tstar, cfg)
     sched = insert_discarded(padded, result.schedule, result.discarded)

@@ -101,6 +101,27 @@ class LaminarFamily:
         ]
 
 
+def stride_of(m: int, eps) -> int:
+    """Level stride m/eps of the offset buckets; must be a positive integer."""
+    e = check_eps(eps)
+    q, r = divmod(m * e.denominator, e.numerator)
+    if r or q < 1:
+        raise BadEps(f"m/eps must be a positive integer, got {Fraction(m) / e}")
+    return q
+
+
+def partition_level(
+    fam: LaminarFamily, node: IntervalNode, depth: int, m: int, eps, offset: int = 0
+) -> int:
+    """Level whose intervals are the cells of a depth-`depth` call on node.
+
+    offset + depth * (m/eps) + 1, capped at the deepest level and kept at
+    least one level below the node so every call splits its interval.
+    """
+    level = min(offset + depth * stride_of(m, eps) + 1, fam.deepest)
+    return max(level, node.level + 1)
+
+
 def build_laminar(T: int, n: int, eps) -> LaminarFamily:
     """Build the family over [0, T) for an n-job instance at accuracy eps.
 
@@ -395,11 +416,7 @@ def best_offset(assign: LevelAssignment, m: int, eps, T: int) -> tuple[int, int]
     assignment came from an optimal schedule (n <= m*T). Ties pick the
     smallest offset. m/eps must be a positive integer.
     """
-    e = check_eps(eps)
-    stride_frac = Fraction(m) / e
-    if stride_frac.denominator != 1 or stride_frac < 1:
-        raise BadEps(f"m/eps must be a positive integer, got {stride_frac}")
-    stride = int(stride_frac)
+    stride = stride_of(m, eps)
     best = None
     for a in range(stride):
         total = 0
@@ -410,24 +427,6 @@ def best_offset(assign: LevelAssignment, m: int, eps, T: int) -> tuple[int, int]
         if best is None or total < best[1]:
             best = (a, total)
     return best
-
-
-def lambda_for_depth(fam: LaminarFamily, m: int, eps, depth: int, offset: int = 0) -> int:
-    """Cell length used by a depth-`depth` call under the given offset."""
-    e = check_eps(eps)
-    stride = Fraction(m) / e
-    if stride.denominator != 1 or stride < 1:
-        raise BadEps(f"m/eps must be a positive integer, got {stride}")
-    level = min(offset + depth * int(stride) + 1, fam.deepest)
-    return fam.level_lengths[level]
-
-
-def analysis_guess_budget(n: int, m: int, eps) -> float:
-    """Guess budget from the coarse analysis: (m log2 n / eps)^(m/eps + 1)."""
-    e = float(check_eps(eps))
-    if n < 2:
-        return 1.0
-    return (m * math.log2(n) / e) ** (m / e + 1)
 
 
 def analysis_depth_limit(n: int, m: int, eps) -> int:

@@ -11,27 +11,31 @@ with the fewest discards wins (ties: first in enumeration order).
 insert_discarded then repairs a result at the cost of one extra slot per
 discarded job.
 
-The full guess space is astronomical, so exhaustive enumeration is only
-usable at toy sizes (n around 10); the laminar mode takes the one partition
-dictated by the interval family and a level offset, and guesses pins only
-from a caller-supplied plan or bounded random samples.
+The recursion (_recurse) takes its guesses from a guess source, a callable
+RecursionInput -> iterable of (pins, cells). solve's default source is
+enumerate_guesses. The full guess space is astronomical, so its exhaustive
+mode is only usable at toy sizes (n around 10); its laminar mode pins nothing
+and takes the one partition dictated by the interval family and a level
+offset. The auditors pass a source that pins each call's guessed jobs at
+their optimal slots. Given a trace list, the recursion records one CallTrace
+per non-unit call of the winning guess.
 """
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from .laminar import (
-    BadEps,
     EmptyWindow,
     LaminarFamily,
     build_laminar,
     check_eps,
     feasible_window,
+    partition_level,
+    stride_of,
 )
 from .model import Instance, JobId, Schedule, longest_chain, validate_schedule
 
@@ -56,35 +60,23 @@ class TopWindow:
         return self.r >= self.d
 
 
-def stride_of(m: int, eps) -> int:
-    q = Fraction(m) / check_eps(eps)
-    if q.denominator != 1 or q < 1:
-        raise BadEps(f"m/eps must be a positive integer here, got {q}")
-    return int(q)
-
-
 @dataclass(frozen=True)
 class GuessConfig:
     """Knobs for the guess enumeration.
 
-    k_max caps pinned jobs per call. partition_mode picks dictated laminar
-    cells or all integer-boundary partitions into at most max(1, k) cells.
-    depth_max caps recursion depth; a call at the cap discards its whole job
-    set (unit intervals are exempt). offset shifts the laminar level used at
-    each depth. pin_plan (callable RecursionInput -> iterable of {job: slot})
-    and pin_samples/seed supply pin candidates in laminar mode when
-    exhaustive_job_guessing is off.
+    partition_mode "laminar" pins nothing and takes the dictated laminar
+    cells; "exhaustive" pins every subset of at most k_max jobs at every
+    consistent slot, over all integer-boundary partitions into at most
+    max(1, k_max) cells. depth_max caps recursion depth; a call at the cap
+    discards its whole job set (unit intervals are exempt). offset shifts
+    the laminar level used at each depth.
     """
 
     k_max: int = 0
     partition_mode: str = "laminar"
     depth_max: int = 1
     eps: Fraction = Fraction(1)
-    exhaustive_job_guessing: bool = False
     offset: int = 0
-    pin_plan: object = None
-    pin_samples: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "eps", check_eps(self.eps))
@@ -94,8 +86,8 @@ class GuessConfig:
             raise ValueError(f"depth_max must be >= 1, got {self.depth_max}")
         if self.partition_mode not in ("laminar", "exhaustive"):
             raise ValueError(f"unknown partition_mode {self.partition_mode!r}")
-        if self.offset < 0 or self.pin_samples < 0:
-            raise ValueError("offset and pin_samples must be >= 0")
+        if self.offset < 0:
+            raise ValueError(f"offset must be >= 0, got {self.offset}")
 
 
 @dataclass(frozen=True)
@@ -123,11 +115,32 @@ class SolveResult:
 
 @dataclass
 class EdfTrace:
-    """Per-slot loads, discard times, and any starvation the sweep left."""
+    """Per-slot loads and per-job discard times of one EDF sweep."""
 
     loads: dict[int, int] = field(default_factory=dict)
     discard_time: dict[JobId, int] = field(default_factory=dict)
-    starved: dict[int, tuple[JobId, ...]] = field(default_factory=dict)
+
+
+@dataclass
+class CallTrace:
+    """One non-unit recursion call, as its winning guess ran it.
+
+    pins are the call's own new pins; windows holds every top window,
+    degenerate included, in job order; placed_tops are the EDF placements.
+    degenerate and edf_discarded split the sweep's discards into tops whose
+    window collapsed and tops the sweep could not fit.
+    """
+
+    depth: int
+    interval: tuple[int, int]
+    cells: list[tuple[int, int]]
+    pins: dict[JobId, int]
+    tops: frozenset[JobId]
+    windows: list[TopWindow]
+    placed_tops: dict[JobId, int]
+    edf: EdfTrace
+    degenerate: frozenset[JobId]
+    edf_discarded: frozenset[JobId]
 
 
 def _bits(mask: int):
@@ -238,21 +251,12 @@ def edf_insert(inst, tops, occupancy, start, end, trace=None):
                 pending ^= 1 << w.job
             rest = [w for w in rest if pending >> w.job & 1]
         if trace is not None:
-            load = occ + min(free, len(ready))
-            trace.loads[t] = load
-            if load < inst.m:
-                left = tuple(w.job for w in ready[free:])
-                if left:
-                    trace.starved[t] = left
+            trace.loads[t] = occ + min(free, len(ready))
     for w in rest:
         discards.add(w.job)
         if trace is not None:
             trace.discard_time[w.job] = end
     return placed, discards
-
-
-def _effective_cap(jobs_here: int, k_max: int) -> int:
-    return min(k_max, jobs_here)
 
 
 def _assignments(inst, subset, base_pins, s, e):
@@ -282,63 +286,6 @@ def _assignments(inst, subset, base_pins, s, e):
     yield from rec(0)
 
 
-def _consistent(inst, pins, base_pins, s, e):
-    occ = Counter(t for t in base_pins.values() if s <= t < e)
-    merged = dict(base_pins)
-    for j in sorted(pins):
-        t = pins[j]
-        if not s <= t < e or occ[t] >= inst.m:
-            return False
-        try:
-            lo, hi = feasible_window(inst, j, merged, e)
-        except EmptyWindow:
-            return False
-        if not lo <= t < hi:
-            return False
-        merged[j] = t
-        occ[t] += 1
-    return True
-
-
-def _pin_candidates(inst, rin, cfg):
-    """Laminar-mode pin guesses: plan entries, then samples, then no pins."""
-    s, e = rin.interval
-    jobs = sorted(rin.jobs)
-    cap = _effective_cap(len(jobs), cfg.k_max)
-    seen = set()
-
-    def emit(pins):
-        key = tuple(sorted(pins.items()))
-        if key in seen:
-            return None
-        seen.add(key)
-        return pins
-
-    if cfg.pin_plan is not None:
-        for pins in cfg.pin_plan(rin):
-            pins = dict(pins)
-            if len(pins) > cap or not set(pins) <= rin.jobs:
-                continue
-            if not _consistent(inst, pins, rin.pinned, s, e):
-                continue
-            got = emit(pins)
-            if got is not None:
-                yield got
-    if cfg.pin_samples:
-        rng = random.Random(f"{cfg.seed}|{s}|{e}|{rin.depth}")
-        for _ in range(cfg.pin_samples):
-            size = rng.randint(0, cap)
-            pins = {j: rng.randrange(s, e) for j in rng.sample(jobs, size)}
-            if not _consistent(inst, pins, rin.pinned, s, e):
-                continue
-            got = emit(pins)
-            if got is not None:
-                yield got
-    got = emit({})
-    if got is not None:
-        yield got
-
-
 def _partitions(s, e, cells_cap):
     """Integer-boundary partitions of [s, e), finest first."""
     inner = range(s + 1, e)
@@ -351,34 +298,33 @@ def _partitions(s, e, cells_cap):
 def enumerate_guesses(inst, rin, cfg, fam: LaminarFamily | None = None):
     """Deterministic (pins, cells) sequence for one recursion node.
 
-    Pin sets come largest-first so the fully pinned branch, whose zero
-    discards end the search early, is tried before anything else; within a
-    size, subsets ascend lexicographically and slots ascend per job.
+    Laminar mode yields one guess: no pins, the family's cells at the
+    partition level. Exhaustive mode yields pin sets largest-first, so the
+    fully pinned branch, whose zero discards end the search early, is tried
+    before anything else; within a size, subsets ascend lexicographically
+    and slots ascend per job.
     """
     s, e = rin.interval
-    jobs = sorted(rin.jobs)
     if cfg.partition_mode == "laminar":
         node = fam.find(s, e)
-        level = min(cfg.offset + rin.depth * stride_of(inst.m, cfg.eps) + 1, fam.deepest)
-        level = max(level, node.level + 1)
-        partitions = [[c.key for c in fam.descendants(node, level)]]
-    else:
-        cells_cap = max(1, cfg.k_max)
-        partitions = list(_partitions(s, e, cells_cap))
-    if cfg.exhaustive_job_guessing:
-        cap = _effective_cap(len(jobs), cfg.k_max)
-        for size in range(cap, -1, -1):
-            for subset in combinations(jobs, size):
-                for pins in _assignments(inst, subset, rin.pinned, s, e):
-                    for cells in partitions:
-                        yield pins, cells
-    else:
-        for pins in _pin_candidates(inst, rin, cfg):
-            for cells in partitions:
-                yield pins, cells
+        level = partition_level(fam, node, rin.depth, inst.m, cfg.eps, cfg.offset)
+        yield {}, [c.key for c in fam.descendants(node, level)]
+        return
+    jobs = sorted(rin.jobs)
+    partitions = list(_partitions(s, e, max(1, cfg.k_max)))
+    for size in range(min(cfg.k_max, len(jobs)), -1, -1):
+        for subset in combinations(jobs, size):
+            for pins in _assignments(inst, subset, rin.pinned, s, e):
+                for cells in partitions:
+                    yield pins, cells
 
 
-def _recurse(inst, rin, cfg, fam, stats):
+def _recurse(inst, rin, cfg, guesses, stats, traces=None):
+    """Best (starts, discards) over the guesses the source yields for rin.
+
+    When traces is a list, the winning guess's CallTraces (its children's,
+    then its own) are appended to it; otherwise no trace is built.
+    """
     s, e = rin.interval
     if not rin.jobs:
         return {}, set()
@@ -394,12 +340,13 @@ def _recurse(inst, rin, cfg, fam, stats):
         stats.depth_cap_discards += len(rin.jobs)
         return {}, set(rin.jobs)
     best = None
-    for pins, cells in enumerate_guesses(inst, rin, cfg, fam):
+    for pins, cells in guesses(rin):
         stats.guesses_explored += 1
         try:
             bottom, top = classify(inst, rin.jobs, pins, cells, rin.pinned)
         except EmptyWindow:
             continue
+        calls = None if traces is None else []
         merged = {**rin.pinned, **pins}
         starts = dict(pins)
         disc: set[JobId] = set()
@@ -408,39 +355,60 @@ def _recurse(inst, rin, cfg, fam, stats):
             if not sub:
                 continue
             child = RecursionInput(cell, frozenset(sub), merged, rin.depth + 1)
-            cstarts, cdisc = _recurse(inst, child, cfg, fam, stats)
+            cstarts, cdisc = _recurse(inst, child, cfg, guesses, stats, calls)
             starts.update(cstarts)
             disc |= cdisc
         placed_all = {**rin.pinned, **starts}
-        live = []
-        for w in windows_for_top(inst, top, cells, placed_all):
-            if w.degenerate:
-                disc.add(w.job)
-                stats.degenerate_discards += 1
-            else:
-                live.append(w)
+        windows = windows_for_top(inst, top, cells, placed_all)
         occ = Counter(t for t in placed_all.values() if s <= t < e)
-        tplaced, tdisc = edf_insert(inst, live, occ, s, e)
-        stats.edf_discards += len(tdisc)
+        edf = None if traces is None else EdfTrace()
+        # edf_insert discards degenerate windows at s without placing them.
+        tplaced, tdisc = edf_insert(inst, windows, occ, s, e, edf)
+        degenerate = [w.job for w in windows if w.degenerate]
+        stats.degenerate_discards += len(degenerate)
+        stats.edf_discards += len(tdisc) - len(degenerate)
         starts.update(tplaced)
         disc |= tdisc
+        if calls is not None:
+            calls.append(
+                CallTrace(
+                    depth=rin.depth,
+                    interval=rin.interval,
+                    cells=cells,
+                    pins=dict(pins),
+                    tops=top,
+                    windows=windows,
+                    placed_tops=tplaced,
+                    edf=edf,
+                    degenerate=frozenset(degenerate),
+                    edf_discarded=frozenset(tdisc.difference(degenerate)),
+                )
+            )
         if best is None or len(disc) < len(best[1]):
-            best = (starts, disc)
+            best = (starts, disc, calls)
             if not disc:
                 break
     if best is None:
         # Every guess was pruned; cannot happen from a consistent parent.
         return {}, set(rin.jobs)
-    return best
+    if traces is not None:
+        traces.extend(best[2])
+    return best[0], best[1]
 
 
-def solve(inst: Instance, T: int, cfg: GuessConfig) -> SolveResult:
+def solve(inst: Instance, T: int, cfg: GuessConfig, guesses=None, traces=None) -> SolveResult:
     """Best-guess schedule inside horizon T plus the jobs it discarded.
 
-    Raises InfeasibleHorizon below the longest-chain bound. Laminar mode
-    additionally needs T to be a power of two (see pad_to_power_of_two) and
-    m/eps integral. The result schedule keeps horizon T even when the last
-    busy slot is earlier; insert_discarded extends it by one per discard.
+    guesses is the guess source, a callable RecursionInput -> iterable of
+    (pins, cells); the default enumerates per cfg (enumerate_guesses), and
+    in laminar mode needs T to be a power of two (see pad_to_power_of_two)
+    and m/eps integral. A caller's source uses only cfg.depth_max. When
+    traces is a list, one CallTrace per non-unit call of the winning guesses
+    is appended to it, children first.
+
+    Raises InfeasibleHorizon below the longest-chain bound. The result
+    schedule keeps horizon T even when the last busy slot is earlier;
+    insert_discarded extends it by one per discard.
     """
     stats = SolveStats()
     if inst.n == 0:
@@ -449,12 +417,14 @@ def solve(inst: Instance, T: int, cfg: GuessConfig) -> SolveResult:
         raise InfeasibleHorizon(
             f"horizon {T} is below the chain bound {longest_chain(inst)}"
         )
-    fam = None
-    if cfg.partition_mode == "laminar":
-        stride_of(inst.m, cfg.eps)
-        fam = build_laminar(T, max(inst.n, 2), cfg.eps)
+    if guesses is None:
+        fam = None
+        if cfg.partition_mode == "laminar":
+            stride_of(inst.m, cfg.eps)
+            fam = build_laminar(T, max(inst.n, 2), cfg.eps)
+        guesses = lambda rin: enumerate_guesses(inst, rin, cfg, fam)
     root = RecursionInput((0, T), frozenset(range(inst.n)), {}, 0)
-    starts, disc = _recurse(inst, root, cfg, fam, stats)
+    starts, disc = _recurse(inst, root, cfg, guesses, stats, traces)
     sched = Schedule(starts, T)
     report = validate_schedule(inst, sched)
     if not report.feasible or set(starts) & disc or set(starts) | disc != set(range(inst.n)):

@@ -112,7 +112,6 @@ def test_criterion_4_exhaustive_solve_exact(capsys):
             partition_mode="exhaustive",
             depth_max=1,
             eps=Fraction(1),
-            exhaustive_job_guessing=True,
         )
         result = solve(inst, T, cfg)
         assert result.discarded == frozenset(), cid
@@ -132,7 +131,6 @@ def test_criterion_5_feasibility_and_accounting(capsys):
                 partition_mode="exhaustive",
                 depth_max=1,
                 eps=Fraction(1),
-                exhaustive_job_guessing=True,
             )
             runs.append((inst, OPT[cid], cfg))
         padded, tstar = pad_to_power_of_two(inst, OPT[cid])

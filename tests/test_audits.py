@@ -1,9 +1,10 @@
 """Auditor behavior on hand-checked instances plus negative controls."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from precsched.audits import (
@@ -24,10 +25,11 @@ from precsched.laminar import (
     best_offset,
     build_laminar,
     pad_to_power_of_two,
+    stride_of,
 )
 from precsched.model import build_instance
 from precsched.oracle import optimal_makespan, optimal_schedule
-from precsched.qptas import TopWindow, windows_for_top
+from precsched.qptas import EdfTrace, TopWindow, classify, edf_insert, windows_for_top
 
 SQUEEZE_EDGES = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 2), (1, 5), (5, 3)]
 
@@ -234,3 +236,92 @@ def test_audit_instance_holds_on_random_instances(case):
     reports = audit_instance(build_instance(n, m, edges), eps=eps)
     for claim in CONTRACTUAL_CLAIMS + ADVISORY_CLAIMS:
         assert reports[claim].violations == 0, claim
+
+
+def _reference_replay(inst, opt, fam, eps, offset, assign):
+    # The auditors' former hand-kept copy of the solver's recursion: pin the
+    # guessed jobs of levels [node.level, p) at their optimal slots, classify,
+    # recurse on cells, window the tops and sweep. Traces are field dicts,
+    # children first.
+    stride = stride_of(inst.m, eps)
+    traces, discarded = [], set()
+
+    def tops_at(levels):
+        return frozenset().union(*(assign.top_at_level(lvl) for lvl in levels))
+
+    def call(node, jobs, pins, depth):
+        s, e = node.start, node.end
+        if not jobs:
+            return {}
+        if e - s == 1:
+            tops = [TopWindow(j, s, e) for j in sorted(jobs)]
+            occ = Counter(t for t in pins.values() if t == s)
+            placed, disc = edf_insert(inst, tops, occ, s, e)
+            discarded.update(disc)
+            return placed
+        p = max(min(offset + depth * stride + 1, fam.deepest), node.level + 1)
+        cells = [(c.start, c.end) for c in fam.descendants(node, p)]
+        new_pins = {}
+        for lvl in range(node.level, p):
+            for (ks, ke), members in assign.guess.get(lvl, {}).items():
+                if ks >= s and ke <= e:
+                    new_pins.update((j, opt.start[j]) for j in members if j in jobs)
+        bottom, top = classify(inst, jobs, new_pins, cells, pins)
+        merged = {**pins, **new_pins}
+        starts = dict(new_pins)
+        for cell in cells:
+            sub = bottom[cell] - new_pins.keys()
+            if sub:
+                starts.update(call(fam.find(*cell), frozenset(sub), merged, depth + 1))
+        placed_all = {**pins, **starts}
+        windows = windows_for_top(inst, top, cells, placed_all)
+        occ = Counter(t for t in placed_all.values() if s <= t < e)
+        edf = EdfTrace()
+        tplaced, tdisc = edf_insert(inst, windows, occ, s, e, trace=edf)
+        discarded.update(tdisc)
+        starts.update(tplaced)
+        degen = frozenset(w.job for w in windows if w.degenerate)
+        traces.append(
+            dict(
+                depth=depth,
+                interval=(s, e),
+                level=node.level,
+                partition_level=p,
+                cells=cells,
+                lam=fam.level_lengths[p],
+                pins=new_pins,
+                tops=top,
+                windows=windows,
+                top1=top & tops_at(range(node.level, p)),
+                top2=top & tops_at((p,)),
+                placed_tops=tplaced,
+                edf=edf,
+                degenerate=degen,
+                edf_discarded=frozenset(tdisc) - degen,
+            )
+        )
+        return starts
+
+    starts = call(fam.find(0, fam.T), frozenset(range(inst.n)), {}, 0)
+    return traces, starts, discarded
+
+
+@settings(max_examples=100, deadline=None)
+@given(_audit_cases(), st.integers(min_value=0, max_value=7))
+# Rare in random draws: a degenerate top window, and a two-call run whose
+# root sweep discards a job.
+@example((3, [(0, 1), (0, 2)], 1, Fraction(1)), 0)
+@example((5, [(0, 2), (0, 3), (1, 2), (1, 4)], 1, Fraction(1)), 0)
+def test_pinned_run_matches_the_replay_reference(case, shift):
+    n, edges, m, eps = case
+    inst = build_instance(n, m, edges)
+    padded, tstar = pad_to_power_of_two(inst, optimal_makespan(inst))
+    opt = optimal_schedule(padded)
+    fam = build_laminar(tstar, padded.n, eps)
+    assign = assign_levels(padded, opt, fam, eps)
+    offset = shift % stride_of(m, eps)
+    traces, starts, disc = run_oracle_pinned(padded, opt, fam, eps, offset, assign)
+    want_traces, want_starts, want_disc = _reference_replay(padded, opt, fam, eps, offset, assign)
+    assert starts == want_starts
+    assert disc == want_disc
+    assert [vars(tr) for tr in traces] == want_traces

@@ -1,6 +1,7 @@
 """End-to-end checks of every subcommand through main(argv)."""
 
 import csv
+import hashlib
 
 import pytest
 
@@ -200,3 +201,38 @@ def test_bad_eps_exits_2(tmp_path, capsys):
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["solve", "--input", str(tmp_path / "nope.inst"), "--alg", "exact"]) == 2
     capsys.readouterr()
+
+
+# sha256 of deterministic outputs over the standard corpus. A change that
+# alters any of them on purpose updates the digest and says so.
+GOLDEN = {
+    "bench": "4bbdda249bdca406acb230906d4e106c024c4515ff084dfbb715494794e67172",
+    "audit-eps-1": "5215ab21196294cb2ef415b1db61af18955dc56871f8e631a9661eb70feb8fa4",
+    "audit-eps-1/2": "972114c9821c9a5bb929106a56b59afcbfaa11d50e51ed4df4638c10ae406635",
+    "analyze-levels": "9a45cec427639d0c19206ba3d0540334dcf5033bf61dd8cb2927cc46590edac6",
+}
+
+
+def test_deterministic_outputs_match_golden_digests(tmp_path, capsys):
+    corp = _gen_corpus(tmp_path)
+    got = {}
+    for name, argv in (
+        ("bench", ["bench"]),
+        ("audit-eps-1", ["audit", "--eps", "1"]),
+        ("audit-eps-1/2", ["audit", "--eps", "1/2"]),
+    ):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--input", str(corp), "--output", str(out)]) == 0
+        got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    # Instances above the oracle cap exit 2 and write nothing; the exit code
+    # is part of the digest.
+    levels = hashlib.sha256()
+    for path in sorted(corp.glob("*.inst")):
+        out = tmp_path / f"{path.stem}.csv"
+        rc = main(["analyze", "levels", "--input", str(path), "--output", str(out)])
+        levels.update(f"{path.stem} {rc}\n".encode())
+        if rc == 0:
+            levels.update(out.read_bytes())
+    got["analyze-levels"] = levels.hexdigest()
+    capsys.readouterr()
+    assert got == GOLDEN

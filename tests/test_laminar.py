@@ -18,7 +18,6 @@ from precsched.laminar import (
     default_depth_max,
     feasible_window,
     pad_to_power_of_two,
-    analysis_guess_budget,
     analysis_depth_limit,
 )
 from precsched.model import Schedule, build_instance
@@ -185,7 +184,6 @@ def test_chain_threshold_is_exact():
 
 
 def test_analysis_parameter_helpers():
-    assert analysis_guess_budget(16, 1, 1) == 16.0
     assert default_depth_max(16, 1, 1) == 5
     assert default_depth_max(16, 4, 1) == 2
     assert analysis_depth_limit(16, 1, 1) == 3

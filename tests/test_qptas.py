@@ -12,8 +12,8 @@ from precsched.laminar import (
     EmptyWindow,
     build_laminar,
     default_depth_max,
-    lambda_for_depth,
     pad_to_power_of_two,
+    partition_level,
 )
 from precsched.model import Schedule, build_instance, validate_schedule
 from precsched.oracle import optimal_makespan
@@ -41,7 +41,6 @@ def _exhaustive(k_max, depth_max=1, eps=1):
         partition_mode="exhaustive",
         depth_max=depth_max,
         eps=eps,
-        exhaustive_job_guessing=True,
     )
 
 
@@ -119,7 +118,6 @@ def test_edf_discards_at_the_deadline():
     placed, disc = edf_insert(inst, tops, {}, 0, 4, trace=trace)
     assert placed == {0: 0} and disc == {1}
     assert trace.discard_time == {1: 1}
-    assert trace.starved == {}
 
 
 def test_edf_respects_precedence_between_tops():
@@ -189,12 +187,7 @@ def _reference_edf(inst, tops, occupancy, start, end, trace):
         for w in ready[:free]:
             placed[w.job] = t
             finish[w.job] = t + 1
-        load = inst.m - free + min(free, len(ready))
-        trace.loads[t] = load
-        if load < inst.m:
-            left = tuple(w.job for w in ready[free:] if w.d > t)
-            if left:
-                trace.starved[t] = left
+        trace.loads[t] = inst.m - free + min(free, len(ready))
     for w in order:
         if w.job not in placed and w.job not in discards:
             discards.add(w.job)
@@ -250,13 +243,16 @@ def test_enumeration_laminar_k0_yields_one_guess():
     assert got == [({}, [(0, 2), (2, 4)])]
 
 
-def test_lambda_for_depth_tracks_partition_levels():
+def test_partition_level_gives_the_cell_length_per_depth():
     fam = build_laminar(16, 16, 1)
-    assert lambda_for_depth(fam, 1, 1, 0) == 4
-    assert lambda_for_depth(fam, 1, 1, 1) == 1
-    assert lambda_for_depth(fam, 1, 1, 5) == 1
+    root = fam.find(0, 16)
+
+    def cell_length(depth):
+        return fam.level_lengths[partition_level(fam, root, depth, 1, 1)]
+
+    assert [cell_length(d) for d in (0, 1, 5)] == [4, 1, 1]
     with pytest.raises(BadEps):
-        lambda_for_depth(fam, 1, Fraction(2, 3), 0)
+        partition_level(fam, root, 0, 1, Fraction(2, 3))
 
 
 def test_solve_exhaustive_pins_everything_first():
@@ -408,3 +404,28 @@ def test_laminar_solve_plus_repair_is_always_complete(case):
     assert report.feasible and report.complete
     assert full.horizon == tstar + len(res.discarded)
     assert full.makespan() <= full.horizon
+
+
+@settings(max_examples=40, deadline=None)
+@given(_solve_cases(), st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=2))
+def test_tracing_leaves_the_solve_result_unchanged(case, k_max, slack):
+    n, edges, m = case
+    inst = build_instance(n, m, edges)
+    T = optimal_makespan(inst)
+    padded, tstar = pad_to_power_of_two(inst, T)
+    runs = [
+        (inst, T + slack, _exhaustive(k_max=min(k_max, n), depth_max=2)),
+        (padded, tstar, GuessConfig(depth_max=default_depth_max(padded.n, m, 1))),
+    ]
+    for target, horizon, cfg in runs:
+        traces = []
+        res = solve(target, horizon, cfg, traces=traces)
+        assert res == solve(target, horizon, cfg)
+        # Only the winning guesses' calls are traced: each (depth, interval)
+        # once, and their pins and placements are the result's.
+        assert len({(tr.depth, tr.interval) for tr in traces}) == len(traces)
+        for tr in traces:
+            assert tr.interval[1] - tr.interval[0] > 1
+            assert tr.degenerate | tr.edf_discarded <= tr.tops
+            for j, t in {**tr.pins, **tr.placed_tops}.items():
+                assert res.schedule.start[j] == t
