@@ -121,16 +121,21 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _auto_horizon(inst: Instance) -> int:
-    # Oracle optimum when the instance is desk-sized, otherwise the classic
-    # lower bound; discards at a too-small horizon are repaired afterwards.
+def _auto_horizon(inst: Instance, opt: int | None = None) -> int:
+    # Oracle optimum (`opt` when the caller already has it) when the
+    # instance is desk-sized, otherwise the classic lower bound; discards at
+    # a too-small horizon are repaired afterwards.
     if inst.n <= EXACT_CAP:
-        return optimal_makespan(inst)
+        return optimal_makespan(inst) if opt is None else opt
     return max(math.ceil(inst.n / inst.m), longest_chain(inst))
 
 
 def _solve_qptas(inst: Instance, args) -> tuple[Schedule, int, int]:
     eps = _parse_eps(args.eps)
+    if args.depth_max is not None and args.depth_max < 1:
+        raise CliError(f"--depth-max must be at least 1, got {args.depth_max}")
+    if args.kmax is not None and args.kmax < 0:
+        raise CliError(f"--kmax must be at least 0, got {args.kmax}")
     if args.horizon == "auto":
         T = _auto_horizon(inst)
     else:
@@ -138,12 +143,16 @@ def _solve_qptas(inst: Instance, args) -> tuple[Schedule, int, int]:
             T = int(args.horizon)
         except ValueError:
             raise CliError(f"bad horizon {args.horizon!r}; use 'auto' or an integer") from None
+        if T < 1:
+            raise CliError(f"horizon must be at least 1, got {T}")
+    if inst.n == 0:
+        return Schedule(start={}, horizon=T), 0, 0
     if args.mode == "exhaustive":
         kmax = inst.n if args.kmax is None else args.kmax
         cfg = GuessConfig(
             k_max=kmax,
             partition_mode="exhaustive",
-            depth_max=args.depth_max or 1,
+            depth_max=1 if args.depth_max is None else args.depth_max,
             eps=eps,
         )
         result = solve(inst, T, cfg)
@@ -152,7 +161,11 @@ def _solve_qptas(inst: Instance, args) -> tuple[Schedule, int, int]:
     padded, tstar = pad_to_power_of_two(inst, T)
     cfg = GuessConfig(
         partition_mode="laminar",
-        depth_max=args.depth_max or default_depth_max(padded.n, padded.m, eps),
+        depth_max=(
+            default_depth_max(padded.n, padded.m, eps)
+            if args.depth_max is None
+            else args.depth_max
+        ),
         eps=eps,
     )
     result = solve(padded, tstar, cfg)
@@ -207,7 +220,8 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _bench_one(cid: str, inst: Instance, alg: str, eps: Fraction, timing: bool):
+def _bench_one(cid: str, inst: Instance, alg: str, eps: Fraction, opt: int | None, timing: bool):
+    """One bench row; `opt` is the instance's optimum, None above the oracle cap."""
     row = {c: "" for c in BENCH_COLUMNS}
     row["instance"] = cid
     row["algorithm"] = alg
@@ -215,6 +229,8 @@ def _bench_one(cid: str, inst: Instance, alg: str, eps: Fraction, timing: bool):
     try:
         discards = 0
         if alg == "exact":
+            # A second, independent search: the row's makespan is checked
+            # against `opt`, not copied from it.
             sched = optimal_schedule(inst)
             mk = sched.makespan()
         elif alg == "ls":
@@ -222,7 +238,7 @@ def _bench_one(cid: str, inst: Instance, alg: str, eps: Fraction, timing: bool):
         elif alg == "cg":
             mk = coffman_graham_schedule(inst).makespan()
         elif alg == "qptas":
-            T = _auto_horizon(inst)
+            T = _auto_horizon(inst, opt)
             padded, tstar = pad_to_power_of_two(inst, T)
             cfg = GuessConfig(
                 k_max=0,
@@ -238,8 +254,7 @@ def _bench_one(cid: str, inst: Instance, alg: str, eps: Fraction, timing: bool):
             raise CliError(f"unknown algorithm {alg!r}")
         row["makespan"] = str(mk)
         row["discards"] = str(discards)
-        if inst.n <= EXACT_CAP:
-            opt = optimal_makespan(inst)
+        if opt is not None:
             row["opt"] = str(opt)
             row["ratio"] = f"{mk / opt:.6f}"
     except (CliError, ValueError, RuntimeError) as exc:
@@ -253,11 +268,11 @@ def _cmd_bench(args) -> int:
     corpus = _corpus_dir(args.input)
     algs = sorted(set(args.alg.split(",")))
     eps = _parse_eps(args.eps)
-    rows = [
-        _bench_one(cid, inst, alg, eps, args.timing)
-        for cid, inst in corpus
-        for alg in algs
-    ]
+    rows = []
+    for cid, inst in corpus:
+        # One optimum per instance, kept for this call only.
+        opt = optimal_makespan(inst) if inst.n <= EXACT_CAP else None
+        rows.extend(_bench_one(cid, inst, alg, eps, opt, args.timing) for alg in algs)
     rows.sort(key=lambda r: (r["instance"], r["algorithm"]))
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS, lineterminator="\n")

@@ -35,6 +35,8 @@ steps is always enumerated.
 
 from __future__ import annotations
 
+from itertools import accumulate, combinations
+
 from .model import Instance, Schedule
 
 EXACT_CAP = 24
@@ -62,50 +64,65 @@ def _class_groups(inst: Instance):
     return class_of
 
 
-def _moves(inst: Instance, class_of, state: int, m: int):
-    """Canonical maximal steps from `state`, as sorted job-id tuples."""
-    avail = [
-        j
-        for j in range(inst.n)
-        if not state >> j & 1 and inst.pred_masks[j] & state == inst.pred_masks[j]
-    ]
-    take = min(m, len(avail))
+def _steps(inst: Instance, class_of, state: int, m: int) -> list[int]:
+    """Canonical maximal steps from `state`, as job bitmasks."""
+    rest = ~state
+    groups: dict[int, list[int]] = {}
+    for j, pred in enumerate(inst.pred_masks):
+        if rest >> j & 1 and not pred & rest:
+            groups.setdefault(class_of[j], []).append(1 << j)
+    left = sum(map(len, groups.values()))
+    take = min(m, left)
     if take == 0:
         return []
-    groups: list[list[int]] = []
-    index: dict[int, int] = {}
-    for j in avail:
-        c = class_of[j]
-        if c in index:
-            groups[index[c]].append(j)
-        else:
-            index[c] = len(groups)
-            groups.append([j])
-    moves: list[tuple[int, ...]] = []
-    suffix = [0] * (len(groups) + 1)
-    for i in range(len(groups) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + len(groups[i])
-
-    def rec(i: int, left: int, chosen: list[int]) -> None:
-        if left == 0:
-            moves.append(tuple(sorted(chosen)))
-            return
-        if i == len(groups):
-            return
-        hi = min(len(groups[i]), left)
-        lo = max(0, left - suffix[i + 1])
-        for c in range(hi, lo - 1, -1):
-            rec(i + 1, left - c, chosen + groups[i][:c])
-
-    rec(0, take, [])
-    return moves
+    if left == len(groups):
+        # Every available job is alone in its class; the bits are disjoint,
+        # so sum is |.
+        return list(map(sum, combinations([g[0] for g in groups.values()], take)))
+    # Class by class, OR in the class's c smallest ids, largest c first, and
+    # leave enough jobs in later classes to complete `take`; the last class
+    # takes what is still needed.
+    *head, last = groups.values()
+    steps = [(0, take)]
+    for group in head:
+        size = len(group)
+        left -= size
+        prefix = list(accumulate(group, initial=0))
+        steps = [
+            (mask | prefix[c], need - c)
+            for mask, need in steps
+            for c in range(min(size, need), max(0, need - left) - 1, -1)
+        ]
+    prefix = list(accumulate(last, initial=0))
+    return [mask | prefix[need] for mask, need in steps]
 
 
-def _mask(jobs) -> int:
-    acc = 0
-    for j in jobs:
-        acc |= 1 << j
-    return acc
+def _jobs(mask: int) -> tuple[int, ...]:
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+def _levels(inst: Instance, class_of, limit: int | None) -> dict[int, int]:
+    """BFS level of every ideal reached until the full set turns up (n >= 1)."""
+    full = (1 << inst.n) - 1
+    dist = {0: 0}
+    frontier = [0]
+    explored = 0
+    while frontier:
+        nxt = []
+        for state in frontier:
+            explored += 1
+            if limit is not None and explored > limit:
+                raise BudgetExhausted(f"explored more than {limit} states")
+            d = dist[state] + 1
+            for step in _steps(inst, class_of, state, inst.m):
+                s2 = state | step
+                if s2 not in dist:
+                    dist[s2] = d
+                    if s2 == full:
+                        return dist
+                    nxt.append(s2)
+        frontier = nxt
+    raise AssertionError("full state unreachable in an acyclic instance")
 
 
 def optimal_makespan(inst: Instance, cap: int = EXACT_CAP, limit: int | None = None) -> int:
@@ -118,37 +135,18 @@ def optimal_makespan(inst: Instance, cap: int = EXACT_CAP, limit: int | None = N
         raise TooLarge(f"n={inst.n} exceeds exact-search cap {cap}")
     if inst.n == 0:
         return 0
-    full = (1 << inst.n) - 1
-    class_of = _class_groups(inst)
-    dist = {0: 0}
-    frontier = [0]
-    explored = 0
-    while frontier:
-        nxt = []
-        for state in frontier:
-            explored += 1
-            if limit is not None and explored > limit:
-                raise BudgetExhausted(f"explored more than {limit} states")
-            d = dist[state]
-            for mv in _moves(inst, class_of, state, inst.m):
-                s2 = state | _mask(mv)
-                if s2 == full:
-                    return d + 1
-                if s2 not in dist:
-                    dist[s2] = d + 1
-                    nxt.append(s2)
-        frontier = nxt
-    raise AssertionError("full state unreachable in an acyclic instance")
+    return _levels(inst, _class_groups(inst), limit)[(1 << inst.n) - 1]
 
 
 def optimal_schedule(inst: Instance, cap: int = EXACT_CAP, limit: int | None = None) -> Schedule:
     """A deterministic optimal schedule.
 
-    BFS explores the pruned ideal lattice; exact distances to the goal are
-    then back-filled by processing states in decreasing popcount (every step
-    adds at least one job, so that order is topological), and the schedule
-    is rebuilt forward, at each step taking the lexicographically smallest
-    canonical step that preserves optimality.
+    BFS gives the ideals their levels up to the optimum D. After t steps of
+    an optimal schedule the done set sits at level exactly t, so a
+    depth-first walk from the empty set that tries the steps to the next
+    level in lexicographic order of their job sets, and never re-enters a
+    state it has backed out of, takes at each step the lexicographically
+    smallest canonical step that preserves optimality.
     """
     if inst.n > cap:
         raise TooLarge(f"n={inst.n} exceeds exact-search cap {cap}")
@@ -156,48 +154,27 @@ def optimal_schedule(inst: Instance, cap: int = EXACT_CAP, limit: int | None = N
         return Schedule(start={}, horizon=0)
     full = (1 << inst.n) - 1
     class_of = _class_groups(inst)
-    seen = {0}
-    frontier = [0]
-    explored = 0
-    while frontier:
-        nxt = []
-        for state in frontier:
-            explored += 1
-            if limit is not None and explored > limit:
-                raise BudgetExhausted(f"explored more than {limit} states")
-            if state == full:
-                continue
-            for mv in _moves(inst, class_of, state, inst.m):
-                s2 = state | _mask(mv)
-                if s2 not in seen:
-                    seen.add(s2)
-                    nxt.append(s2)
-        frontier = nxt
+    dist = _levels(inst, class_of, limit)
+    horizon = dist[full]
 
-    to_goal: dict[int, int] = {}
-    for state in sorted(seen, key=lambda s: -bin(s).count("1")):
-        if state == full:
-            to_goal[state] = 0
-            continue
-        best = None
-        for mv in _moves(inst, class_of, state, inst.m):
-            cand = to_goal[state | _mask(mv)]
-            if best is None or cand < best:
-                best = cand
-        to_goal[state] = best + 1
+    def forward(state: int, d: int):
+        steps = _steps(inst, class_of, state, inst.m)
+        ok = [s for s in steps if dist.get(state | s) == d + 1 < horizon or state | s == full]
+        return iter(sorted(ok, key=_jobs))
 
+    dead: set[int] = set()
+    path = [0]
+    todo = [forward(0, 0)]
+    while path[-1] != full:
+        step = next(todo[-1], 0)
+        if not step:
+            dead.add(path.pop())
+            todo.pop()
+        elif path[-1] | step not in dead:
+            path.append(path[-1] | step)
+            todo.append(forward(path[-1], len(path) - 1))
     start: dict[int, int] = {}
-    state = 0
-    t = 0
-    while state != full:
-        target = to_goal[state] - 1
-        chosen = None
-        for mv in sorted(_moves(inst, class_of, state, inst.m)):
-            if to_goal[state | _mask(mv)] == target:
-                chosen = mv
-                break
-        for j in chosen:
+    for t in range(horizon):
+        for j in _jobs(path[t + 1] ^ path[t]):
             start[j] = t
-        state |= _mask(chosen)
-        t += 1
-    return Schedule(start=start, horizon=t)
+    return Schedule(start=start, horizon=horizon)

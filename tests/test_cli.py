@@ -2,12 +2,14 @@
 
 import csv
 import hashlib
+from collections import Counter
 
 import pytest
 
+from precsched import cli
 from precsched.cli import main
 from precsched.generators import standard_corpus
-from precsched.model import build_instance
+from precsched.model import Schedule, build_instance
 from precsched.textio import emit_instance, parse_instance, parse_schedule
 
 
@@ -104,6 +106,43 @@ def test_solve_infeasible_horizon_exits_1(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--mode", "exhaustive", "--kmax", "-1"],
+        ["--kmax", "-1"],
+        ["--depth-max", "-1"],
+        ["--depth-max", "0"],
+        ["--mode", "exhaustive", "--depth-max", "0"],
+        ["--horizon", "0"],
+        ["--horizon", "-3"],
+        ["--mode", "exhaustive", "--horizon", "0"],
+    ],
+    ids=[
+        "exhaustive-kmax-neg", "kmax-neg", "depth-neg", "depth-0", "exhaustive-depth-0",
+        "horizon-0", "horizon-neg", "exhaustive-horizon-0",
+    ],
+)
+def test_solve_qptas_out_of_range_numbers_exit_2(tmp_path, capsys, extra):
+    corp = _gen_corpus(tmp_path, {"chain-05-m1"})
+    out = tmp_path / "s.sched"
+    argv = ["solve", "--input", str(corp / "chain-05-m1.inst"), "--alg", "qptas"]
+    assert main([*argv, *extra, "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["laminar", "exhaustive"])
+def test_solve_qptas_empty_instance_gives_empty_schedule(tmp_path, capsys, mode):
+    inst = tmp_path / "empty.inst"
+    inst.write_text(emit_instance(build_instance(0, 2, [])))
+    out = tmp_path / "s.sched"
+    argv = ["solve", "--input", str(inst), "--alg", "qptas", "--mode", mode]
+    assert main([*argv, "--output", str(out)]) == 0
+    assert out.read_text() == "makespan 0\n"
+    assert capsys.readouterr().out == "makespan=0 discarded=0 explored=0\n"
+
+
 def test_verify_flags_violations_and_partial(tmp_path, capsys):
     corp = _gen_corpus(tmp_path, {"chain-05-m1"})
     inst = corp / "chain-05-m1.inst"
@@ -148,6 +187,64 @@ def test_bench_deterministic_and_sound(tmp_path):
         assert float(row["ratio"]) >= 1.0
         if row["algorithm"] == "exact":
             assert row["makespan"] == row["opt"]
+
+
+def _count_oracle_calls(monkeypatch):
+    """Wrap cli's oracle names; returns (searches, refusals) keyed by (name, n)."""
+    searches, refusals = Counter(), Counter()
+
+    def counted(name, fn):
+        def wrapper(inst, *args, **kwargs):
+            try:
+                result = fn(inst, *args, **kwargs)
+            except cli.TooLarge:
+                refusals[name, inst.n] += 1
+                raise
+            searches[name, inst.n] += 1
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "optimal_makespan", counted("makespan", cli.optimal_makespan))
+    monkeypatch.setattr(cli, "optimal_schedule", counted("schedule", cli.optimal_schedule))
+    return searches, refusals
+
+
+def test_bench_searches_each_optimum_once(tmp_path, monkeypatch):
+    # SMALL has one instance per size, so n names the instance.
+    corp = _gen_corpus(tmp_path, SMALL)
+    (corp / "wide-30-m4.inst").write_text(emit_instance(build_instance(30, 4, [])))
+    searches, refusals = _count_oracle_calls(monkeypatch)
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--input", str(corp), "--alg", "exact,ls,cg,qptas", "--output", str(out)]) == 0
+    sizes = sorted(int(cid.split("-")[1]) for cid in SMALL)
+    assert sorted(searches.elements()) == sorted(
+        (name, n) for n in sizes for name in ("makespan", "schedule")
+    )
+    # Above the cap the exact row is refused before any search, and nothing
+    # else asks the oracle.
+    assert refusals == Counter({("schedule", 30): 1})
+    rows = {(r["instance"], r["algorithm"]): r for r in csv.DictReader(out.open())}
+    assert "exceeds exact-search cap" in rows["wide-30-m4", "exact"]["error"]
+    assert rows["wide-30-m4", "qptas"]["error"] == ""
+    assert rows["wide-30-m4", "qptas"]["opt"] == ""
+
+
+def test_bench_exact_row_reports_its_own_schedule(tmp_path, monkeypatch):
+    # A planted schedule one slot longer than the optimum must show in the
+    # exact row; bench must not copy the optimum into it.
+    real = cli.optimal_schedule
+
+    def late(inst, *args, **kwargs):
+        sched = real(inst, *args, **kwargs)
+        return Schedule({j: t + 1 for j, t in sched.start.items()}, sched.horizon + 1)
+
+    monkeypatch.setattr(cli, "optimal_schedule", late)
+    corp = _gen_corpus(tmp_path, {"chain-05-m1"})
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--input", str(corp), "--alg", "exact", "--output", str(out)]) == 0
+    (row,) = csv.DictReader(out.open())
+    assert (row["makespan"], row["opt"], row["ratio"]) == ("6", "5", "1.200000")
 
 
 def test_bench_timing_fills_column(tmp_path):
@@ -236,3 +333,22 @@ def test_deterministic_outputs_match_golden_digests(tmp_path, capsys):
     got["analyze-levels"] = levels.hexdigest()
     capsys.readouterr()
     assert got == GOLDEN
+
+
+# sha256 of `solve --alg exact` over the standard corpus: the schedule file
+# and the exit code of each instance. It pins the oracle's lexicographic
+# tie-break directly.
+GOLDEN_EXACT = "1dcd75c02d02650e7800dc92a2ab0f41abb038460277a10b54a552897ce35bca"
+
+
+def test_exact_schedules_match_golden_digest(tmp_path, capsys):
+    corp = _gen_corpus(tmp_path)
+    digest = hashlib.sha256()
+    for path in sorted(corp.glob("*.inst")):
+        out = tmp_path / f"{path.stem}.sched"
+        rc = main(["solve", "--input", str(path), "--alg", "exact", "--output", str(out)])
+        digest.update(f"{path.stem} {rc}\n".encode())
+        if rc == 0:
+            digest.update(out.read_bytes())
+    capsys.readouterr()
+    assert digest.hexdigest() == GOLDEN_EXACT

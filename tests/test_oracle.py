@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from precsched.model import build_instance, longest_chain, validate_schedule
+from precsched.laminar import pad_to_power_of_two
+from precsched.model import Schedule, build_instance, longest_chain, validate_schedule
 from precsched.oracle import (
     BudgetExhausted,
     TooLarge,
@@ -107,3 +108,132 @@ def test_adding_an_edge_never_helps(case, m):
     if missing:
         bigger = build_instance(n, m, edges + [missing[0]])
         assert optimal_makespan(bigger) >= base
+
+
+# The oracle as it stood when steps were sorted job tuples: a recursive
+# enumeration per class, and a lexicographic sort of the steps on the
+# forward pass. No cap and no budget.
+
+
+def _reference_class_of(inst):
+    by_mask, class_of = {}, []
+    for j in range(inst.n):
+        class_of.append(by_mask.setdefault(inst.succ_masks[j], len(by_mask)))
+    return class_of
+
+
+def _reference_moves(inst, class_of, state):
+    avail = [
+        j
+        for j in range(inst.n)
+        if not state >> j & 1 and inst.pred_masks[j] & state == inst.pred_masks[j]
+    ]
+    take = min(inst.m, len(avail))
+    if take == 0:
+        return []
+    groups, index = [], {}
+    for j in avail:
+        if class_of[j] in index:
+            groups[index[class_of[j]]].append(j)
+        else:
+            index[class_of[j]] = len(groups)
+            groups.append([j])
+    suffix = [0] * (len(groups) + 1)
+    for i in range(len(groups) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + len(groups[i])
+    moves = []
+
+    def rec(i, left, chosen):
+        if left == 0:
+            moves.append(tuple(sorted(chosen)))
+            return
+        if i == len(groups):
+            return
+        for c in range(min(len(groups[i]), left), max(0, left - suffix[i + 1]) - 1, -1):
+            rec(i + 1, left - c, chosen + groups[i][:c])
+
+    rec(0, take, [])
+    return moves
+
+
+def _reference_mask(jobs):
+    return sum(1 << j for j in jobs)
+
+
+def _reference_makespan(inst):
+    if inst.n == 0:
+        return 0
+    full, class_of = (1 << inst.n) - 1, _reference_class_of(inst)
+    dist, frontier = {0: 0}, [0]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            for mv in _reference_moves(inst, class_of, state):
+                s2 = state | _reference_mask(mv)
+                if s2 == full:
+                    return dist[state] + 1
+                if s2 not in dist:
+                    dist[s2] = dist[state] + 1
+                    nxt.append(s2)
+        frontier = nxt
+    raise AssertionError("full state unreachable")
+
+
+def _reference_schedule(inst):
+    if inst.n == 0:
+        return Schedule(start={}, horizon=0)
+    full, class_of = (1 << inst.n) - 1, _reference_class_of(inst)
+    seen, frontier = {0}, [0]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            if state == full:
+                continue
+            for mv in _reference_moves(inst, class_of, state):
+                s2 = state | _reference_mask(mv)
+                if s2 not in seen:
+                    seen.add(s2)
+                    nxt.append(s2)
+        frontier = nxt
+    to_goal = {}
+    for state in sorted(seen, key=lambda s: -bin(s).count("1")):
+        if state == full:
+            to_goal[state] = 0
+            continue
+        moves = _reference_moves(inst, class_of, state)
+        to_goal[state] = min(to_goal[state | _reference_mask(mv)] for mv in moves) + 1
+    start, state, t = {}, 0, 0
+    while state != full:
+        for mv in sorted(_reference_moves(inst, class_of, state)):
+            if to_goal[state | _reference_mask(mv)] == to_goal[state] - 1:
+                break
+        for j in mv:
+            start[j] = t
+        state |= _reference_mask(mv)
+        t += 1
+    return Schedule(start=start, horizon=t)
+
+
+@st.composite
+def _relabelled_dags(draw):
+    n = draw(st.integers(min_value=0, max_value=12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    picked = draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True)) if pairs else []
+    label = draw(st.permutations(range(n)))
+    m = draw(st.integers(min_value=1, max_value=4))
+    return build_instance(n, m, [(label[u], label[v]) for u, v in picked])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_relabelled_dags())
+def test_bitmask_steps_match_the_tuple_reference(inst):
+    want = _reference_makespan(inst)
+    cases = [inst]
+    if inst.n:
+        cases.append(pad_to_power_of_two(inst, want)[0])
+    for case in cases:
+        cap = max(case.n, 1)
+        assert optimal_makespan(case, cap=cap) == _reference_makespan(case)
+        got, ref = optimal_schedule(case, cap=cap), _reference_schedule(case)
+        assert got.start == ref.start
+        assert got.horizon == ref.horizon
