@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import time
 from collections import Counter
 
 import pytest
@@ -253,6 +254,24 @@ def test_bench_timing_fills_column(tmp_path):
     assert main(["bench", "--input", str(corp), "--alg", "ls", "--timing", "--output", str(out)]) == 0
     rows = list(csv.DictReader(out.open()))
     assert rows and all(float(r["wall_ms"]) >= 0 for r in rows)
+
+
+def test_bench_timing_charges_opt_search_to_qptas_row(tmp_path, monkeypatch):
+    # qptas's auto horizon is the shared optimum, so its row pays for the
+    # search; rows that do not use it do not.
+    real = cli.optimal_makespan
+
+    def slow(inst, *a, **kw):
+        time.sleep(0.2)
+        return real(inst, *a, **kw)
+
+    monkeypatch.setattr(cli, "optimal_makespan", slow)
+    corp = _gen_corpus(tmp_path, {"chain-05-m1"})
+    out = tmp_path / "b.csv"
+    argv = ["bench", "--input", str(corp), "--alg", "ls,qptas", "--timing", "--output", str(out)]
+    assert main(argv) == 0
+    wall = {r["algorithm"]: float(r["wall_ms"]) for r in csv.DictReader(out.open())}
+    assert wall["qptas"] >= 200 > wall["ls"]
 
 
 def test_bench_empty_dir_exits_2(tmp_path, capsys):
