@@ -255,7 +255,6 @@ def run_oracle_pinned(
     eps,
     offset: int = 0,
     assign: LevelAssignment | None = None,
-    divide_by_m: bool = True,
 ):
     """Run the solver with every guess pinned at its optimal slot.
 
@@ -270,7 +269,7 @@ def run_oracle_pinned(
     """
     e = check_eps(eps)
     if assign is None:
-        assign = assign_levels(inst, opt, fam, e, divide_by_m)
+        assign = assign_levels(inst, opt, fam, e)
 
     def oracle_guess(rin):
         s, end = rin.interval
@@ -326,7 +325,6 @@ def _merge_margin(name: str, reports) -> AuditReport:
 def audit_instance(
     inst: Instance,
     eps=Fraction(1),
-    divide_by_m: bool = True,
     cap: int = EXACT_CAP,
 ) -> dict[str, AuditReport]:
     """Run every auditor against one instance and an exact optimal schedule.
@@ -350,9 +348,9 @@ def audit_instance(
         )
     opt = optimal_schedule(padded, cap=cap)
     fam = build_laminar(tstar, padded.n, e)
-    assign = assign_levels(padded, opt, fam, e, divide_by_m)
+    assign = assign_levels(padded, opt, fam, e)
     a, _ = best_offset(assign, padded.m, e, tstar)
-    traces, _, _ = run_oracle_pinned(padded, opt, fam, e, a, assign, divide_by_m)
+    traces, _, _ = run_oracle_pinned(padded, opt, fam, e, a, assign)
     m = padded.m
     reports = {
         "unique-level": check_unique_level(assign),

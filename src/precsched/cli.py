@@ -130,6 +130,31 @@ def _auto_horizon(inst: Instance, opt: int | None = None) -> int:
     return max(math.ceil(inst.n / inst.m), longest_chain(inst))
 
 
+def _solve_laminar(
+    inst: Instance, T: int, eps: Fraction, depth_max: int | None = None
+) -> tuple[Schedule, int, int]:
+    """Laminar qptas at horizon T: (schedule, discards, guesses explored).
+
+    Pads to a power-of-two horizon, solves, repairs the discards and drops
+    the padding jobs; the declared horizon keeps the accounting (the padded
+    horizon plus one slot per discarded job). An empty instance gets an
+    empty schedule at horizon T.
+    """
+    if inst.n == 0:
+        return Schedule(start={}, horizon=T), 0, 0
+    padded, tstar = pad_to_power_of_two(inst, T)
+    if depth_max is None:
+        depth_max = default_depth_max(padded.n, padded.m, eps)
+    cfg = GuessConfig(partition_mode="laminar", depth_max=depth_max, eps=eps)
+    result = solve(padded, tstar, cfg)
+    sched = insert_discarded(padded, result.schedule, result.discarded)
+    trimmed = Schedule(
+        start={j: t for j, t in sched.start.items() if j < inst.n},
+        horizon=sched.horizon,
+    )
+    return trimmed, len(result.discarded), result.stats.guesses_explored
+
+
 def _solve_qptas(inst: Instance, args) -> tuple[Schedule, int, int]:
     eps = _parse_eps(args.eps)
     if args.depth_max is not None and args.depth_max < 1:
@@ -145,38 +170,17 @@ def _solve_qptas(inst: Instance, args) -> tuple[Schedule, int, int]:
             raise CliError(f"bad horizon {args.horizon!r}; use 'auto' or an integer") from None
         if T < 1:
             raise CliError(f"horizon must be at least 1, got {T}")
-    if inst.n == 0:
-        return Schedule(start={}, horizon=T), 0, 0
-    if args.mode == "exhaustive":
-        kmax = inst.n if args.kmax is None else args.kmax
-        cfg = GuessConfig(
-            k_max=kmax,
-            partition_mode="exhaustive",
-            depth_max=1 if args.depth_max is None else args.depth_max,
-            eps=eps,
-        )
-        result = solve(inst, T, cfg)
-        sched = insert_discarded(inst, result.schedule, result.discarded)
-        return sched, len(result.discarded), result.stats.guesses_explored
-    padded, tstar = pad_to_power_of_two(inst, T)
+    if args.mode == "laminar":
+        return _solve_laminar(inst, T, eps, args.depth_max)
     cfg = GuessConfig(
-        partition_mode="laminar",
-        depth_max=(
-            default_depth_max(padded.n, padded.m, eps)
-            if args.depth_max is None
-            else args.depth_max
-        ),
+        k_max=inst.n if args.kmax is None else args.kmax,
+        partition_mode="exhaustive",
+        depth_max=1 if args.depth_max is None else args.depth_max,
         eps=eps,
     )
-    result = solve(padded, tstar, cfg)
-    sched = insert_discarded(padded, result.schedule, result.discarded)
-    # Drop the padding jobs; the declared horizon keeps the accounting
-    # (tstar plus one slot per discarded job).
-    trimmed = Schedule(
-        start={j: t for j, t in sched.start.items() if j < inst.n},
-        horizon=sched.horizon,
-    )
-    return trimmed, len(result.discarded), result.stats.guesses_explored
+    result = solve(inst, T, cfg)
+    sched = insert_discarded(inst, result.schedule, result.discarded)
+    return sched, len(result.discarded), result.stats.guesses_explored
 
 
 def _cmd_solve(args) -> int:
@@ -243,17 +247,7 @@ def _bench_one(cid: str, inst: Instance, alg: str, eps: Fraction, opt: int | Non
         elif alg == "cg":
             mk = coffman_graham_schedule(inst).makespan()
         elif alg == "qptas":
-            T = _auto_horizon(inst, opt)
-            padded, tstar = pad_to_power_of_two(inst, T)
-            cfg = GuessConfig(
-                k_max=0,
-                partition_mode="laminar",
-                depth_max=default_depth_max(padded.n, padded.m, eps),
-                eps=eps,
-            )
-            result = solve(padded, tstar, cfg)
-            sched = insert_discarded(padded, result.schedule, result.discarded)
-            discards = len(result.discarded)
+            sched, discards, _ = _solve_laminar(inst, _auto_horizon(inst, opt), eps)
             mk = sched.horizon
         else:
             raise CliError(f"unknown algorithm {alg!r}")
@@ -261,7 +255,8 @@ def _bench_one(cid: str, inst: Instance, alg: str, eps: Fraction, opt: int | Non
         row["discards"] = str(discards)
         if opt is not None:
             row["opt"] = str(opt)
-            row["ratio"] = f"{mk / opt:.6f}"
+            # 0/0 on an empty instance has no ratio.
+            row["ratio"] = f"{mk / opt:.6f}" if opt else ""
     except (CliError, ValueError, RuntimeError) as exc:
         row["error"] = str(exc)
     if timing:
@@ -295,6 +290,8 @@ def _cmd_analyze(args) -> int:
         raise CliError(f"unknown analysis {args.what!r}")
     inst = _read_instance(args.input)
     eps = _parse_eps(args.eps)
+    if inst.n < 2:
+        raise CliError(f"need at least 2 jobs for the level table, got {inst.n}")
     T = optimal_makespan(inst)
     padded, tstar = pad_to_power_of_two(inst, T)
     opt = optimal_schedule(padded)

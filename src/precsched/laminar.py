@@ -158,7 +158,7 @@ def pad_to_power_of_two(inst: Instance, T: int) -> tuple[Instance, int]:
     if extra == 0:
         return inst, tstar
     # The padded relation is already closed (every original precedes every
-    # dummy, each chain is a total order), so write it down directly.
+    # dummy, each chain is a total order), so write its masks down directly.
     n = inst.n
     total = n + inst.m * extra
     originals = (1 << n) - 1
@@ -166,23 +166,13 @@ def pad_to_power_of_two(inst: Instance, T: int) -> tuple[Instance, int]:
     chain = (1 << extra) - 1
     preds = list(inst.pred_masks)
     succs = [mask | dummies for mask in inst.succ_masks]
-    pairs = set(inst.prec)
     for c in range(inst.m):
         base = n + c * extra
         for i in range(extra):
             below = (1 << i) - 1
             preds.append(originals | below << base)
             succs.append((chain ^ (below << 1 | 1)) << base)
-            pairs.update((base + i, base + j) for j in range(i + 1, extra))
-    pairs.update((u, d) for u in range(n) for d in range(n, total))
-    padded = Instance(
-        n=total,
-        m=inst.m,
-        prec=frozenset(pairs),
-        pred_masks=tuple(preds),
-        succ_masks=tuple(succs),
-    )
-    return padded, tstar
+    return Instance(total, inst.m, tuple(preds), tuple(succs)), tstar
 
 
 def feasible_window(inst: Instance, j: JobId, pinned, T: int) -> tuple[int, int]:
@@ -240,12 +230,6 @@ class LevelAssignment:
             acc |= jobs
         return frozenset(acc)
 
-    def guess_at_level(self, level: int) -> frozenset[JobId]:
-        acc: set[JobId] = set()
-        for jobs in self.guess.get(level, {}).values():
-            acc |= jobs
-        return frozenset(acc)
-
 
 def _longest_chain_member(inst: Instance, flex: set[JobId]):
     """Longest chain within flex plus a deterministic witness path."""
@@ -295,12 +279,11 @@ def _longest_chain_member(inst: Instance, flex: set[JobId]):
     return best_len, path
 
 
-def chain_threshold(I_len: int, n: int, m: int, eps, divide_by_m: bool = True) -> Fraction:
+def chain_threshold(I_len: int, n: int, m: int, eps) -> Fraction:
     """Minimum chain length that triggers guessing inside an interval."""
     e = check_eps(eps)
     scale = 1 << math.ceil(math.log2(math.log2(n))) if n > 2 else 1
-    den = (m if divide_by_m else 1) * scale
-    return e * I_len / den
+    return e * I_len / (m * scale)
 
 
 def assign_levels(
@@ -308,7 +291,6 @@ def assign_levels(
     opt: Schedule,
     fam: LaminarFamily,
     eps,
-    divide_by_m: bool = True,
 ) -> LevelAssignment:
     """Sort every job into one guess or top set at one level.
 
@@ -367,7 +349,7 @@ def assign_levels(
                 assigned.update(pool)
                 continue
             child_len = children[0].length
-            thresh = chain_threshold(node.length, n, m, e, divide_by_m)
+            thresh = chain_threshold(node.length, n, m, e)
 
             def flexible_now() -> set[int]:
                 flex = set()

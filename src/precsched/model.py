@@ -2,7 +2,8 @@
 
 Jobs are integers 0..n-1, every job takes exactly one time slot, and up to m
 identical machines run in parallel. The precedence relation is stored
-transitively closed, so (u, w) is present whenever (u, v) and (v, w) are.
+transitively closed as one bitmask of predecessors and one of successors per
+job, so w is a successor of u whenever (u, v) and (v, w) are edges.
 Schedules record start slots only; machine assignment is irrelevant for
 unit jobs because any slot with at most m jobs can be mapped to machines
 arbitrarily.
@@ -10,7 +11,7 @@ arbitrarily.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 JobId = int
 
@@ -27,30 +28,16 @@ class BadMachineCount(ValueError):
 class Instance:
     """A scheduling instance with a transitively closed precedence DAG.
 
-    prec holds (pred, succ) pairs meaning pred must complete before succ
-    starts. pred_masks/succ_masks are bitmask views of the same relation
-    (bit u of pred_masks[v] and bit v of succ_masks[u] for each pair). They
-    are derived from prec at construction unless the caller passes them in;
-    a caller that already holds the closed relation as masks (padding does)
-    passes both and skips the derivation, and must make them agree with
-    prec. They do not participate in equality.
+    Bit u of pred_masks[v] and bit v of succ_masks[u] both mean u must
+    complete before v starts. The masks are the relation: they hold its
+    closure, they must agree with each other, and equality compares them.
+    build_instance (from any edge list) and pad_to_power_of_two make them.
     """
 
     n: int
     m: int
-    prec: frozenset[tuple[JobId, JobId]]
-    pred_masks: tuple[int, ...] = field(compare=False, repr=False, default=())
-    succ_masks: tuple[int, ...] = field(compare=False, repr=False, default=())
-
-    def __post_init__(self) -> None:
-        if not self.pred_masks:
-            preds = [0] * self.n
-            succs = [0] * self.n
-            for u, v in self.prec:
-                succs[u] |= 1 << v
-                preds[v] |= 1 << u
-            object.__setattr__(self, "pred_masks", tuple(preds))
-            object.__setattr__(self, "succ_masks", tuple(succs))
+    pred_masks: tuple[int, ...]
+    succ_masks: tuple[int, ...]
 
 
 def _check_job(inst: Instance, j: JobId) -> None:
@@ -80,6 +67,9 @@ def _bits(mask: int):
 def build_instance(n: int, m: int, edges) -> Instance:
     """Validate inputs, reject cycles, and return the transitively closed instance.
 
+    edges may be any edge list whose closure is the relation: cover edges,
+    all closure pairs, or anything between; duplicates are ignored.
+
     Raises CycleError on any cycle (a self-loop is a cycle), IndexError on an
     edge endpoint outside 0..n-1, BadMachineCount for m < 1. n = 0 is legal.
     """
@@ -89,7 +79,6 @@ def build_instance(n: int, m: int, edges) -> Instance:
         raise IndexError(f"n must be >= 0, got {n}")
     direct = [0] * n
     indeg = [0] * n
-    edge_list = []
     for u, v in edges:
         if not 0 <= u < n:
             raise IndexError(f"edge endpoint {u} outside 0..{n - 1}")
@@ -100,7 +89,6 @@ def build_instance(n: int, m: int, edges) -> Instance:
         if not direct[u] >> v & 1:
             direct[u] |= 1 << v
             indeg[v] += 1
-            edge_list.append((u, v))
 
     # Kahn's algorithm: a topological order exists iff the digraph is acyclic.
     order = [j for j in range(n) if indeg[j] == 0]
@@ -117,19 +105,20 @@ def build_instance(n: int, m: int, edges) -> Instance:
         stuck = [j for j in range(n) if indeg_work[j] > 0]
         raise CycleError(f"cycle through jobs {stuck}")
 
-    # Closure by one reverse-topological pass: desc(u) = direct(u) plus desc of each direct succ.
+    # Closure in two passes over the direct edges: descendants in reverse
+    # topological order, ancestors in topological order.
     desc = [0] * n
     for u in reversed(order):
-        mask = direct[u]
-        acc = mask
-        for v in _bits(mask):
+        acc = direct[u]
+        for v in _bits(acc):
             acc |= desc[v]
         desc[u] = acc
-
-    closed = frozenset(
-        (u, v) for u in range(n) for v in _bits(desc[u])
-    )
-    return Instance(n=n, m=m, prec=closed)
+    anc = [0] * n
+    for u in order:
+        up = anc[u] | 1 << u
+        for v in _bits(direct[u]):
+            anc[v] |= up
+    return Instance(n, m, tuple(anc), tuple(desc))
 
 
 @dataclass

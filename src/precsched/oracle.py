@@ -19,9 +19,9 @@ heuristic:
 
 2. Interchangeable jobs. Two available jobs x, y with identical successor
    sets are interchangeable: both have all predecessors inside S, and
-   swapping them in any continuation renames nothing else (prec is closed,
-   so their remaining constraints coincide). Hence only the number of jobs
-   taken from each equal-successor class matters, and we canonically take
+   swapping them in any continuation renames nothing else (the relation is
+   closed, so their remaining constraints coincide). Hence only the number of
+   jobs taken from each equal-successor class matters, and we canonically take
    the smallest ids of each class. Note x, y available implies neither
    precedes the other, and no successor of either is in S, so comparing the
    static successor masks suffices.

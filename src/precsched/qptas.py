@@ -101,9 +101,6 @@ class RecursionInput:
 @dataclass
 class SolveStats:
     guesses_explored: int = 0
-    edf_discards: int = 0
-    degenerate_discards: int = 0
-    depth_cap_discards: int = 0
 
 
 @dataclass(frozen=True)
@@ -333,11 +330,8 @@ def _recurse(inst, rin, cfg, guesses, stats, traces=None):
         # window exactly [s, s+1), so a single EDF step settles them.
         tops = [TopWindow(j, s, e) for j in sorted(rin.jobs)]
         occ = Counter(t for t in rin.pinned.values() if t == s)
-        placed, disc = edf_insert(inst, tops, occ, s, e)
-        stats.edf_discards += len(disc)
-        return placed, disc
+        return edf_insert(inst, tops, occ, s, e)
     if rin.depth >= cfg.depth_max:
-        stats.depth_cap_discards += len(rin.jobs)
         return {}, set(rin.jobs)
     best = None
     for pins, cells in guesses(rin):
@@ -364,12 +358,10 @@ def _recurse(inst, rin, cfg, guesses, stats, traces=None):
         edf = None if traces is None else EdfTrace()
         # edf_insert discards degenerate windows at s without placing them.
         tplaced, tdisc = edf_insert(inst, windows, occ, s, e, edf)
-        degenerate = [w.job for w in windows if w.degenerate]
-        stats.degenerate_discards += len(degenerate)
-        stats.edf_discards += len(tdisc) - len(degenerate)
         starts.update(tplaced)
         disc |= tdisc
         if calls is not None:
+            degenerate = frozenset(w.job for w in windows if w.degenerate)
             calls.append(
                 CallTrace(
                     depth=rin.depth,
@@ -380,8 +372,8 @@ def _recurse(inst, rin, cfg, guesses, stats, traces=None):
                     windows=windows,
                     placed_tops=tplaced,
                     edf=edf,
-                    degenerate=frozenset(degenerate),
-                    edf_discarded=frozenset(tdisc.difference(degenerate)),
+                    degenerate=degenerate,
+                    edf_discarded=frozenset(tdisc - degenerate),
                 )
             )
         if best is None or len(disc) < len(best[1]):

@@ -3,13 +3,15 @@
 Instance files: `jobs <n>`, `machines <m>`, then `edge <u> <v>` lines.
 Schedule files: `makespan <T>`, then `job <j> <t>` lines. Lines starting
 with '#' (after optional whitespace) are comments; blank lines are skipped.
-Emitters write the canonical form (sorted edge and job lines) so that
-parse(emit(x)) == x.
+The parser accepts any edge list and closes it; emit_instance writes only
+the cover edges (the transitive reduction), so a file grows with the DAG's
+edges, not with its closure. Emitters write the canonical form (sorted edge
+and job lines) so that parse(emit(x)) == x.
 """
 
 from __future__ import annotations
 
-from .model import Instance, Schedule, build_instance
+from .model import Instance, Schedule, _bits, build_instance
 
 
 class ParseError(ValueError):
@@ -75,8 +77,23 @@ def parse_instance(text: str) -> Instance:
 
 
 def emit_instance(inst: Instance) -> str:
+    """Canonical instance text: header lines, then cover edges sorted by (u, v).
+
+    (u, v) is a cover edge when v succeeds u and no other successor of u
+    precedes v (Aho, Garey and Ullman, SIAM J. Comput. 1972): it is in
+    succ[u] but in no succ[w] for w in succ[u]. The walk over succ[u] skips
+    every job already inside the union, whose successors the union holds.
+    """
+    succ = inst.succ_masks
     out = [f"jobs {inst.n}", f"machines {inst.m}"]
-    out += [f"edge {u} {v}" for u, v in sorted(inst.prec)]
+    for u in range(inst.n):
+        implied = 0
+        rest = succ[u]
+        while rest:
+            low = rest & -rest
+            implied |= succ[low.bit_length() - 1]
+            rest &= ~(implied | low)
+        out += [f"edge {u} {v}" for v in _bits(succ[u] & ~implied)]
     return "\n".join(out) + "\n"
 
 

@@ -23,6 +23,23 @@ def close_pairs(n: int, edges) -> frozenset:
     return frozenset(pairs)
 
 
+def pairs(inst) -> frozenset:
+    """The (pred, succ) pairs of an instance's closed relation, read off succ_masks."""
+    return frozenset(
+        (u, v) for u in range(inst.n) for v in range(inst.n) if inst.succ_masks[u] >> v & 1
+    )
+
+
+def cover_pairs(closed) -> frozenset:
+    """Transitive reduction of a closed pair set: the pairs with no job between."""
+    jobs = {j for pair in closed for j in pair}
+    return frozenset(
+        (u, v)
+        for u, v in closed
+        if not any((u, w) in closed and (w, v) in closed for w in jobs)
+    )
+
+
 def brute_force_makespan(n: int, m: int, edges) -> int:
     """Smallest T admitting a feasible assignment of all jobs to slots < T.
 

@@ -31,6 +31,8 @@ from precsched.model import build_instance
 from precsched.oracle import optimal_makespan, optimal_schedule
 from precsched.qptas import EdfTrace, TopWindow, classify, edf_insert, windows_for_top
 
+from helpers import pairs
+
 SQUEEZE_EDGES = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 2), (1, 5), (5, 3)]
 
 
@@ -224,7 +226,7 @@ def test_pinned_replay_is_complete_and_feasible(case):
         assert 0 <= t < tstar
         loads[t] = loads.get(t, 0) + 1
         for p in range(padded.n):
-            if p in starts and (p, j) in padded.prec:
+            if p in starts and (p, j) in pairs(padded):
                 assert starts[p] < t
     assert all(v <= padded.m for v in loads.values())
 

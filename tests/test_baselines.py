@@ -10,7 +10,7 @@ from precsched.baselines import (
 from precsched.model import build_instance, validate_schedule
 from precsched.oracle import optimal_makespan
 
-from helpers import enumerate_poset_classes
+from helpers import enumerate_poset_classes, pairs
 
 DIAMOND = [(0, 1), (0, 2), (1, 3), (2, 3)]
 # jobs 0,1,2 independent; 3 -> 4 -> 5 is a chain
@@ -110,6 +110,6 @@ def test_list_schedule_is_busy_feasible_complete(case):
             for j in range(n):
                 if sched.start[j] > t:
                     preds_done = all(
-                        sched.start[p] + 1 <= t for (p, q) in inst.prec if q == j
+                        sched.start[p] + 1 <= t for (p, q) in pairs(inst) if q == j
                     )
                     assert not preds_done

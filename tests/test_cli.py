@@ -281,6 +281,33 @@ def test_bench_empty_dir_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bench_writes_rows_for_an_empty_instance(tmp_path, capsys):
+    corp = tmp_path / "tiny"
+    corp.mkdir()
+    (corp / "empty.inst").write_text(emit_instance(build_instance(0, 2, [])))
+    (corp / "one.inst").write_text(emit_instance(build_instance(1, 1, [])))
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--input", str(corp), "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = {(r["instance"], r["algorithm"]): r for r in csv.DictReader(out.open())}
+    assert len(rows) == 8
+    for alg in ("exact", "ls", "cg", "qptas"):
+        empty, one = rows["empty", alg], rows["one", alg]
+        # 0/0 has no ratio.
+        assert (empty["makespan"], empty["opt"], empty["ratio"], empty["error"]) == ("0", "0", "", "")
+        assert (one["makespan"], one["opt"], one["ratio"], one["error"]) == ("1", "1", "1.000000", "")
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_analyze_levels_below_two_jobs_exits_2(tmp_path, capsys, n):
+    inst = tmp_path / "tiny.inst"
+    inst.write_text(emit_instance(build_instance(n, 1, [])))
+    out = tmp_path / "levels.csv"
+    assert main(["analyze", "levels", "--input", str(inst), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_analyze_levels_chain8(tmp_path, capsys):
     corp = _gen_corpus(tmp_path, {"chain-08-m2"})
     out = tmp_path / "levels.csv"

@@ -11,16 +11,18 @@ from precsched.generators import (
 )
 from precsched.oracle import optimal_makespan
 
+from helpers import pairs
+
 
 def test_chain_and_antichain_closures():
-    assert len(generate(GeneratorSpec("chain", 5, 1)).prec) == 10
-    assert len(generate(GeneratorSpec("antichain", 7, 3)).prec) == 0
+    assert len(pairs(generate(GeneratorSpec("chain", 5, 1)))) == 10
+    assert len(pairs(generate(GeneratorSpec("antichain", 7, 3)))) == 0
 
 
 def test_layered_full_probability_closure():
     inst = generate(GeneratorSpec("layered", 6, 2, layers=3, width=2, edge_prob=1.0))
     # 4 + 4 base edges between consecutive layers, 4 more from closure.
-    assert sorted(inst.prec) == [
+    assert sorted(pairs(inst)) == [
         (0, 2), (0, 3), (0, 4), (0, 5),
         (1, 2), (1, 3), (1, 4), (1, 5),
         (2, 4), (2, 5), (3, 4), (3, 5),
@@ -34,14 +36,14 @@ def test_layered_edges_respect_consecutive_layers():
     # Base edges go only forward layer by layer, so the closure can never
     # point backward or within a layer.
     layer = {j: j // 3 for j in range(9)}
-    assert all(layer[u] < layer[v] for u, v in inst.prec)
+    assert all(layer[u] < layer[v] for u, v in pairs(inst))
 
 
 def test_diamond_mesh_shapes():
     one = generate(GeneratorSpec("diamond_mesh", 4, 2, depth=1))
-    assert sorted(one.prec) == [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
+    assert sorted(pairs(one)) == [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
     two = generate(GeneratorSpec("diamond_mesh", 7, 1, depth=2))
-    assert len(two.prec) == 19
+    assert len(pairs(two)) == 19
 
 
 def test_seeded_determinism():

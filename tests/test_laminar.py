@@ -23,6 +23,8 @@ from precsched.laminar import (
 from precsched.model import Schedule, build_instance
 from precsched.oracle import optimal_makespan, optimal_schedule
 
+from helpers import pairs
+
 
 def test_family_sixteen_jobs_eps_one():
     fam = build_laminar(16, 16, 1)
@@ -69,9 +71,9 @@ def test_padding_five_chain_on_three_machines():
     assert tstar == 8
     assert padded.n == 14 and padded.m == 3
     # Dummies 5..13 form three chains of three; originals precede them all.
-    assert (0, 13) in padded.prec and (4, 5) in padded.prec
-    assert (5, 6) in padded.prec and (5, 7) in padded.prec
-    assert (5, 8) not in padded.prec and (8, 11) not in padded.prec
+    assert (0, 13) in pairs(padded) and (4, 5) in pairs(padded)
+    assert (5, 6) in pairs(padded) and (5, 7) in pairs(padded)
+    assert (5, 8) not in pairs(padded) and (8, 11) not in pairs(padded)
     assert optimal_makespan(padded) == 8
 
 
@@ -178,7 +180,6 @@ def test_best_offset_requires_integer_stride():
 def test_chain_threshold_is_exact():
     assert chain_threshold(16, 16, 1, 1) == Fraction(4)
     assert chain_threshold(16, 16, 4, 1) == Fraction(1)
-    assert chain_threshold(16, 16, 4, 1, divide_by_m=False) == Fraction(4)
     assert chain_threshold(4, 6, 2, 1) == Fraction(1, 2)
     assert chain_threshold(5, 16, 3, Fraction(1, 3)) == Fraction(5, 36)
 

@@ -14,31 +14,31 @@ from precsched.model import (
     validate_schedule,
 )
 
-from helpers import close_pairs
+from helpers import close_pairs, pairs
 
 DIAMOND = [(0, 1), (0, 2), (1, 3), (2, 3)]
 
 
 def test_build_closes_chain():
     inst = build_instance(3, 1, [(0, 1), (1, 2)])
-    assert inst.prec == frozenset({(0, 1), (1, 2), (0, 2)})
+    assert pairs(inst) == frozenset({(0, 1), (1, 2), (0, 2)})
 
 
 def test_build_diamond_closure_matches_reference():
     inst = build_instance(4, 2, DIAMOND)
-    assert inst.prec == close_pairs(4, DIAMOND)
-    assert (0, 3) in inst.prec
+    assert pairs(inst) == close_pairs(4, DIAMOND)
+    assert (0, 3) in pairs(inst)
 
 
 def test_closure_is_idempotent_on_diamond():
     once = build_instance(4, 2, DIAMOND)
-    twice = build_instance(4, 2, sorted(once.prec))
+    twice = build_instance(4, 2, sorted(pairs(once)))
     assert once == twice
 
 
 def test_duplicate_edges_collapse():
     inst = build_instance(2, 1, [(0, 1), (0, 1)])
-    assert inst.prec == frozenset({(0, 1)})
+    assert pairs(inst) == frozenset({(0, 1)})
 
 
 def test_empty_instance_is_legal():
@@ -124,7 +124,7 @@ def _chains_by_enumeration(n, closed, subset):
 
 def test_longest_chain_diamond():
     inst = build_instance(4, 2, DIAMOND)
-    expect = _chains_by_enumeration(4, inst.prec, range(4))
+    expect = _chains_by_enumeration(4, pairs(inst), range(4))
     assert expect == 3
     assert longest_chain(inst) == 3
     assert longest_chain(inst, {1, 2}) == 1
@@ -145,9 +145,9 @@ def _edge_sets(draw, max_n=7):
 def test_closure_matches_reference_and_is_idempotent(case):
     n, edges = case
     inst = build_instance(n, 2, edges)
-    assert inst.prec == close_pairs(n, edges)
-    again = build_instance(n, 2, sorted(inst.prec))
-    assert again.prec == inst.prec
+    assert pairs(inst) == close_pairs(n, edges)
+    again = build_instance(n, 2, sorted(pairs(inst)))
+    assert pairs(again) == pairs(inst)
 
 
 @settings(max_examples=40, deadline=None)
@@ -156,7 +156,7 @@ def test_longest_chain_agrees_with_enumeration(case, rng):
     n, edges = case
     inst = build_instance(n, 2, edges)
     subset = {j for j in range(n) if rng.random() < 0.7}
-    assert longest_chain(inst, subset) == _chains_by_enumeration(n, inst.prec, subset)
+    assert longest_chain(inst, subset) == _chains_by_enumeration(n, pairs(inst), subset)
 
 
 @settings(max_examples=200, deadline=None)
@@ -170,7 +170,7 @@ def test_precedence_violations_match_a_scan_of_all_pairs(case, rng):
     report = validate_schedule(inst, Schedule(start, horizon))
     want = [
         Violation("precedence", (u, v))
-        for u, v in sorted(inst.prec)
+        for u, v in sorted(pairs(inst))
         if u in start and v in start and start[u] + 1 > start[v]
     ]
     assert [v for v in report.violations if v.kind == "precedence"] == want

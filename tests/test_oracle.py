@@ -13,7 +13,7 @@ from precsched.oracle import (
     optimal_schedule,
 )
 
-from helpers import brute_force_makespan, enumerate_poset_classes
+from helpers import brute_force_makespan, enumerate_poset_classes, pairs
 
 DIAMOND = [(0, 1), (0, 2), (1, 3), (2, 3)]
 
@@ -103,7 +103,7 @@ def test_adding_an_edge_never_helps(case, m):
         (i, j)
         for i in range(n)
         for j in range(i + 1, n)
-        if (i, j) not in inst.prec
+        if (i, j) not in pairs(inst)
     ]
     if missing:
         bigger = build_instance(n, m, edges + [missing[0]])

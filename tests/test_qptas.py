@@ -296,7 +296,6 @@ def test_solve_depth_cap_discards_the_call():
     inst = build_instance(6, 2, [])
     res = solve(inst, 3, _exhaustive(k_max=0))
     assert res.discarded == frozenset(range(6))
-    assert res.stats.depth_cap_discards >= 6
     assert res.schedule.start == {}
     assert res.schedule.horizon == 3
 

@@ -1,6 +1,8 @@
 """Parsing, emission, and round trips for the two text formats."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from precsched.generators import standard_corpus
 from precsched.model import Schedule, build_instance
@@ -12,18 +14,49 @@ from precsched.textio import (
     parse_schedule,
 )
 
+from helpers import close_pairs, cover_pairs, pairs
+
 
 def test_parse_two_job_chain():
     inst = parse_instance("jobs 2\nmachines 1\nedge 0 1\n")
     assert (inst.n, inst.m) == (2, 1)
-    assert inst.prec == frozenset({(0, 1)})
+    assert pairs(inst) == frozenset({(0, 1)})
 
 
 def test_emit_is_canonical_and_round_trips():
-    inst = build_instance(3, 2, [(1, 2), (0, 1)])
+    inst = build_instance(3, 2, [(1, 2), (0, 2), (0, 1)])
     text = emit_instance(inst)
-    assert text == "jobs 3\nmachines 2\nedge 0 1\nedge 0 2\nedge 1 2\n"
+    # Cover edges only: (0, 2) follows from (0, 1) and (1, 2).
+    assert text == "jobs 3\nmachines 2\nedge 0 1\nedge 1 2\n"
     assert parse_instance(text) == inst
+
+
+@st.composite
+def _dags(draw, max_n=12):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(cells), max_size=30) if cells else st.just([]))
+    # Relabel so edges do not always point from a lower id to a higher one.
+    perm = draw(st.permutations(range(n)))
+    return n, [(perm[u], perm[v]) for u, v in edges]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dags())
+def test_emit_writes_the_transitive_reduction(case):
+    n, edges = case
+    closed = close_pairs(n, edges)
+    inst = build_instance(n, 3, edges)
+    text = emit_instance(inst)
+    emitted = [tuple(map(int, line.split()[1:])) for line in text.splitlines()[2:]]
+    assert emitted == sorted(cover_pairs(closed))
+    # The closed listing and the cover listing parse to the same instance.
+    header = f"jobs {n}\nmachines 3\n"
+    from_closed = parse_instance(header + "".join(f"edge {u} {v}\n" for u, v in sorted(closed)))
+    from_cover = parse_instance(text)
+    assert from_closed == from_cover == inst
+    assert from_closed.pred_masks == from_cover.pred_masks
+    assert from_closed.succ_masks == from_cover.succ_masks
 
 
 def test_comments_and_blank_lines_skipped():
