@@ -9,8 +9,8 @@ import pytest
 
 from precsched import cli
 from precsched.cli import main
-from precsched.generators import standard_corpus
-from precsched.model import Schedule, build_instance
+from precsched.generators import GeneratorSpec, generate, standard_corpus
+from precsched.model import Schedule, build_instance, longest_chain
 from precsched.textio import emit_instance, parse_instance, parse_schedule
 
 
@@ -398,3 +398,56 @@ def test_exact_schedules_match_golden_digest(tmp_path, capsys):
             digest.update(out.read_bytes())
     capsys.readouterr()
     assert digest.hexdigest() == GOLDEN_EXACT
+
+
+# sha256 of `solve --alg qptas` per instance: name, exit code, the
+# `makespan= discarded= explored=` line and the schedule file. Laminar mode
+# runs at the auto horizon over the standard corpus and two layered instances
+# near n = 200; exhaustive mode runs at the lower bound with --kmax 2 and
+# --kmax n on three small instances, one of them infeasible at its bound.
+GOLDEN_QPTAS = {
+    "laminar": "4e4e05f8faed7e027e59d794997030b313dbc61c41addd606fde0234de067b6d",
+    "exhaustive": "9eab7aa5bcf0281492c5911084a0df52a53543dd6f99103f0ef85d2b38e9bfbf",
+}
+
+_QPTAS_LAYERED = (
+    GeneratorSpec("layered", 200, 4, seed=3, layers=20, width=10, edge_prob=0.05),
+    GeneratorSpec("layered", 192, 2, seed=4, layers=48, width=4, edge_prob=0.3),
+)
+_QPTAS_SMALL = ("diamondmesh-07-m2", "randomorder-06-m2")
+
+
+def _qptas_digest(tmp_path, capsys, runs):
+    digest = hashlib.sha256()
+    for name, path, extra in runs:
+        out = tmp_path / f"{name}.sched"
+        rc = main(["solve", "--input", str(path), "--alg", "qptas", *extra, "--output", str(out)])
+        digest.update(f"{name} {rc}\n".encode())
+        digest.update(capsys.readouterr().out.encode())
+        if rc == 0:
+            digest.update(out.read_bytes())
+    return digest.hexdigest()
+
+
+def test_qptas_solves_match_golden_digests(tmp_path, capsys):
+    corp = _gen_corpus(tmp_path)
+    for i, spec in enumerate(_QPTAS_LAYERED):
+        (corp / f"layered-gen-{i}.inst").write_text(emit_instance(generate(spec)))
+    laminar = [(p.stem, p, []) for p in sorted(corp.glob("*.inst"))]
+    small = [(cid, corp / f"{cid}.inst") for cid in _QPTAS_SMALL]
+    full = tmp_path / "layered-06-m2-full.inst"
+    full.write_text(emit_instance(generate(
+        GeneratorSpec("layered", 6, 2, seed=1, layers=2, width=3, edge_prob=1.0))))
+    small.append((full.stem, full))
+    exhaustive = []
+    for name, path in small:
+        inst = parse_instance(path.read_text())
+        bound = max(-(-inst.n // inst.m), longest_chain(inst))
+        for k in (2, inst.n):
+            argv = ["--mode", "exhaustive", "--horizon", str(bound), "--kmax", str(k)]
+            exhaustive.append((f"{name}-k{k}", path, argv))
+    got = {
+        "laminar": _qptas_digest(tmp_path, capsys, laminar),
+        "exhaustive": _qptas_digest(tmp_path, capsys, exhaustive),
+    }
+    assert got == GOLDEN_QPTAS
