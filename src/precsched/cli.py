@@ -1,7 +1,8 @@
 """Command line entry point: gen, solve, verify, bench, analyze, audit.
 
 Exit codes: 0 success (verify: feasible), 1 infeasible or violations found,
-2 usage or parse errors. All randomness is seeded; bench output is
+2 usage or parse errors (a cyclic instance file and an --eps outside (0, 1]
+included). All randomness is seeded; bench output is
 byte-identical across runs unless --timing is given.
 """
 
@@ -34,10 +35,11 @@ from .laminar import (
     assign_levels,
     best_offset,
     build_laminar,
+    check_eps,
     default_depth_max,
     pad_to_power_of_two,
 )
-from .model import Instance, Schedule, longest_chain, validate_schedule
+from .model import CycleError, Instance, Schedule, longest_chain, validate_schedule
 from .oracle import EXACT_CAP, TooLarge, optimal_makespan, optimal_schedule
 from .qptas import GuessConfig, InfeasibleHorizon, insert_discarded, solve
 from .textio import (
@@ -77,10 +79,12 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _parse_eps(value: str) -> Fraction:
+    """--eps as a Fraction in (0, 1]; anything else is a usage error."""
     try:
-        return Fraction(value)
+        eps = Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise CliError(f"bad eps {value!r}; use forms like 1, 1/2, 0.25") from None
+    return check_eps(eps)
 
 
 def _corpus_dir(path: str) -> list[tuple[str, Instance]]:
@@ -419,7 +423,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, CliError, BadSpec, BadEps, BadHorizon, TooLarge) as exc:
+    except (ParseError, CycleError, CliError, BadSpec, BadEps, BadHorizon, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

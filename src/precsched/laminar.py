@@ -175,34 +175,50 @@ def pad_to_power_of_two(inst: Instance, T: int) -> tuple[Instance, int]:
     return Instance(total, inst.m, tuple(preds), tuple(succs)), tstar
 
 
+def feasible_windows(inst: Instance, jobs, pinned, T: int) -> list[tuple[int, int]]:
+    """Start slots [lo, hi) for each of jobs, in order, given pinned neighbors.
+
+    lo is the latest pinned-predecessor completion, hi the earliest pinned-
+    successor start. The mask of pinned jobs is built once, and each job
+    walks only the pinned bits of its closure masks, so a job with no pinned
+    neighbor costs O(1). Raises EmptyWindow at the first job with lo >= hi.
+    A job's own pin, if any, is not consulted.
+    """
+    pinned_mask = 0
+    for p in pinned:
+        pinned_mask |= 1 << p
+    pred_masks, succ_masks = inst.pred_masks, inst.succ_masks
+    out = []
+    for j in jobs:
+        lo = 0
+        hi = T
+        mask = pred_masks[j] & pinned_mask
+        while mask:
+            low = mask & -mask
+            s = pinned[low.bit_length() - 1]
+            mask ^= low
+            if s + 1 > lo:
+                lo = s + 1
+        mask = succ_masks[j] & pinned_mask
+        while mask:
+            low = mask & -mask
+            s = pinned[low.bit_length() - 1]
+            mask ^= low
+            if s < hi:
+                hi = s
+        if lo >= hi:
+            raise EmptyWindow(f"job {j}: window [{lo}, {hi}) is empty")
+        out.append((lo, hi))
+    return out
+
+
 def feasible_window(inst: Instance, j: JobId, pinned, T: int) -> tuple[int, int]:
     """Start slots [lo, hi) where j can legally sit given pinned neighbors.
 
-    lo is the latest pinned-predecessor completion, hi the earliest pinned-
-    successor start. Raises EmptyWindow when lo >= hi. The job's own pin,
-    if any, is not consulted.
+    The one-job case of feasible_windows, whose pinned-mask walk it shares;
+    raises EmptyWindow when lo >= hi.
     """
-    lo = 0
-    hi = T
-    mask = inst.pred_masks[j]
-    while mask:
-        low = mask & -mask
-        p = low.bit_length() - 1
-        mask ^= low
-        s = pinned.get(p)
-        if s is not None and s + 1 > lo:
-            lo = s + 1
-    mask = inst.succ_masks[j]
-    while mask:
-        low = mask & -mask
-        q = low.bit_length() - 1
-        mask ^= low
-        s = pinned.get(q)
-        if s is not None and s < hi:
-            hi = s
-    if lo >= hi:
-        raise EmptyWindow(f"job {j}: window [{lo}, {hi}) is empty")
-    return lo, hi
+    return feasible_windows(inst, (j,), pinned, T)[0]
 
 
 @dataclass

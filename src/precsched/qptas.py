@@ -11,6 +11,12 @@ with the fewest discards wins (ties: first in enumeration order).
 insert_discarded then repairs a result at the cost of one extra slot per
 discarded job.
 
+Windows come from masks: a job's pinned window walks only the bits of its
+predecessor and successor masks that are pinned, and a top window only the
+bits that are placed, so no hot loop walks the whole closure. The pinned
+windows depend on the pins alone, so _recurse computes them once per pin
+set and splits them by cells for every guess that carries those pins.
+
 The recursion (_recurse) takes its guesses from a guess source, a callable
 RecursionInput -> iterable of (pins, cells). solve's default source is
 enumerate_guesses. The full guess space is astronomical, so its exhaustive
@@ -24,7 +30,6 @@ per non-unit call of the winning guess.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -34,6 +39,7 @@ from .laminar import (
     build_laminar,
     check_eps,
     feasible_window,
+    feasible_windows,
     partition_level,
     stride_of,
 )
@@ -147,24 +153,39 @@ def _bits(mask: int):
         mask ^= low
 
 
-def classify(inst, jobs, pinned_new, cells, pinned_old):
-    """Split jobs into bottom-per-cell and top by feasible window.
+def _loads(slots, s, e):
+    """Jobs per slot among the given slots that fall in [s, e)."""
+    occ: dict[int, int] = {}
+    for t in slots:
+        if s <= t < e:
+            occ[t] = occ.get(t, 0) + 1
+    return occ
 
-    A pinned job counts as bottom of the cell holding its slot. Raises
-    EmptyWindow when the combined pins squeeze some job out entirely, which
-    prunes the guess.
+
+def pin_windows(inst, jobs, pinned_new, merged, end):
+    """Window [lo, hi) of every job under all pins, keyed by job.
+
+    merged holds every pin, pinned_new's included. A job pinned by
+    pinned_new gets its own slot [t, t + 1); every other job gets
+    feasible_windows under merged, which walks only the pinned bits of its
+    masks. The windows depend on the pins alone, not on the cells, so a
+    recursion call computes them once per pin set. Raises EmptyWindow when
+    the pins squeeze some job out entirely.
     """
-    merged = dict(pinned_old)
-    merged.update(pinned_new)
+    free = sorted(j for j in jobs if j not in pinned_new)
+    windows = dict(zip(free, feasible_windows(inst, free, merged, end)))
+    for j, t in pinned_new.items():
+        if j in jobs:
+            windows[j] = (t, t + 1)
+    return windows
+
+
+def split_by_cells(windows, cells):
+    """(bottom per cell, top): a window inside one cell is bottom, else top."""
     starts = [c[0] for c in cells]
-    end = cells[-1][1]
     bottom: dict[tuple[int, int], set[JobId]] = {c: set() for c in cells}
     top: set[JobId] = set()
-    for j in sorted(jobs):
-        if j in pinned_new:
-            bottom[cells[bisect_right(starts, pinned_new[j]) - 1]].add(j)
-            continue
-        lo, hi = feasible_window(inst, j, merged, end)
+    for j, (lo, hi) in windows.items():
         cell = cells[bisect_right(starts, lo) - 1]
         if hi <= cell[1]:
             bottom[cell].add(j)
@@ -173,29 +194,42 @@ def classify(inst, jobs, pinned_new, cells, pinned_old):
     return {c: frozenset(v) for c, v in bottom.items()}, frozenset(top)
 
 
+def classify(inst, jobs, pinned_new, cells, pinned_old):
+    """Split jobs into bottom-per-cell and top by feasible window.
+
+    pin_windows then split_by_cells: the windows come from the pinned mask
+    (see feasible_windows), and _recurse computes them once per pin set. A
+    pinned job counts as bottom of the cell holding its slot. Raises
+    EmptyWindow when the combined pins squeeze some job out entirely, which
+    prunes the guess.
+    """
+    merged = {**pinned_old, **pinned_new}
+    return split_by_cells(pin_windows(inst, jobs, pinned_new, merged, cells[-1][1]), cells)
+
+
 def windows_for_top(inst, top, cells, placed):
     """Release/deadline per top job, snapped outward to cell boundaries.
 
     r is the earliest cell start at or after every placed predecessor's
     completion, d the latest cell end at or before every placed successor's
     start. When no boundary qualifies the window collapses (degenerate).
+    Each job walks only the placed bits of its masks.
     """
     starts = [c[0] for c in cells]
     ends = [c[1] for c in cells]
+    placed_mask = 0
+    for p in placed:
+        placed_mask |= 1 << p
     out = []
     for j in sorted(top):
         bound = starts[0]
-        for p in _bits(inst.pred_masks[j]):
-            s = placed.get(p)
-            if s is not None and s + 1 > bound:
-                bound = s + 1
+        for p in _bits(inst.pred_masks[j] & placed_mask):
+            bound = max(bound, placed[p] + 1)
         i = bisect_left(starts, bound)
         r = starts[i] if i < len(starts) else ends[-1]
         bound = ends[-1]
-        for q in _bits(inst.succ_masks[j]):
-            s = placed.get(q)
-            if s is not None and s < bound:
-                bound = s
+        for q in _bits(inst.succ_masks[j] & placed_mask):
+            bound = min(bound, placed[q])
         i = bisect_right(ends, bound) - 1
         d = ends[i] if i >= 0 else starts[0]
         out.append(TopWindow(j, r, d))
@@ -258,7 +292,7 @@ def edf_insert(inst, tops, occupancy, start, end, trace=None):
 
 def _assignments(inst, subset, base_pins, s, e):
     """All consistent slot assignments for subset, DFS, slots ascending."""
-    occ = Counter(t for t in base_pins.values() if s <= t < e)
+    occ = _loads(base_pins.values(), s, e)
     chosen: dict[JobId, int] = {}
 
     def rec(i):
@@ -272,10 +306,10 @@ def _assignments(inst, subset, base_pins, s, e):
         except EmptyWindow:
             return
         for t in range(max(lo, s), hi):
-            if occ[t] >= inst.m:
+            if occ.get(t, 0) >= inst.m:
                 continue
             chosen[j] = t
-            occ[t] += 1
+            occ[t] = occ.get(t, 0) + 1
             yield from rec(i + 1)
             occ[t] -= 1
             del chosen[j]
@@ -320,7 +354,10 @@ def _recurse(inst, rin, cfg, guesses, stats, traces=None):
     """Best (starts, discards) over the guesses the source yields for rin.
 
     When traces is a list, the winning guess's CallTraces (its children's,
-    then its own) are appended to it; otherwise no trace is built.
+    then its own) are appended to it; otherwise no trace is built. The pin
+    windows (or their EmptyWindow prune) are kept while consecutive guesses
+    carry equal pins, since the cells, which partition the interval, do not
+    change them.
     """
     s, e = rin.interval
     if not rin.jobs:
@@ -329,19 +366,24 @@ def _recurse(inst, rin, cfg, guesses, stats, traces=None):
         # Unit intervals skip guessing and the depth cap: every job here has
         # window exactly [s, s+1), so a single EDF step settles them.
         tops = [TopWindow(j, s, e) for j in sorted(rin.jobs)]
-        occ = Counter(t for t in rin.pinned.values() if t == s)
-        return edf_insert(inst, tops, occ, s, e)
+        return edf_insert(inst, tops, _loads(rin.pinned.values(), s, e), s, e)
     if rin.depth >= cfg.depth_max:
         return {}, set(rin.jobs)
     best = None
+    last_pins = windows = None
     for pins, cells in guesses(rin):
         stats.guesses_explored += 1
-        try:
-            bottom, top = classify(inst, rin.jobs, pins, cells, rin.pinned)
-        except EmptyWindow:
+        if pins != last_pins:
+            last_pins = dict(pins)
+            merged = {**rin.pinned, **pins}
+            try:
+                windows = pin_windows(inst, rin.jobs, pins, merged, e)
+            except EmptyWindow:
+                windows = None
+        if windows is None:
             continue
+        bottom, top = split_by_cells(windows, cells)
         calls = None if traces is None else []
-        merged = {**rin.pinned, **pins}
         starts = dict(pins)
         disc: set[JobId] = set()
         for cell in cells:
@@ -353,15 +395,14 @@ def _recurse(inst, rin, cfg, guesses, stats, traces=None):
             starts.update(cstarts)
             disc |= cdisc
         placed_all = {**rin.pinned, **starts}
-        windows = windows_for_top(inst, top, cells, placed_all)
-        occ = Counter(t for t in placed_all.values() if s <= t < e)
+        top_windows = windows_for_top(inst, top, cells, placed_all)
         edf = None if traces is None else EdfTrace()
         # edf_insert discards degenerate windows at s without placing them.
-        tplaced, tdisc = edf_insert(inst, windows, occ, s, e, edf)
+        tplaced, tdisc = edf_insert(inst, top_windows, _loads(placed_all.values(), s, e), s, e, edf)
         starts.update(tplaced)
         disc |= tdisc
         if calls is not None:
-            degenerate = frozenset(w.job for w in windows if w.degenerate)
+            degenerate = frozenset(w.job for w in top_windows if w.degenerate)
             calls.append(
                 CallTrace(
                     depth=rin.depth,
@@ -369,7 +410,7 @@ def _recurse(inst, rin, cfg, guesses, stats, traces=None):
                     cells=cells,
                     pins=dict(pins),
                     tops=top,
-                    windows=windows,
+                    windows=top_windows,
                     placed_tops=tplaced,
                     edf=edf,
                     degenerate=degenerate,
@@ -430,23 +471,25 @@ def insert_discarded(inst: Instance, sched: Schedule, discarded) -> Schedule:
     Ascending job id: place j right after its last scheduled predecessor,
     shifting every start from that point on by one. Transitive closure
     guarantees no scheduled successor sits before that point; seeing one
-    raises NoSlot.
+    raises NoSlot. A mask of the scheduled jobs, reinserted ones included,
+    limits both walks to scheduled neighbors.
     """
     starts = dict(sched.start)
     horizon = sched.horizon
+    scheduled = 0
+    for i in starts:
+        scheduled |= 1 << i
     for j in sorted(discarded):
         if j in starts:
             raise ValueError(f"job {j} is both scheduled and discarded")
         t = 0
-        for p in _bits(inst.pred_masks[j]):
-            got = starts.get(p)
-            if got is not None and got + 1 > t:
-                t = got + 1
-        for q in _bits(inst.succ_masks[j]):
-            got = starts.get(q)
-            if got is not None and got < t:
-                raise NoSlot(f"successor {q} of {j} starts at {got} before {t}")
+        for p in _bits(inst.pred_masks[j] & scheduled):
+            t = max(t, starts[p] + 1)
+        for q in _bits(inst.succ_masks[j] & scheduled):
+            if starts[q] < t:
+                raise NoSlot(f"successor {q} of {j} starts at {starts[q]} before {t}")
         starts = {i: (x + 1 if x >= t else x) for i, x in starts.items()}
         starts[j] = t
+        scheduled |= 1 << j
         horizon += 1
     return Schedule(starts, horizon)

@@ -7,6 +7,7 @@ do not inherit implementation bugs.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from itertools import combinations, permutations, product
 
 
@@ -175,3 +176,73 @@ def enumerate_poset_classes(n: int):
                     mask ^= low
             reps[key] = frozenset(pairs)
     return list(reps.values())
+
+
+def _mask_bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def ref_feasible_window(inst, j, pinned, T):
+    """[lo, hi) of j under pinned, walking every closure bit with a dict lookup.
+
+    The per-bit walk the package used before windows came from the pinned
+    mask; the window may be empty (lo >= hi), where the package raises.
+    """
+    lo, hi = 0, T
+    for p in _mask_bits(inst.pred_masks[j]):
+        s = pinned.get(p)
+        if s is not None and s + 1 > lo:
+            lo = s + 1
+    for q in _mask_bits(inst.succ_masks[j]):
+        s = pinned.get(q)
+        if s is not None and s < hi:
+            hi = s
+    return lo, hi
+
+
+def ref_classify(inst, jobs, pinned_new, cells, pinned_old):
+    """(bottom per cell, top) by per-job windows, or None when one is empty."""
+    merged = {**pinned_old, **pinned_new}
+    starts = [c[0] for c in cells]
+    bottom = {c: set() for c in cells}
+    top = set()
+    for j in sorted(jobs):
+        if j in pinned_new:
+            bottom[cells[bisect_right(starts, pinned_new[j]) - 1]].add(j)
+            continue
+        lo, hi = ref_feasible_window(inst, j, merged, cells[-1][1])
+        if lo >= hi:
+            return None
+        cell = cells[bisect_right(starts, lo) - 1]
+        if hi <= cell[1]:
+            bottom[cell].add(j)
+        else:
+            top.add(j)
+    return {c: frozenset(v) for c, v in bottom.items()}, frozenset(top)
+
+
+def ref_windows_for_top(inst, top, cells, placed):
+    """(job, r, d) per top job, walking every closure bit with a dict lookup."""
+    starts = [c[0] for c in cells]
+    ends = [c[1] for c in cells]
+    out = []
+    for j in sorted(top):
+        bound = starts[0]
+        for p in _mask_bits(inst.pred_masks[j]):
+            s = placed.get(p)
+            if s is not None and s + 1 > bound:
+                bound = s + 1
+        i = bisect_left(starts, bound)
+        r = starts[i] if i < len(starts) else ends[-1]
+        bound = ends[-1]
+        for q in _mask_bits(inst.succ_masks[j]):
+            s = placed.get(q)
+            if s is not None and s < bound:
+                bound = s
+        i = bisect_right(ends, bound) - 1
+        d = ends[i] if i >= 0 else starts[0]
+        out.append((j, r, d))
+    return out

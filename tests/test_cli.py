@@ -6,6 +6,8 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from precsched import cli
 from precsched.cli import main
@@ -339,6 +341,89 @@ def test_bad_eps_exits_2(tmp_path, capsys):
     )
     assert rc == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("eps", ["2", "0", "-1/2", "3/2"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--alg", "qptas"],
+        ["solve", "--alg", "qptas", "--mode", "exhaustive"],
+        ["bench"],
+        ["audit"],
+        ["analyze", "levels"],
+    ],
+    ids=["solve-laminar", "solve-exhaustive", "bench", "audit", "analyze"],
+)
+def test_eps_outside_unit_interval_exits_2(tmp_path, capsys, argv, eps):
+    # The 0-job instance used to slip through laminar solve; bench used to
+    # put the error in each qptas row and audit to skip every instance.
+    corp = tmp_path / "corpus"
+    corp.mkdir()
+    (corp / "empty.inst").write_text(emit_instance(build_instance(0, 2, [])))
+    (corp / "pair.inst").write_text(emit_instance(build_instance(2, 1, [(0, 1)])))
+    # analyze gets 2 jobs, so that only eps can fail it; bench and audit take the directory.
+    where = {"bench": corp, "audit": corp, "analyze": corp / "pair.inst"}.get(
+        argv[0], corp / "empty.inst")
+    out = tmp_path / "out"
+    assert main([*argv, "--input", str(where), f"--eps={eps}", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_cyclic_instance_exits_2(tmp_path, capsys):
+    inst = tmp_path / "cycle.inst"
+    inst.write_text("jobs 2\nmachines 1\nedge 0 1\nedge 1 0\n")
+    assert main(["solve", "--input", str(inst), "--alg", "ls"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@st.composite
+def _instance_texts(draw):
+    """Instance text with any edge list: cycles, self-loops, ids past n, m >= n."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    m = draw(st.integers(min_value=0, max_value=12))
+    # One edge list in five may name job n, one past the last job.
+    top = n if draw(st.integers(min_value=0, max_value=4)) == 0 else max(n - 1, 0)
+    ids = st.integers(min_value=0, max_value=top)
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=15))
+    lines = [f"jobs {n}", f"machines {m}", *(f"edge {u} {v}" for u, v in edges)]
+    # One text in ten carries a malformed or stray line.
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        junk = draw(st.sampled_from(["edge 1", "edge a b", "jobs 3", "edge -1 0", "# note"]))
+        lines.insert(draw(st.integers(min_value=0, max_value=len(lines))), junk)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_instance_texts(), st.sampled_from(["auto", "1", "3"]))
+def test_any_instance_text_keeps_the_exit_code_contract(tmp_path, capsys, text, horizon):
+    # parse -> solve (every algorithm) -> verify exits 0, 1 or 2 and never
+    # raises; a schedule that solve wrote verifies clean.
+    inst = tmp_path / "fuzz.inst"
+    inst.write_text(text)
+    sched = tmp_path / "fuzz.sched"
+    exhaustive = ["--alg", "qptas", "--mode", "exhaustive"]
+    solves = (
+        ["--alg", "exact"],
+        ["--alg", "ls"],
+        ["--alg", "ls", "--order", "cg"],
+        ["--alg", "cg"],
+        ["--alg", "qptas", "--horizon", horizon],
+        exhaustive,
+        [*exhaustive, "--kmax", "2", "--horizon", horizon],
+    )
+    for alg in solves:
+        sched.unlink(missing_ok=True)
+        rc = main(["solve", "--input", str(inst), *alg, "--output", str(sched)])
+        assert rc in (0, 1, 2)
+        if rc == 0:
+            assert main(["verify", "--input", str(inst), "--schedule", str(sched)]) == 0
+        else:
+            assert not sched.exists()
+            assert main(["verify", "--input", str(inst), "--schedule", str(sched)]) in (1, 2)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from precsched.baselines import list_schedule
 from precsched.laminar import (
     BadEps,
     BadHorizon,
@@ -360,6 +361,14 @@ def test_insert_discarded_flags_broken_preconditions():
         insert_discarded(inst, Schedule({0: 3, 2: 0}, 4), {1})
 
 
+def test_insert_discarded_orders_a_discarded_chain():
+    # Job 1 must follow job 0, which was itself reinserted a step earlier.
+    inst = build_instance(3, 1, [(0, 1)])
+    out = insert_discarded(inst, Schedule({2: 0}, 1), {0, 1})
+    assert out.start == {0: 0, 1: 1, 2: 2}
+    assert out.horizon == 3
+
+
 @st.composite
 def _solve_cases(draw):
     n = draw(st.integers(min_value=1, max_value=5))
@@ -428,3 +437,17 @@ def test_tracing_leaves_the_solve_result_unchanged(case, k_max, slack):
             assert tr.degenerate | tr.edf_discarded <= tr.tops
             for j, t in {**tr.pins, **tr.placed_tops}.items():
                 assert res.schedule.start[j] == t
+
+
+@settings(max_examples=60, deadline=None)
+@given(_solve_cases(), st.data())
+def test_insert_discarded_repairs_any_dropped_subset(case, data):
+    n, edges, m = case
+    inst = build_instance(n, m, edges)
+    sched = list_schedule(inst, range(n))
+    dropped = set(data.draw(st.lists(st.sampled_from(range(n)), unique=True)))
+    kept = Schedule({j: t for j, t in sched.start.items() if j not in dropped}, sched.horizon)
+    full = insert_discarded(inst, kept, dropped)
+    report = validate_schedule(inst, full)
+    assert report.feasible and report.complete
+    assert full.horizon == sched.horizon + len(dropped)

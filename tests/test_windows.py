@@ -1,0 +1,116 @@
+"""Pinned and top windows from masks, checked against per-bit reference walks."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import ref_classify, ref_feasible_window, ref_windows_for_top
+from precsched.laminar import EmptyWindow, feasible_window, feasible_windows
+from precsched.model import build_instance, longest_chain
+from precsched.qptas import (
+    GuessConfig,
+    classify,
+    enumerate_guesses,
+    solve,
+    windows_for_top,
+)
+
+
+@st.composite
+def _closed_dags(draw, max_n=12):
+    """A random DAG on n jobs, relabelled so ids do not follow its order."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True)) if pairs else []
+    perm = draw(st.permutations(range(n)))
+    m = draw(st.integers(min_value=1, max_value=3))
+    return build_instance(n, m, [(perm[u], perm[v]) for u, v in edges])
+
+
+@st.composite
+def _slots(draw, jobs, T):
+    """A partial map from jobs to slots in [0, T)."""
+    chosen = draw(st.lists(st.sampled_from(sorted(jobs)), unique=True)) if jobs else []
+    return {j: draw(st.integers(min_value=0, max_value=T - 1)) for j in chosen}
+
+
+@st.composite
+def _cells(draw, T):
+    cuts = draw(st.lists(st.integers(min_value=1, max_value=T - 1), unique=True)) if T > 1 else []
+    bounds = [0, *sorted(cuts), T]
+    return [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
+
+
+@st.composite
+def _window_cases(draw):
+    inst = draw(_closed_dags())
+    T = draw(st.integers(min_value=1, max_value=16))
+    return inst, T, draw(_slots(range(inst.n), T))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_window_cases(), st.data())
+def test_feasible_windows_match_the_per_bit_walk(case, data):
+    inst, T, pinned = case
+    jobs = data.draw(st.lists(st.sampled_from(range(inst.n))))
+    want = [ref_feasible_window(inst, j, pinned, T) for j in jobs]
+    if any(lo >= hi for lo, hi in want):
+        with pytest.raises(EmptyWindow):
+            feasible_windows(inst, jobs, pinned, T)
+    else:
+        assert feasible_windows(inst, jobs, pinned, T) == want
+    for j, (lo, hi) in zip(jobs, want):
+        if lo >= hi:
+            with pytest.raises(EmptyWindow):
+                feasible_window(inst, j, pinned, T)
+        else:
+            assert feasible_window(inst, j, pinned, T) == (lo, hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_window_cases(), st.data())
+def test_classify_matches_the_per_bit_walk(case, data):
+    inst, T, pinned_old = case
+    cells = data.draw(_cells(T))
+    unpinned = set(range(inst.n)) - pinned_old.keys()
+    jobs = set(data.draw(st.lists(st.sampled_from(sorted(unpinned)), unique=True))) if unpinned else set()
+    # New pins may name jobs outside the call's job set; those are ignored.
+    pinned_new = data.draw(_slots(unpinned, T))
+    want = ref_classify(inst, jobs, pinned_new, cells, pinned_old)
+    if want is None:
+        with pytest.raises(EmptyWindow):
+            classify(inst, jobs, pinned_new, cells, pinned_old)
+    else:
+        assert classify(inst, jobs, pinned_new, cells, pinned_old) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_window_cases(), st.data())
+def test_windows_for_top_match_the_per_bit_walk(case, data):
+    inst, T, placed = case
+    cells = data.draw(_cells(T))
+    top = set(data.draw(st.lists(st.sampled_from(range(inst.n)), unique=True))) - placed.keys()
+    got = windows_for_top(inst, top, cells, placed)
+    assert [(w.job, w.r, w.d) for w in got] == ref_windows_for_top(inst, top, cells, placed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _closed_dags(max_n=6),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=0, max_value=1),
+)
+def test_exhaustive_solve_does_not_depend_on_pin_identity(inst, k_max, depth_max, slack):
+    # Wrapping every pin set in a fresh dict defeats any reuse keyed on
+    # object identity; the windows must be reused on equal pins alone.
+    T = max(-(-inst.n // inst.m), longest_chain(inst)) + slack
+    cfg = GuessConfig(k_max=k_max, partition_mode="exhaustive", depth_max=depth_max)
+
+    def fresh(rin):
+        return ((dict(pins), cells) for pins, cells in enumerate_guesses(inst, rin, cfg))
+
+    plain_traces, fresh_traces = [], []
+    plain = solve(inst, T, cfg, traces=plain_traces)
+    assert solve(inst, T, cfg, guesses=fresh, traces=fresh_traces) == plain
+    assert fresh_traces == plain_traces
