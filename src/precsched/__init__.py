@@ -35,11 +35,12 @@ from .laminar import (
     pad_to_power_of_two,
 )
 from .qptas import (
-    GuessConfig,
     InfeasibleHorizon,
     NoSlot,
     SolveResult,
+    exhaustive_guesses,
     insert_discarded,
+    laminar_guesses,
     solve,
 )
 from .audits import (
@@ -72,7 +73,6 @@ __all__ = [
     "EXACT_CAP",
     "EmptyWindow",
     "GeneratorSpec",
-    "GuessConfig",
     "InfeasibleHorizon",
     "Instance",
     "IntervalNode",
@@ -96,9 +96,11 @@ __all__ = [
     "coffman_graham_schedule",
     "emit_instance",
     "emit_schedule",
+    "exhaustive_guesses",
     "feasible_window",
     "generate",
     "insert_discarded",
+    "laminar_guesses",
     "list_schedule",
     "longest_chain",
     "optimal_makespan",

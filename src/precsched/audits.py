@@ -32,7 +32,7 @@ from .laminar import (
 )
 from .model import Instance, JobId, Schedule
 from .oracle import EXACT_CAP, optimal_makespan, optimal_schedule
-from .qptas import CallTrace, GuessConfig, solve
+from .qptas import CallTrace, solve
 
 # Claims whose violation means the implementation (or the analysis) is wrong,
 # versus bounds that are only expected to hold in the audited regime.
@@ -292,8 +292,7 @@ def run_oracle_pinned(
         return frozenset(acc)
 
     calls: list[CallTrace] = []
-    cfg = GuessConfig(depth_max=fam.level_count(), eps=e, offset=offset)
-    result = solve(inst, fam.T, cfg, guesses=oracle_guess, traces=calls)
+    result = solve(inst, fam.T, oracle_guess, fam.level_count(), traces=calls)
     traces = []
     for tr in calls:
         level = fam.find(*tr.interval).level

@@ -41,7 +41,7 @@ from .laminar import (
 )
 from .model import CycleError, Instance, Schedule, longest_chain, validate_schedule
 from .oracle import EXACT_CAP, TooLarge, optimal_makespan, optimal_schedule
-from .qptas import GuessConfig, InfeasibleHorizon, insert_discarded, solve
+from .qptas import InfeasibleHorizon, exhaustive_guesses, insert_discarded, laminar_guesses, solve
 from .textio import (
     ParseError,
     emit_instance,
@@ -149,8 +149,7 @@ def _solve_laminar(
     padded, tstar = pad_to_power_of_two(inst, T)
     if depth_max is None:
         depth_max = default_depth_max(padded.n, padded.m, eps)
-    cfg = GuessConfig(partition_mode="laminar", depth_max=depth_max, eps=eps)
-    result = solve(padded, tstar, cfg)
+    result = solve(padded, tstar, laminar_guesses(padded, tstar, eps), depth_max)
     sched = insert_discarded(padded, result.schedule, result.discarded)
     trimmed = Schedule(
         start={j: t for j, t in sched.start.items() if j < inst.n},
@@ -176,13 +175,8 @@ def _solve_qptas(inst: Instance, args) -> tuple[Schedule, int, int]:
             raise CliError(f"horizon must be at least 1, got {T}")
     if args.mode == "laminar":
         return _solve_laminar(inst, T, eps, args.depth_max)
-    cfg = GuessConfig(
-        k_max=inst.n if args.kmax is None else args.kmax,
-        partition_mode="exhaustive",
-        depth_max=1 if args.depth_max is None else args.depth_max,
-        eps=eps,
-    )
-    result = solve(inst, T, cfg)
+    guesses = exhaustive_guesses(inst, inst.n if args.kmax is None else args.kmax)
+    result = solve(inst, T, guesses, 1 if args.depth_max is None else args.depth_max)
     sched = insert_discarded(inst, result.schedule, result.discarded)
     return sched, len(result.discarded), result.stats.guesses_explored
 

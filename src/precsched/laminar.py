@@ -321,44 +321,23 @@ def assign_levels(
     if opt.makespan() > T or any(j not in opt.start for j in range(n)):
         raise ValueError("opt must be complete with makespan <= T")
     slot = opt.start
-    lo = [0] * n
-    hi = [T] * n
+    pinned: dict[int, int] = {}
     assigned: set[int] = set()
     out = LevelAssignment(fam=fam, opt=opt, n=n)
-
-    def pin(x: int) -> None:
-        assigned.add(x)
-        sx = slot[x]
-        mask = inst.succ_masks[x]
-        while mask:
-            low = mask & -mask
-            v = low.bit_length() - 1
-            mask ^= low
-            if sx + 1 > lo[v]:
-                lo[v] = sx + 1
-        mask = inst.pred_masks[x]
-        while mask:
-            low = mask & -mask
-            u = low.bit_length() - 1
-            mask ^= low
-            if sx < hi[u]:
-                hi[u] = sx
-
+    # Every window below is taken under pins at optimal slots, so none is
+    # empty and feasible_windows never raises.
     for level in range(fam.level_count()):
-        lo_snap = lo[:]
-        hi_snap = hi[:]
+        nodes = fam.intervals(level)
+        length = fam.level_lengths[level]
+        free = [j for j in range(n) if j not in assigned]
+        pools: dict[int, list[int]] = {}
+        for j, (lo, hi) in zip(free, feasible_windows(inst, free, pinned, T)):
+            if hi <= (lo // length + 1) * length:
+                pools.setdefault(lo // length, []).append(j)
         guess_row: dict[tuple[int, int], frozenset[int]] = {}
         top_row: dict[tuple[int, int], frozenset[int]] = {}
-        for node in fam.intervals(level):
-            pool = [
-                j
-                for j in range(n)
-                if j not in assigned
-                and lo_snap[j] >= node.start
-                and hi_snap[j] <= node.end
-            ]
-            if not pool:
-                continue
+        for i in sorted(pools):
+            node, pool = nodes[i], pools[i]
             children = fam.children(node)
             if not children:
                 top_row[node.key] = frozenset(pool)
@@ -368,15 +347,12 @@ def assign_levels(
             thresh = chain_threshold(node.length, n, m, e)
 
             def flexible_now() -> set[int]:
-                flex = set()
-                for j in pool:
-                    if j in assigned:
-                        continue
-                    first = (lo[j] - node.start) // child_len
-                    last = (hi[j] - 1 - node.start) // child_len
-                    if last > first:
-                        flex.add(j)
-                return flex
+                rest = [j for j in pool if j not in assigned]
+                return {
+                    j
+                    for j, (lo, hi) in zip(rest, feasible_windows(inst, rest, pinned, T))
+                    if (hi - 1 - node.start) // child_len > (lo - node.start) // child_len
+                }
 
             guessed: set[int] = set()
             while True:
@@ -392,7 +368,8 @@ def assign_levels(
                     if inside:
                         for x in {inside[0], inside[-1]}:
                             guessed.add(x)
-                            pin(x)
+                            assigned.add(x)
+                            pinned[x] = slot[x]
             if guessed:
                 guess_row[node.key] = frozenset(guessed)
             tops = flexible_now()

@@ -18,11 +18,11 @@ windows depend on the pins alone, so _recurse computes them once per pin
 set and splits them by cells for every guess that carries those pins.
 
 The recursion (_recurse) takes its guesses from a guess source, a callable
-RecursionInput -> iterable of (pins, cells). solve's default source is
-enumerate_guesses. The full guess space is astronomical, so its exhaustive
-mode is only usable at toy sizes (n around 10); its laminar mode pins nothing
-and takes the one partition dictated by the interval family and a level
-offset. The auditors pass a source that pins each call's guessed jobs at
+RecursionInput -> iterable of (pins, cells), which solve's caller supplies.
+laminar_guesses pins nothing and takes the one partition dictated by the
+interval family and a level offset. exhaustive_guesses enumerates the full
+guess space, which is astronomical, so it is only usable at toy sizes (n
+around 10). The auditors pass a source that pins each call's guessed jobs at
 their optimal slots. Given a trace list, the recursion records one CallTrace
 per non-unit call of the winning guess.
 """
@@ -31,11 +31,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from .laminar import (
     EmptyWindow,
-    LaminarFamily,
     build_laminar,
     check_eps,
     feasible_window,
@@ -43,7 +41,7 @@ from .laminar import (
     partition_level,
     stride_of,
 )
-from .model import Instance, JobId, Schedule, longest_chain, validate_schedule
+from .model import Instance, JobId, Schedule, _bits, longest_chain, validate_schedule
 
 
 class InfeasibleHorizon(ValueError):
@@ -64,36 +62,6 @@ class TopWindow:
     def degenerate(self) -> bool:
         # Bad guesses can produce r > d, not just r = d; both are unplaceable.
         return self.r >= self.d
-
-
-@dataclass(frozen=True)
-class GuessConfig:
-    """Knobs for the guess enumeration.
-
-    partition_mode "laminar" pins nothing and takes the dictated laminar
-    cells; "exhaustive" pins every subset of at most k_max jobs at every
-    consistent slot, over all integer-boundary partitions into at most
-    max(1, k_max) cells. depth_max caps recursion depth; a call at the cap
-    discards its whole job set (unit intervals are exempt). offset shifts
-    the laminar level used at each depth.
-    """
-
-    k_max: int = 0
-    partition_mode: str = "laminar"
-    depth_max: int = 1
-    eps: Fraction = Fraction(1)
-    offset: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "eps", check_eps(self.eps))
-        if self.k_max < 0:
-            raise ValueError(f"k_max must be >= 0, got {self.k_max}")
-        if self.depth_max < 1:
-            raise ValueError(f"depth_max must be >= 1, got {self.depth_max}")
-        if self.partition_mode not in ("laminar", "exhaustive"):
-            raise ValueError(f"unknown partition_mode {self.partition_mode!r}")
-        if self.offset < 0:
-            raise ValueError(f"offset must be >= 0, got {self.offset}")
 
 
 @dataclass(frozen=True)
@@ -144,13 +112,6 @@ class CallTrace:
     edf: EdfTrace
     degenerate: frozenset[JobId]
     edf_discarded: frozenset[JobId]
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _loads(slots, s, e):
@@ -326,31 +287,55 @@ def _partitions(s, e, cells_cap):
             yield [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
 
 
-def enumerate_guesses(inst, rin, cfg, fam: LaminarFamily | None = None):
-    """Deterministic (pins, cells) sequence for one recursion node.
+def laminar_guesses(inst, T, eps, offset=0):
+    """Guess source that pins nothing and takes the family's cells.
 
-    Laminar mode yields one guess: no pins, the family's cells at the
-    partition level. Exhaustive mode yields pin sets largest-first, so the
-    fully pinned branch, whose zero discards end the search early, is tried
-    before anything else; within a size, subsets ascend lexicographically
-    and slots ascend per job.
+    Each call gets one guess: no pins, the cells of the interval family at
+    the call's partition level (see partition_level), whose level is
+    shifted by offset. Builds the family once; T must be a power of two (see
+    pad_to_power_of_two) and m/eps a positive integer, and both are checked
+    here, before any search.
     """
-    s, e = rin.interval
-    if cfg.partition_mode == "laminar":
-        node = fam.find(s, e)
-        level = partition_level(fam, node, rin.depth, inst.m, cfg.eps, cfg.offset)
+    if offset < 0:
+        raise ValueError(f"offset must be >= 0, got {offset}")
+    eps = check_eps(eps)
+    stride_of(inst.m, eps)
+    fam = build_laminar(T, max(inst.n, 2), eps)
+
+    def guesses(rin):
+        node = fam.find(*rin.interval)
+        level = partition_level(fam, node, rin.depth, inst.m, eps, offset)
         yield {}, [c.key for c in fam.descendants(node, level)]
-        return
-    jobs = sorted(rin.jobs)
-    partitions = list(_partitions(s, e, max(1, cfg.k_max)))
-    for size in range(min(cfg.k_max, len(jobs)), -1, -1):
-        for subset in combinations(jobs, size):
-            for pins in _assignments(inst, subset, rin.pinned, s, e):
-                for cells in partitions:
-                    yield pins, cells
+
+    return guesses
 
 
-def _recurse(inst, rin, cfg, guesses, stats, traces=None):
+def exhaustive_guesses(inst, k_max):
+    """Guess source that pins every subset of at most k_max jobs.
+
+    Each subset is pinned at every consistent slot, on every integer-boundary
+    partition of the interval into at most max(1, k_max) cells. Pin sets come
+    largest-first, so the fully pinned branch, whose zero discards end the
+    search early, is tried before anything else; within a size, subsets
+    ascend lexicographically and slots ascend per job.
+    """
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+
+    def guesses(rin):
+        s, e = rin.interval
+        jobs = sorted(rin.jobs)
+        partitions = list(_partitions(s, e, max(1, k_max)))
+        for size in range(min(k_max, len(jobs)), -1, -1):
+            for subset in combinations(jobs, size):
+                for pins in _assignments(inst, subset, rin.pinned, s, e):
+                    for cells in partitions:
+                        yield pins, cells
+
+    return guesses
+
+
+def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
     """Best (starts, discards) over the guesses the source yields for rin.
 
     When traces is a list, the winning guess's CallTraces (its children's,
@@ -367,7 +352,7 @@ def _recurse(inst, rin, cfg, guesses, stats, traces=None):
         # window exactly [s, s+1), so a single EDF step settles them.
         tops = [TopWindow(j, s, e) for j in sorted(rin.jobs)]
         return edf_insert(inst, tops, _loads(rin.pinned.values(), s, e), s, e)
-    if rin.depth >= cfg.depth_max:
+    if rin.depth >= depth_max:
         return {}, set(rin.jobs)
     best = None
     last_pins = windows = None
@@ -391,7 +376,7 @@ def _recurse(inst, rin, cfg, guesses, stats, traces=None):
             if not sub:
                 continue
             child = RecursionInput(cell, frozenset(sub), merged, rin.depth + 1)
-            cstarts, cdisc = _recurse(inst, child, cfg, guesses, stats, calls)
+            cstarts, cdisc = _recurse(inst, child, depth_max, guesses, stats, calls)
             starts.update(cstarts)
             disc |= cdisc
         placed_all = {**rin.pinned, **starts}
@@ -429,35 +414,29 @@ def _recurse(inst, rin, cfg, guesses, stats, traces=None):
     return best[0], best[1]
 
 
-def solve(inst: Instance, T: int, cfg: GuessConfig, guesses=None, traces=None) -> SolveResult:
+def solve(inst: Instance, T: int, guesses, depth_max: int, traces=None) -> SolveResult:
     """Best-guess schedule inside horizon T plus the jobs it discarded.
 
     guesses is the guess source, a callable RecursionInput -> iterable of
-    (pins, cells); the default enumerates per cfg (enumerate_guesses), and
-    in laminar mode needs T to be a power of two (see pad_to_power_of_two)
-    and m/eps integral. A caller's source uses only cfg.depth_max. When
-    traces is a list, one CallTrace per non-unit call of the winning guesses
-    is appended to it, children first.
+    (pins, cells), such as laminar_guesses or exhaustive_guesses. depth_max
+    caps recursion depth: a call at the cap discards its whole job set (unit
+    intervals are exempt). When traces is a list, one CallTrace per non-unit
+    call of the winning guesses is appended to it, children first.
 
     Raises InfeasibleHorizon below the longest-chain bound. The result
     schedule keeps horizon T even when the last busy slot is earlier;
     insert_discarded extends it by one per discard.
     """
+    if depth_max < 1:
+        raise ValueError(f"depth_max must be >= 1, got {depth_max}")
     stats = SolveStats()
     if inst.n == 0:
         return SolveResult(Schedule({}, T), frozenset(), stats)
-    if T < longest_chain(inst):
-        raise InfeasibleHorizon(
-            f"horizon {T} is below the chain bound {longest_chain(inst)}"
-        )
-    if guesses is None:
-        fam = None
-        if cfg.partition_mode == "laminar":
-            stride_of(inst.m, cfg.eps)
-            fam = build_laminar(T, max(inst.n, 2), cfg.eps)
-        guesses = lambda rin: enumerate_guesses(inst, rin, cfg, fam)
+    chain = longest_chain(inst)
+    if T < chain:
+        raise InfeasibleHorizon(f"horizon {T} is below the chain bound {chain}")
     root = RecursionInput((0, T), frozenset(range(inst.n)), {}, 0)
-    starts, disc = _recurse(inst, root, cfg, guesses, stats, traces)
+    starts, disc = _recurse(inst, root, depth_max, guesses, stats, traces)
     sched = Schedule(starts, T)
     report = validate_schedule(inst, sched)
     if not report.feasible or set(starts) & disc or set(starts) | disc != set(range(inst.n)):

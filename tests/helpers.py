@@ -7,7 +7,9 @@ do not inherit implementation bugs.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from itertools import combinations, permutations, product
 
 
@@ -201,6 +203,94 @@ def ref_feasible_window(inst, j, pinned, T):
         if s is not None and s < hi:
             hi = s
     return lo, hi
+
+
+def _ref_longest_chain(inst, flex):
+    """A longest chain inside flex: smallest head, then smallest next job."""
+    length = {}
+
+    def depth(j):
+        if j not in length:
+            below = [depth(v) for v in _mask_bits(inst.succ_masks[j]) if v in flex]
+            length[j] = 1 + max(below, default=0)
+        return length[j]
+
+    best = max((depth(j) for j in flex), default=0)
+    if not best:
+        return []
+    path = [min(j for j in flex if length[j] == best)]
+    while length[path[-1]] > 1:
+        cur = path[-1]
+        path.append(
+            min(v for v in _mask_bits(inst.succ_masks[cur]) if v in flex and length[v] == length[cur] - 1)
+        )
+    return path
+
+
+def ref_assign_levels(inst, opt, fam, eps):
+    """(guess, top) tables of the level assignment, tracking windows per pin.
+
+    The bookkeeping the package used before windows came from the pinned
+    mask: every job keeps lo/hi, and each pin tightens those of all its
+    successors and predecessors. Reads only fam's T and level lengths.
+    """
+    n, m, T = inst.n, inst.m, fam.T
+    eps = Fraction(eps)
+    scale = 1 << math.ceil(math.log2(math.log2(n))) if n > 2 else 1
+    slot = opt.start
+    lo, hi = [0] * n, [T] * n
+    assigned = set()
+    guess, top = {}, {}
+
+    def pin(x):
+        assigned.add(x)
+        for v in _mask_bits(inst.succ_masks[x]):
+            lo[v] = max(lo[v], slot[x] + 1)
+        for u in _mask_bits(inst.pred_masks[x]):
+            hi[u] = min(hi[u], slot[x])
+
+    lengths = fam.level_lengths
+    for level, length in enumerate(lengths):
+        lo_snap, hi_snap = lo[:], hi[:]
+        for start in range(0, T, length):
+            end = start + length
+            pool = [
+                j
+                for j in range(n)
+                if j not in assigned and lo_snap[j] >= start and hi_snap[j] <= end
+            ]
+            if not pool:
+                continue
+            if level == len(lengths) - 1:
+                top.setdefault(level, {})[(start, end)] = frozenset(pool)
+                assigned.update(pool)
+                continue
+            child = lengths[level + 1]
+
+            def flexible():
+                return {
+                    j
+                    for j in pool
+                    if j not in assigned and (hi[j] - 1 - start) // child > (lo[j] - start) // child
+                }
+
+            guessed = set()
+            while True:
+                chain = _ref_longest_chain(inst, flexible())
+                if not chain or len(chain) * m * scale < eps * length:
+                    break
+                for c in range(start, end, child):
+                    inside = sorted((j for j in chain if c <= slot[j] < c + child), key=slot.get)
+                    for x in inside[:1] + inside[-1:]:
+                        guessed.add(x)
+                        pin(x)
+            if guessed:
+                guess.setdefault(level, {})[(start, end)] = frozenset(guessed)
+            tops = flexible()
+            if tops:
+                top.setdefault(level, {})[(start, end)] = frozenset(tops)
+                assigned.update(tops)
+    return guess, top
 
 
 def ref_classify(inst, jobs, pinned_new, cells, pinned_old):

@@ -20,7 +20,7 @@ from precsched.generators import GeneratorSpec, generate, standard_corpus
 from precsched.laminar import default_depth_max, pad_to_power_of_two
 from precsched.model import build_instance, validate_schedule
 from precsched.oracle import EXACT_CAP, optimal_makespan
-from precsched.qptas import GuessConfig, insert_discarded, solve
+from precsched.qptas import exhaustive_guesses, insert_discarded, laminar_guesses, solve
 from precsched.textio import emit_instance
 
 CORPUS = standard_corpus()
@@ -107,13 +107,7 @@ def test_criterion_4_exhaustive_solve_exact(capsys):
         if inst.n > 9:
             continue
         T = OPT[cid]
-        cfg = GuessConfig(
-            k_max=inst.n,
-            partition_mode="exhaustive",
-            depth_max=1,
-            eps=Fraction(1),
-        )
-        result = solve(inst, T, cfg)
+        result = solve(inst, T, exhaustive_guesses(inst, inst.n), 1)
         assert result.discarded == frozenset(), cid
         assert result.schedule.makespan() == T, cid
         assert result.schedule.horizon == T, cid
@@ -126,33 +120,17 @@ def test_criterion_5_feasibility_and_accounting(capsys):
     for cid, inst in CORPUS:
         runs = []
         if inst.n <= 9:
-            cfg = GuessConfig(
-                k_max=inst.n,
-                partition_mode="exhaustive",
-                depth_max=1,
-                eps=Fraction(1),
-            )
-            runs.append((inst, OPT[cid], cfg))
+            runs.append(("exhaustive", inst, OPT[cid], exhaustive_guesses(inst, inst.n), 1))
         padded, tstar = pad_to_power_of_two(inst, OPT[cid])
+        laminar = laminar_guesses(padded, tstar, Fraction(1))
         for depth_max in (1, default_depth_max(padded.n, padded.m, 1)):
-            runs.append(
-                (
-                    padded,
-                    tstar,
-                    GuessConfig(
-                        k_max=0,
-                        partition_mode="laminar",
-                        depth_max=depth_max,
-                        eps=Fraction(1),
-                    ),
-                )
-            )
-        for target, T, cfg in runs:
-            result = solve(target, T, cfg)
+            runs.append(("laminar", padded, tstar, laminar, depth_max))
+        for mode, target, T, guesses, depth_max in runs:
+            result = solve(target, T, guesses, depth_max)
             final = insert_discarded(target, result.schedule, result.discarded)
             report = validate_schedule(target, final)
-            assert report.feasible and report.complete, (cid, cfg.partition_mode)
-            assert final.horizon == T + len(result.discarded), (cid, cfg.partition_mode)
+            assert report.feasible and report.complete, (cid, mode)
+            assert final.horizon == T + len(result.discarded), (cid, mode)
             invocations += 1
     _conclude(capsys, 5, "accounting", True, f"{invocations} solve invocations")
 

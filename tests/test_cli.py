@@ -109,6 +109,18 @@ def test_solve_infeasible_horizon_exits_1(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, rc", [("laminar", 2), ("exhaustive", 1)])
+def test_solve_qptas_checks_eps_before_the_chain_bound(tmp_path, capsys, mode, rc):
+    # Laminar mode needs m/eps integral, a usage error its guess source
+    # reports before solve compares the horizon with the chain bound;
+    # exhaustive mode has no such condition and meets the bound.
+    inst = tmp_path / "chain3.inst"
+    inst.write_text(emit_instance(build_instance(3, 1, [(0, 1), (1, 2)])))
+    argv = ["solve", "--input", str(inst), "--alg", "qptas", "--mode", mode]
+    assert main([*argv, "--eps", "2/3", "--horizon", "2"]) == rc
+    assert capsys.readouterr().err.startswith("error: " if rc == 2 else "infeasible: ")
+
+
 @pytest.mark.parametrize(
     "extra",
     [
@@ -400,8 +412,11 @@ def _instance_texts(draw):
 @given(_instance_texts(), st.sampled_from(["auto", "1", "3"]))
 def test_any_instance_text_keeps_the_exit_code_contract(tmp_path, capsys, text, horizon):
     # parse -> solve (every algorithm) -> verify exits 0, 1 or 2 and never
-    # raises; a schedule that solve wrote verifies clean.
-    inst = tmp_path / "fuzz.inst"
+    # raises; a schedule that solve wrote verifies clean. So do bench and
+    # audit on a corpus of this one file, and analyze levels.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir(exist_ok=True)
+    inst = corpus / "fuzz.inst"
     inst.write_text(text)
     sched = tmp_path / "fuzz.sched"
     exhaustive = ["--alg", "qptas", "--mode", "exhaustive"]
@@ -424,6 +439,11 @@ def test_any_instance_text_keeps_the_exit_code_contract(tmp_path, capsys, text, 
             assert not sched.exists()
             assert main(["verify", "--input", str(inst), "--schedule", str(sched)]) in (1, 2)
         assert "Traceback" not in capsys.readouterr().err
+    for eps in ("1", "2/3"):
+        for argv in (["bench", "--input", str(corpus)], ["audit", "--input", str(corpus)],
+                     ["analyze", "levels", "--input", str(inst)]):
+            assert main([*argv, "--eps", eps, "--output", str(sched)]) in (0, 1, 2)
+            assert "Traceback" not in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from precsched.laminar import (
@@ -20,10 +20,11 @@ from precsched.laminar import (
     pad_to_power_of_two,
     analysis_depth_limit,
 )
+from precsched.generators import GeneratorSpec, generate
 from precsched.model import Schedule, build_instance
-from precsched.oracle import optimal_makespan, optimal_schedule
+from precsched.oracle import EXACT_CAP, optimal_makespan, optimal_schedule
 
-from helpers import pairs
+from helpers import pairs, ref_assign_levels
 
 
 def test_family_sixteen_jobs_eps_one():
@@ -235,3 +236,30 @@ def test_assignment_partitions_jobs_once_each(case):
             for level in range(b + 1, fam.level_count(), stride)
         )
         assert other >= count
+
+
+@st.composite
+def _generated(draw):
+    """A random_order or layered instance with 2 <= n <= 10."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    m = draw(st.integers(min_value=1, max_value=3))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    edge_prob = draw(st.sampled_from([0.1, 0.3, 0.5, 0.8]))
+    if draw(st.booleans()):
+        return generate(GeneratorSpec("random_order", n, m, seed=seed, edge_prob=edge_prob))
+    layers = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    return generate(
+        GeneratorSpec("layered", n, m, seed=seed, layers=layers, width=n // layers, edge_prob=edge_prob)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generated(), st.sampled_from([Fraction(1), Fraction(1, 2)]))
+def test_assign_levels_matches_the_per_pin_reference(inst, eps):
+    padded, tstar = pad_to_power_of_two(inst, optimal_makespan(inst))
+    # Long chains at m = 3 pad past the oracle's cap.
+    assume(padded.n <= EXACT_CAP)
+    opt = optimal_schedule(padded)
+    fam = build_laminar(tstar, padded.n, eps)
+    assign = assign_levels(padded, opt, fam, eps)
+    assert (assign.guess, assign.top) == ref_assign_levels(padded, opt, fam, eps)

@@ -1,4 +1,4 @@
-"""Guess enumeration, classification, EDF placement, solve, and repair."""
+"""Guess sources, classification, EDF placement, solve, and repair."""
 
 from fractions import Fraction
 
@@ -20,29 +20,20 @@ from precsched.model import Schedule, build_instance, validate_schedule
 from precsched.oracle import optimal_makespan
 from precsched.qptas import (
     EdfTrace,
-    GuessConfig,
     InfeasibleHorizon,
     NoSlot,
     RecursionInput,
     TopWindow,
     classify,
     edf_insert,
-    enumerate_guesses,
+    exhaustive_guesses,
     insert_discarded,
+    laminar_guesses,
     solve,
     windows_for_top,
 )
 
 DIAMOND = [(0, 1), (0, 2), (1, 3), (2, 3)]
-
-
-def _exhaustive(k_max, depth_max=1, eps=1):
-    return GuessConfig(
-        k_max=k_max,
-        partition_mode="exhaustive",
-        depth_max=depth_max,
-        eps=eps,
-    )
 
 
 def test_top_window_degeneracy():
@@ -51,17 +42,16 @@ def test_top_window_degeneracy():
     assert TopWindow(0, 5, 4).degenerate
 
 
-def test_guess_config_validation():
+def test_guess_sources_and_solve_validate_their_arguments():
+    inst = build_instance(2, 1, [])
     with pytest.raises(ValueError):
-        GuessConfig(k_max=-1)
+        exhaustive_guesses(inst, -1)
     with pytest.raises(ValueError):
-        GuessConfig(depth_max=0)
-    with pytest.raises(ValueError):
-        GuessConfig(partition_mode="spiral")
+        solve(inst, 2, exhaustive_guesses(inst, 0), 0)
     with pytest.raises(BadEps):
-        GuessConfig(eps=0)
+        laminar_guesses(inst, 2, 0)
     with pytest.raises(ValueError):
-        GuessConfig(offset=-1)
+        laminar_guesses(inst, 2, 1, offset=-1)
 
 
 def test_classify_one_cell_means_all_bottom():
@@ -227,7 +217,7 @@ def test_edf_matches_the_per_predecessor_reference(case):
 def test_enumeration_count_matches_the_forced_example():
     inst = build_instance(1, 1, [])
     rin = RecursionInput((0, 2), frozenset({0}), {}, 0)
-    got = list(enumerate_guesses(inst, rin, _exhaustive(k_max=1)))
+    got = list(exhaustive_guesses(inst, 1)(rin))
     assert got == [
         ({0: 0}, [(0, 2)]),
         ({0: 1}, [(0, 2)]),
@@ -237,10 +227,8 @@ def test_enumeration_count_matches_the_forced_example():
 
 def test_enumeration_laminar_k0_yields_one_guess():
     inst = build_instance(4, 1, [(i, i + 1) for i in range(3)])
-    fam = build_laminar(4, 4, 1)
     rin = RecursionInput((0, 4), frozenset(range(4)), {}, 0)
-    cfg = GuessConfig(k_max=0, partition_mode="laminar", depth_max=3, eps=1)
-    got = list(enumerate_guesses(inst, rin, cfg, fam))
+    got = list(laminar_guesses(inst, 4, 1)(rin))
     assert got == [({}, [(0, 2), (2, 4)])]
 
 
@@ -259,7 +247,7 @@ def test_partition_level_gives_the_cell_length_per_depth():
 def test_solve_exhaustive_pins_everything_first():
     inst = build_instance(4, 2, DIAMOND)
     assert optimal_makespan(inst) == 3
-    res = solve(inst, 3, _exhaustive(k_max=4))
+    res = solve(inst, 3, exhaustive_guesses(inst, 4), 1)
     assert res.discarded == frozenset()
     assert res.schedule.start == {0: 0, 1: 1, 2: 1, 3: 2}
     assert res.schedule.horizon == 3 and res.schedule.makespan() == 3
@@ -269,15 +257,14 @@ def test_solve_exhaustive_pins_everything_first():
 def test_solve_exhaustive_chain_plus_free_jobs():
     inst = build_instance(6, 2, [(3, 4), (4, 5)])
     assert optimal_makespan(inst) == 3
-    res = solve(inst, 3, _exhaustive(k_max=6))
+    res = solve(inst, 3, exhaustive_guesses(inst, 6), 1)
     assert res.discarded == frozenset()
     assert res.schedule.makespan() == 3
 
 
 def test_solve_laminar_antichain_all_top():
     inst = build_instance(8, 2, [])
-    cfg = GuessConfig(k_max=0, partition_mode="laminar", depth_max=2, eps=1)
-    res = solve(inst, 4, cfg)
+    res = solve(inst, 4, laminar_guesses(inst, 4, 1), 2)
     assert res.discarded == frozenset()
     assert res.schedule.start == {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
     assert res.stats.guesses_explored == 1
@@ -285,8 +272,7 @@ def test_solve_laminar_antichain_all_top():
 
 def test_solve_laminar_chain_rides_the_edf():
     inst = build_instance(4, 1, [(i, i + 1) for i in range(3)])
-    cfg = GuessConfig(k_max=0, partition_mode="laminar", depth_max=2, eps=1)
-    res = solve(inst, 4, cfg)
+    res = solve(inst, 4, laminar_guesses(inst, 4, 1), 2)
     assert res.discarded == frozenset()
     assert res.schedule.start == {0: 0, 1: 1, 2: 2, 3: 3}
 
@@ -295,7 +281,7 @@ def test_solve_depth_cap_discards_the_call():
     # Single-cell exhaustive partitions make no progress, so the capped child
     # call hands its whole job set back as discards.
     inst = build_instance(6, 2, [])
-    res = solve(inst, 3, _exhaustive(k_max=0))
+    res = solve(inst, 3, exhaustive_guesses(inst, 0), 1)
     assert res.discarded == frozenset(range(6))
     assert res.schedule.start == {}
     assert res.schedule.horizon == 3
@@ -303,35 +289,32 @@ def test_solve_depth_cap_discards_the_call():
 
 def test_solve_single_job_unit_horizon():
     inst = build_instance(1, 1, [])
-    cfg = GuessConfig(k_max=0, partition_mode="laminar", depth_max=1, eps=1)
-    res = solve(inst, 1, cfg)
+    res = solve(inst, 1, laminar_guesses(inst, 1, 1), 1)
     assert res.schedule.start == {0: 0} and res.discarded == frozenset()
 
 
 def test_solve_empty_instance():
     inst = build_instance(0, 2, [])
-    res = solve(inst, 4, GuessConfig(k_max=0, depth_max=1, eps=1))
+    res = solve(inst, 4, laminar_guesses(inst, 4, 1), 1)
     assert res.schedule.start == {} and res.schedule.horizon == 4
 
 
 def test_solve_horizon_below_chain_bound():
     inst = build_instance(3, 2, [(0, 1), (1, 2)])
     with pytest.raises(InfeasibleHorizon):
-        solve(inst, 2, _exhaustive(k_max=3))
+        solve(inst, 2, exhaustive_guesses(inst, 3), 1)
 
 
 def test_solve_laminar_rejects_ragged_horizons():
     inst = build_instance(3, 2, [])
-    cfg = GuessConfig(k_max=0, partition_mode="laminar", depth_max=2, eps=1)
     with pytest.raises(BadHorizon):
-        solve(inst, 3, cfg)
+        laminar_guesses(inst, 3, 1)
 
 
 def test_solve_laminar_needs_integer_stride():
     inst = build_instance(3, 1, [])
-    cfg = GuessConfig(k_max=0, partition_mode="laminar", depth_max=2, eps=Fraction(2, 3))
     with pytest.raises(BadEps):
-        solve(inst, 4, cfg)
+        laminar_guesses(inst, 4, Fraction(2, 3))
 
 
 def test_insert_discarded_noop():
@@ -384,7 +367,7 @@ def test_exhaustive_solve_at_opt_discards_nothing(case):
     n, edges, m = case
     inst = build_instance(n, m, edges)
     T = optimal_makespan(inst)
-    res = solve(inst, T, _exhaustive(k_max=n))
+    res = solve(inst, T, exhaustive_guesses(inst, n), 1)
     assert res.discarded == frozenset()
     assert res.schedule.makespan() == T
     report = validate_schedule(inst, res.schedule)
@@ -398,14 +381,9 @@ def test_laminar_solve_plus_repair_is_always_complete(case):
     inst = build_instance(n, m, edges)
     T = optimal_makespan(inst)
     padded, tstar = pad_to_power_of_two(inst, T)
-    cfg = GuessConfig(
-        k_max=0,
-        partition_mode="laminar",
-        depth_max=default_depth_max(padded.n, m, 1),
-        eps=1,
-    )
-    res = solve(padded, tstar, cfg)
-    again = solve(padded, tstar, cfg)
+    depth_max = default_depth_max(padded.n, m, 1)
+    res = solve(padded, tstar, laminar_guesses(padded, tstar, 1), depth_max)
+    again = solve(padded, tstar, laminar_guesses(padded, tstar, 1), depth_max)
     assert (res.schedule.start, res.discarded) == (again.schedule.start, again.discarded)
     full = insert_discarded(padded, res.schedule, res.discarded)
     report = validate_schedule(padded, full)
@@ -422,13 +400,13 @@ def test_tracing_leaves_the_solve_result_unchanged(case, k_max, slack):
     T = optimal_makespan(inst)
     padded, tstar = pad_to_power_of_two(inst, T)
     runs = [
-        (inst, T + slack, _exhaustive(k_max=min(k_max, n), depth_max=2)),
-        (padded, tstar, GuessConfig(depth_max=default_depth_max(padded.n, m, 1))),
+        (inst, T + slack, exhaustive_guesses(inst, min(k_max, n)), 2),
+        (padded, tstar, laminar_guesses(padded, tstar, 1), default_depth_max(padded.n, m, 1)),
     ]
-    for target, horizon, cfg in runs:
+    for target, horizon, guesses, depth_max in runs:
         traces = []
-        res = solve(target, horizon, cfg, traces=traces)
-        assert res == solve(target, horizon, cfg)
+        res = solve(target, horizon, guesses, depth_max, traces=traces)
+        assert res == solve(target, horizon, guesses, depth_max)
         # Only the winning guesses' calls are traced: each (depth, interval)
         # once, and their pins and placements are the result's.
         assert len({(tr.depth, tr.interval) for tr in traces}) == len(traces)

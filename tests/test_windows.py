@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 from helpers import ref_classify, ref_feasible_window, ref_windows_for_top
 from precsched.laminar import EmptyWindow, feasible_window, feasible_windows
 from precsched.model import build_instance, longest_chain
-from precsched.qptas import (
-    GuessConfig,
-    classify,
-    enumerate_guesses,
-    solve,
-    windows_for_top,
-)
+from precsched.qptas import classify, exhaustive_guesses, solve, windows_for_top
 
 
 @st.composite
@@ -105,12 +99,12 @@ def test_exhaustive_solve_does_not_depend_on_pin_identity(inst, k_max, depth_max
     # Wrapping every pin set in a fresh dict defeats any reuse keyed on
     # object identity; the windows must be reused on equal pins alone.
     T = max(-(-inst.n // inst.m), longest_chain(inst)) + slack
-    cfg = GuessConfig(k_max=k_max, partition_mode="exhaustive", depth_max=depth_max)
+    guesses = exhaustive_guesses(inst, k_max)
 
     def fresh(rin):
-        return ((dict(pins), cells) for pins, cells in enumerate_guesses(inst, rin, cfg))
+        return ((dict(pins), cells) for pins, cells in guesses(rin))
 
     plain_traces, fresh_traces = [], []
-    plain = solve(inst, T, cfg, traces=plain_traces)
-    assert solve(inst, T, cfg, guesses=fresh, traces=fresh_traces) == plain
+    plain = solve(inst, T, guesses, depth_max, traces=plain_traces)
+    assert solve(inst, T, fresh, depth_max, traces=fresh_traces) == plain
     assert fresh_traces == plain_traces
