@@ -26,7 +26,6 @@ from .generators import (
     GeneratorSpec,
     corpus_id,
     generate,
-    standard_corpus,
     _STANDARD,
 )
 from .laminar import (

@@ -15,7 +15,12 @@ Windows come from masks: a job's pinned window walks only the bits of its
 predecessor and successor masks that are pinned, and a top window only the
 bits that are placed, so no hot loop walks the whole closure. The pinned
 windows depend on the pins alone, so _recurse computes them once per pin
-set and splits them by cells for every guess that carries those pins.
+set, grouped as {(lo, hi): job mask}, and splits the groups by cells for
+every guess that carries those pins: one bisect per distinct window, and
+one group in all when nothing is pinned. Discards only grow once a guess's
+cells have returned, so a guess whose cells already discard as many jobs as
+the best guess so far stops there, before its tops are windowed and swept;
+it could not win, and it explores no further guesses either way.
 
 The recursion (_recurse) takes its guesses from a guess source, a callable
 RecursionInput -> iterable of (pins, cells), which solve's caller supplies.
@@ -36,7 +41,6 @@ from .laminar import (
     EmptyWindow,
     build_laminar,
     check_eps,
-    feasible_window,
     feasible_windows,
     partition_level,
     stride_of,
@@ -124,7 +128,7 @@ def _loads(slots, s, e):
 
 
 def pin_windows(inst, jobs, pinned_new, merged, end):
-    """Window [lo, hi) of every job under all pins, keyed by job.
+    """Jobs grouped by their window [lo, hi) under all pins: {(lo, hi): job mask}.
 
     merged holds every pin, pinned_new's included. A job pinned by
     pinned_new gets its own slot [t, t + 1); every other job gets
@@ -133,39 +137,46 @@ def pin_windows(inst, jobs, pinned_new, merged, end):
     recursion call computes them once per pin set. Raises EmptyWindow when
     the pins squeeze some job out entirely.
     """
-    free = sorted(j for j in jobs if j not in pinned_new)
-    windows = dict(zip(free, feasible_windows(inst, free, merged, end)))
+    free = [j for j in jobs if j not in pinned_new]
+    groups: dict[tuple[int, int], int] = {}
+    for j, w in zip(free, feasible_windows(inst, free, merged, end)):
+        groups[w] = groups.get(w, 0) | 1 << j
     for j, t in pinned_new.items():
         if j in jobs:
-            windows[j] = (t, t + 1)
-    return windows
+            groups[t, t + 1] = groups.get((t, t + 1), 0) | 1 << j
+    return groups
 
 
-def split_by_cells(windows, cells):
-    """(bottom per cell, top): a window inside one cell is bottom, else top."""
+def split_by_cells(groups, cells):
+    """(bottom mask per cell, top mask) from pin_windows' groups.
+
+    A window inside one cell is bottom, else top; one bisect per distinct
+    window, not per job.
+    """
     starts = [c[0] for c in cells]
-    bottom: dict[tuple[int, int], set[JobId]] = {c: set() for c in cells}
-    top: set[JobId] = set()
-    for j, (lo, hi) in windows.items():
+    bottom = dict.fromkeys(cells, 0)
+    top = 0
+    for (lo, hi), mask in groups.items():
         cell = cells[bisect_right(starts, lo) - 1]
         if hi <= cell[1]:
-            bottom[cell].add(j)
+            bottom[cell] |= mask
         else:
-            top.add(j)
-    return {c: frozenset(v) for c, v in bottom.items()}, frozenset(top)
+            top |= mask
+    return bottom, top
 
 
 def classify(inst, jobs, pinned_new, cells, pinned_old):
     """Split jobs into bottom-per-cell and top by feasible window.
 
-    pin_windows then split_by_cells: the windows come from the pinned mask
-    (see feasible_windows), and _recurse computes them once per pin set. A
-    pinned job counts as bottom of the cell holding its slot. Raises
-    EmptyWindow when the combined pins squeeze some job out entirely, which
-    prunes the guess.
+    pin_windows then split_by_cells, with the masks turned into frozensets;
+    _recurse runs the same two steps, the first once per pin set. A pinned
+    job counts as bottom of the cell holding its slot. Raises EmptyWindow
+    when the combined pins squeeze some job out entirely, which prunes the
+    guess.
     """
     merged = {**pinned_old, **pinned_new}
-    return split_by_cells(pin_windows(inst, jobs, pinned_new, merged, cells[-1][1]), cells)
+    bottom, top = split_by_cells(pin_windows(inst, jobs, pinned_new, merged, cells[-1][1]), cells)
+    return {c: frozenset(_bits(v)) for c, v in bottom.items()}, frozenset(_bits(top))
 
 
 def windows_for_top(inst, top, cells, placed):
@@ -252,30 +263,55 @@ def edf_insert(inst, tops, occupancy, start, end, trace=None):
 
 
 def _assignments(inst, subset, base_pins, s, e):
-    """All consistent slot assignments for subset, DFS, slots ascending."""
+    """All consistent slot assignments for subset, DFS, slots ascending.
+
+    The merged pins and their mask grow and shrink with the DFS, so each
+    step walks only the pinned bits of its job's masks (as feasible_windows
+    does) and nothing is rebuilt per step.
+    """
+    pred_masks, succ_masks, m = inst.pred_masks, inst.succ_masks, inst.m
     occ = _loads(base_pins.values(), s, e)
+    merged = dict(base_pins)
+    base_mask = 0
+    for p in base_pins:
+        base_mask |= 1 << p
     chosen: dict[JobId, int] = {}
 
-    def rec(i):
+    def rec(i, pinned_mask):
         if i == len(subset):
             yield dict(chosen)
             return
         j = subset[i]
-        merged = {**base_pins, **chosen}
-        try:
-            lo, hi = feasible_window(inst, j, merged, e)
-        except EmptyWindow:
-            return
-        for t in range(max(lo, s), hi):
-            if occ.get(t, 0) >= inst.m:
+        lo, hi = s, e
+        mask = pred_masks[j] & pinned_mask
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            t = merged[low.bit_length() - 1] + 1
+            if t > lo:
+                lo = t
+        mask = succ_masks[j] & pinned_mask
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            t = merged[low.bit_length() - 1]
+            if t < hi:
+                hi = t
+        inner = pinned_mask | 1 << j
+        for t in range(lo, hi):
+            if occ.get(t, 0) >= m:
                 continue
-            chosen[j] = t
+            chosen[j] = merged[j] = t
             occ[t] = occ.get(t, 0) + 1
-            yield from rec(i + 1)
+            yield from rec(i + 1, inner)
             occ[t] -= 1
             del chosen[j]
+        # merged is read only at pinned bits, so a slot left behind is never
+        # seen, except that of a job in subset and base_pins both.
+        if j in base_pins:
+            merged[j] = base_pins[j]
 
-    yield from rec(0)
+    yield from rec(0, base_mask)
 
 
 def _partitions(s, e, cells_cap):
@@ -339,10 +375,11 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
     """Best (starts, discards) over the guesses the source yields for rin.
 
     When traces is a list, the winning guess's CallTraces (its children's,
-    then its own) are appended to it; otherwise no trace is built. The pin
-    windows (or their EmptyWindow prune) are kept while consecutive guesses
-    carry equal pins, since the cells, which partition the interval, do not
-    change them.
+    then its own) are appended to it; otherwise no trace is built. The
+    grouped pin windows (or their EmptyWindow prune) and the pins' mask are
+    kept while consecutive guesses carry equal pins, since the cells, which
+    partition the interval, do not change them. A guess whose cells discard
+    at least as many jobs as the best guess skips its tops.
     """
     s, e = rin.interval
     if not rin.jobs:
@@ -355,30 +392,37 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
     if rin.depth >= depth_max:
         return {}, set(rin.jobs)
     best = None
-    last_pins = windows = None
+    last_pins = groups = None
     for pins, cells in guesses(rin):
         stats.guesses_explored += 1
         if pins != last_pins:
             last_pins = dict(pins)
             merged = {**rin.pinned, **pins}
+            pins_mask = 0
+            for j in pins:
+                pins_mask |= 1 << j
             try:
-                windows = pin_windows(inst, rin.jobs, pins, merged, e)
+                groups = pin_windows(inst, rin.jobs, pins, merged, e)
             except EmptyWindow:
-                windows = None
-        if windows is None:
+                groups = None
+        if groups is None:
             continue
-        bottom, top = split_by_cells(windows, cells)
+        bottom, top_mask = split_by_cells(groups, cells)
         calls = None if traces is None else []
         starts = dict(pins)
         disc: set[JobId] = set()
         for cell in cells:
-            sub = bottom[cell] - pins.keys()
+            sub = bottom[cell] & ~pins_mask
             if not sub:
                 continue
-            child = RecursionInput(cell, frozenset(sub), merged, rin.depth + 1)
+            child = RecursionInput(cell, frozenset(_bits(sub)), merged, rin.depth + 1)
             cstarts, cdisc = _recurse(inst, child, depth_max, guesses, stats, calls)
             starts.update(cstarts)
             disc |= cdisc
+        if best is not None and len(disc) >= len(best[1]):
+            # The tops can only add discards, so this guess cannot win.
+            continue
+        top = frozenset(_bits(top_mask))
         placed_all = {**rin.pinned, **starts}
         top_windows = windows_for_top(inst, top, cells, placed_all)
         edf = None if traces is None else EdfTrace()

@@ -2,7 +2,11 @@
 
 Nothing in here imports the package's algorithms: closure, feasibility and
 optimal makespans are recomputed from first principles so test expectations
-do not inherit implementation bugs.
+do not inherit implementation bugs. The one exception is ref_solve, the
+recursion as it ran before the dominance cutoff and the grouped split: it
+builds the package's trace records and runs its EDF sweep (which
+tests/test_qptas.py checks against its own reference), but classifies and
+windows with the references here.
 """
 
 from __future__ import annotations
@@ -11,6 +15,17 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations, permutations, product
+
+from precsched.model import Schedule
+from precsched.qptas import (
+    CallTrace,
+    EdfTrace,
+    RecursionInput,
+    SolveResult,
+    SolveStats,
+    TopWindow,
+    edf_insert,
+)
 
 
 def close_pairs(n: int, edges) -> frozenset:
@@ -336,3 +351,126 @@ def ref_windows_for_top(inst, top, cells, placed):
         d = ends[i] if i >= 0 else starts[0]
         out.append((j, r, d))
     return out
+
+
+def _ref_loads(slots, s, e):
+    occ = {}
+    for t in slots:
+        if s <= t < e:
+            occ[t] = occ.get(t, 0) + 1
+    return occ
+
+
+def ref_assignments(inst, subset, base_pins, s, e):
+    """Slot assignments for subset in [s, e), DFS, rebuilding the pins per step.
+
+    The exhaustive source's DFS as it was before it carried its pins: every
+    step merges base_pins with the slots chosen so far and walks the job's
+    whole closure masks.
+    """
+    occ = _ref_loads(base_pins.values(), s, e)
+    chosen = {}
+
+    def rec(i):
+        if i == len(subset):
+            yield dict(chosen)
+            return
+        j = subset[i]
+        lo, hi = ref_feasible_window(inst, j, {**base_pins, **chosen}, e)
+        for t in range(max(lo, s), hi):
+            if occ.get(t, 0) >= inst.m:
+                continue
+            chosen[j] = t
+            occ[t] = occ.get(t, 0) + 1
+            yield from rec(i + 1)
+            occ[t] -= 1
+            del chosen[j]
+
+    yield from rec(0)
+
+
+def ref_exhaustive_guesses(inst, k_max):
+    """The exhaustive guess source on ref_assignments, in the package's order."""
+
+    def guesses(rin):
+        s, e = rin.interval
+        jobs = sorted(rin.jobs)
+        partitions = []
+        for b in range(min(max(1, k_max) - 1, e - s - 1), -1, -1):
+            for cuts in combinations(range(s + 1, e), b):
+                bounds = [s, *cuts, e]
+                partitions.append(list(zip(bounds, bounds[1:])))
+        for size in range(min(k_max, len(jobs)), -1, -1):
+            for subset in combinations(jobs, size):
+                for pins in ref_assignments(inst, subset, rin.pinned, s, e):
+                    for cells in partitions:
+                        yield pins, cells
+
+    return guesses
+
+
+def ref_solve(inst, T, guesses, depth_max, traces=None):
+    """SolveResult of the recursion that finishes every guess it explores.
+
+    Classifies each guess with ref_classify and windows its tops with
+    ref_windows_for_top, with no windows kept across guesses and no guess
+    abandoned before its EDF sweep. It skips solve's input checks and final
+    validation.
+    """
+    stats = SolveStats()
+    starts, disc = {}, set()
+    if inst.n:
+        root = RecursionInput((0, T), frozenset(range(inst.n)), {}, 0)
+        starts, disc = _ref_recurse(inst, root, depth_max, guesses, stats, traces)
+    return SolveResult(Schedule(starts, T), frozenset(disc), stats)
+
+
+def _ref_recurse(inst, rin, depth_max, guesses, stats, traces):
+    s, e = rin.interval
+    if not rin.jobs:
+        return {}, set()
+    if e - s == 1:
+        tops = [TopWindow(j, s, e) for j in sorted(rin.jobs)]
+        return edf_insert(inst, tops, _ref_loads(rin.pinned.values(), s, e), s, e)
+    if rin.depth >= depth_max:
+        return {}, set(rin.jobs)
+    best = None
+    for pins, cells in guesses(rin):
+        stats.guesses_explored += 1
+        split = ref_classify(inst, rin.jobs, pins, cells, rin.pinned)
+        if split is None:
+            continue
+        bottom, top = split
+        merged = {**rin.pinned, **pins}
+        calls = None if traces is None else []
+        starts = dict(pins)
+        disc = set()
+        for cell in cells:
+            sub = bottom[cell] - pins.keys()
+            if sub:
+                child = RecursionInput(cell, frozenset(sub), merged, rin.depth + 1)
+                cstarts, cdisc = _ref_recurse(inst, child, depth_max, guesses, stats, calls)
+                starts.update(cstarts)
+                disc |= cdisc
+        placed_all = {**rin.pinned, **starts}
+        windows = [TopWindow(*w) for w in ref_windows_for_top(inst, top, cells, placed_all)]
+        edf = None if traces is None else EdfTrace()
+        tplaced, tdisc = edf_insert(inst, windows, _ref_loads(placed_all.values(), s, e), s, e, edf)
+        starts.update(tplaced)
+        disc |= tdisc
+        if calls is not None:
+            degenerate = frozenset(w.job for w in windows if w.degenerate)
+            calls.append(CallTrace(
+                depth=rin.depth, interval=rin.interval, cells=cells, pins=dict(pins), tops=top,
+                windows=windows, placed_tops=tplaced, edf=edf, degenerate=degenerate,
+                edf_discarded=frozenset(tdisc - degenerate),
+            ))
+        if best is None or len(disc) < len(best[1]):
+            best = (starts, disc, calls)
+            if not disc:
+                break
+    if best is None:
+        return {}, set(rin.jobs)
+    if traces is not None:
+        traces.extend(best[2])
+    return best[0], best[1]

@@ -556,3 +556,26 @@ def test_qptas_solves_match_golden_digests(tmp_path, capsys):
         "exhaustive": _qptas_digest(tmp_path, capsys, exhaustive),
     }
     assert got == GOLDEN_QPTAS
+
+
+# sha256 of deep `solve --alg qptas --mode exhaustive` runs at the lower bound
+# on a full 2x3 layered instance, which is infeasible there: per (depth_max,
+# kmax), the exit code, the `makespan= discarded= explored=` line and the
+# schedule file. At depth >= 2 the children explore guesses of their own, so
+# this pins `explored=` through the recursion.
+GOLDEN_QPTAS_DEEP = "3584d6c3cdf7128c903e94ef049ba73c03d1a6adba18c4c5c8566c60cc43bad0"
+
+
+def test_deep_exhaustive_solves_match_golden_digest(tmp_path, capsys):
+    inst = tmp_path / "layered-06-m2-full.inst"
+    assert main(["gen", "--kind", "layered", "--n", "6", "--m", "2", "--layers", "2",
+                 "--width", "3", "--edge-prob", "1.0", "--seed", "0",
+                 "--output", str(inst)]) == 0
+    parsed = parse_instance(inst.read_text())
+    bound = max(-(-parsed.n // parsed.m), longest_chain(parsed))
+    runs = [
+        (f"d{depth}-k{k}", inst, ["--mode", "exhaustive", "--horizon", str(bound),
+                                  "--depth-max", str(depth), "--kmax", str(k)])
+        for depth, k in ((2, 2), (2, 6), (3, 2))
+    ]
+    assert _qptas_digest(tmp_path, capsys, runs) == GOLDEN_QPTAS_DEEP

@@ -1,19 +1,31 @@
-"""Pinned and top windows from masks, checked against per-bit reference walks."""
+"""Pinned and top windows from masks, checked against per-bit reference walks.
+
+The exhaustive source's slot DFS and the whole recursion are checked the
+same way, against the references that rebuild their pins at every step and
+finish every guess.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ref_classify, ref_feasible_window, ref_windows_for_top
+from helpers import (
+    ref_assignments,
+    ref_classify,
+    ref_exhaustive_guesses,
+    ref_feasible_window,
+    ref_solve,
+    ref_windows_for_top,
+)
 from precsched.laminar import EmptyWindow, feasible_window, feasible_windows
 from precsched.model import build_instance, longest_chain
-from precsched.qptas import classify, exhaustive_guesses, solve, windows_for_top
+from precsched.qptas import _assignments, classify, exhaustive_guesses, solve, windows_for_top
 
 
 @st.composite
-def _closed_dags(draw, max_n=12):
+def _closed_dags(draw, max_n=12, min_n=1):
     """A random DAG on n jobs, relabelled so ids do not follow its order."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True)) if pairs else []
     perm = draw(st.permutations(range(n)))
@@ -108,3 +120,61 @@ def test_exhaustive_solve_does_not_depend_on_pin_identity(inst, k_max, depth_max
     plain = solve(inst, T, guesses, depth_max, traces=plain_traces)
     assert solve(inst, T, fresh, depth_max, traces=fresh_traces) == plain
     assert fresh_traces == plain_traces
+
+
+@settings(max_examples=150, deadline=None)
+@given(_window_cases(), st.data())
+def test_assignments_match_the_rebuilding_dfs(case, data):
+    inst, T, base = case
+    s = data.draw(st.integers(min_value=0, max_value=T - 1))
+    e = data.draw(st.integers(min_value=s + 1, max_value=T))
+    # The subset may overlap the base pins; the DFS's own slot then wins.
+    subset = tuple(data.draw(st.lists(st.sampled_from(range(inst.n)), unique=True, max_size=3)))
+    before = dict(base)
+    got = [list(a.items()) for a in _assignments(inst, subset, base, s, e)]
+    assert got == [list(a.items()) for a in ref_assignments(inst, subset, base, s, e)]
+    assert base == before
+
+
+def test_assignments_give_a_moved_base_pin_its_slot_back():
+    # Job 2 is pinned at 2 and also in the subset. Once the DFS has tried it
+    # at 3 and backs out to move job 0, its predecessor 1 must see slot 2.
+    inst = build_instance(3, 2, [(1, 2)])
+    got = list(_assignments(inst, (0, 1, 2), {2: 2}, 0, 4))
+    assert got == list(ref_assignments(inst, (0, 1, 2), {2: 2}, 0, 4))
+    assert all(a[1] < 2 for a in got)
+
+
+def _budgeted(guesses, limit):
+    """guesses cut off after limit guesses in all, counted across calls."""
+    left = [limit]
+
+    def source(rin):
+        for guess in guesses(rin):
+            if not left[0]:
+                return
+            left[0] -= 1
+            yield guess
+
+    return source
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    _closed_dags(max_n=7, min_n=4),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=1),
+)
+def test_exhaustive_solve_matches_the_reference_recursion(inst, k_max, depth_max, slack):
+    # Infeasible-at-the-bound instances explore 10^5-10^6 guesses at depth 3,
+    # so each side gets the same guess budget. Both explore the same guesses
+    # in the same order, so the budget cuts both at the same guess.
+    T = max(-(-inst.n // inst.m), longest_chain(inst)) + slack
+    got_traces, want_traces = [], []
+    got = solve(inst, T, _budgeted(exhaustive_guesses(inst, k_max), 3000), depth_max, got_traces)
+    want = ref_solve(
+        inst, T, _budgeted(ref_exhaustive_guesses(inst, k_max), 3000), depth_max, want_traces
+    )
+    assert got == want
+    assert got_traces == want_traces
