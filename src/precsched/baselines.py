@@ -3,10 +3,14 @@
 List scheduling sweeps time slots and greedily fills machines with eligible
 jobs in priority order; its makespan is within a factor 2 - 1/m of optimal
 for any priority order (Graham). Coffman-Graham computes a specific
-priority order that is optimal for m = 2.
+priority order that is optimal for m = 2; its labels come from a heap of
+ready jobs keyed by successor-label bitmasks, so labeling walks each closure
+pair once instead of rescanning every unlabeled job per label.
 """
 
 from __future__ import annotations
+
+from heapq import heappop, heappush
 
 from .model import Instance, Schedule
 
@@ -56,33 +60,35 @@ def coffman_graham_labels(inst: Instance) -> list[int]:
     the job whose decreasing-sorted tuple of successor labels is
     lexicographically smallest (ties by smallest JobId) and give it the next
     label. Successor sets come from the closed relation.
+
+    The ready jobs wait in a heap keyed by (key, JobId), where key is the
+    integer sum of 2**label over the job's labeled successors. A job's key is
+    final once its last successor is labeled, which is when it is pushed.
+    Two sets of distinct labels compare as decreasing tuples the way their
+    keys compare: the larger tuple holds the largest label in which the sets
+    differ, and a proper prefix is the smaller. So each round pops the job
+    the tuple rule picks, and labeling it walks only its predecessor bits.
     """
     n = inst.n
+    pred_masks = inst.pred_masks
     label = [0] * n
-    unlabeled = set(range(n))
+    waiting = [mask.bit_count() for mask in inst.succ_masks]
+    key = [0] * n
+    # Sinks in id order with equal keys already form a heap.
+    ready = [(0, j) for j in range(n) if not waiting[j]]
     for next_label in range(1, n + 1):
-        best_j = None
-        best_key = None
-        for j in sorted(unlabeled):
-            succ_labels = []
-            ready = True
-            mask = inst.succ_masks[j]
-            while mask:
-                low = mask & -mask
-                v = low.bit_length() - 1
-                mask ^= low
-                if label[v] == 0:
-                    ready = False
-                    break
-                succ_labels.append(label[v])
-            if not ready:
-                continue
-            key = tuple(sorted(succ_labels, reverse=True))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_j = j
-        label[best_j] = next_label
-        unlabeled.discard(best_j)
+        _, j = heappop(ready)
+        label[j] = next_label
+        bit = 1 << next_label
+        mask = pred_masks[j]
+        while mask:
+            low = mask & -mask
+            p = low.bit_length() - 1
+            mask ^= low
+            key[p] |= bit
+            waiting[p] -= 1
+            if not waiting[p]:
+                heappush(ready, (key[p], p))
     return label
 
 

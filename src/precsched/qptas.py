@@ -379,7 +379,9 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
     grouped pin windows (or their EmptyWindow prune) and the pins' mask are
     kept while consecutive guesses carry equal pins, since the cells, which
     partition the interval, do not change them. A guess whose cells discard
-    at least as many jobs as the best guess skips its tops.
+    at least as many jobs as the best guess skips its tops. A non-unit cell
+    one level above the cap adds its jobs to the discards in place of a
+    child call, which would return exactly those.
     """
     s, e = rin.interval
     if not rin.jobs:
@@ -393,6 +395,7 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
         return {}, set(rin.jobs)
     best = None
     last_pins = groups = None
+    capped = rin.depth + 1 >= depth_max
     for pins, cells in guesses(rin):
         stats.guesses_explored += 1
         if pins != last_pins:
@@ -414,6 +417,11 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
         for cell in cells:
             sub = bottom[cell] & ~pins_mask
             if not sub:
+                continue
+            if capped and cell[1] - cell[0] > 1:
+                # A non-unit child at the cap discards its whole job set
+                # without exploring a guess or recording a trace.
+                disc.update(_bits(sub))
                 continue
             child = RecursionInput(cell, frozenset(_bits(sub)), merged, rin.depth + 1)
             cstarts, cdisc = _recurse(inst, child, depth_max, guesses, stats, calls)

@@ -2,7 +2,9 @@
 
 Nothing in here imports the package's algorithms: closure, feasibility and
 optimal makespans are recomputed from first principles so test expectations
-do not inherit implementation bugs. The one exception is ref_solve, the
+do not inherit implementation bugs. ref_coffman_graham_labels is the
+Coffman-Graham labeling as a round scan over sorted label tuples, the form
+the package used before its ready heap. The one exception is ref_solve, the
 recursion as it ran before the dominance cutoff and the grouped split: it
 builds the package's trace records and runs its EDF sweep (which
 tests/test_qptas.py checks against its own reference), but classifies and
@@ -56,6 +58,30 @@ def cover_pairs(closed) -> frozenset:
         for u, v in closed
         if not any((u, w) in closed and (w, v) in closed for w in jobs)
     )
+
+
+def ref_coffman_graham_labels(inst) -> list[int]:
+    """Coffman-Graham labels 1..n by a full scan per round.
+
+    Each round gives the next label to the unlabeled job, all of whose
+    successors are labeled, with the lexicographically smallest
+    decreasing-sorted tuple of successor labels, ties by smallest id.
+    """
+    n = inst.n
+    label = [0] * n
+    unlabeled = set(range(n))
+    for next_label in range(1, n + 1):
+        best_j = best_key = None
+        for j in sorted(unlabeled):
+            succ_labels = [label[v] for v in _mask_bits(inst.succ_masks[j])]
+            if 0 in succ_labels:
+                continue
+            key = tuple(sorted(succ_labels, reverse=True))
+            if best_key is None or key < best_key:
+                best_key, best_j = key, j
+        label[best_j] = next_label
+        unlabeled.discard(best_j)
+    return label
 
 
 def brute_force_makespan(n: int, m: int, edges) -> int:

@@ -10,7 +10,7 @@ from precsched.baselines import (
 from precsched.model import build_instance, validate_schedule
 from precsched.oracle import optimal_makespan
 
-from helpers import enumerate_poset_classes, pairs
+from helpers import enumerate_poset_classes, pairs, ref_coffman_graham_labels
 
 DIAMOND = [(0, 1), (0, 2), (1, 3), (2, 3)]
 # jobs 0,1,2 independent; 3 -> 4 -> 5 is a chain
@@ -78,6 +78,39 @@ def test_cg_is_optimal_on_two_machines_exhaustive():
             inst = build_instance(n, 2, closed)
             mk = coffman_graham_schedule(inst).makespan()
             assert mk == optimal_makespan(inst), (n, sorted(closed))
+
+
+def test_cg_labels_long_chain():
+    # Each label pushes exactly one job, whose key holds every label so far.
+    n = 2000
+    inst = build_instance(n, 2, [(i, i + 1) for i in range(n - 1)])
+    label = coffman_graham_labels(inst)
+    assert all(label[j] == n - j for j in range(n))
+
+
+@st.composite
+def _relabelled_dags(draw, min_n, max_n, min_m, max_m):
+    """A random DAG on n jobs whose topological order is a random permutation."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    perm = draw(st.permutations(range(n)))
+    cells = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)]
+    picked = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    m = draw(st.integers(min_value=min_m, max_value=max_m))
+    return build_instance(n, m, [c for c, on in zip(cells, picked) if on])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relabelled_dags(0, 14, 1, 4))
+def test_cg_labels_match_round_scan_reference(inst):
+    assert coffman_graham_labels(inst) == ref_coffman_graham_labels(inst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_relabelled_dags(7, 12, 2, 2))
+def test_cg_is_optimal_on_two_machines_random(inst):
+    # Beyond the exhaustive n <= 6 above, sampled.
+    mk = coffman_graham_schedule(inst).makespan()
+    assert mk == optimal_makespan(inst)
 
 
 @st.composite

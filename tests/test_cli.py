@@ -579,3 +579,37 @@ def test_deep_exhaustive_solves_match_golden_digest(tmp_path, capsys):
         for depth, k in ((2, 2), (2, 6), (3, 2))
     ]
     assert _qptas_digest(tmp_path, capsys, runs) == GOLDEN_QPTAS_DEEP
+
+
+# sha256 of the baseline solves, `solve --alg cg`, `--alg ls` and `--alg ls
+# --order cg`, per instance: name, exit code and the schedule file. They run
+# over the standard corpus, the two layered instances of GOLDEN_QPTAS and one
+# layered instance at n = 800, so the Coffman-Graham tie-break is pinned at
+# scale and not only through bench's makespans.
+GOLDEN_BASELINES = "64fd0421807bff755794a1f34a48ce9418bd2e972fd7935f15e0d04e3eff3c42"
+
+_BASELINE_RUNS = (
+    ("cg", ["--alg", "cg"]),
+    ("ls", ["--alg", "ls"]),
+    ("ls-cg", ["--alg", "ls", "--order", "cg"]),
+)
+
+
+def test_baseline_solves_match_golden_digest(tmp_path, capsys):
+    corp = _gen_corpus(tmp_path)
+    specs = (
+        *_QPTAS_LAYERED,
+        GeneratorSpec("layered", 800, 4, seed=3, layers=20, width=40, edge_prob=0.05),
+    )
+    for i, spec in enumerate(specs):
+        (corp / f"layered-gen-{i}.inst").write_text(emit_instance(generate(spec)))
+    out = tmp_path / "out.sched"
+    digest = hashlib.sha256()
+    for path in sorted(corp.glob("*.inst")):
+        for tag, argv in _BASELINE_RUNS:
+            rc = main(["solve", "--input", str(path), *argv, "--output", str(out)])
+            digest.update(f"{path.stem} {tag} {rc}\n".encode())
+            if rc == 0:
+                digest.update(out.read_bytes())
+    capsys.readouterr()
+    assert digest.hexdigest() == GOLDEN_BASELINES
