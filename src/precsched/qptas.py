@@ -379,9 +379,9 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
     grouped pin windows (or their EmptyWindow prune) and the pins' mask are
     kept while consecutive guesses carry equal pins, since the cells, which
     partition the interval, do not change them. A guess whose cells discard
-    at least as many jobs as the best guess skips its tops. A non-unit cell
-    one level above the cap adds its jobs to the discards in place of a
-    child call, which would return exactly those.
+    at least as many jobs as the best guess skips its tops. rin.depth is
+    below depth_max; a child at depth_max gets no call and discards its
+    jobs, unless its cell is a unit interval, which one EDF step settles.
     """
     s, e = rin.interval
     if not rin.jobs:
@@ -391,8 +391,6 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
         # window exactly [s, s+1), so a single EDF step settles them.
         tops = [TopWindow(j, s, e) for j in sorted(rin.jobs)]
         return edf_insert(inst, tops, _loads(rin.pinned.values(), s, e), s, e)
-    if rin.depth >= depth_max:
-        return {}, set(rin.jobs)
     best = None
     last_pins = groups = None
     capped = rin.depth + 1 >= depth_max
@@ -418,9 +416,9 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
             sub = bottom[cell] & ~pins_mask
             if not sub:
                 continue
-            if capped and cell[1] - cell[0] > 1:
-                # A non-unit child at the cap discards its whole job set
-                # without exploring a guess or recording a trace.
+            if capped and cell[1] - cell[0] != 1:
+                # The depth cap: the child's whole job set is discarded,
+                # with no guess explored and no trace recorded.
                 disc.update(_bits(sub))
                 continue
             child = RecursionInput(cell, frozenset(_bits(sub)), merged, rin.depth + 1)
@@ -471,8 +469,8 @@ def solve(inst: Instance, T: int, guesses, depth_max: int, traces=None) -> Solve
 
     guesses is the guess source, a callable RecursionInput -> iterable of
     (pins, cells), such as laminar_guesses or exhaustive_guesses. depth_max
-    caps recursion depth: a call at the cap discards its whole job set (unit
-    intervals are exempt). When traces is a list, one CallTrace per non-unit
+    caps recursion depth: a cell at depth depth_max discards its whole job
+    set, unless it is a unit interval. When traces is a list, one CallTrace per non-unit
     call of the winning guesses is appended to it, children first.
 
     Raises InfeasibleHorizon below the longest-chain bound. The result

@@ -53,8 +53,9 @@ def test_graham_bound_exhaustive_small():
 
 
 def test_cg_labels_chain():
-    inst = build_instance(3, 2, [(0, 1), (1, 2)])
-    assert coffman_graham_labels(inst) == [3, 2, 1]
+    for n in (3, 2000):
+        inst = build_instance(n, 2, [(i, i + 1) for i in range(n - 1)])
+        assert coffman_graham_labels(inst) == [n - j for j in range(n)]
 
 
 def test_cg_labels_diamond():
@@ -78,14 +79,6 @@ def test_cg_is_optimal_on_two_machines_exhaustive():
             inst = build_instance(n, 2, closed)
             mk = coffman_graham_schedule(inst).makespan()
             assert mk == optimal_makespan(inst), (n, sorted(closed))
-
-
-def test_cg_labels_long_chain():
-    # Each label pushes exactly one job, whose key holds every label so far.
-    n = 2000
-    inst = build_instance(n, 2, [(i, i + 1) for i in range(n - 1)])
-    label = coffman_graham_labels(inst)
-    assert all(label[j] == n - j for j in range(n))
 
 
 @st.composite
