@@ -15,11 +15,12 @@ from .model import (
     Violation,
     build_instance,
     longest_chain,
+    longest_chain_path,
     predecessors,
     successors,
     validate_schedule,
 )
-from .oracle import EXACT_CAP, BudgetExhausted, TooLarge, optimal_makespan, optimal_schedule
+from .oracle import EXACT_CAP, TooLarge, optimal_makespan, optimal_schedule
 from .baselines import coffman_graham_labels, coffman_graham_schedule, list_schedule
 from .laminar import (
     BadEps,
@@ -67,7 +68,6 @@ __all__ = [
     "BadHorizon",
     "BadMachineCount",
     "BadSpec",
-    "BudgetExhausted",
     "CONTRACTUAL_CLAIMS",
     "CycleError",
     "EXACT_CAP",
@@ -103,6 +103,7 @@ __all__ = [
     "laminar_guesses",
     "list_schedule",
     "longest_chain",
+    "longest_chain_path",
     "optimal_makespan",
     "optimal_schedule",
     "pad_to_power_of_two",

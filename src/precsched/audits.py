@@ -2,7 +2,9 @@
 
 Each auditor inspects one structural claim (level uniqueness, offset
 shifting, window slack, degenerate counts, idle slots, level count) and
-returns an AuditReport. run_oracle_pinned runs the solver itself
+returns an AuditReport. level_analysis is the one pipeline from an instance
+to its level assignment and best offset; `analyze levels` prints it and
+audit_instance audits it. run_oracle_pinned runs the solver itself
 (qptas.solve) with an oracle-pinned guess source: every call pins the jobs
 the level assignment guessed at their slots in an exact optimal schedule.
 The solver's per-call traces, extended by their level data, feed the window
@@ -31,7 +33,7 @@ from .laminar import (
     stride_of,
 )
 from .model import Instance, JobId, Schedule
-from .oracle import EXACT_CAP, optimal_makespan, optimal_schedule
+from .oracle import optimal_makespan, optimal_schedule
 from .qptas import CallTrace, solve
 
 # Claims whose violation means the implementation (or the analysis) is wrong,
@@ -253,8 +255,8 @@ def run_oracle_pinned(
     opt: Schedule,
     fam: LaminarFamily,
     eps,
-    offset: int = 0,
-    assign: LevelAssignment | None = None,
+    offset: int,
+    assign: LevelAssignment,
 ):
     """Run the solver with every guess pinned at its optimal slot.
 
@@ -268,8 +270,6 @@ def run_oracle_pinned(
     PinnedTraces, children first.
     """
     e = check_eps(eps)
-    if assign is None:
-        assign = assign_levels(inst, opt, fam, e)
 
     def oracle_guess(rin):
         s, end = rin.interval
@@ -321,39 +321,45 @@ def _merge_margin(name: str, reports) -> AuditReport:
     )
 
 
-def audit_instance(
-    inst: Instance,
-    eps=Fraction(1),
-    cap: int = EXACT_CAP,
-) -> dict[str, AuditReport]:
+def level_analysis(inst: Instance, eps):
+    """Pad to a power-of-two optimum, solve it exactly and assign levels.
+
+    Returns (padded, opt, fam, assign, offset, bucket): the instance padded
+    to the horizon fam.T, an exact optimal schedule of it, its laminar
+    family and level assignment, and the best offset with the top-job count
+    of its bucket. The oracle's TooLarge is the one size rule: it is raised
+    when the instance or its padding exceeds the exact-search cap. Needs at
+    least 2 jobs.
+    """
+    e = check_eps(eps)
+    padded, tstar = pad_to_power_of_two(inst, optimal_makespan(inst))
+    opt = optimal_schedule(padded)
+    fam = build_laminar(tstar, padded.n, e)
+    assign = assign_levels(padded, opt, fam, e)
+    offset, bucket = best_offset(assign, padded.m, e, tstar)
+    return padded, opt, fam, assign, offset, bucket
+
+
+def audit_instance(inst: Instance, eps=Fraction(1)) -> dict[str, AuditReport]:
     """Run every auditor against one instance and an exact optimal schedule.
 
-    Pads the instance to a power-of-two horizon, assigns levels against the
-    padded optimum, picks the best offset, replays the pinned recursion, and
-    returns one report per claim. window-slack, degenerate-count and
-    idle-slots aggregate the per-call reports into margin rows (bound 0.0).
-    Two informational rows record the replay depth against the analysis
-    recursion-depth limit. Needs at least 2 jobs and an oracle-sized
-    instance.
+    Takes the padded instance, its optimum, level assignment and best
+    offset from level_analysis, runs the pinned recursion, and returns one
+    report per claim. window-slack, degenerate-count and idle-slots
+    aggregate the per-call reports into margin rows (bound 0.0). Two
+    informational rows record the run's depth against the working cap and
+    the analysis recursion-depth limit. Needs at least 2 jobs; raises
+    TooLarge above the oracle cap.
     """
     e = check_eps(eps)
     if inst.n < 2:
         raise ValueError(f"need at least 2 jobs to audit, got {inst.n}")
-    T = optimal_makespan(inst, cap=cap)
-    padded, tstar = pad_to_power_of_two(inst, T)
-    if padded.n > cap:
-        raise ValueError(
-            f"padded instance has {padded.n} jobs, above the oracle cap {cap}"
-        )
-    opt = optimal_schedule(padded, cap=cap)
-    fam = build_laminar(tstar, padded.n, e)
-    assign = assign_levels(padded, opt, fam, e)
-    a, _ = best_offset(assign, padded.m, e, tstar)
+    padded, opt, fam, assign, a, _ = level_analysis(inst, e)
     traces, _, _ = run_oracle_pinned(padded, opt, fam, e, a, assign)
     m = padded.m
     reports = {
         "unique-level": check_unique_level(assign),
-        "shift-bound": check_shift_bound(assign, m, e, tstar),
+        "shift-bound": check_shift_bound(assign, m, e, fam.T),
         "level-count": check_level_count(fam, padded.n, e),
         "window-slack": _merge_margin(
             "window-slack",

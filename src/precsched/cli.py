@@ -18,8 +18,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .audits import ADVISORY_CLAIMS, CONTRACTUAL_CLAIMS, audit_instance
-from .baselines import coffman_graham_labels, coffman_graham_schedule, list_schedule
+from .audits import ADVISORY_CLAIMS, CONTRACTUAL_CLAIMS, audit_instance, level_analysis
+from .baselines import coffman_graham_schedule, list_schedule
 from .generators import (
     KINDS,
     BadSpec,
@@ -28,16 +28,7 @@ from .generators import (
     generate,
     _STANDARD,
 )
-from .laminar import (
-    BadEps,
-    BadHorizon,
-    assign_levels,
-    best_offset,
-    build_laminar,
-    check_eps,
-    default_depth_max,
-    pad_to_power_of_two,
-)
+from .laminar import BadEps, BadHorizon, check_eps, default_depth_max, pad_to_power_of_two
 from .model import CycleError, Instance, Schedule, longest_chain, validate_schedule
 from .oracle import EXACT_CAP, TooLarge, optimal_makespan, optimal_schedule
 from .qptas import InfeasibleHorizon, exhaustive_guesses, insert_discarded, laminar_guesses, solve
@@ -186,18 +177,14 @@ def _cmd_solve(args) -> int:
     explored = 0
     if args.alg == "exact":
         sched = optimal_schedule(inst)
-    elif args.alg == "ls":
-        if args.order == "id":
-            order = list(range(inst.n))
-        elif args.order == "random":
-            order = list(range(inst.n))
-            random.Random(args.seed).shuffle(order)
-        else:
-            labels = coffman_graham_labels(inst)
-            order = sorted(range(inst.n), key=lambda j: -labels[j])
-        sched = list_schedule(inst, order)
-    elif args.alg == "cg":
+    elif args.alg == "cg" or (args.alg == "ls" and args.order == "cg"):
+        # ls under the Coffman-Graham order is the Coffman-Graham schedule.
         sched = coffman_graham_schedule(inst)
+    elif args.alg == "ls":
+        order = list(range(inst.n))
+        if args.order == "random":
+            random.Random(args.seed).shuffle(order)
+        sched = list_schedule(inst, order)
     else:
         sched, discards, explored = _solve_qptas(inst, args)
     _write(args.output, emit_schedule(sched))
@@ -289,12 +276,7 @@ def _cmd_analyze(args) -> int:
     eps = _parse_eps(args.eps)
     if inst.n < 2:
         raise CliError(f"need at least 2 jobs for the level table, got {inst.n}")
-    T = optimal_makespan(inst)
-    padded, tstar = pad_to_power_of_two(inst, T)
-    opt = optimal_schedule(padded)
-    fam = build_laminar(tstar, padded.n, eps)
-    assign = assign_levels(padded, opt, fam, eps)
-    a, count = best_offset(assign, padded.m, eps, tstar)
+    padded, _, fam, assign, a, count = level_analysis(inst, eps)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["level", "start", "end", "guess", "top"])
@@ -312,7 +294,7 @@ def _cmd_analyze(args) -> int:
                 ]
             )
     _write(args.output, buf.getvalue())
-    print(f"offset={a} bucket={count} horizon={tstar} padded_jobs={padded.n}", file=sys.stderr)
+    print(f"offset={a} bucket={count} horizon={fam.T} padded_jobs={padded.n}", file=sys.stderr)
     return 0
 
 

@@ -10,8 +10,8 @@ assign_levels replays an optimal schedule against this family and sorts
 every job into exactly one guess set or one top set at exactly one level.
 A job belongs to the level where its feasible window (under the pins made
 so far) still straddles at least two child intervals; long chains of such
-flexible jobs get their per-child first and last members pinned to their
-optimal slots until no long chain remains.
+flexible jobs (model.longest_chain_path) get their per-child first and last
+members pinned to their optimal slots until no long chain remains.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import Instance, JobId, Schedule
+from .model import Instance, JobId, Schedule, longest_chain_path
 
 
 class BadHorizon(ValueError):
@@ -226,7 +226,6 @@ class LevelAssignment:
     """guess[level][interval] and top[level][interval] partition all jobs."""
 
     fam: LaminarFamily
-    opt: Schedule
     n: int
     guess: dict[int, dict[tuple[int, int], frozenset[JobId]]] = field(default_factory=dict)
     top: dict[int, dict[tuple[int, int], frozenset[JobId]]] = field(default_factory=dict)
@@ -245,54 +244,6 @@ class LevelAssignment:
         for jobs in self.top.get(level, {}).values():
             acc |= jobs
         return frozenset(acc)
-
-
-def _longest_chain_member(inst: Instance, flex: set[JobId]):
-    """Longest chain within flex plus a deterministic witness path."""
-    flex_mask = 0
-    for j in flex:
-        flex_mask |= 1 << j
-    length: dict[int, int] = {}
-
-    def depth(j: int) -> int:
-        got = length.get(j)
-        if got is not None:
-            return got
-        best = 0
-        mask = inst.succ_masks[j] & flex_mask
-        while mask:
-            low = mask & -mask
-            v = low.bit_length() - 1
-            mask ^= low
-            cand = depth(v)
-            if cand > best:
-                best = cand
-        length[j] = best + 1
-        return best + 1
-
-    best_len = 0
-    head = None
-    for j in sorted(flex):
-        d = depth(j)
-        if d > best_len:
-            best_len = d
-            head = j
-    if head is None:
-        return 0, []
-    path = [head]
-    cur = head
-    while length[cur] > 1:
-        mask = inst.succ_masks[cur] & flex_mask
-        nxt = None
-        while mask:
-            low = mask & -mask
-            v = low.bit_length() - 1
-            mask ^= low
-            if length[v] == length[cur] - 1 and (nxt is None or v < nxt):
-                nxt = v
-        path.append(nxt)
-        cur = nxt
-    return best_len, path
 
 
 def chain_threshold(I_len: int, n: int, m: int, eps) -> Fraction:
@@ -323,7 +274,7 @@ def assign_levels(
     slot = opt.start
     pinned: dict[int, int] = {}
     assigned: set[int] = set()
-    out = LevelAssignment(fam=fam, opt=opt, n=n)
+    out = LevelAssignment(fam=fam, n=n)
     # Every window below is taken under pins at optimal slots, so none is
     # empty and feasible_windows never raises.
     for level in range(fam.level_count()):
@@ -356,9 +307,8 @@ def assign_levels(
 
             guessed: set[int] = set()
             while True:
-                flex = flexible_now()
-                best_len, chain = _longest_chain_member(inst, flex)
-                if best_len == 0 or Fraction(best_len) < thresh:
+                chain = longest_chain_path(inst, flexible_now())
+                if not chain or Fraction(len(chain)) < thresh:
                     break
                 for child in children:
                     inside = sorted(

@@ -7,6 +7,11 @@ job, so w is a successor of u whenever (u, v) and (v, w) are edges.
 Schedules record start slots only; machine assignment is irrelevant for
 unit jobs because any slot with at most m jobs can be mapped to machines
 arbitrarily.
+
+One memoised chain-depth table serves both chain queries: longest_chain
+takes its maximum, and longest_chain_path walks a deterministic witness
+down it. longest_chain_path is the source of the long chains that the
+level assignment (laminar.assign_levels) pins.
 """
 
 from __future__ import annotations
@@ -195,12 +200,12 @@ def validate_schedule(inst: Instance, sched: Schedule) -> ValidationReport:
     )
 
 
-def longest_chain(inst: Instance, subset=None) -> int:
-    """Length (job count) of the longest precedence chain inside subset.
+def _chain_depths(inst: Instance, subset) -> tuple[dict[int, int], int]:
+    """(depth, member mask) of subset's jobs; subset=None means all jobs.
 
-    subset=None means all jobs. A chain here is a set of pairwise comparable
-    jobs; with a closed relation that equals a directed path. Unit jobs make
-    this a makespan lower bound: max(ceil(n/m), longest_chain).
+    depth[j] is the job count of the longest chain that starts at j and
+    stays inside the member mask. A memoised depth-first search from each
+    member in id order; it recurses once per chain link.
     """
     if subset is None:
         members = range(inst.n)
@@ -226,7 +231,34 @@ def longest_chain(inst: Instance, subset=None) -> int:
         depth[j] = best + 1
         return best + 1
 
-    best = 0
     for j in members:
-        best = max(best, chain_from(j))
-    return best
+        chain_from(j)
+    return depth, member_mask
+
+
+def longest_chain(inst: Instance, subset=None) -> int:
+    """Length (job count) of the longest precedence chain inside subset.
+
+    subset=None means all jobs. A chain here is a set of pairwise comparable
+    jobs; with a closed relation that equals a directed path. Unit jobs make
+    this a makespan lower bound: max(ceil(n/m), longest_chain).
+    """
+    return max(_chain_depths(inst, subset)[0].values(), default=0)
+
+
+def longest_chain_path(inst: Instance, subset=None) -> list[JobId]:
+    """A longest chain inside subset, head first; [] for an empty subset.
+
+    The head is the smallest job of greatest depth, and each next job the
+    smallest successor one level shallower, so the witness is deterministic.
+    """
+    depth, member_mask = _chain_depths(inst, subset)
+    best = max(depth.values(), default=0)
+    if not best:
+        return []
+    path = [min(j for j, d in depth.items() if d == best)]
+    while depth[path[-1]] > 1:
+        below = depth[path[-1]] - 1
+        succ = inst.succ_masks[path[-1]] & member_mask
+        path.append(next(v for v in _bits(succ) if depth[v] == below))
+    return path

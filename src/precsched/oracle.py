@@ -46,10 +46,6 @@ class TooLarge(ValueError):
     """Instance exceeds the exact-search job cap."""
 
 
-class BudgetExhausted(RuntimeError):
-    """State budget exhausted before the search finished."""
-
-
 def _class_groups(inst: Instance):
     """Partition job ids into equal-successor-mask classes."""
     by_mask: dict[int, int] = {}
@@ -102,18 +98,14 @@ def _jobs(mask: int) -> tuple[int, ...]:
     return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
 
 
-def _levels(inst: Instance, class_of, limit: int | None) -> dict[int, int]:
+def _levels(inst: Instance, class_of) -> dict[int, int]:
     """BFS level of every ideal reached until the full set turns up (n >= 1)."""
     full = (1 << inst.n) - 1
     dist = {0: 0}
     frontier = [0]
-    explored = 0
     while frontier:
         nxt = []
         for state in frontier:
-            explored += 1
-            if limit is not None and explored > limit:
-                raise BudgetExhausted(f"explored more than {limit} states")
             d = dist[state] + 1
             for step in _steps(inst, class_of, state, inst.m):
                 s2 = state | step
@@ -126,17 +118,16 @@ def _levels(inst: Instance, class_of, limit: int | None) -> dict[int, int]:
     raise AssertionError("full state unreachable in an acyclic instance")
 
 
-def optimal_makespan(inst: Instance, cap: int = EXACT_CAP, limit: int | None = None) -> int:
+def optimal_makespan(inst: Instance, cap: int = EXACT_CAP) -> int:
     """BFS distance from the empty ideal to the full job set.
 
-    Raises TooLarge if inst.n > cap and BudgetExhausted if more than `limit`
-    states get expanded.
+    Raises TooLarge if inst.n > cap.
     """
     if inst.n > cap:
         raise TooLarge(f"n={inst.n} exceeds exact-search cap {cap}")
     if inst.n == 0:
         return 0
-    return _levels(inst, _class_groups(inst), limit)[(1 << inst.n) - 1]
+    return _levels(inst, _class_groups(inst))[(1 << inst.n) - 1]
 
 
 def optimal_schedule(inst: Instance, cap: int = EXACT_CAP) -> Schedule:
@@ -155,7 +146,7 @@ def optimal_schedule(inst: Instance, cap: int = EXACT_CAP) -> Schedule:
         return Schedule(start={}, horizon=0)
     full = (1 << inst.n) - 1
     class_of = _class_groups(inst)
-    dist = _levels(inst, class_of, None)
+    dist = _levels(inst, class_of)
     horizon = dist[full]
 
     def forward(state: int, d: int):

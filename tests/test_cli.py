@@ -10,9 +10,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from precsched import cli
+from precsched.audits import audit_instance
 from precsched.cli import main
 from precsched.generators import GeneratorSpec, generate, standard_corpus
 from precsched.model import Schedule, build_instance, longest_chain
+from precsched.oracle import TooLarge
 from precsched.textio import emit_instance, parse_instance, parse_schedule
 
 
@@ -341,6 +343,25 @@ def test_audit_corpus_csv(tmp_path, capsys):
     claims = {r["claim"] for r in rows}
     assert "unique-level" in claims and "idle-slots" in claims
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cid,padded_n", [("randomorder-18-m4", 26), ("diamondmesh-13-m3", 34)])
+def test_padding_above_the_oracle_cap_is_too_large(tmp_path, capsys, cid, padded_n):
+    # Each fits the oracle but its padding does not. The oracle's TooLarge is
+    # the one cap rule: audit skips the instance with its message, and
+    # analyze levels exits 2.
+    cap_note = f"n={padded_n} exceeds exact-search cap 24"
+    with pytest.raises(TooLarge, match=cap_note):
+        audit_instance(dict(standard_corpus())[cid])
+    corp = _gen_corpus(tmp_path, {cid})
+    out = tmp_path / "audit.csv"
+    assert main(["audit", "--input", str(corp), "--output", str(out)]) == 0
+    assert capsys.readouterr().err == f"skipping {cid}: {cap_note}\n"
+    levels = tmp_path / "levels.csv"
+    argv = ["analyze", "levels", "--input", str(corp / f"{cid}.inst"), "--output", str(levels)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {cap_note}\n"
+    assert not levels.exists()
 
 
 def test_bad_eps_exits_2(tmp_path, capsys):

@@ -9,12 +9,13 @@ from precsched.model import (
     Violation,
     build_instance,
     longest_chain,
+    longest_chain_path,
     predecessors,
     successors,
     validate_schedule,
 )
 
-from helpers import close_pairs, pairs
+from helpers import _ref_longest_chain, close_pairs, pairs
 
 DIAMOND = [(0, 1), (0, 2), (1, 3), (2, 3)]
 
@@ -157,6 +158,10 @@ def test_longest_chain_agrees_with_enumeration(case, rng):
     inst = build_instance(n, 2, edges)
     subset = {j for j in range(n) if rng.random() < 0.7}
     assert longest_chain(inst, subset) == _chains_by_enumeration(n, pairs(inst), subset)
+    path = longest_chain_path(inst, subset)
+    assert path == _ref_longest_chain(inst, subset)
+    assert len(path) == longest_chain(inst, subset)
+    assert all((u, v) in pairs(inst) for u, v in zip(path, path[1:]))
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,12 +6,7 @@ from hypothesis import strategies as st
 
 from precsched.laminar import pad_to_power_of_two
 from precsched.model import Schedule, build_instance, longest_chain, validate_schedule
-from precsched.oracle import (
-    BudgetExhausted,
-    TooLarge,
-    optimal_makespan,
-    optimal_schedule,
-)
+from precsched.oracle import TooLarge, optimal_makespan, optimal_schedule
 
 from helpers import brute_force_makespan, enumerate_poset_classes, pairs
 
@@ -70,12 +65,6 @@ def test_too_large_and_cap_override():
     assert optimal_makespan(inst, cap=25) == 9
 
 
-def test_budget_exhausted():
-    inst = build_instance(8, 2, [(0, 1), (2, 3), (4, 5), (6, 7)])
-    with pytest.raises(BudgetExhausted):
-        optimal_makespan(inst, limit=2)
-
-
 def test_makespan_never_below_lower_bounds():
     for n in (5,):
         for closed in enumerate_poset_classes(n):
@@ -112,7 +101,7 @@ def test_adding_an_edge_never_helps(case, m):
 
 # The oracle as it stood when steps were sorted job tuples: a recursive
 # enumeration per class, and a lexicographic sort of the steps on the
-# forward pass. No cap and no budget.
+# forward pass. No cap.
 
 
 def _reference_class_of(inst):
