@@ -1,9 +1,10 @@
 """Command line entry point: gen, solve, verify, bench, analyze, audit.
 
 Exit codes: 0 success (verify: feasible), 1 infeasible or violations found,
-2 usage or parse errors (a cyclic instance file and an --eps outside (0, 1]
-included). All randomness is seeded; bench output is
-byte-identical across runs unless --timing is given.
+2 usage or parse errors (a cyclic instance file, an --eps outside (0, 1], an
+unknown bench algorithm and an unreadable or unwritable path included). All
+randomness is seeded; bench output is byte-identical across runs unless
+--timing is given.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .textio import (
 )
 
 AUDIT_COLUMNS = ("claim", "instance", "population", "violations", "observed", "bound")
+BENCH_ALGS = ("exact", "ls", "cg", "qptas")
 BENCH_COLUMNS = (
     "instance",
     "algorithm",
@@ -230,18 +232,16 @@ def _bench_one(cid: str, inst: Instance, alg: str, eps: Fraction, opt: int | Non
             mk = list_schedule(inst, range(inst.n)).makespan()
         elif alg == "cg":
             mk = coffman_graham_schedule(inst).makespan()
-        elif alg == "qptas":
+        else:  # qptas; _cmd_bench has checked every name against BENCH_ALGS
             sched, discards, _ = _solve_laminar(inst, _auto_horizon(inst, opt), eps)
             mk = sched.horizon
-        else:
-            raise CliError(f"unknown algorithm {alg!r}")
         row["makespan"] = str(mk)
         row["discards"] = str(discards)
         if opt is not None:
             row["opt"] = str(opt)
             # 0/0 on an empty instance has no ratio.
             row["ratio"] = f"{mk / opt:.6f}" if opt else ""
-    except (CliError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         row["error"] = str(exc)
     if timing:
         wall_s = time.perf_counter() - began + (opt_s if alg == "qptas" else 0.0)
@@ -250,8 +250,11 @@ def _bench_one(cid: str, inst: Instance, alg: str, eps: Fraction, opt: int | Non
 
 
 def _cmd_bench(args) -> int:
-    corpus = _corpus_dir(args.input)
     algs = sorted(set(args.alg.split(",")))
+    for alg in algs:
+        if alg not in BENCH_ALGS:
+            raise CliError(f"unknown algorithm {alg!r}; choose from {','.join(BENCH_ALGS)}")
+    corpus = _corpus_dir(args.input)
     eps = _parse_eps(args.eps)
     rows = []
     for cid, inst in corpus:
@@ -373,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben = sub.add_parser("bench", help="run algorithms over a corpus directory")
     ben.add_argument("--input", required=True)
     ben.add_argument("--output")
-    ben.add_argument("--alg", default="exact,ls,cg,qptas")
+    ben.add_argument("--alg", default=",".join(BENCH_ALGS))
     ben.add_argument("--eps", default="1")
     ben.add_argument("--timing", action="store_true")
     ben.set_defaults(func=_cmd_bench)
@@ -398,10 +401,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, CycleError, CliError, BadSpec, BadEps, BadHorizon, TooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, CycleError, CliError, BadSpec, BadEps, BadHorizon, TooLarge,
+            OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleHorizon as exc:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import Instance, JobId, Schedule, longest_chain_path
+from .model import Instance, JobId, Schedule, _mask, longest_chain_path, slot_bounds
 
 
 class BadHorizon(ValueError):
@@ -178,34 +178,16 @@ def pad_to_power_of_two(inst: Instance, T: int) -> tuple[Instance, int]:
 def feasible_windows(inst: Instance, jobs, pinned, T: int) -> list[tuple[int, int]]:
     """Start slots [lo, hi) for each of jobs, in order, given pinned neighbors.
 
-    lo is the latest pinned-predecessor completion, hi the earliest pinned-
-    successor start. The mask of pinned jobs is built once, and each job
-    walks only the pinned bits of its closure masks, so a job with no pinned
-    neighbor costs O(1). Raises EmptyWindow at the first job with lo >= hi.
-    A job's own pin, if any, is not consulted.
+    Each window is model.slot_bounds over [0, T) with the mask of pinned
+    jobs, built once: lo is the latest pinned-predecessor completion, hi the
+    earliest pinned-successor start, and a job with no pinned neighbor costs
+    O(1). Raises EmptyWindow at the first job with lo >= hi. A job's own
+    pin, if any, is not consulted.
     """
-    pinned_mask = 0
-    for p in pinned:
-        pinned_mask |= 1 << p
-    pred_masks, succ_masks = inst.pred_masks, inst.succ_masks
+    pinned_mask = _mask(pinned)
     out = []
     for j in jobs:
-        lo = 0
-        hi = T
-        mask = pred_masks[j] & pinned_mask
-        while mask:
-            low = mask & -mask
-            s = pinned[low.bit_length() - 1]
-            mask ^= low
-            if s + 1 > lo:
-                lo = s + 1
-        mask = succ_masks[j] & pinned_mask
-        while mask:
-            low = mask & -mask
-            s = pinned[low.bit_length() - 1]
-            mask ^= low
-            if s < hi:
-                hi = s
+        lo, hi = slot_bounds(inst, j, pinned, pinned_mask, 0, T)
         if lo >= hi:
             raise EmptyWindow(f"job {j}: window [{lo}, {hi}) is empty")
         out.append((lo, hi))
@@ -215,8 +197,7 @@ def feasible_windows(inst: Instance, jobs, pinned, T: int) -> list[tuple[int, in
 def feasible_window(inst: Instance, j: JobId, pinned, T: int) -> tuple[int, int]:
     """Start slots [lo, hi) where j can legally sit given pinned neighbors.
 
-    The one-job case of feasible_windows, whose pinned-mask walk it shares;
-    raises EmptyWindow when lo >= hi.
+    The one-job case of feasible_windows; raises EmptyWindow when lo >= hi.
     """
     return feasible_windows(inst, (j,), pinned, T)[0]
 

@@ -69,6 +69,39 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _mask(jobs) -> int:
+    """Bitmask with bit j set for each j in jobs; the inverse of _bits."""
+    mask = 0
+    for j in jobs:
+        mask |= 1 << j
+    return mask
+
+
+def slot_bounds(inst: Instance, j: JobId, slots, mask: int, lo: int, hi: int) -> tuple[int, int]:
+    """[lo, hi) narrowed by j's neighbours inside mask, whose slots are known.
+
+    lo rises past each predecessor's slot, and hi falls to each successor's
+    slot. Only the bits of pred_masks[j] & mask and succ_masks[j] & mask are
+    walked, so a job with no neighbour in mask costs O(1). slots maps every
+    job in mask to its slot; the result may be empty (lo >= hi).
+    """
+    bits = inst.pred_masks[j] & mask
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        t = slots[low.bit_length() - 1] + 1
+        if t > lo:
+            lo = t
+    bits = inst.succ_masks[j] & mask
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        t = slots[low.bit_length() - 1]
+        if t < hi:
+            hi = t
+    return lo, hi
+
+
 def build_instance(n: int, m: int, edges) -> Instance:
     """Validate inputs, reject cycles, and return the transitively closed instance.
 

@@ -11,13 +11,13 @@ with the fewest discards wins (ties: first in enumeration order).
 insert_discarded then repairs a result at the cost of one extra slot per
 discarded job.
 
-Windows come from masks: a job's pinned window walks only the bits of its
-predecessor and successor masks that are pinned, and a top window only the
-bits that are placed, so no hot loop walks the whole closure. The pinned
-windows depend on the pins alone, so _recurse computes them once per pin
-set, grouped as {(lo, hi): job mask}, and splits the groups by cells for
-every guess that carries those pins: one bisect per distinct window, and
-one group in all when nothing is pinned. Discards only grow once a guess's
+Windows come from masks: model.slot_bounds narrows a job's window by only
+the bits of its predecessor and successor masks that are pinned (for a
+pinned window) or placed (for a top window), so no hot loop walks the whole
+closure. The pinned windows depend on the pins alone, so _recurse computes
+them once per pin set, grouped as {(lo, hi): job mask}, and splits the
+groups by cells for every guess that carries those pins: one bisect per
+distinct window, and one group in all when nothing is pinned. Discards only grow once a guess's
 cells have returned, so a guess whose cells already discard as many jobs as
 the best guess so far stops there, before its tops are windowed and swept;
 it could not win, and it explores no further guesses either way.
@@ -45,7 +45,16 @@ from .laminar import (
     partition_level,
     stride_of,
 )
-from .model import Instance, JobId, Schedule, _bits, longest_chain, validate_schedule
+from .model import (
+    Instance,
+    JobId,
+    Schedule,
+    _bits,
+    _mask,
+    longest_chain,
+    slot_bounds,
+    validate_schedule,
+)
 
 
 class InfeasibleHorizon(ValueError):
@@ -185,24 +194,17 @@ def windows_for_top(inst, top, cells, placed):
     r is the earliest cell start at or after every placed predecessor's
     completion, d the latest cell end at or before every placed successor's
     start. When no boundary qualifies the window collapses (degenerate).
-    Each job walks only the placed bits of its masks.
+    The bounds are slot_bounds over the cells' span with the placed mask.
     """
     starts = [c[0] for c in cells]
     ends = [c[1] for c in cells]
-    placed_mask = 0
-    for p in placed:
-        placed_mask |= 1 << p
+    placed_mask = _mask(placed)
     out = []
     for j in sorted(top):
-        bound = starts[0]
-        for p in _bits(inst.pred_masks[j] & placed_mask):
-            bound = max(bound, placed[p] + 1)
-        i = bisect_left(starts, bound)
+        lo, hi = slot_bounds(inst, j, placed, placed_mask, starts[0], ends[-1])
+        i = bisect_left(starts, lo)
         r = starts[i] if i < len(starts) else ends[-1]
-        bound = ends[-1]
-        for q in _bits(inst.succ_masks[j] & placed_mask):
-            bound = min(bound, placed[q])
-        i = bisect_right(ends, bound) - 1
+        i = bisect_right(ends, hi) - 1
         d = ends[i] if i >= 0 else starts[0]
         out.append(TopWindow(j, r, d))
     return out
@@ -266,15 +268,12 @@ def _assignments(inst, subset, base_pins, s, e):
     """All consistent slot assignments for subset, DFS, slots ascending.
 
     The merged pins and their mask grow and shrink with the DFS, so each
-    step walks only the pinned bits of its job's masks (as feasible_windows
-    does) and nothing is rebuilt per step.
+    step is one slot_bounds over [s, e) under the pinned mask and nothing is
+    rebuilt per step.
     """
-    pred_masks, succ_masks, m = inst.pred_masks, inst.succ_masks, inst.m
+    m = inst.m
     occ = _loads(base_pins.values(), s, e)
     merged = dict(base_pins)
-    base_mask = 0
-    for p in base_pins:
-        base_mask |= 1 << p
     chosen: dict[JobId, int] = {}
 
     def rec(i, pinned_mask):
@@ -282,21 +281,7 @@ def _assignments(inst, subset, base_pins, s, e):
             yield dict(chosen)
             return
         j = subset[i]
-        lo, hi = s, e
-        mask = pred_masks[j] & pinned_mask
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            t = merged[low.bit_length() - 1] + 1
-            if t > lo:
-                lo = t
-        mask = succ_masks[j] & pinned_mask
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            t = merged[low.bit_length() - 1]
-            if t < hi:
-                hi = t
+        lo, hi = slot_bounds(inst, j, merged, pinned_mask, s, e)
         inner = pinned_mask | 1 << j
         for t in range(lo, hi):
             if occ.get(t, 0) >= m:
@@ -311,7 +296,7 @@ def _assignments(inst, subset, base_pins, s, e):
         if j in base_pins:
             merged[j] = base_pins[j]
 
-    yield from rec(0, base_mask)
+    yield from rec(0, _mask(base_pins))
 
 
 def _partitions(s, e, cells_cap):
@@ -399,9 +384,7 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
         if pins != last_pins:
             last_pins = dict(pins)
             merged = {**rin.pinned, **pins}
-            pins_mask = 0
-            for j in pins:
-                pins_mask |= 1 << j
+            pins_mask = _mask(pins)
             try:
                 groups = pin_windows(inst, rin.jobs, pins, merged, e)
             except EmptyWindow:
@@ -498,25 +481,21 @@ def insert_discarded(inst: Instance, sched: Schedule, discarded) -> Schedule:
     """Reinsert discarded jobs, opening one fresh slot per job.
 
     Ascending job id: place j right after its last scheduled predecessor,
-    shifting every start from that point on by one. Transitive closure
-    guarantees no scheduled successor sits before that point; seeing one
-    raises NoSlot. A mask of the scheduled jobs, reinserted ones included,
-    limits both walks to scheduled neighbors.
+    shifting every start from that point on by one. That point and the
+    earliest scheduled successor start are slot_bounds over [0, horizon)
+    with the mask of the scheduled jobs, reinserted ones included.
+    Transitive closure guarantees no scheduled successor sits before that
+    point; seeing one raises NoSlot.
     """
     starts = dict(sched.start)
     horizon = sched.horizon
-    scheduled = 0
-    for i in starts:
-        scheduled |= 1 << i
+    scheduled = _mask(starts)
     for j in sorted(discarded):
         if j in starts:
             raise ValueError(f"job {j} is both scheduled and discarded")
-        t = 0
-        for p in _bits(inst.pred_masks[j] & scheduled):
-            t = max(t, starts[p] + 1)
-        for q in _bits(inst.succ_masks[j] & scheduled):
-            if starts[q] < t:
-                raise NoSlot(f"successor {q} of {j} starts at {starts[q]} before {t}")
+        t, hi = slot_bounds(inst, j, starts, scheduled, 0, horizon)
+        if hi < t:
+            raise NoSlot(f"job {j} must start by slot {hi}, before its earliest slot {t}")
         starts = {i: (x + 1 if x >= t else x) for i, x in starts.items()}
         starts[j] = t
         scheduled |= 1 << j

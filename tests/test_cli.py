@@ -467,9 +467,41 @@ def test_any_instance_text_keeps_the_exit_code_contract(tmp_path, capsys, text, 
             assert "Traceback" not in capsys.readouterr().err
 
 
-def test_missing_file_exits_2(tmp_path, capsys):
-    assert main(["solve", "--input", str(tmp_path / "nope.inst"), "--alg", "exact"]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize("algs", ["ls,qptsa", ""], ids=["typo", "empty"])
+def test_unknown_bench_algorithm_exits_2(tmp_path, capsys, monkeypatch, algs):
+    # The names are checked before any instance is solved; they used to
+    # become an `unknown algorithm` error in each row, with exit 0.
+    corp = _gen_corpus(tmp_path, {"chain-05-m1"})
+    for name in ("optimal_makespan", "list_schedule"):
+        monkeypatch.setattr(cli, name, lambda *a: pytest.fail("bench solved an instance"))
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--input", str(corp), "--alg", algs, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown algorithm ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "case", ["solve-input-missing", "solve-input-dir", "verify-schedule-dir", "gen-output-dir",
+             "gen-outdir-file", "solve-input-not-utf8"])
+def test_unreadable_or_unwritable_path_exits_2(tmp_path, capsys, case):
+    # All but the missing file used to escape main() as an OSError or a
+    # UnicodeDecodeError.
+    inst = tmp_path / "chain.inst"
+    inst.write_text(emit_instance(build_instance(2, 1, [(0, 1)])))
+    garbled = tmp_path / "garbled.inst"
+    garbled.write_bytes(b"jobs 2\nmachines 1\n# \xff\xfe\n")
+    argv = {
+        "solve-input-missing": ["solve", "--input", str(tmp_path / "nope.inst"), "--alg", "exact"],
+        "solve-input-dir": ["solve", "--input", str(tmp_path), "--alg", "ls"],
+        "verify-schedule-dir": ["verify", "--input", str(inst), "--schedule", str(tmp_path)],
+        "gen-output-dir": ["gen", "--kind", "chain", "--n", "2", "--output", str(tmp_path)],
+        "gen-outdir-file": ["gen", "--corpus", "standard", "--outdir", str(inst)],
+        "solve-input-not-utf8": ["solve", "--input", str(garbled), "--alg", "ls"],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 # sha256 of deterministic outputs over the standard corpus. A change that
