@@ -26,7 +26,6 @@ from .laminar import (
     BadEps,
     BadHorizon,
     EmptyWindow,
-    IntervalNode,
     LaminarFamily,
     LevelAssignment,
     assign_levels,
@@ -75,7 +74,6 @@ __all__ = [
     "GeneratorSpec",
     "InfeasibleHorizon",
     "Instance",
-    "IntervalNode",
     "JobId",
     "LaminarFamily",
     "LevelAssignment",

@@ -24,6 +24,7 @@ from .laminar import (
     LevelAssignment,
     assign_levels,
     best_offset,
+    bucket_levels,
     build_laminar,
     check_eps,
     default_depth_max,
@@ -69,15 +70,13 @@ class PinnedTrace(CallTrace):
 
     level is the family level of the call's interval, partition_level that
     of its cells, and lam their length. top1 are the tops the level
-    assignment put in the call's own level range [level, partition_level),
-    top2 those at the partition level.
+    assignment put in the call's own level range [level, partition_level).
     """
 
     level: int
     partition_level: int
     lam: int
     top1: frozenset[JobId]
-    top2: frozenset[JobId]
 
 
 def check_unique_level(assign: LevelAssignment) -> AuditReport:
@@ -97,7 +96,7 @@ def check_unique_level(assign: LevelAssignment) -> AuditReport:
 def check_shift_bound(assign: LevelAssignment, m: int, eps, T: int) -> AuditReport:
     """Some offset's top buckets hold at most eps*T jobs.
 
-    Buckets for offset a collect the top jobs of levels a+1, a+1+stride, ...
+    Buckets for offset a collect the top jobs of its bucket_levels.
     Buckets across offsets must be disjoint (each counted appearance beyond
     the first is a violation), the job count may not exceed m*T, and the
     smallest bucket must fit under eps*T. The size comparison is exact.
@@ -108,12 +107,10 @@ def check_shift_bound(assign: LevelAssignment, m: int, eps, T: int) -> AuditRepo
     sizes = []
     for a in range(stride):
         members: set[JobId] = set()
-        level = a + 1
-        while level <= assign.fam.deepest:
-            for j in assign.top_at_level(level):
-                members.add(j)
-                seen[j] += 1
-            level += stride
+        for level in bucket_levels(assign.fam, a, stride):
+            tops = assign.top_at_level(level)
+            members |= tops
+            seen.update(tops)
         sizes.append(len(members))
     violations = sum(c - 1 for c in seen.values() if c > 1)
     if assign.n > m * T:
@@ -269,42 +266,35 @@ def run_oracle_pinned(
     call reaches. Returns (traces, starts, discarded); traces are
     PinnedTraces, children first.
     """
-    e = check_eps(eps)
+    stride = stride_of(inst.m, eps)
 
     def oracle_guess(rin):
         s, end = rin.interval
-        node = fam.find(s, end)
-        p = partition_level(fam, node, rin.depth, inst.m, e, offset)
+        level = fam.level_of(rin.interval)
+        p = partition_level(fam, level, rin.depth, stride, offset)
         pins = {
             j: opt.start[j]
-            for lvl in range(node.level, p)
+            for lvl in range(level, p)
             for (ks, ke), members in assign.guess.get(lvl, {}).items()
             if ks >= s and ke <= end
             for j in members
             if j in rin.jobs
         }
-        yield pins, [c.key for c in fam.descendants(node, p)]
-
-    def tops_at(levels) -> frozenset[JobId]:
-        acc: set[JobId] = set()
-        for lvl in levels:
-            acc |= assign.top_at_level(lvl)
-        return frozenset(acc)
+        yield pins, fam.cells(rin.interval, p)
 
     calls: list[CallTrace] = []
     result = solve(inst, fam.T, oracle_guess, fam.level_count(), traces=calls)
     traces = []
     for tr in calls:
-        level = fam.find(*tr.interval).level
-        p = fam.find(*tr.cells[0]).level
+        level = fam.level_of(tr.interval)
+        p = fam.level_of(tr.cells[0])
         traces.append(
             PinnedTrace(
                 **vars(tr),
                 level=level,
                 partition_level=p,
                 lam=fam.level_lengths[p],
-                top1=tr.tops & tops_at(range(level, p)),
-                top2=tr.tops & tops_at((p,)),
+                top1=tr.tops & frozenset().union(*map(assign.top_at_level, range(level, p))),
             )
         )
     return traces, result.schedule.start, set(result.discarded)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (verify: feasible), 1 infeasible or violations found,
 2 usage or parse errors (a cyclic instance file, an --eps outside (0, 1], an
-unknown bench algorithm and an unreadable or unwritable path included). All
+unknown bench algorithm and an unreadable or unwritable path included); a
+file that does not decode or parse is named in the message. All
 randomness is seeded; bench output is byte-identical across runs unless
 --timing is given.
 """
@@ -59,8 +60,16 @@ class CliError(Exception):
     """Usage-level failure; main() maps it to exit code 2."""
 
 
+def _parse_file(path, parse):
+    """parse() the text of the file at path; a decode or parse error names the file."""
+    try:
+        return parse(Path(path).read_text())
+    except (UnicodeDecodeError, ParseError, CycleError) as exc:
+        raise CliError(f"{path}: {exc}") from None
+
+
 def _read_instance(path: str) -> Instance:
-    return parse_instance(Path(path).read_text())
+    return _parse_file(path, parse_instance)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -86,7 +95,7 @@ def _corpus_dir(path: str) -> list[tuple[str, Instance]]:
     files = sorted(base.glob("*.inst"))
     if not files:
         raise CliError(f"no .inst files under {path}")
-    return [(f.stem, parse_instance(f.read_text())) for f in files]
+    return [(f.stem, _parse_file(f, parse_instance)) for f in files]
 
 
 def _cmd_gen(args) -> int:
@@ -196,7 +205,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = _read_instance(args.input)
-    sched = parse_schedule(Path(args.schedule).read_text())
+    sched = _parse_file(args.schedule, parse_schedule)
     report = validate_schedule(inst, sched)
     for v in report.violations:
         print(f"violation {v.kind}: {' '.join(map(str, v.detail))}")
@@ -401,8 +410,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, CycleError, CliError, BadSpec, BadEps, BadHorizon, TooLarge,
-            OSError, UnicodeDecodeError) as exc:
+    except (CliError, BadSpec, BadEps, BadHorizon, TooLarge, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleHorizon as exc:

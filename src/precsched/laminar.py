@@ -4,7 +4,15 @@ The horizon [0, T) is subdivided recursively: an interval of length at least
 2^rho splits into 2^rho equal children, a shorter interval (length over 1)
 splits into unit children, and unit intervals are leaves. rho depends on the
 job count and the accuracy parameter, so the tree is very shallow: the
-number of levels grows like log T / log log n.
+number of levels grows like log T / log log n. Intervals are (start, end)
+tuples: LaminarFamily.level_of gives a family interval's level and
+cells(interval, level) the intervals of a deeper level inside it.
+
+Offset a's bucket is the levels a + 1, a + 1 + stride, ... with stride
+m/eps (bucket_levels); best_offset and the shift-bound audit sum tops over
+it. partition_level(fam, level, depth, stride, offset) picks the depth-th
+level of that bucket as the cells of a recursion call on a level-`level`
+interval.
 
 assign_levels replays an optimal schedule against this family and sorts
 every job into exactly one guess set or one top set at exactly one level.
@@ -43,23 +51,11 @@ def check_eps(eps) -> Fraction:
 
 
 @dataclass(frozen=True)
-class IntervalNode:
-    start: int
-    end: int
-    level: int
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.start, self.end)
-
-
-@dataclass(frozen=True)
 class LaminarFamily:
-    """Uniform laminar subdivision of [0, T); all nodes of a level share a length."""
+    """Uniform laminar subdivision of [0, T); all intervals of a level share a length.
+
+    Intervals are (start, end) tuples; level 0 is the root (0, T).
+    """
 
     T: int
     rho: int
@@ -72,33 +68,25 @@ class LaminarFamily:
     def deepest(self) -> int:
         return len(self.level_lengths) - 1
 
-    def intervals(self, level: int) -> list[IntervalNode]:
-        length = self.level_lengths[level]
-        return [
-            IntervalNode(i * length, (i + 1) * length, level)
-            for i in range(self.T // length)
-        ]
-
-    def find(self, start: int, end: int) -> IntervalNode:
+    def level_of(self, interval: tuple[int, int]) -> int:
+        """Level of a family interval; KeyError for any other interval."""
+        start, end = interval
         length = end - start
-        for level, cand in enumerate(self.level_lengths):
-            if cand == length and start % length == 0:
-                return IntervalNode(start, end, level)
+        if 0 <= start and end <= self.T:
+            for level, cand in enumerate(self.level_lengths):
+                if cand == length and start % length == 0:
+                    return level
         raise KeyError(f"[{start}, {end}) is not a family interval")
 
-    def children(self, node: IntervalNode) -> list[IntervalNode]:
-        if node.level >= self.deepest:
-            return []
-        return self.descendants(node, node.level + 1)
+    def cells(self, interval: tuple[int, int], level: int) -> list[tuple[int, int]]:
+        """The level-`level` intervals inside a family interval, left to right.
 
-    def descendants(self, node: IntervalNode, level: int) -> list[IntervalNode]:
-        if not node.level <= level <= self.deepest:
-            raise KeyError(f"no level {level} below {node}")
+        KeyError unless level lies in [level_of(interval), deepest].
+        """
+        if not self.level_of(interval) <= level <= self.deepest:
+            raise KeyError(f"no level {level} below {interval}")
         length = self.level_lengths[level]
-        return [
-            IntervalNode(s, s + length, level)
-            for s in range(node.start, node.end, length)
-        ]
+        return [(s, s + length) for s in range(interval[0], interval[1], length)]
 
 
 def stride_of(m: int, eps) -> int:
@@ -110,16 +98,26 @@ def stride_of(m: int, eps) -> int:
     return q
 
 
-def partition_level(
-    fam: LaminarFamily, node: IntervalNode, depth: int, m: int, eps, offset: int = 0
-) -> int:
-    """Level whose intervals are the cells of a depth-`depth` call on node.
+def bucket_levels(fam: LaminarFamily, offset: int, stride: int) -> range:
+    """Levels offset + 1, offset + 1 + stride, ... of fam: offset's bucket.
 
-    offset + depth * (m/eps) + 1, capped at the deepest level and kept at
-    least one level below the node so every call splits its interval.
+    The buckets of offsets 0..stride-1 are disjoint and cover every level
+    >= 1.
     """
-    level = min(offset + depth * stride_of(m, eps) + 1, fam.deepest)
-    return max(level, node.level + 1)
+    return range(offset + 1, fam.level_count(), stride)
+
+
+def partition_level(
+    fam: LaminarFamily, level: int, depth: int, stride: int, offset: int = 0
+) -> int:
+    """Level of the cells of a depth-`depth` call on a level-`level` interval.
+
+    offset + depth * stride + 1, the depth-th level of offset's bucket (see
+    bucket_levels; stride is stride_of(m, eps)), capped at the deepest level
+    and kept at least one level below `level` so every call splits its
+    interval.
+    """
+    return max(min(offset + depth * stride + 1, fam.deepest), level + 1)
 
 
 def build_laminar(T: int, n: int, eps) -> LaminarFamily:
@@ -259,7 +257,6 @@ def assign_levels(
     # Every window below is taken under pins at optimal slots, so none is
     # empty and feasible_windows never raises.
     for level in range(fam.level_count()):
-        nodes = fam.intervals(level)
         length = fam.level_lengths[level]
         free = [j for j in range(n) if j not in assigned]
         pools: dict[int, list[int]] = {}
@@ -269,21 +266,22 @@ def assign_levels(
         guess_row: dict[tuple[int, int], frozenset[int]] = {}
         top_row: dict[tuple[int, int], frozenset[int]] = {}
         for i in sorted(pools):
-            node, pool = nodes[i], pools[i]
-            children = fam.children(node)
-            if not children:
-                top_row[node.key] = frozenset(pool)
+            start = i * length
+            node, pool = (start, start + length), pools[i]
+            if level == fam.deepest:
+                top_row[node] = frozenset(pool)
                 assigned.update(pool)
                 continue
-            child_len = children[0].length
-            thresh = chain_threshold(node.length, n, m, e)
+            children = fam.cells(node, level + 1)
+            child_len = fam.level_lengths[level + 1]
+            thresh = chain_threshold(length, n, m, e)
 
             def flexible_now() -> set[int]:
                 rest = [j for j in pool if j not in assigned]
                 return {
                     j
                     for j, (lo, hi) in zip(rest, feasible_windows(inst, rest, pinned, T))
-                    if (hi - 1 - node.start) // child_len > (lo - node.start) // child_len
+                    if (hi - 1 - start) // child_len > (lo - start) // child_len
                 }
 
             guessed: set[int] = set()
@@ -291,9 +289,9 @@ def assign_levels(
                 chain = longest_chain_path(inst, flexible_now())
                 if not chain or Fraction(len(chain)) < thresh:
                     break
-                for child in children:
+                for cs, ce in children:
                     inside = sorted(
-                        (j for j in chain if child.start <= slot[j] < child.end),
+                        (j for j in chain if cs <= slot[j] < ce),
                         key=lambda j: slot[j],
                     )
                     if inside:
@@ -302,10 +300,10 @@ def assign_levels(
                             assigned.add(x)
                             pinned[x] = slot[x]
             if guessed:
-                guess_row[node.key] = frozenset(guessed)
+                guess_row[node] = frozenset(guessed)
             tops = flexible_now()
             if tops:
-                top_row[node.key] = frozenset(tops)
+                top_row[node] = frozenset(tops)
                 assigned.update(tops)
         if guess_row:
             out.guess[level] = guess_row
@@ -315,7 +313,7 @@ def assign_levels(
 
 
 def best_offset(assign: LevelAssignment, m: int, eps, T: int) -> tuple[int, int]:
-    """Offset a in 0..m/eps-1 minimizing tops on levels a + r*(m/eps) + 1.
+    """Offset a in 0..m/eps-1 minimizing the tops on its bucket_levels.
 
     Those bucket unions are disjoint across offsets and cover all levels
     >= 1, so the smallest bucket holds at most eps*T jobs when the
@@ -325,11 +323,9 @@ def best_offset(assign: LevelAssignment, m: int, eps, T: int) -> tuple[int, int]
     stride = stride_of(m, eps)
     best = None
     for a in range(stride):
-        total = 0
-        level = a + 1
-        while level <= assign.fam.deepest:
-            total += len(assign.top_at_level(level))
-            level += stride
+        total = sum(
+            len(assign.top_at_level(level)) for level in bucket_levels(assign.fam, a, stride)
+        )
         if best is None or total < best[1]:
             best = (a, total)
     return best

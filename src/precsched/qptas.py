@@ -40,7 +40,6 @@ from itertools import combinations
 from .laminar import (
     EmptyWindow,
     build_laminar,
-    check_eps,
     feasible_windows,
     partition_level,
     stride_of,
@@ -319,14 +318,12 @@ def laminar_guesses(inst, T, eps, offset=0):
     """
     if offset < 0:
         raise ValueError(f"offset must be >= 0, got {offset}")
-    eps = check_eps(eps)
-    stride_of(inst.m, eps)
+    stride = stride_of(inst.m, eps)
     fam = build_laminar(T, max(inst.n, 2), eps)
 
     def guesses(rin):
-        node = fam.find(*rin.interval)
-        level = partition_level(fam, node, rin.depth, inst.m, eps, offset)
-        yield {}, [c.key for c in fam.descendants(node, level)]
+        level = partition_level(fam, fam.level_of(rin.interval), rin.depth, stride, offset)
+        yield {}, fam.cells(rin.interval, level)
 
     return guesses
 

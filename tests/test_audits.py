@@ -134,7 +134,6 @@ def test_pinned_replay_antichain_trace_frozen():
     assert tr.pins == {}
     assert tr.tops == frozenset({0, 1, 2, 3})
     assert tr.top1 == frozenset({0, 1, 2, 3})
-    assert tr.top2 == frozenset()
     assert [(w.job, w.r, w.d) for w in tr.windows] == [(j, 0, 4) for j in range(4)]
     assert tr.placed_tops == {0: 0, 1: 1, 2: 2, 3: 3}
     assert tr.edf.loads == {0: 1, 1: 1, 2: 1, 3: 1}
@@ -242,7 +241,7 @@ def test_audit_instance_holds_on_random_instances(case):
 
 def _reference_replay(inst, opt, fam, eps, offset, assign):
     # The auditors' former hand-kept copy of the solver's recursion: pin the
-    # guessed jobs of levels [node.level, p) at their optimal slots, classify,
+    # guessed jobs of levels [level, p) at their optimal slots, classify,
     # recurse on cells, window the tops and sweep. Traces are field dicts,
     # children first.
     stride = stride_of(inst.m, eps)
@@ -251,8 +250,8 @@ def _reference_replay(inst, opt, fam, eps, offset, assign):
     def tops_at(levels):
         return frozenset().union(*(assign.top_at_level(lvl) for lvl in levels))
 
-    def call(node, jobs, pins, depth):
-        s, e = node.start, node.end
+    def call(interval, jobs, pins, depth):
+        s, e = interval
         if not jobs:
             return {}
         if e - s == 1:
@@ -261,10 +260,12 @@ def _reference_replay(inst, opt, fam, eps, offset, assign):
             placed, disc = edf_insert(inst, tops, occ, s, e)
             discarded.update(disc)
             return placed
-        p = max(min(offset + depth * stride + 1, fam.deepest), node.level + 1)
-        cells = [(c.start, c.end) for c in fam.descendants(node, p)]
+        level = fam.level_lengths.index(e - s)
+        p = max(min(offset + depth * stride + 1, fam.deepest), level + 1)
+        lam = fam.level_lengths[p]
+        cells = [(t, t + lam) for t in range(s, e, lam)]
         new_pins = {}
-        for lvl in range(node.level, p):
+        for lvl in range(level, p):
             for (ks, ke), members in assign.guess.get(lvl, {}).items():
                 if ks >= s and ke <= e:
                     new_pins.update((j, opt.start[j]) for j in members if j in jobs)
@@ -274,7 +275,7 @@ def _reference_replay(inst, opt, fam, eps, offset, assign):
         for cell in cells:
             sub = bottom[cell] - new_pins.keys()
             if sub:
-                starts.update(call(fam.find(*cell), frozenset(sub), merged, depth + 1))
+                starts.update(call(cell, frozenset(sub), merged, depth + 1))
         placed_all = {**pins, **starts}
         windows = windows_for_top(inst, top, cells, placed_all)
         occ = Counter(t for t in placed_all.values() if s <= t < e)
@@ -287,15 +288,14 @@ def _reference_replay(inst, opt, fam, eps, offset, assign):
             dict(
                 depth=depth,
                 interval=(s, e),
-                level=node.level,
+                level=level,
                 partition_level=p,
                 cells=cells,
-                lam=fam.level_lengths[p],
+                lam=lam,
                 pins=new_pins,
                 tops=top,
                 windows=windows,
-                top1=top & tops_at(range(node.level, p)),
-                top2=top & tops_at((p,)),
+                top1=top & tops_at(range(level, p)),
                 placed_tops=tplaced,
                 edf=edf,
                 degenerate=degen,
@@ -304,7 +304,7 @@ def _reference_replay(inst, opt, fam, eps, offset, assign):
         )
         return starts
 
-    starts = call(fam.find(0, fam.T), frozenset(range(inst.n)), {}, 0)
+    starts = call((0, fam.T), frozenset(range(inst.n)), {}, 0)
     return traces, starts, discarded
 
 

@@ -483,25 +483,49 @@ def test_unknown_bench_algorithm_exits_2(tmp_path, capsys, monkeypatch, algs):
 
 @pytest.mark.parametrize(
     "case", ["solve-input-missing", "solve-input-dir", "verify-schedule-dir", "gen-output-dir",
-             "gen-outdir-file", "solve-input-not-utf8"])
+             "gen-outdir-file", "solve-input-not-utf8", "bench-corpus-malformed",
+             "audit-corpus-not-utf8", "verify-schedule-malformed"])
 def test_unreadable_or_unwritable_path_exits_2(tmp_path, capsys, case):
-    # All but the missing file used to escape main() as an OSError or a
-    # UnicodeDecodeError.
+    # Each message names the offending path; a parse or decode error used
+    # to give only the line or the codec's complaint.
     inst = tmp_path / "chain.inst"
     inst.write_text(emit_instance(build_instance(2, 1, [(0, 1)])))
     garbled = tmp_path / "garbled.inst"
     garbled.write_bytes(b"jobs 2\nmachines 1\n# \xff\xfe\n")
-    argv = {
-        "solve-input-missing": ["solve", "--input", str(tmp_path / "nope.inst"), "--alg", "exact"],
-        "solve-input-dir": ["solve", "--input", str(tmp_path), "--alg", "ls"],
-        "verify-schedule-dir": ["verify", "--input", str(inst), "--schedule", str(tmp_path)],
-        "gen-output-dir": ["gen", "--kind", "chain", "--n", "2", "--output", str(tmp_path)],
-        "gen-outdir-file": ["gen", "--corpus", "standard", "--outdir", str(inst)],
-        "solve-input-not-utf8": ["solve", "--input", str(garbled), "--alg", "ls"],
+    corp = tmp_path / "corp"
+    corp.mkdir()
+    (corp / "a.inst").write_text(inst.read_text())
+    zbad = corp / "zbad.inst"
+    zbad.write_text("jobs 2\nmachines 1\nedge 0 x\n")
+    latin = tmp_path / "latin"
+    latin.mkdir()
+    (latin / "a.inst").write_bytes(garbled.read_bytes())
+    bad_sched = tmp_path / "bad.sched"
+    bad_sched.write_text("makespan 2\njob 0 zero\n")
+    argv, path = {
+        "solve-input-missing": (
+            ["solve", "--input", str(tmp_path / "nope.inst"), "--alg", "exact"],
+            tmp_path / "nope.inst",
+        ),
+        "solve-input-dir": (["solve", "--input", str(tmp_path), "--alg", "ls"], tmp_path),
+        "verify-schedule-dir": (
+            ["verify", "--input", str(inst), "--schedule", str(tmp_path)], tmp_path
+        ),
+        "gen-output-dir": (
+            ["gen", "--kind", "chain", "--n", "2", "--output", str(tmp_path)], tmp_path
+        ),
+        "gen-outdir-file": (["gen", "--corpus", "standard", "--outdir", str(inst)], inst),
+        "solve-input-not-utf8": (["solve", "--input", str(garbled), "--alg", "ls"], garbled),
+        "bench-corpus-malformed": (["bench", "--input", str(corp)], zbad),
+        "audit-corpus-not-utf8": (["audit", "--input", str(latin)], latin / "a.inst"),
+        "verify-schedule-malformed": (
+            ["verify", "--input", str(inst), "--schedule", str(bad_sched)], bad_sched
+        ),
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert str(path) in err
 
 
 # sha256 of deterministic outputs over the standard corpus. A change that

@@ -33,13 +33,18 @@ def test_family_sixteen_jobs_eps_one():
     assert fam.level_lengths == (16, 4, 1)
     assert fam.level_count() == 3
     assert fam.deepest == 2
-    assert [len(fam.intervals(level)) for level in range(3)] == [1, 4, 16]
-    root = fam.intervals(0)[0]
-    assert [c.key for c in fam.children(root)] == [(0, 4), (4, 8), (8, 12), (12, 16)]
-    assert len(fam.descendants(root, 2)) == 16
-    assert fam.find(4, 8).level == 1
+    root = (0, 16)
+    assert [len(fam.cells(root, level)) for level in range(3)] == [1, 4, 16]
+    assert fam.cells(root, 1) == [(0, 4), (4, 8), (8, 12), (12, 16)]
+    assert fam.cells(root, 2) == [(t, t + 1) for t in range(16)]
+    assert fam.level_of((4, 8)) == 1
+    for outside in ((5, 9), (16, 20), (-4, 0), (0, 32)):
+        with pytest.raises(KeyError):
+            fam.level_of(outside)
     with pytest.raises(KeyError):
-        fam.find(5, 9)
+        fam.cells((4, 8), 0)
+    with pytest.raises(KeyError):
+        fam.cells(root, 3)
 
 
 def test_family_halving_eps_deepens_the_split():
@@ -51,7 +56,36 @@ def test_family_halving_eps_deepens_the_split():
 def test_family_unit_horizon_is_a_single_leaf():
     fam = build_laminar(1, 2, 1)
     assert fam.level_lengths == (1,)
-    assert fam.children(fam.intervals(0)[0]) == []
+    assert fam.deepest == 0
+    assert fam.cells((0, 1), 0) == [(0, 1)]
+    with pytest.raises(KeyError):
+        fam.cells((0, 1), 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=2, max_value=64),
+    st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3)]),
+)
+def test_family_levels_are_laminar(log_t, n, eps):
+    T = 1 << log_t
+    fam = build_laminar(T, n, eps)
+    root = (0, T)
+    assert fam.level_of(root) == 0
+    prev = [root]
+    for level in range(fam.level_count()):
+        row = fam.cells(root, level)
+        # The level's cells partition [0, T) and all sit at that level.
+        assert row[0][0] == 0 and row[-1][1] == T
+        assert all(a[1] == b[0] for a, b in zip(row, row[1:]))
+        assert all(fam.level_of(cell) == level for cell in row)
+        if level:
+            for cell in row:
+                parents = [p for p in prev if p[0] <= cell[0] and cell[1] <= p[1]]
+                assert len(parents) == 1
+                assert cell in fam.cells(parents[0], level)
+        prev = row
 
 
 def test_family_rejects_bad_inputs():

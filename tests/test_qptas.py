@@ -234,14 +234,11 @@ def test_enumeration_laminar_k0_yields_one_guess():
 
 def test_partition_level_gives_the_cell_length_per_depth():
     fam = build_laminar(16, 16, 1)
-    root = fam.find(0, 16)
 
     def cell_length(depth):
-        return fam.level_lengths[partition_level(fam, root, depth, 1, 1)]
+        return fam.level_lengths[partition_level(fam, 0, depth, 1)]
 
     assert [cell_length(d) for d in (0, 1, 5)] == [4, 1, 1]
-    with pytest.raises(BadEps):
-        partition_level(fam, root, 0, 1, Fraction(2, 3))
 
 
 def test_solve_exhaustive_pins_everything_first():
