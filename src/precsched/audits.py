@@ -7,9 +7,10 @@ to its level assignment and best offset; `analyze levels` prints it and
 audit_instance audits it. run_oracle_pinned runs the solver itself
 (qptas.solve) with an oracle-pinned guess source: every call pins the jobs
 the level assignment guessed at their slots in an exact optimal schedule.
-The solver's per-call traces, extended by their level data, feed the window
-and idle auditors. Everything here is desk-scale: it sits on top of the
-exact oracle.
+The solver's own per-call traces feed the window and idle auditors, which
+take each call's levels from the family: that of its interval and that of
+its cells. Everything here is desk-scale: it sits on top of the exact
+oracle.
 """
 
 from __future__ import annotations
@@ -62,21 +63,6 @@ class AuditReport:
     violations: int
     worst: float
     bound: float
-
-
-@dataclass
-class PinnedTrace(CallTrace):
-    """A solver CallTrace of the oracle-pinned run plus its level data.
-
-    level is the family level of the call's interval, partition_level that
-    of its cells, and lam their length. top1 are the tops the level
-    assignment put in the call's own level range [level, partition_level).
-    """
-
-    level: int
-    partition_level: int
-    lam: int
-    top1: frozenset[JobId]
 
 
 def check_unique_level(assign: LevelAssignment) -> AuditReport:
@@ -211,12 +197,11 @@ def audit_idle_slots(trace: CallTrace, m: int, eps, n: int) -> AuditReport:
     """
     e = check_eps(eps)
     live = [w for w in trace.windows if not w.degenerate]
-    ends: dict[JobId, int] = {}
-    for w in live:
-        if w.job in trace.placed_tops:
-            ends[w.job] = trace.placed_tops[w.job] + 1
-        else:
-            ends[w.job] = trace.edf.discard_time[w.job]
+    # An unplaced live top is discarded at its deadline.
+    ends = {
+        w.job: trace.placed_tops[w.job] + 1 if w.job in trace.placed_tops else w.d
+        for w in live
+    }
 
     def pending(t: int) -> bool:
         return any(w.r <= t < ends[w.job] for w in live)
@@ -236,7 +221,7 @@ def audit_idle_slots(trace: CallTrace, m: int, eps, n: int) -> AuditReport:
         i = j
     margins = []
     for rs, re in runs:
-        idle = sum(1 for t in range(rs, re) if trace.edf.loads.get(t, 0) < m)
+        idle = sum(1 for t in range(rs, re) if trace.loads[t] < m)
         margins.append(idle - (re - rs) * rate)
     return AuditReport(
         name="idle-slots",
@@ -257,46 +242,28 @@ def run_oracle_pinned(
 ):
     """Run the solver with every guess pinned at its optimal slot.
 
-    The guess source gives each call one guess: the level assignment's guess
-    sets inside the call's interval for all levels from the interval's own
-    level up to (but not including) its partition level, pinned at their
-    slots in opt, on the partition level's cells. The solver then
-    classifies, recurses on bottoms, windows the tops and runs the EDF sweep
-    as it always does. Its depth cap is the family's level count, which no
-    call reaches. Returns (traces, starts, discarded); traces are
-    PinnedTraces, children first.
+    The guess source gives each call one guess: the call's jobs that the
+    level assignment guessed at some level from the interval's own level up
+    to (but not including) its partition level, pinned at their slots in
+    opt, on the partition level's cells. The solver then classifies,
+    recurses on bottoms, windows the tops and runs the EDF sweep as it
+    always does. Its depth cap is the family's level count, which no call
+    reaches. Returns (traces, starts, discarded); traces are the solver's
+    CallTraces, children first.
     """
     stride = stride_of(inst.m, eps)
+    guess_level = {
+        j: lvl for lvl, row in assign.guess.items() for members in row.values() for j in members
+    }
 
     def oracle_guess(rin):
-        s, end = rin.interval
         level = fam.level_of(rin.interval)
         p = partition_level(fam, level, rin.depth, stride, offset)
-        pins = {
-            j: opt.start[j]
-            for lvl in range(level, p)
-            for (ks, ke), members in assign.guess.get(lvl, {}).items()
-            if ks >= s and ke <= end
-            for j in members
-            if j in rin.jobs
-        }
+        pins = {j: opt.start[j] for j in rin.jobs if level <= guess_level.get(j, -1) < p}
         yield pins, fam.cells(rin.interval, p)
 
-    calls: list[CallTrace] = []
-    result = solve(inst, fam.T, oracle_guess, fam.level_count(), traces=calls)
-    traces = []
-    for tr in calls:
-        level = fam.level_of(tr.interval)
-        p = fam.level_of(tr.cells[0])
-        traces.append(
-            PinnedTrace(
-                **vars(tr),
-                level=level,
-                partition_level=p,
-                lam=fam.level_lengths[p],
-                top1=tr.tops & frozenset().union(*map(assign.top_at_level, range(level, p))),
-            )
-        )
+    traces: list[CallTrace] = []
+    result = solve(inst, fam.T, oracle_guess, fam.level_count(), traces=traces)
     return traces, result.schedule.start, set(result.discarded)
 
 
@@ -326,7 +293,7 @@ def level_analysis(inst: Instance, eps):
     opt = optimal_schedule(padded)
     fam = build_laminar(tstar, padded.n, e)
     assign = assign_levels(padded, opt, fam, e)
-    offset, bucket = best_offset(assign, padded.m, e, tstar)
+    offset, bucket = best_offset(assign, padded.m, e)
     return padded, opt, fam, assign, offset, bucket
 
 
@@ -335,8 +302,9 @@ def audit_instance(inst: Instance, eps=Fraction(1)) -> dict[str, AuditReport]:
 
     Takes the padded instance, its optimum, level assignment and best
     offset from level_analysis, runs the pinned recursion, and returns one
-    report per claim. window-slack, degenerate-count and idle-slots
-    aggregate the per-call reports into margin rows (bound 0.0). Two
+    report per claim, in the order of the audit CSV's rows. window-slack,
+    degenerate-count and idle-slots aggregate the per-call reports into
+    margin rows (bound 0.0); a call's slack bound is its cell length. Two
     informational rows record the run's depth against the working cap and
     the analysis recursion-depth limit. Needs at least 2 jobs; raises
     TooLarge above the oracle cap.
@@ -347,24 +315,30 @@ def audit_instance(inst: Instance, eps=Fraction(1)) -> dict[str, AuditReport]:
     padded, opt, fam, assign, a, _ = level_analysis(inst, e)
     traces, _, _ = run_oracle_pinned(padded, opt, fam, e, a, assign)
     m = padded.m
+
+    def top1_windows(tr):
+        # The tops the level assignment put in the call's own level range,
+        # from the interval's level up to its cells'.
+        levels = range(fam.level_of(tr.interval), fam.level_of(tr.cells[0]))
+        top1 = tr.tops & frozenset().union(*map(assign.top_at_level, levels))
+        return [w for w in tr.windows if w.job in top1]
+
+    # In CSV row order: the claims, then the informational rows.
     reports = {
         "unique-level": check_unique_level(assign),
         "shift-bound": check_shift_bound(assign, m, e, fam.T),
-        "level-count": check_level_count(fam, padded.n, e),
         "window-slack": _merge_margin(
             "window-slack",
-            [check_window_slack(opt, tr.windows, tr.lam, tr.pins) for tr in traces],
+            [
+                check_window_slack(opt, tr.windows, tr.cells[0][1] - tr.cells[0][0], tr.pins)
+                for tr in traces
+            ],
         ),
+        "level-count": check_level_count(fam, padded.n, e),
         "degenerate-count": _merge_margin(
             "degenerate-count",
             [
-                count_degenerate(
-                    [w for w in tr.windows if w.job in tr.top1],
-                    m,
-                    e,
-                    padded.n,
-                    tr.interval[1] - tr.interval[0],
-                )
+                count_degenerate(top1_windows(tr), m, e, padded.n, tr.interval[1] - tr.interval[0])
                 for tr in traces
             ],
         ),

@@ -312,13 +312,13 @@ def assign_levels(
     return out
 
 
-def best_offset(assign: LevelAssignment, m: int, eps, T: int) -> tuple[int, int]:
+def best_offset(assign: LevelAssignment, m: int, eps) -> tuple[int, int]:
     """Offset a in 0..m/eps-1 minimizing the tops on its bucket_levels.
 
     Those bucket unions are disjoint across offsets and cover all levels
-    >= 1, so the smallest bucket holds at most eps*T jobs when the
-    assignment came from an optimal schedule (n <= m*T). Ties pick the
-    smallest offset. m/eps must be a positive integer.
+    >= 1, so the smallest bucket holds at most eps*T jobs, T the family's
+    horizon, when the assignment came from an optimal schedule (n <= m*T).
+    Ties pick the smallest offset. m/eps must be a positive integer.
     """
     stride = stride_of(m, eps)
     best = None

@@ -29,13 +29,14 @@ interval family and a level offset. exhaustive_guesses enumerates the full
 guess space, which is astronomical, so it is only usable at toy sizes (n
 around 10). The auditors pass a source that pins each call's guessed jobs at
 their optimal slots. Given a trace list, the recursion records one CallTrace
-per non-unit call of the winning guess.
+per non-unit call of the winning guess, built from the sweep's inputs and
+result; the sweep itself has no trace mode.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from .laminar import (
     EmptyWindow,
@@ -97,21 +98,14 @@ class SolveResult:
 
 
 @dataclass
-class EdfTrace:
-    """Per-slot loads and per-job discard times of one EDF sweep."""
-
-    loads: dict[int, int] = field(default_factory=dict)
-    discard_time: dict[JobId, int] = field(default_factory=dict)
-
-
-@dataclass
 class CallTrace:
     """One non-unit recursion call, as its winning guess ran it.
 
     pins are the call's own new pins; windows holds every top window,
     degenerate included, in job order; placed_tops are the EDF placements.
-    degenerate and edf_discarded split the sweep's discards into tops whose
-    window collapsed and tops the sweep could not fit.
+    loads maps every slot of the interval to its job count after the sweep.
+    A top that is neither placed nor degenerate was discarded at its deadline
+    d, which windows_for_top keeps inside the interval.
     """
 
     depth: int
@@ -121,9 +115,7 @@ class CallTrace:
     tops: frozenset[JobId]
     windows: list[TopWindow]
     placed_tops: dict[JobId, int]
-    edf: EdfTrace
-    degenerate: frozenset[JobId]
-    edf_discarded: frozenset[JobId]
+    loads: dict[int, int]
 
 
 def _loads(slots, s, e):
@@ -209,17 +201,19 @@ def windows_for_top(inst, top, cells, placed):
     return out
 
 
-def edf_insert(inst, tops, occupancy, start, end, trace=None):
+def edf_insert(inst, tops, occupancy, start, end):
     """Sweep [start, end) placing tops earliest-deadline-first.
 
-    At each slot: discard unplaced jobs whose deadline has arrived, then
-    fill the residual capacity (none when the slot is already full or over)
-    with eligible jobs in (deadline, id) order. A bitmask `pending` holds the
-    batch's jobs that are neither placed nor discarded; a job is eligible
-    when released and none of its predecessors is pending, one mask test per
-    job. Jobs placed at this slot only leave `pending` after every job's
-    test, so they block their successors until the next slot. Returns
-    (placements, discards).
+    Degenerate windows are discarded up front, so they never block their
+    successors. Then at each slot: discard unplaced jobs whose deadline has
+    arrived, and fill the residual capacity (none when the slot is already
+    full or over) with eligible jobs in (deadline, id) order. A bitmask
+    `pending` holds the batch's jobs that are neither placed nor discarded; a
+    job is eligible when released and none of its predecessors is pending,
+    one mask test per job. Jobs placed at this slot only leave `pending`
+    after every job's test, so they block their successors until the next
+    slot. Returns (placements, discards); a slot's load after the sweep is
+    its occupancy plus the jobs placed there.
     """
     pred_masks = inst.pred_masks
     rest = []
@@ -228,8 +222,6 @@ def edf_insert(inst, tops, occupancy, start, end, trace=None):
     for w in sorted(tops, key=lambda w: (w.d, w.job)):
         if w.degenerate:
             discards.add(w.job)
-            if trace is not None:
-                trace.discard_time[w.job] = start
         else:
             rest.append(w)
             pending |= 1 << w.job
@@ -241,25 +233,19 @@ def edf_insert(inst, tops, occupancy, start, end, trace=None):
             w = rest[k]
             discards.add(w.job)
             pending ^= 1 << w.job
-            if trace is not None:
-                trace.discard_time[w.job] = t
             k += 1
         if k:
             del rest[:k]
-        occ = occupancy.get(t, 0)
-        free = max(0, inst.m - occ)
+        free = inst.m - occupancy.get(t, 0)
+        if free <= 0:
+            continue
         ready = [w for w in rest if w.r <= t and not pred_masks[w.job] & pending]
-        if ready and free:
+        if ready:
             for w in ready[:free]:
                 placed[w.job] = t
                 pending ^= 1 << w.job
             rest = [w for w in rest if pending >> w.job & 1]
-        if trace is not None:
-            trace.loads[t] = occ + min(free, len(ready))
-    for w in rest:
-        discards.add(w.job)
-        if trace is not None:
-            trace.discard_time[w.job] = end
+    discards.update(w.job for w in rest)
     return placed, discards
 
 
@@ -411,13 +397,14 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
         top = frozenset(_bits(top_mask))
         placed_all = {**rin.pinned, **starts}
         top_windows = windows_for_top(inst, top, cells, placed_all)
-        edf = None if traces is None else EdfTrace()
-        # edf_insert discards degenerate windows at s without placing them.
-        tplaced, tdisc = edf_insert(inst, top_windows, _loads(placed_all.values(), s, e), s, e, edf)
+        occupancy = _loads(placed_all.values(), s, e)
+        tplaced, tdisc = edf_insert(inst, top_windows, occupancy, s, e)
         starts.update(tplaced)
         disc |= tdisc
         if calls is not None:
-            degenerate = frozenset(w.job for w in top_windows if w.degenerate)
+            loads = {t: occupancy.get(t, 0) for t in range(s, e)}
+            for t in tplaced.values():
+                loads[t] += 1
             calls.append(
                 CallTrace(
                     depth=rin.depth,
@@ -427,9 +414,7 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
                     tops=top,
                     windows=top_windows,
                     placed_tops=tplaced,
-                    edf=edf,
-                    degenerate=degenerate,
-                    edf_discarded=frozenset(tdisc - degenerate),
+                    loads=loads,
                 )
             )
         if best is None or len(disc) < len(best[1]):

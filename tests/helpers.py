@@ -21,7 +21,6 @@ from itertools import combinations, permutations, product
 from precsched.model import Schedule
 from precsched.qptas import (
     CallTrace,
-    EdfTrace,
     RecursionInput,
     SolveResult,
     SolveStats,
@@ -480,16 +479,15 @@ def _ref_recurse(inst, rin, depth_max, guesses, stats, traces):
                 disc |= cdisc
         placed_all = {**rin.pinned, **starts}
         windows = [TopWindow(*w) for w in ref_windows_for_top(inst, top, cells, placed_all)]
-        edf = None if traces is None else EdfTrace()
-        tplaced, tdisc = edf_insert(inst, windows, _ref_loads(placed_all.values(), s, e), s, e, edf)
+        tplaced, tdisc = edf_insert(inst, windows, _ref_loads(placed_all.values(), s, e), s, e)
         starts.update(tplaced)
         disc |= tdisc
         if calls is not None:
-            degenerate = frozenset(w.job for w in windows if w.degenerate)
+            slots = [*placed_all.values(), *tplaced.values()]
+            loads = {t: sum(1 for x in slots if x == t) for t in range(s, e)}
             calls.append(CallTrace(
                 depth=rin.depth, interval=rin.interval, cells=cells, pins=dict(pins), tops=top,
-                windows=windows, placed_tops=tplaced, edf=edf, degenerate=degenerate,
-                edf_discarded=frozenset(tdisc - degenerate),
+                windows=windows, placed_tops=tplaced, loads=loads,
             ))
         if best is None or len(disc) < len(best[1]):
             best = (starts, disc, calls)

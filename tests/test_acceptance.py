@@ -157,7 +157,7 @@ def test_criterion_6_contractual_audits(capsys):
 def test_criterion_7_advisory_audits_csv(capsys, corpus_dir, tmp_path):
     out = tmp_path / "audits.csv"
     assert main(["audit", "--input", str(corpus_dir), "--output", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     advisory = [r for r in rows if r["claim"] in ADVISORY_CLAIMS]
     assert advisory, "no advisory rows produced"
     exceedances = [r for r in advisory if r["violations"] != "0"]

@@ -29,7 +29,7 @@ from precsched.laminar import (
 )
 from precsched.model import build_instance
 from precsched.oracle import optimal_makespan, optimal_schedule
-from precsched.qptas import EdfTrace, TopWindow, classify, edf_insert, windows_for_top
+from precsched.qptas import CallTrace, TopWindow, classify, edf_insert, windows_for_top
 
 from helpers import pairs
 
@@ -122,29 +122,47 @@ def test_forced_degenerate_window_is_counted():
 def test_pinned_replay_antichain_trace_frozen():
     inst, opt, fam = _antichain4()
     assign = assign_levels(inst, opt, fam, 1)
-    assert best_offset(assign, 1, 1, 4) == (0, 0)
+    assert best_offset(assign, 1, 1) == (0, 0)
     traces, starts, disc = run_oracle_pinned(inst, opt, fam, 1, 0, assign)
     assert starts == {0: 0, 1: 1, 2: 2, 3: 3}
     assert disc == set()
     assert len(traces) == 1
     tr = traces[0]
     assert tr.interval == (0, 4)
-    assert (tr.level, tr.partition_level, tr.lam) == (0, 1, 2)
     assert tr.cells == [(0, 2), (2, 4)]
+    assert (fam.level_of(tr.interval), fam.level_of(tr.cells[0])) == (0, 1)
     assert tr.pins == {}
     assert tr.tops == frozenset({0, 1, 2, 3})
-    assert tr.top1 == frozenset({0, 1, 2, 3})
+    # Every top sits in the call's own level range [0, 1).
+    assert assign.top_at_level(0) == frozenset({0, 1, 2, 3})
     assert [(w.job, w.r, w.d) for w in tr.windows] == [(j, 0, 4) for j in range(4)]
+    assert not any(w.degenerate for w in tr.windows)
     assert tr.placed_tops == {0: 0, 1: 1, 2: 2, 3: 3}
-    assert tr.edf.loads == {0: 1, 1: 1, 2: 1, 3: 1}
-    assert tr.degenerate == frozenset()
-    assert tr.edf_discarded == frozenset()
+    assert tr.loads == {0: 1, 1: 1, 2: 1, 3: 1}
 
     idle = audit_idle_slots(tr, 1, 1, 4)
     # One meta-interval spanning [0, 4); loads never dip below m = 1.
     assert (idle.population, idle.violations, idle.worst) == (1, 0, -2.0)
-    slack = check_window_slack(opt, tr.windows, tr.lam, tr.pins)
+    slack = check_window_slack(opt, tr.windows, 2, tr.pins)
     assert (slack.violations, slack.worst) == (0, 0.0)
+
+
+def test_idle_slots_keep_a_discarded_top_pending_until_its_deadline():
+    # Slots 0 and 1 are full, so top 0 with window [0, 2) is discarded at 2:
+    # it keeps cell (0, 2) covered, and cell (2, 4) has no pending top.
+    tr = CallTrace(
+        depth=0,
+        interval=(0, 4),
+        cells=[(0, 2), (2, 4)],
+        pins={},
+        tops=frozenset({0}),
+        windows=[TopWindow(0, 0, 2)],
+        placed_tops={},
+        loads={0: 1, 1: 1, 2: 0, 3: 0},
+    )
+    idle = audit_idle_slots(tr, 1, 1, 4)
+    # One meta-interval [0, 2) with no idle slot, against a bound of 2 * 1/2.
+    assert (idle.population, idle.violations, idle.worst) == (1, 0, -1.0)
 
 
 def test_pinned_replay_squeezed_guesses_everything_reachable():
@@ -152,7 +170,7 @@ def test_pinned_replay_squeezed_guesses_everything_reachable():
     opt = optimal_schedule(inst)
     fam = build_laminar(4, 6, 1)
     assign = assign_levels(inst, opt, fam, 1)
-    a, count = best_offset(assign, 2, 1, 4)
+    a, count = best_offset(assign, 2, 1)
     assert (a, count) == (1, 0)
     traces, starts, disc = run_oracle_pinned(inst, opt, fam, 1, a, assign)
     # Root pins the four guessed jobs; 4 and 5 drop to unit cells.
@@ -215,7 +233,7 @@ def test_pinned_replay_is_complete_and_feasible(case):
     opt = optimal_schedule(padded)
     fam = build_laminar(tstar, padded.n, eps)
     assign = assign_levels(padded, opt, fam, eps)
-    a, _ = best_offset(assign, padded.m, eps, tstar)
+    a, _ = best_offset(assign, padded.m, eps)
     traces, starts, disc = run_oracle_pinned(padded, opt, fam, eps, a, assign)
 
     assert set(starts) | disc == set(range(padded.n))
@@ -243,7 +261,8 @@ def _reference_replay(inst, opt, fam, eps, offset, assign):
     # The auditors' former hand-kept copy of the solver's recursion: pin the
     # guessed jobs of levels [level, p) at their optimal slots, classify,
     # recurse on cells, window the tops and sweep. Traces are field dicts,
-    # children first.
+    # children first, with the call's level data (level, partition_level,
+    # lam, top1) beside the solver's fields.
     stride = stride_of(inst.m, eps)
     traces, discarded = [], set()
 
@@ -279,11 +298,10 @@ def _reference_replay(inst, opt, fam, eps, offset, assign):
         placed_all = {**pins, **starts}
         windows = windows_for_top(inst, top, cells, placed_all)
         occ = Counter(t for t in placed_all.values() if s <= t < e)
-        edf = EdfTrace()
-        tplaced, tdisc = edf_insert(inst, windows, occ, s, e, trace=edf)
+        tplaced, tdisc = edf_insert(inst, windows, occ, s, e)
         discarded.update(tdisc)
         starts.update(tplaced)
-        degen = frozenset(w.job for w in windows if w.degenerate)
+        slots = Counter([*placed_all.values(), *tplaced.values()])
         traces.append(
             dict(
                 depth=depth,
@@ -297,9 +315,7 @@ def _reference_replay(inst, opt, fam, eps, offset, assign):
                 windows=windows,
                 top1=top & tops_at(range(level, p)),
                 placed_tops=tplaced,
-                edf=edf,
-                degenerate=degen,
-                edf_discarded=frozenset(tdisc) - degen,
+                loads={t: slots[t] for t in range(s, e)},
             )
         )
         return starts
@@ -326,4 +342,11 @@ def test_pinned_run_matches_the_replay_reference(case, shift):
     want_traces, want_starts, want_disc = _reference_replay(padded, opt, fam, eps, offset, assign)
     assert starts == want_starts
     assert disc == want_disc
-    assert [vars(tr) for tr in traces] == want_traces
+
+    def with_levels(tr):
+        level, p = fam.level_of(tr.interval), fam.level_of(tr.cells[0])
+        top1 = tr.tops & frozenset().union(*map(assign.top_at_level, range(level, p)))
+        lam = tr.cells[0][1] - tr.cells[0][0]
+        return {**vars(tr), "level": level, "partition_level": p, "lam": lam, "top1": top1}
+
+    assert [with_levels(tr) for tr in traces] == want_traces

@@ -196,7 +196,7 @@ def test_bench_deterministic_and_sound(tmp_path):
     assert main(["bench", "--input", str(corp), "--output", str(one)]) == 0
     assert main(["bench", "--input", str(corp), "--output", str(two)]) == 0
     assert one.read_bytes() == two.read_bytes()
-    rows = list(csv.DictReader(one.open()))
+    rows = list(csv.DictReader(one.read_text().splitlines()))
     assert len(rows) == len(SMALL) * 4
     for row in rows:
         assert row["error"] == ""
@@ -241,7 +241,8 @@ def test_bench_searches_each_optimum_once(tmp_path, monkeypatch):
     # Above the cap the exact row is refused before any search, and nothing
     # else asks the oracle.
     assert refusals == Counter({("schedule", 30): 1})
-    rows = {(r["instance"], r["algorithm"]): r for r in csv.DictReader(out.open())}
+    reader = csv.DictReader(out.read_text().splitlines())
+    rows = {(r["instance"], r["algorithm"]): r for r in reader}
     assert "exceeds exact-search cap" in rows["wide-30-m4", "exact"]["error"]
     assert rows["wide-30-m4", "qptas"]["error"] == ""
     assert rows["wide-30-m4", "qptas"]["opt"] == ""
@@ -260,7 +261,7 @@ def test_bench_exact_row_reports_its_own_schedule(tmp_path, monkeypatch):
     corp = _gen_corpus(tmp_path, {"chain-05-m1"})
     out = tmp_path / "b.csv"
     assert main(["bench", "--input", str(corp), "--alg", "exact", "--output", str(out)]) == 0
-    (row,) = csv.DictReader(out.open())
+    (row,) = csv.DictReader(out.read_text().splitlines())
     assert (row["makespan"], row["opt"], row["ratio"]) == ("6", "5", "1.200000")
 
 
@@ -268,7 +269,7 @@ def test_bench_timing_fills_column(tmp_path):
     corp = _gen_corpus(tmp_path, {"chain-05-m1"})
     out = tmp_path / "b.csv"
     assert main(["bench", "--input", str(corp), "--alg", "ls", "--timing", "--output", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert rows and all(float(r["wall_ms"]) >= 0 for r in rows)
 
 
@@ -286,7 +287,8 @@ def test_bench_timing_charges_opt_search_to_qptas_row(tmp_path, monkeypatch):
     out = tmp_path / "b.csv"
     argv = ["bench", "--input", str(corp), "--alg", "ls,qptas", "--timing", "--output", str(out)]
     assert main(argv) == 0
-    wall = {r["algorithm"]: float(r["wall_ms"]) for r in csv.DictReader(out.open())}
+    reader = csv.DictReader(out.read_text().splitlines())
+    wall = {r["algorithm"]: float(r["wall_ms"]) for r in reader}
     assert wall["qptas"] >= 200 > wall["ls"]
 
 
@@ -305,7 +307,8 @@ def test_bench_writes_rows_for_an_empty_instance(tmp_path, capsys):
     out = tmp_path / "b.csv"
     assert main(["bench", "--input", str(corp), "--output", str(out)]) == 0
     assert capsys.readouterr().err == ""
-    rows = {(r["instance"], r["algorithm"]): r for r in csv.DictReader(out.open())}
+    reader = csv.DictReader(out.read_text().splitlines())
+    rows = {(r["instance"], r["algorithm"]): r for r in reader}
     assert len(rows) == 8
     for alg in ("exact", "ls", "cg", "qptas"):
         empty, one = rows["empty", alg], rows["one", alg]
@@ -337,7 +340,7 @@ def test_audit_corpus_csv(tmp_path, capsys):
     corp = _gen_corpus(tmp_path, SMALL)
     out = tmp_path / "audit.csv"
     assert main(["audit", "--input", str(corp), "--output", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == len(SMALL) * 8
     assert all(r["violations"] == "0" for r in rows)
     claims = {r["claim"] for r in rows}

@@ -200,8 +200,8 @@ def test_assign_levels_squeezed_jobs_become_leaf_tops():
     assert assign.guess == {0: {(0, 4): frozenset({0, 1, 2, 3})}}
     assert assign.top == {1: {(1, 2): frozenset({4}), (2, 3): frozenset({5})}}
     assert assign.memberships(4) == [("top", 1, (1, 2))]
-    assert best_offset(assign, 2, 1, 4) == (1, 0)
-    assert best_offset(assign, 1, 1, 4) == (0, 2)
+    assert best_offset(assign, 2, 1) == (1, 0)
+    assert best_offset(assign, 1, 1) == (0, 2)
 
 
 def test_best_offset_requires_integer_stride():
@@ -209,7 +209,7 @@ def test_best_offset_requires_integer_stride():
     fam = build_laminar(2, 2, 1)
     assign = assign_levels(inst, Schedule({0: 0, 1: 1}, 2), fam, 1)
     with pytest.raises(BadEps):
-        best_offset(assign, 1, Fraction(2, 3), 2)
+        best_offset(assign, 1, Fraction(2, 3))
 
 
 def test_chain_threshold_is_exact():
@@ -255,7 +255,7 @@ def test_assignment_partitions_jobs_once_each(case):
         # The optimal slot always sits inside the owning interval.
         assert lo <= opt.start[j] < hi
 
-    a, count = best_offset(assign, m, eps, tstar)
+    a, count = best_offset(assign, m, eps)
     stride = int(Fraction(m) / Fraction(eps))
     assert 0 <= a < stride
     manual = sum(

@@ -19,7 +19,6 @@ from precsched.laminar import (
 from precsched.model import Schedule, build_instance, validate_schedule
 from precsched.oracle import optimal_makespan
 from precsched.qptas import (
-    EdfTrace,
     InfeasibleHorizon,
     NoSlot,
     RecursionInput,
@@ -105,10 +104,9 @@ def test_edf_orders_by_deadline():
 def test_edf_discards_at_the_deadline():
     inst = build_instance(2, 1, [])
     tops = [TopWindow(0, 0, 1), TopWindow(1, 0, 1)]
-    trace = EdfTrace()
-    placed, disc = edf_insert(inst, tops, {}, 0, 4, trace=trace)
+    placed, disc = edf_insert(inst, tops, {}, 0, 4)
     assert placed == {0: 0} and disc == {1}
-    assert trace.discard_time == {1: 1}
+    assert _sweep_trace(tops, {}, 0, 4, placed)[1] == {1: 1}
 
 
 def test_edf_respects_precedence_between_tops():
@@ -123,41 +121,58 @@ def test_edf_ignores_discarded_predecessors():
     # runs free of the dropped constraint.
     inst = build_instance(2, 1, [(0, 1)])
     tops = [TopWindow(0, 0, 1), TopWindow(1, 0, 4)]
-    trace = EdfTrace()
-    placed, disc = edf_insert(inst, tops, {0: 1}, 0, 4, trace=trace)
+    placed, disc = edf_insert(inst, tops, {0: 1}, 0, 4)
     assert placed == {1: 1} and disc == {0}
-    assert trace.discard_time == {0: 1}
-    assert trace.loads == {0: 1, 1: 1, 2: 0, 3: 0}
+    loads, discard_time = _sweep_trace(tops, {0: 1}, 0, 4, placed)
+    assert discard_time == {0: 1}
+    assert loads == {0: 1, 1: 1, 2: 0, 3: 0}
 
 
 def test_edf_discards_degenerates_immediately():
     inst = build_instance(1, 1, [])
-    trace = EdfTrace()
-    placed, disc = edf_insert(inst, [TopWindow(0, 4, 4)], {}, 0, 8, trace=trace)
+    tops = [TopWindow(0, 4, 4)]
+    placed, disc = edf_insert(inst, tops, {}, 0, 8)
     assert placed == {} and disc == {0}
-    assert trace.discard_time == {0: 0}
+    assert _sweep_trace(tops, {}, 0, 8, placed)[1] == {0: 0}
 
 
 def test_edf_places_nothing_in_an_overfull_slot():
     inst = build_instance(3, 2, [])
     tops = [TopWindow(j, 0, 1) for j in range(3)]
-    trace = EdfTrace()
-    placed, disc = edf_insert(inst, tops, {0: 3}, 0, 1, trace=trace)
+    placed, disc = edf_insert(inst, tops, {0: 3}, 0, 1)
     assert placed == {} and disc == {0, 1, 2}
-    assert trace.loads == {0: 3}
+    assert _sweep_trace(tops, {0: 3}, 0, 1, placed)[0] == {0: 3}
 
 
-def _reference_edf(inst, tops, occupancy, start, end, trace):
+def _sweep_trace(tops, occupancy, start, end, placed):
+    # (loads, discard slots) that follow from a sweep's inputs and result:
+    # each slot's occupancy plus its placements, and for each unplaced top
+    # start when its window is degenerate, else its deadline clamped to
+    # [start, end].
+    loads = {t: occupancy.get(t, 0) for t in range(start, end)}
+    for t in placed.values():
+        loads[t] += 1
+    discard_time = {
+        w.job: start if w.degenerate else min(max(w.d, start), end)
+        for w in tops
+        if w.job not in placed
+    }
+    return loads, discard_time
+
+
+def _reference_edf(inst, tops, occupancy, start, end):
     # Per-predecessor eligibility scan: a predecessor in the batch blocks
     # until it is discarded or has finished. Valid for occupancies up to m;
-    # the over-full slot has its own test above.
+    # the over-full slot has its own test above. Also records each slot's
+    # load and each discard's slot as the sweep goes.
     window = {w.job: w for w in tops}
     order = sorted(tops, key=lambda w: (w.d, w.job))
     placed, finish, discards = {}, {}, set()
+    loads, discard_time = {}, {}
     for w in order:
         if w.degenerate:
             discards.add(w.job)
-            trace.discard_time[w.job] = start
+            discard_time[w.job] = start
 
     def eligible(w, t):
         if w.r > t:
@@ -172,18 +187,18 @@ def _reference_edf(inst, tops, occupancy, start, end, trace):
         for w in order:
             if w.job not in placed and w.job not in discards and w.d <= t:
                 discards.add(w.job)
-                trace.discard_time[w.job] = t
+                discard_time[w.job] = t
         free = inst.m - occupancy.get(t, 0)
         ready = [w for w in order if w.job not in placed and w.job not in discards and eligible(w, t)]
         for w in ready[:free]:
             placed[w.job] = t
             finish[w.job] = t + 1
-        trace.loads[t] = inst.m - free + min(free, len(ready))
+        loads[t] = inst.m - free + min(free, len(ready))
     for w in order:
         if w.job not in placed and w.job not in discards:
             discards.add(w.job)
-            trace.discard_time[w.job] = end
-    return placed, discards
+            discard_time[w.job] = end
+    return placed, discards, (loads, discard_time)
 
 
 @st.composite
@@ -205,13 +220,11 @@ def _edf_cases(draw):
 @given(_edf_cases())
 def test_edf_matches_the_per_predecessor_reference(case):
     inst, tops, occ, start, end = case
-    trace, want_trace = EdfTrace(), EdfTrace()
-    placed, disc = edf_insert(inst, tops, occ, start, end, trace=trace)
-    want_placed, want_disc = _reference_edf(inst, tops, occ, start, end, want_trace)
+    placed, disc = edf_insert(inst, tops, occ, start, end)
+    want_placed, want_disc, want_trace = _reference_edf(inst, tops, occ, start, end)
     assert list(placed.items()) == list(want_placed.items())
     assert disc == want_disc
-    assert trace == want_trace
-    assert edf_insert(inst, tops, occ, start, end) == (placed, disc)
+    assert _sweep_trace(tops, occ, start, end, placed) == want_trace
 
 
 def test_enumeration_count_matches_the_forced_example():
@@ -409,7 +422,8 @@ def test_tracing_leaves_the_solve_result_unchanged(case, k_max, slack):
         assert len({(tr.depth, tr.interval) for tr in traces}) == len(traces)
         for tr in traces:
             assert tr.interval[1] - tr.interval[0] > 1
-            assert tr.degenerate | tr.edf_discarded <= tr.tops
+            assert {w.job for w in tr.windows} <= tr.tops
+            assert tr.placed_tops.keys() <= tr.tops
             for j, t in {**tr.pins, **tr.placed_tops}.items():
                 assert res.schedule.start[j] == t
 
