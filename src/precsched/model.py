@@ -10,8 +10,10 @@ arbitrarily.
 
 One memoised chain-depth table serves both chain queries: longest_chain
 takes its maximum, and longest_chain_path walks a deterministic witness
-down it. longest_chain_path is the source of the long chains that the
-level assignment (laminar.assign_levels) pins.
+down it. The table's walk skips the successors of each successor it has
+visited, which are memoised by then, so it does not visit every closure
+pair. longest_chain_path is the source of the long chains that the level
+assignment (laminar.assign_levels) pins.
 """
 
 from __future__ import annotations
@@ -238,7 +240,11 @@ def _chain_depths(inst: Instance, subset) -> tuple[dict[int, int], int]:
 
     depth[j] is the job count of the longest chain that starts at j and
     stays inside the member mask. A memoised depth-first search from each
-    member in id order; it recurses once per chain link.
+    member in id order; it recurses once per chain link. Once chain_from(v)
+    returns, every successor of v is memoised and shallower than v, so the
+    walk over j's successors drops succ_masks[v] from what is left. It
+    skips only memo hits: the table, its insertion order and the
+    recursion's nesting are those of a walk over every successor.
     """
     if subset is None:
         members = range(inst.n)
@@ -249,6 +255,7 @@ def _chain_depths(inst: Instance, subset) -> tuple[dict[int, int], int]:
         for j in members:
             _check_job(inst, j)
             member_mask |= 1 << j
+    succ_masks = inst.succ_masks
     depth: dict[int, int] = {}
 
     def chain_from(j: int) -> int:
@@ -256,11 +263,14 @@ def _chain_depths(inst: Instance, subset) -> tuple[dict[int, int], int]:
         if got is not None:
             return got
         best = 0
-        rest = inst.succ_masks[j] & member_mask
-        for v in _bits(rest):
+        rest = succ_masks[j] & member_mask
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
             cand = chain_from(v)
             if cand > best:
                 best = cand
+            rest &= ~(low | succ_masks[v])
         depth[j] = best + 1
         return best + 1
 

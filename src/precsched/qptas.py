@@ -206,14 +206,17 @@ def edf_insert(inst, tops, occupancy, start, end):
 
     Degenerate windows are discarded up front, so they never block their
     successors. Then at each slot: discard unplaced jobs whose deadline has
-    arrived, and fill the residual capacity (none when the slot is already
-    full or over) with eligible jobs in (deadline, id) order. A bitmask
-    `pending` holds the batch's jobs that are neither placed nor discarded; a
-    job is eligible when released and none of its predecessors is pending,
-    one mask test per job. Jobs placed at this slot only leave `pending`
-    after every job's test, so they block their successors until the next
-    slot. Returns (placements, discards); a slot's load after the sweep is
-    its occupancy plus the jobs placed there.
+    arrived, and fill the residual capacity `free` (none when the slot is
+    already full or over) with eligible jobs in (deadline, id) order. A
+    bitmask `pending` holds the batch's jobs that are neither placed nor
+    discarded; a job is eligible when released and none of its predecessors
+    is pending, one mask test per job. The scan of the (deadline, id)-sorted
+    `rest` stops at the first `free` eligible jobs, which are placed in that
+    order and deleted from `rest` by index. Jobs placed at this slot only
+    leave `pending` after the scan, so they block their successors until the
+    next slot. The sweep ends once no job is pending. Returns (placements,
+    discards); a slot's load after the sweep is its occupancy plus the jobs
+    placed there.
     """
     pred_masks = inst.pred_masks
     rest = []
@@ -227,6 +230,8 @@ def edf_insert(inst, tops, occupancy, start, end):
             pending |= 1 << w.job
     placed: dict[JobId, int] = {}
     for t in range(start, end):
+        if not rest:
+            break
         # rest is sorted by deadline, so the expired jobs form a prefix.
         k = 0
         while k < len(rest) and rest[k].d <= t:
@@ -239,12 +244,18 @@ def edf_insert(inst, tops, occupancy, start, end):
         free = inst.m - occupancy.get(t, 0)
         if free <= 0:
             continue
-        ready = [w for w in rest if w.r <= t and not pred_masks[w.job] & pending]
-        if ready:
-            for w in ready[:free]:
-                placed[w.job] = t
-                pending ^= 1 << w.job
-            rest = [w for w in rest if pending >> w.job & 1]
+        hits = []
+        for i, w in enumerate(rest):
+            if w.r <= t and not pred_masks[w.job] & pending:
+                hits.append(i)
+                if len(hits) == free:
+                    break
+        for i in hits:
+            job = rest[i].job
+            placed[job] = t
+            pending ^= 1 << job
+        for i in reversed(hits):
+            del rest[i]
     discards.update(w.job for w in rest)
     return placed, discards
 

@@ -4,7 +4,9 @@ Nothing in here imports the package's algorithms: closure, feasibility and
 optimal makespans are recomputed from first principles so test expectations
 do not inherit implementation bugs. ref_coffman_graham_labels is the
 Coffman-Graham labeling as a round scan over sorted label tuples, the form
-the package used before its ready heap. The one exception is ref_solve, the
+the package used before its ready heap, and ref_chain_depths is the
+chain-depth table walking every successor, without the package's skip of
+memo hits. The one exception is ref_solve, the
 recursion as it ran before the dominance cutoff and the grouped split: it
 builds the package's trace records and runs its EDF sweep (which
 tests/test_qptas.py checks against its own reference), but classifies and
@@ -265,6 +267,30 @@ def _ref_longest_chain(inst, flex):
             min(v for v in _mask_bits(inst.succ_masks[cur]) if v in flex and length[v] == length[cur] - 1)
         )
     return path
+
+
+def ref_chain_depths(inst, subset):
+    """(depth, member mask) from a walk over every successor.
+
+    The memoised depth-first search from each member in id order, where
+    every member walks every successor inside the member mask;
+    model._chain_depths skips the successors of a successor it has visited.
+    """
+    members = range(inst.n) if subset is None else sorted(subset)
+    member_mask = 0
+    for j in members:
+        member_mask |= 1 << j
+    depth = {}
+
+    def chain_from(j):
+        if j not in depth:
+            below = [chain_from(v) for v in _mask_bits(inst.succ_masks[j] & member_mask)]
+            depth[j] = 1 + max(below, default=0)
+        return depth[j]
+
+    for j in members:
+        chain_from(j)
+    return depth, member_mask
 
 
 def ref_assign_levels(inst, opt, fam, eps):

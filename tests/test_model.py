@@ -2,11 +2,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from precsched.laminar import pad_to_power_of_two
 from precsched.model import (
     BadMachineCount,
     CycleError,
     Schedule,
     Violation,
+    _chain_depths,
     build_instance,
     longest_chain,
     longest_chain_path,
@@ -15,7 +17,7 @@ from precsched.model import (
     validate_schedule,
 )
 
-from helpers import _ref_longest_chain, close_pairs, pairs
+from helpers import _ref_longest_chain, close_pairs, pairs, ref_chain_depths
 
 DIAMOND = [(0, 1), (0, 2), (1, 3), (2, 3)]
 
@@ -179,3 +181,33 @@ def test_precedence_violations_match_a_scan_of_all_pairs(case, rng):
         if u in start and v in start and start[u] + 1 > start[v]
     ]
     assert [v for v in report.violations if v.kind == "precedence"] == want
+
+
+@st.composite
+def _relabelled_dags(draw, max_n=14):
+    """A random DAG on n jobs whose topological order is a random permutation."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    perm = draw(st.permutations(range(n)))
+    cells = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)]
+    picked = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    m = draw(st.integers(min_value=1, max_value=4))
+    return build_instance(n, m, [c for c, on in zip(cells, picked) if on])
+
+
+def _assert_chain_table_matches(inst, subset):
+    got, mask = _chain_depths(inst, subset)
+    want, want_mask = ref_chain_depths(inst, subset)
+    assert list(got.items()) == list(want.items())
+    assert mask == want_mask
+
+
+@settings(max_examples=150, deadline=None)
+@given(_relabelled_dags(), st.randoms(use_true_random=False))
+def test_chain_table_matches_the_every_successor_walk(inst, rng):
+    # Values and insertion order both: the skip drops only memo hits. The
+    # padded instances are dummy-heavy, where most successors are skipped.
+    bound = max(ref_chain_depths(inst, None)[0].values(), default=0)
+    cases = [inst] + [pad_to_power_of_two(inst, T)[0] for T in range(max(bound, 1), bound + 6)]
+    for case in cases:
+        _assert_chain_table_matches(case, None)
+        _assert_chain_table_matches(case, {j for j in range(case.n) if rng.random() < 0.6})

@@ -144,6 +144,51 @@ def test_edf_places_nothing_in_an_overfull_slot():
     assert _sweep_trace(tops, {0: 3}, 0, 1, placed)[0] == {0: 3}
 
 
+def _assert_edf_matches_reference(inst, tops, occupancy, start, end):
+    placed, disc = edf_insert(inst, tops, occupancy, start, end)
+    want_placed, want_disc, _ = _reference_edf(inst, tops, occupancy, start, end)
+    assert list(placed.items()) == list(want_placed.items())
+    assert disc == want_disc
+    return placed, disc
+
+
+def test_edf_scan_passes_ineligible_jobs_to_fill_the_slot():
+    # (deadline, id) order is 0, 1, 3, 2, 4. At slot 0, job 1 is not yet
+    # released and job 3 waits on job 4, so the scan passes both to reach
+    # its three hits; they go at slot 1.
+    inst = build_instance(5, 3, [(4, 3)])
+    tops = [
+        TopWindow(0, 0, 2),
+        TopWindow(1, 1, 3),
+        TopWindow(2, 0, 4),
+        TopWindow(3, 0, 3),
+        TopWindow(4, 0, 5),
+    ]
+    placed, disc = _assert_edf_matches_reference(inst, tops, {}, 0, 5)
+    assert list(placed.items()) == [(0, 0), (2, 0), (4, 0), (1, 1), (3, 1)]
+    assert disc == set()
+
+
+def test_edf_places_the_first_free_hits_in_deadline_order():
+    # Five eligible jobs on two machines: each slot takes the first two in
+    # (deadline, id) order, and placements keep that order.
+    inst = build_instance(5, 2, [])
+    tops = [TopWindow(0, 0, 3), TopWindow(1, 0, 2), TopWindow(2, 0, 3), TopWindow(3, 0, 1), TopWindow(4, 0, 2)]
+    placed, disc = _assert_edf_matches_reference(inst, tops, {}, 0, 3)
+    assert list(placed.items()) == [(3, 0), (1, 0), (4, 1), (0, 1), (2, 2)]
+    assert disc == set()
+
+
+def test_edf_job_placed_at_t_blocks_its_successor_until_t_plus_one():
+    # Slot 0 has room for job 0 and its successor 1, but 1 stays blocked
+    # until 0 has finished; job 2 takes the second machine instead.
+    inst = build_instance(3, 2, [(0, 1)])
+    tops = [TopWindow(0, 0, 4), TopWindow(1, 0, 4), TopWindow(2, 0, 5)]
+    placed, disc = _assert_edf_matches_reference(inst, tops, {}, 0, 4)
+    assert list(placed.items()) == [(0, 0), (2, 0), (1, 1)]
+    assert disc == set()
+
+
 def _sweep_trace(tops, occupancy, start, end, placed):
     # (loads, discard slots) that follow from a sweep's inputs and result:
     # each slot's occupancy plus its placements, and for each unplaced top
