@@ -1,18 +1,91 @@
 """Classic polynomial baselines: Graham list scheduling and Coffman-Graham.
 
-List scheduling sweeps time slots and greedily fills machines with eligible
-jobs in priority order; its makespan is within a factor 2 - 1/m of optimal
-for any priority order (Graham). Coffman-Graham computes a specific
-priority order that is optimal for m = 2; its labels come from a heap of
-ready jobs keyed by successor-label bitmasks, so labeling walks each closure
-pair once instead of rescanning every unlabeled job per label.
+One greedy slot sweep (_sweep) places jobs with release/deadline windows
+(TopWindow) earliest-deadline-first, ties in priority order, into whatever
+capacity each slot has left. List scheduling is that sweep with every window
+open, [0, n), so the priority order alone decides; its makespan is within a
+factor 2 - 1/m of optimal for any priority order (Graham). The scheme's EDF
+step (qptas.edf_insert) is the same sweep over its tops' windows.
+Coffman-Graham computes a specific priority order that is optimal for
+m = 2; its labels come from a heap of ready jobs keyed by successor-label
+bitmasks, so labeling walks each closure pair once instead of rescanning
+every unlabeled job per label.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .model import Instance, Schedule
+from .model import Instance, JobId, Schedule
+
+
+@dataclass(frozen=True)
+class TopWindow:
+    """Job `job` may start in the slots [r, d)."""
+
+    job: JobId
+    r: int
+    d: int
+
+    @property
+    def degenerate(self) -> bool:
+        # Bad guesses can produce r > d, not just r = d; both are unplaceable.
+        return self.r >= self.d
+
+
+def _sweep(inst, rest, occupancy, start, end):
+    """Place the windows in rest greedily, slot by slot over [start, end).
+
+    rest is a list of non-degenerate TopWindows sorted by deadline, ties in
+    priority order; the sweep empties it. At each slot: drop the pending
+    jobs whose deadline has arrived, and fill the residual capacity `free`
+    (none when the slot is already full or over) with eligible jobs in
+    rest's order. A bitmask `pending` holds the jobs that are neither placed
+    nor dropped; a job is eligible when released and none of its
+    predecessors is pending, one mask test per job. The scan of rest stops
+    at the first `free` eligible jobs, which are placed in that order and
+    deleted from rest by index. Jobs placed at this slot only leave
+    `pending` after the scan, so they block their successors until the next
+    slot. The sweep ends once no job is pending. Returns (placed, left):
+    placed maps each placed job to its slot, and the set left holds the jobs
+    that expired or were still pending at end.
+    """
+    pred_masks = inst.pred_masks
+    pending = 0
+    for w in rest:
+        pending |= 1 << w.job
+    placed: dict[JobId, int] = {}
+    left: set[JobId] = set()
+    for t in range(start, end):
+        if not rest:
+            break
+        # rest is sorted by deadline, so the expired jobs form a prefix.
+        k = 0
+        while k < len(rest) and rest[k].d <= t:
+            w = rest[k]
+            left.add(w.job)
+            pending ^= 1 << w.job
+            k += 1
+        if k:
+            del rest[:k]
+        free = inst.m - occupancy.get(t, 0)
+        if free <= 0:
+            continue
+        hits = []
+        for i, w in enumerate(rest):
+            if w.r <= t and not pred_masks[w.job] & pending:
+                hits.append(i)
+                if len(hits) == free:
+                    break
+        for i in hits:
+            job = rest[i].job
+            placed[job] = t
+            pending ^= 1 << job
+        for i in reversed(hits):
+            del rest[i]
+    left.update(w.job for w in rest)
+    return placed, left
 
 
 def _check_order(inst: Instance, order) -> list[int]:
@@ -25,32 +98,15 @@ def _check_order(inst: Instance, order) -> list[int]:
 def list_schedule(inst: Instance, order) -> Schedule:
     """Greedy busy schedule honoring the given priority order.
 
-    At each slot the up to m eligible jobs (all predecessors finished)
-    with the best priority run. The result is always feasible and complete,
-    and no slot is idle while an eligible job waits.
+    The shared sweep with every window open, [0, n), and no occupancy: at
+    each slot the up to m eligible jobs (all predecessors finished) with the
+    best priority run. A busy schedule runs at least one job per slot, so n
+    slots hold every job and no deadline expires. The result is always
+    feasible and complete, and no slot is idle while an eligible job waits.
     """
-    order = _check_order(inst, order)
-    rank = [0] * inst.n
-    for pos, j in enumerate(order):
-        rank[j] = pos
-    start: dict[int, int] = {}
-    done_mask = 0
-    remaining = set(range(inst.n))
-    t = 0
-    while remaining:
-        eligible = [
-            j for j in remaining if inst.pred_masks[j] & done_mask == inst.pred_masks[j]
-        ]
-        eligible.sort(key=lambda j: rank[j])
-        placed = eligible[: inst.m]
-        for j in placed:
-            start[j] = t
-            remaining.discard(j)
-        # Jobs starting at t finish at t+1, so they unblock successors next slot.
-        for j in placed:
-            done_mask |= 1 << j
-        t += 1
-    return Schedule(start=start, horizon=t)
+    n = inst.n
+    placed, _ = _sweep(inst, [TopWindow(j, 0, n) for j in _check_order(inst, order)], {}, 0, n)
+    return Schedule(start=placed, horizon=max(placed.values(), default=-1) + 1)
 
 
 def coffman_graham_labels(inst: Instance) -> list[int]:

@@ -174,6 +174,11 @@ def _solve_qptas(inst: Instance, args) -> tuple[Schedule, int, int]:
             raise CliError(f"bad horizon {args.horizon!r}; use 'auto' or an integer") from None
         if T < 1:
             raise CliError(f"horizon must be at least 1, got {T}")
+        # n slots always suffice, and a larger T only grows the padding
+        # chain and the exhaustive partitions.
+        cap = max(inst.n, 1)
+        if T > cap:
+            raise CliError(f"horizon must be at most max(n, 1) = {cap}, got {T}")
     if args.mode == "laminar":
         return _solve_laminar(inst, T, eps, args.depth_max)
     guesses = exhaustive_guesses(inst, inst.n if args.kmax is None else args.kmax)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from itertools import accumulate, combinations
 
-from .model import Instance, Schedule
+from .model import Instance, Schedule, _bits
 
 EXACT_CAP = 24
 
@@ -94,10 +94,6 @@ def _steps(inst: Instance, class_of, state: int, m: int) -> list[int]:
     return [mask | prefix[need] for mask, need in steps]
 
 
-def _jobs(mask: int) -> tuple[int, ...]:
-    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
-
-
 def _levels(inst: Instance, class_of) -> dict[int, int]:
     """BFS level of every ideal reached until the full set turns up (n >= 1)."""
     full = (1 << inst.n) - 1
@@ -152,7 +148,7 @@ def optimal_schedule(inst: Instance, cap: int = EXACT_CAP) -> Schedule:
     def forward(state: int, d: int):
         steps = _steps(inst, class_of, state, inst.m)
         ok = [s for s in steps if dist.get(state | s) == d + 1 < horizon or state | s == full]
-        return iter(sorted(ok, key=_jobs))
+        return iter(sorted(ok, key=lambda step: tuple(_bits(step))))
 
     dead: set[int] = set()
     path = [0]
@@ -167,6 +163,6 @@ def optimal_schedule(inst: Instance, cap: int = EXACT_CAP) -> Schedule:
             todo.append(forward(path[-1], len(path) - 1))
     start: dict[int, int] = {}
     for t in range(horizon):
-        for j in _jobs(path[t + 1] ^ path[t]):
+        for j in _bits(path[t + 1] ^ path[t]):
             start[j] = t
     return Schedule(start=start, horizon=horizon)

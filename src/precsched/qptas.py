@@ -5,11 +5,12 @@ slots plus a partition of the interval into cells. Remaining jobs are
 classified by their feasible window under all pins so far: inside a single
 cell means bottom (handled by recursing on that cell), straddling cells
 means top. Top jobs get release/deadline windows snapped to cell boundaries
-and are placed by an earliest-deadline-first sweep in whatever capacity the
-recursion left free. Jobs the sweep cannot fit are discarded, and the guess
-with the fewest discards wins (ties: first in enumeration order).
-insert_discarded then repairs a result at the cost of one extra slot per
-discarded job.
+and are placed earliest-deadline-first in whatever capacity the recursion
+left free, by the greedy slot sweep that list scheduling runs too
+(edf_insert over baselines._sweep). Jobs the sweep cannot fit are
+discarded, and the guess with the fewest discards wins (ties: first in
+enumeration order). insert_discarded then repairs a result at the cost of
+one extra slot per discarded job.
 
 Windows come from masks: model.slot_bounds narrows a job's window by only
 the bits of its predecessor and successor masks that are pinned (for a
@@ -38,6 +39,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
+
+from .baselines import TopWindow, _sweep
 from .laminar import (
     EmptyWindow,
     build_laminar,
@@ -63,18 +66,6 @@ class InfeasibleHorizon(ValueError):
 
 class NoSlot(RuntimeError):
     """insert_discarded found no legal slot; indicates an internal bug."""
-
-
-@dataclass(frozen=True)
-class TopWindow:
-    job: JobId
-    r: int
-    d: int
-
-    @property
-    def degenerate(self) -> bool:
-        # Bad guesses can produce r > d, not just r = d; both are unplaceable.
-        return self.r >= self.d
 
 
 @dataclass(frozen=True)
@@ -205,58 +196,24 @@ def edf_insert(inst, tops, occupancy, start, end):
     """Sweep [start, end) placing tops earliest-deadline-first.
 
     Degenerate windows are discarded up front, so they never block their
-    successors. Then at each slot: discard unplaced jobs whose deadline has
-    arrived, and fill the residual capacity `free` (none when the slot is
-    already full or over) with eligible jobs in (deadline, id) order. A
-    bitmask `pending` holds the batch's jobs that are neither placed nor
-    discarded; a job is eligible when released and none of its predecessors
-    is pending, one mask test per job. The scan of the (deadline, id)-sorted
-    `rest` stops at the first `free` eligible jobs, which are placed in that
-    order and deleted from `rest` by index. Jobs placed at this slot only
-    leave `pending` after the scan, so they block their successors until the
-    next slot. The sweep ends once no job is pending. Returns (placements,
-    discards); a slot's load after the sweep is its occupancy plus the jobs
-    placed there.
+    successors. The rest, sorted by (deadline, id), go to the greedy slot
+    sweep that list scheduling also runs (baselines._sweep): at each slot
+    it discards the jobs whose deadline has arrived and places up to the
+    slot's residual capacity of eligible jobs in (deadline, id) order; a job
+    placed at a slot blocks its successors until the next slot. Returns
+    (placements, discards), where the discards are the degenerate, expired
+    and still pending tops; a slot's load after the sweep is its occupancy
+    plus the jobs placed there.
     """
-    pred_masks = inst.pred_masks
     rest = []
-    pending = 0
-    discards: set[JobId] = set()
+    degenerate = []
     for w in sorted(tops, key=lambda w: (w.d, w.job)):
         if w.degenerate:
-            discards.add(w.job)
+            degenerate.append(w.job)
         else:
             rest.append(w)
-            pending |= 1 << w.job
-    placed: dict[JobId, int] = {}
-    for t in range(start, end):
-        if not rest:
-            break
-        # rest is sorted by deadline, so the expired jobs form a prefix.
-        k = 0
-        while k < len(rest) and rest[k].d <= t:
-            w = rest[k]
-            discards.add(w.job)
-            pending ^= 1 << w.job
-            k += 1
-        if k:
-            del rest[:k]
-        free = inst.m - occupancy.get(t, 0)
-        if free <= 0:
-            continue
-        hits = []
-        for i, w in enumerate(rest):
-            if w.r <= t and not pred_masks[w.job] & pending:
-                hits.append(i)
-                if len(hits) == free:
-                    break
-        for i in hits:
-            job = rest[i].job
-            placed[job] = t
-            pending ^= 1 << job
-        for i in reversed(hits):
-            del rest[i]
-    discards.update(w.job for w in rest)
+    placed, discards = _sweep(inst, rest, occupancy, start, end)
+    discards.update(degenerate)
     return placed, discards
 
 

@@ -4,7 +4,9 @@ Nothing in here imports the package's algorithms: closure, feasibility and
 optimal makespans are recomputed from first principles so test expectations
 do not inherit implementation bugs. ref_coffman_graham_labels is the
 Coffman-Graham labeling as a round scan over sorted label tuples, the form
-the package used before its ready heap, and ref_chain_depths is the
+the package used before its ready heap; ref_list_schedule is list
+scheduling as a per-slot scan and sort of every remaining job, the form the
+package used before it ran the EDF step's sweep; and ref_chain_depths is the
 chain-depth table walking every successor, without the package's skip of
 memo hits. The one exception is ref_solve, the
 recursion as it ran before the dominance cutoff and the grouped split: it
@@ -83,6 +85,37 @@ def ref_coffman_graham_labels(inst) -> list[int]:
         label[best_j] = next_label
         unlabeled.discard(best_j)
     return label
+
+
+def ref_list_schedule(inst, order) -> Schedule:
+    """Greedy busy schedule honoring the given priority order.
+
+    At each slot the up to m eligible jobs (all predecessors finished)
+    with the best priority run. The result is always feasible and complete,
+    and no slot is idle while an eligible job waits.
+    """
+    order = list(order)
+    rank = [0] * inst.n
+    for pos, j in enumerate(order):
+        rank[j] = pos
+    start: dict[int, int] = {}
+    done_mask = 0
+    remaining = set(range(inst.n))
+    t = 0
+    while remaining:
+        eligible = [
+            j for j in remaining if inst.pred_masks[j] & done_mask == inst.pred_masks[j]
+        ]
+        eligible.sort(key=lambda j: rank[j])
+        placed = eligible[: inst.m]
+        for j in placed:
+            start[j] = t
+            remaining.discard(j)
+        # Jobs starting at t finish at t+1, so they unblock successors next slot.
+        for j in placed:
+            done_mask |= 1 << j
+        t += 1
+    return Schedule(start=start, horizon=t)
 
 
 def brute_force_makespan(n: int, m: int, edges) -> int:

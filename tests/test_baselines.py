@@ -10,7 +10,12 @@ from precsched.baselines import (
 from precsched.model import build_instance, validate_schedule
 from precsched.oracle import optimal_makespan
 
-from helpers import enumerate_poset_classes, pairs, ref_coffman_graham_labels
+from helpers import (
+    enumerate_poset_classes,
+    pairs,
+    ref_coffman_graham_labels,
+    ref_list_schedule,
+)
 
 DIAMOND = [(0, 1), (0, 2), (1, 3), (2, 3)]
 # jobs 0,1,2 independent; 3 -> 4 -> 5 is a chain
@@ -96,6 +101,22 @@ def _relabelled_dags(draw, min_n, max_n, min_m, max_m):
 @given(_relabelled_dags(0, 14, 1, 4))
 def test_cg_labels_match_round_scan_reference(inst):
     assert coffman_graham_labels(inst) == ref_coffman_graham_labels(inst)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relabelled_dags(0, 16, 1, 4), st.data())
+def test_list_schedule_matches_round_scan_reference(inst, data):
+    # The shared sweep against the per-slot scan and sort it replaced, in id,
+    # shuffled and Coffman-Graham order.
+    labels = coffman_graham_labels(inst)
+    orders = (
+        list(range(inst.n)),
+        data.draw(st.permutations(range(inst.n))),
+        sorted(range(inst.n), key=lambda j: -labels[j]),
+    )
+    for order in orders:
+        got, want = list_schedule(inst, order), ref_list_schedule(inst, order)
+        assert (got.start, got.horizon) == (want.start, want.horizon), order
 
 
 @settings(max_examples=200, deadline=None)

@@ -134,10 +134,13 @@ def test_solve_qptas_checks_eps_before_the_chain_bound(tmp_path, capsys, mode, r
         ["--horizon", "0"],
         ["--horizon", "-3"],
         ["--mode", "exhaustive", "--horizon", "0"],
+        ["--horizon", "1025"],
+        ["--mode", "exhaustive", "--horizon", "6"],
     ],
     ids=[
         "exhaustive-kmax-neg", "kmax-neg", "depth-neg", "depth-0", "exhaustive-depth-0",
-        "horizon-0", "horizon-neg", "exhaustive-horizon-0",
+        "horizon-0", "horizon-neg", "exhaustive-horizon-0", "horizon-above-n",
+        "exhaustive-horizon-above-n",
     ],
 )
 def test_solve_qptas_out_of_range_numbers_exit_2(tmp_path, capsys, extra):
