@@ -23,6 +23,13 @@ cells have returned, so a guess whose cells already discard as many jobs as
 the best guess so far stops there, before its tops are windowed and swept;
 it could not win, and it explores no further guesses either way.
 
+A unit cell [t, t + 1) needs no guess: each of its jobs has window
+[t, t + 1), so the EDF step over it is fixed. _settle_unit applies that
+step as one mask rule inside the parent's cell loop: in id order, the jobs
+with no predecessor in the cell take the capacity the pins leave at t, and
+the rest are discarded. It builds no RecursionInput, explores no guess and
+records no trace; a root of horizon 1 is settled by the same helper.
+
 The recursion (_recurse) takes its guesses from a guess source, a callable
 RecursionInput -> iterable of (pins, cells), which solve's caller supplies.
 laminar_guesses pins nothing and takes the one partition dictated by the
@@ -217,6 +224,28 @@ def edf_insert(inst, tops, occupancy, start, end):
     return placed, discards
 
 
+def _settle_unit(inst, sub, t, free, starts, disc):
+    """Settle the unit cell [t, t + 1) that holds the job mask sub.
+
+    Every job of the cell has window [t, t + 1), so the EDF step is one
+    slot with nothing expired: a job is eligible iff none of its
+    predecessors is in sub, and the first free eligible jobs in id order
+    start at t. Placements go into starts in that order and every other job
+    into disc, as edf_insert would place and discard them.
+    """
+    pred_masks = inst.pred_masks
+    rest = sub
+    while rest:
+        low = rest & -rest
+        j = low.bit_length() - 1
+        rest ^= low
+        if free > 0 and not pred_masks[j] & sub:
+            starts[j] = t
+            free -= 1
+        else:
+            disc.add(j)
+
+
 def _assignments(inst, subset, base_pins, s, e):
     """All consistent slot assignments for subset, DFS, slots ascending.
 
@@ -317,16 +346,21 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
     partition the interval, do not change them. A guess whose cells discard
     at least as many jobs as the best guess skips its tops. rin.depth is
     below depth_max; a child at depth_max gets no call and discards its
-    jobs, unless its cell is a unit interval, which one EDF step settles.
+    jobs, unless its cell is a unit interval. A unit cell gets no call at
+    any depth: _settle_unit settles it in the cell loop, under the pins'
+    load at its slot, which is kept with the pin windows.
     """
     s, e = rin.interval
     if not rin.jobs:
         return {}, set()
     if e - s == 1:
-        # Unit intervals skip guessing and the depth cap: every job here has
-        # window exactly [s, s+1), so a single EDF step settles them.
-        tops = [TopWindow(j, s, e) for j in sorted(rin.jobs)]
-        return edf_insert(inst, tops, _loads(rin.pinned.values(), s, e), s, e)
+        # Only a root of horizon 1 gets here: unit cells are settled in
+        # their parent's cell loop, by the same rule.
+        starts: dict[JobId, int] = {}
+        disc: set[JobId] = set()
+        free = inst.m - _loads(rin.pinned.values(), s, e).get(s, 0)
+        _settle_unit(inst, _mask(rin.jobs), s, free, starts, disc)
+        return starts, disc
     best = None
     last_pins = groups = None
     capped = rin.depth + 1 >= depth_max
@@ -338,6 +372,7 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
             pins_mask = _mask(pins)
             try:
                 groups = pin_windows(inst, rin.jobs, pins, merged, e)
+                pin_load = _loads(merged.values(), s, e)
             except EmptyWindow:
                 groups = None
         if groups is None:
@@ -350,7 +385,13 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
             sub = bottom[cell] & ~pins_mask
             if not sub:
                 continue
-            if capped and cell[1] - cell[0] != 1:
+            lo, hi = cell
+            if hi - lo == 1:
+                # A unit cell explores no guess and records no trace, and
+                # the depth cap does not apply to it.
+                _settle_unit(inst, sub, lo, inst.m - pin_load.get(lo, 0), starts, disc)
+                continue
+            if capped:
                 # The depth cap: the child's whole job set is discarded,
                 # with no guess explored and no trace recorded.
                 disc.update(_bits(sub))
@@ -403,8 +444,9 @@ def solve(inst: Instance, T: int, guesses, depth_max: int, traces=None) -> Solve
     guesses is the guess source, a callable RecursionInput -> iterable of
     (pins, cells), such as laminar_guesses or exhaustive_guesses. depth_max
     caps recursion depth: a cell at depth depth_max discards its whole job
-    set, unless it is a unit interval. When traces is a list, one CallTrace per non-unit
-    call of the winning guesses is appended to it, children first.
+    set, unless it is a unit interval, which _settle_unit settles at any
+    depth with no guess explored. When traces is a list, one CallTrace per
+    non-unit call of the winning guesses is appended to it, children first.
 
     Raises InfeasibleHorizon below the longest-chain bound. The result
     schedule keeps horizon T even when the last busy slot is earlier;

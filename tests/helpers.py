@@ -9,10 +9,12 @@ scheduling as a per-slot scan and sort of every remaining job, the form the
 package used before it ran the EDF step's sweep; and ref_chain_depths is the
 chain-depth table walking every successor, without the package's skip of
 memo hits. The one exception is ref_solve, the
-recursion as it ran before the dominance cutoff and the grouped split: it
-builds the package's trace records and runs its EDF sweep (which
-tests/test_qptas.py checks against its own reference), but classifies and
-windows with the references here.
+recursion as it ran before the dominance cutoff, the grouped split and the
+unit-cell mask rule: it builds the package's trace records and runs its EDF
+sweep (which tests/test_qptas.py checks against its own reference), but
+classifies and windows with the references here. Its unit intervals still
+recurse and run edf_insert over windows [t, t + 1), so that path is now the
+reference for the package's unit rule (qptas._settle_unit).
 """
 
 from __future__ import annotations

@@ -16,13 +16,14 @@ from precsched.laminar import (
     pad_to_power_of_two,
     partition_level,
 )
-from precsched.model import Schedule, build_instance, validate_schedule
+from precsched.model import Schedule, _mask, build_instance, validate_schedule
 from precsched.oracle import optimal_makespan
 from precsched.qptas import (
     InfeasibleHorizon,
     NoSlot,
     RecursionInput,
     TopWindow,
+    _settle_unit,
     classify,
     edf_insert,
     exhaustive_guesses,
@@ -270,6 +271,37 @@ def test_edf_matches_the_per_predecessor_reference(case):
     assert list(placed.items()) == list(want_placed.items())
     assert disc == want_disc
     assert _sweep_trace(tops, occ, start, end, placed) == want_trace
+
+
+@st.composite
+def _unit_cells(draw):
+    # A closed DAG relabelled off its order, a cell of its jobs at slot t
+    # and the pins' load there. Half the cells take in both ends of a
+    # precedence, so that eligibility inside the cell is exercised.
+    n = draw(st.integers(min_value=1, max_value=8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True)) if pairs else []
+    perm = draw(st.permutations(range(n)))
+    m = draw(st.integers(min_value=1, max_value=4))
+    inst = build_instance(n, m, [(perm[u], perm[v]) for u, v in edges])
+    cell = set(draw(st.lists(st.sampled_from(range(n)), min_size=1, unique=True)))
+    if edges and draw(st.booleans()):
+        u, v = draw(st.sampled_from(edges))
+        cell |= {perm[u], perm[v]}
+    t = draw(st.integers(min_value=0, max_value=4))
+    return inst, cell, t, draw(st.integers(min_value=0, max_value=m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unit_cells())
+def test_unit_cell_rule_matches_edf_insert(case):
+    inst, cell, t, load = case
+    starts, disc = {}, set()
+    _settle_unit(inst, _mask(cell), t, inst.m - load, starts, disc)
+    tops = [TopWindow(j, t, t + 1) for j in sorted(cell)]
+    placed, want_disc = edf_insert(inst, tops, {t: load}, t, t + 1)
+    assert list(starts.items()) == list(placed.items())
+    assert disc == want_disc
 
 
 def test_enumeration_count_matches_the_forced_example():

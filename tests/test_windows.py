@@ -159,18 +159,38 @@ def _budgeted(guesses, limit):
     return source
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     _closed_dags(max_n=7, min_n=4),
     st.integers(min_value=0, max_value=3),
     st.integers(min_value=1, max_value=3),
-    st.integers(min_value=0, max_value=1),
+    st.data(),
 )
-def test_exhaustive_solve_matches_the_reference_recursion(inst, k_max, depth_max, slack):
+def test_exhaustive_solve_matches_the_reference_recursion(inst, k_max, depth_max, data):
+    # Horizons run from the chain bound to one above the lower bound
+    # max(ceil(n/m), chain). Below ceil(n/m), pins can fill a slot and
+    # leave its unit cell no free capacity, and T = 1 is a unit root.
+    chain = longest_chain(inst)
+    bound = max(-(-inst.n // inst.m), chain)
+    T = data.draw(st.integers(min_value=chain, max_value=bound + 1))
+    _assert_solve_matches_reference(inst, T, k_max, depth_max)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_unit_root_matches_the_reference_recursion(n, m):
+    # An antichain at T = 1: the root explores no guess and places the
+    # first min(n, m) jobs.
+    inst = build_instance(n, m, [])
+    got = _assert_solve_matches_reference(inst, 1, 2, 1)
+    assert got.stats.guesses_explored == 0
+    assert got.schedule.start == dict.fromkeys(range(min(n, m)), 0)
+
+
+def _assert_solve_matches_reference(inst, T, k_max, depth_max):
     # Infeasible-at-the-bound instances explore 10^5-10^6 guesses at depth 3,
     # so each side gets the same guess budget. Both explore the same guesses
     # in the same order, so the budget cuts both at the same guess.
-    T = max(-(-inst.n // inst.m), longest_chain(inst)) + slack
     got_traces, want_traces = [], []
     got = solve(inst, T, _budgeted(exhaustive_guesses(inst, k_max), 3000), depth_max, got_traces)
     want = ref_solve(
@@ -178,3 +198,4 @@ def test_exhaustive_solve_matches_the_reference_recursion(inst, k_max, depth_max
     )
     assert got == want
     assert got_traces == want_traces
+    return got
