@@ -7,9 +7,10 @@ open, [0, n), so the priority order alone decides; its makespan is within a
 factor 2 - 1/m of optimal for any priority order (Graham). The scheme's EDF
 step (qptas.edf_insert) is the same sweep over its tops' windows.
 Coffman-Graham computes a specific priority order that is optimal for
-m = 2; its labels come from a heap of ready jobs keyed by successor-label
-bitmasks, so labeling walks each closure pair once instead of rescanning
-every unlabeled job per label.
+m = 2; its labels come from a heap of ready jobs keyed by bitmasks of their
+cover successors' labels (the instance's cover_masks, the transitive
+reduction), so labeling walks each cover edge, not each closure pair, and
+never rescans the unlabeled jobs.
 """
 
 from __future__ import annotations
@@ -115,20 +116,44 @@ def coffman_graham_labels(inst: Instance) -> list[int]:
     Repeatedly pick, among unlabeled jobs whose successors are all labeled,
     the job whose decreasing-sorted tuple of successor labels is
     lexicographically smallest (ties by smallest JobId) and give it the next
-    label. Successor sets come from the closed relation.
+    label. Coffman and Graham state the rule over cover (immediate)
+    successors, and this walks the cover; it picks the same job as the rule
+    over all closure successors, which tests/helpers.py keeps as reference.
+
+    Why: a job is labeled after all its successors, so a predecessor's
+    label exceeds its successor's, and a job is ready once its cover
+    successors are labeled. Take two ready jobs x and y, and let v be the
+    largest label held by a successor of exactly one of them, say x. Then v
+    is a cover successor of x: a successor w of x that precedes v has a
+    larger label than v, so w succeeds y too, and then so does v. Above v
+    the closure sets agree, and so do the cover sets: a common successor u
+    is no cover successor of x exactly when some successor w of x precedes
+    u, and w's label exceeds u's and so v's, which makes w a successor of y
+    too; the same holds with x and y swapped. So the cover tuples of x and y
+    first differ at v, as the closure tuples do, and equal successor sets
+    have equal covers.
 
     The ready jobs wait in a heap keyed by (key, JobId), where key is the
-    integer sum of 2**label over the job's labeled successors. A job's key is
-    final once its last successor is labeled, which is when it is pushed.
-    Two sets of distinct labels compare as decreasing tuples the way their
-    keys compare: the larger tuple holds the largest label in which the sets
-    differ, and a proper prefix is the smaller. So each round pops the job
-    the tuple rule picks, and labeling it walks only its predecessor bits.
+    integer sum of 2**label over the job's labeled cover successors. A job's
+    key is final once its last cover successor is labeled, which is when it
+    is pushed. Two sets of distinct labels compare as decreasing tuples the
+    way their keys compare: the larger tuple holds the largest label in
+    which the sets differ, and a proper prefix is the smaller. So each round
+    pops the job the tuple rule picks. The cover is transposed into
+    predecessor lists once, and labeling a job walks only its cover
+    predecessors, so the labeling walks each cover edge twice and no
+    closure pair.
     """
     n = inst.n
-    pred_masks = inst.pred_masks
+    cover = inst.cover_masks
+    cover_preds: list[list[JobId]] = [[] for _ in range(n)]
+    for u, mask in enumerate(cover):
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            cover_preds[low.bit_length() - 1].append(u)
     label = [0] * n
-    waiting = [mask.bit_count() for mask in inst.succ_masks]
+    waiting = [mask.bit_count() for mask in cover]
     key = [0] * n
     # Sinks in id order with equal keys already form a heap.
     ready = [(0, j) for j in range(n) if not waiting[j]]
@@ -136,11 +161,7 @@ def coffman_graham_labels(inst: Instance) -> list[int]:
         _, j = heappop(ready)
         label[j] = next_label
         bit = 1 << next_label
-        mask = pred_masks[j]
-        while mask:
-            low = mask & -mask
-            p = low.bit_length() - 1
-            mask ^= low
+        for p in cover_preds[j]:
             key[p] |= bit
             waiting[p] -= 1
             if not waiting[p]:

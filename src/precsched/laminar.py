@@ -157,20 +157,25 @@ def pad_to_power_of_two(inst: Instance, T: int) -> tuple[Instance, int]:
         return inst, tstar
     # The padded relation is already closed (every original precedes every
     # dummy, each chain is a total order), so write its masks down directly.
+    # Its cover keeps the original cover, links each chain, and gives each
+    # original sink an edge to the first dummy of every chain.
     n = inst.n
     total = n + inst.m * extra
     originals = (1 << n) - 1
     dummies = ((1 << total) - 1) ^ originals
     chain = (1 << extra) - 1
+    heads = sum(1 << (n + c * extra) for c in range(inst.m))
     preds = list(inst.pred_masks)
     succs = [mask | dummies for mask in inst.succ_masks]
+    cover = [cov if succ else heads for cov, succ in zip(inst.cover_masks, inst.succ_masks)]
     for c in range(inst.m):
         base = n + c * extra
         for i in range(extra):
             below = (1 << i) - 1
             preds.append(originals | below << base)
             succs.append((chain ^ (below << 1 | 1)) << base)
-    return Instance(total, inst.m, tuple(preds), tuple(succs)), tstar
+            cover.append(1 << (base + i + 1) if i + 1 < extra else 0)
+    return Instance(total, inst.m, tuple(preds), tuple(succs), tuple(cover)), tstar
 
 
 def feasible_windows(inst: Instance, jobs, pinned, T: int) -> list[tuple[int, int]]:

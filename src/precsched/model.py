@@ -3,7 +3,9 @@
 Jobs are integers 0..n-1, every job takes exactly one time slot, and up to m
 identical machines run in parallel. The precedence relation is stored
 transitively closed as one bitmask of predecessors and one of successors per
-job, so w is a successor of u whenever (u, v) and (v, w) are edges.
+job, so w is a successor of u whenever (u, v) and (v, w) are edges. A third
+mask per job holds its cover successors, the transitive reduction, which
+build_instance derives in the same pass that closes the edges.
 Schedules record start slots only; machine assignment is irrelevant for
 unit jobs because any slot with at most m jobs can be mapped to machines
 arbitrarily.
@@ -38,6 +40,9 @@ class Instance:
     Bit u of pred_masks[v] and bit v of succ_masks[u] both mean u must
     complete before v starts. The masks are the relation: they hold its
     closure, they must agree with each other, and equality compares them.
+    cover_masks[u] holds u's cover successors, the v in succ_masks[u] with
+    no job between u and v (the transitive reduction). It is derived from
+    the relation, so comparing it too adds no distinction to equality.
     build_instance (from any edge list) and pad_to_power_of_two make them.
     """
 
@@ -45,6 +50,7 @@ class Instance:
     m: int
     pred_masks: tuple[int, ...]
     succ_masks: tuple[int, ...]
+    cover_masks: tuple[int, ...]
 
 
 def _check_job(inst: Instance, j: JobId) -> None:
@@ -108,7 +114,8 @@ def build_instance(n: int, m: int, edges) -> Instance:
     """Validate inputs, reject cycles, and return the transitively closed instance.
 
     edges may be any edge list whose closure is the relation: cover edges,
-    all closure pairs, or anything between; duplicates are ignored.
+    all closure pairs, or anything between; duplicates are ignored. The
+    instance's cover_masks come out the same for all of them.
 
     Raises CycleError on any cycle (a self-loop is a cycle), IndexError on an
     edge endpoint outside 0..n-1, BadMachineCount for m < 1. n = 0 is legal.
@@ -131,34 +138,48 @@ def build_instance(n: int, m: int, edges) -> Instance:
             indeg[v] += 1
 
     # Kahn's algorithm: a topological order exists iff the digraph is acyclic.
-    order = [j for j in range(n) if indeg[j] == 0]
-    head = 0
-    indeg_work = list(indeg)
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for v in _bits(direct[u]):
-            indeg_work[v] -= 1
-            if indeg_work[v] == 0:
+    # The loop visits the jobs it appends, and indeg keeps, for a job never
+    # reached, the count of its unvisited direct predecessors.
+    order = [j for j in range(n) if not indeg[j]]
+    for u in order:
+        bits = direct[u]
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            v = low.bit_length() - 1
+            indeg[v] -= 1
+            if not indeg[v]:
                 order.append(v)
     if len(order) != n:
-        stuck = [j for j in range(n) if indeg_work[j] > 0]
+        stuck = [j for j in range(n) if indeg[j] > 0]
         raise CycleError(f"cycle through jobs {stuck}")
 
-    # Closure in two passes over the direct edges: descendants in reverse
-    # topological order, ancestors in topological order.
+    # Closure in two passes: descendants in reverse topological order, then
+    # ancestors in topological order. below is what u's direct successors
+    # reach; a direct edge (u, v) is a cover edge iff v is not in it, and
+    # every cover edge is a direct edge, so this is the exact reduction.
     desc = [0] * n
+    cover = [0] * n
     for u in reversed(order):
-        acc = direct[u]
-        for v in _bits(acc):
-            acc |= desc[v]
-        desc[u] = acc
+        succ = direct[u]
+        below = 0
+        bits = succ
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            below |= desc[low.bit_length() - 1]
+        desc[u] = succ | below
+        cover[u] = succ & ~below
+    # Every predecessor of v reaches it through a cover edge into v.
     anc = [0] * n
     for u in order:
         up = anc[u] | 1 << u
-        for v in _bits(direct[u]):
-            anc[v] |= up
-    return Instance(n, m, tuple(anc), tuple(desc))
+        bits = cover[u]
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            anc[low.bit_length() - 1] |= up
+    return Instance(n, m, tuple(anc), tuple(desc), tuple(cover))
 
 
 @dataclass

@@ -4,9 +4,9 @@ Instance files: `jobs <n>`, `machines <m>`, then `edge <u> <v>` lines.
 Schedule files: `makespan <T>`, then `job <j> <t>` lines. Lines starting
 with '#' (after optional whitespace) are comments; blank lines are skipped.
 The parser accepts any edge list and closes it; emit_instance writes only
-the cover edges (the transitive reduction), so a file grows with the DAG's
-edges, not with its closure. Emitters write the canonical form (sorted edge
-and job lines) so that parse(emit(x)) == x.
+the cover edges (the transitive reduction) that the instance stores, so a
+file grows with the DAG's edges, not with its closure. Emitters write the
+canonical form (sorted edge and job lines) so that parse(emit(x)) == x.
 """
 
 from __future__ import annotations
@@ -80,20 +80,12 @@ def emit_instance(inst: Instance) -> str:
     """Canonical instance text: header lines, then cover edges sorted by (u, v).
 
     (u, v) is a cover edge when v succeeds u and no other successor of u
-    precedes v (Aho, Garey and Ullman, SIAM J. Comput. 1972): it is in
-    succ[u] but in no succ[w] for w in succ[u]. The walk over succ[u] skips
-    every job already inside the union, whose successors the union holds.
+    precedes v (Aho, Garey and Ullman, SIAM J. Comput. 1972). The instance
+    stores them as cover_masks, so this prints each job's mask in bit order.
     """
-    succ = inst.succ_masks
     out = [f"jobs {inst.n}", f"machines {inst.m}"]
-    for u in range(inst.n):
-        implied = 0
-        rest = succ[u]
-        while rest:
-            low = rest & -rest
-            implied |= succ[low.bit_length() - 1]
-            rest &= ~(implied | low)
-        out += [f"edge {u} {v}" for v in _bits(succ[u] & ~implied)]
+    for u, cover in enumerate(inst.cover_masks):
+        out += [f"edge {u} {v}" for v in _bits(cover)]
     return "\n".join(out) + "\n"
 
 

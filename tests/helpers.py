@@ -3,8 +3,9 @@
 Nothing in here imports the package's algorithms: closure, feasibility and
 optimal makespans are recomputed from first principles so test expectations
 do not inherit implementation bugs. ref_coffman_graham_labels is the
-Coffman-Graham labeling as a round scan over sorted label tuples, the form
-the package used before its ready heap; ref_list_schedule is list
+Coffman-Graham labeling as a round scan over sorted tuples of every
+closure successor's label, the form the package used before its ready heap
+and its walk over cover edges; ref_list_schedule is list
 scheduling as a per-slot scan and sort of every remaining job, the form the
 package used before it ran the EDF step's sweep; and ref_chain_depths is the
 chain-depth table walking every successor, without the package's skip of
@@ -52,6 +53,13 @@ def pairs(inst) -> frozenset:
     """The (pred, succ) pairs of an instance's closed relation, read off succ_masks."""
     return frozenset(
         (u, v) for u in range(inst.n) for v in range(inst.n) if inst.succ_masks[u] >> v & 1
+    )
+
+
+def stored_cover(inst) -> frozenset:
+    """The (pred, succ) pairs of an instance's cover_masks, as stored."""
+    return frozenset(
+        (u, v) for u in range(inst.n) for v in range(inst.n) if inst.cover_masks[u] >> v & 1
     )
 
 

@@ -9,6 +9,7 @@ from precsched.baselines import (
 )
 from precsched.model import build_instance, validate_schedule
 from precsched.oracle import optimal_makespan
+from precsched.textio import emit_instance, parse_instance
 
 from helpers import (
     enumerate_poset_classes,
@@ -97,10 +98,41 @@ def _relabelled_dags(draw, min_n, max_n, min_m, max_m):
     return build_instance(n, m, [c for c, on in zip(cells, picked) if on])
 
 
-@settings(max_examples=300, deadline=None)
-@given(_relabelled_dags(0, 14, 1, 4))
+@st.composite
+def _dense_layered_dags(draw, max_n=30):
+    """Layers of 1-6 jobs, each before every job of the next layer, ids shuffled.
+
+    The cover is the edges between consecutive layers; the closure adds every
+    pair of layers further apart, so the two differ most on these DAGs.
+    """
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=12))
+    while sum(sizes) > max_n:
+        sizes.pop()
+    n = sum(sizes)
+    perm = draw(st.permutations(range(n)))
+    layers, first = [], 0
+    for size in sizes:
+        layers.append([perm[j] for j in range(first, first + size)])
+        first += size
+    edges = [(u, v) for upper, lower in zip(layers, layers[1:]) for u in upper for v in lower]
+    m = draw(st.integers(min_value=1, max_value=4))
+    return build_instance(n, m, edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_relabelled_dags(0, 14, 1, 4), _dense_layered_dags()))
 def test_cg_labels_match_round_scan_reference(inst):
     assert coffman_graham_labels(inst) == ref_coffman_graham_labels(inst)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_relabelled_dags(0, 14, 1, 4), _dense_layered_dags()))
+def test_cg_labels_equal_from_closure_file_and_cover_file(inst):
+    header = f"jobs {inst.n}\nmachines {inst.m}\n"
+    closure = parse_instance(header + "".join(f"edge {u} {v}\n" for u, v in sorted(pairs(inst))))
+    cover = parse_instance(emit_instance(inst))
+    labels = coffman_graham_labels(cover)
+    assert coffman_graham_labels(closure) == labels == ref_coffman_graham_labels(closure)
 
 
 @settings(max_examples=300, deadline=None)

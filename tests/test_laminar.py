@@ -24,7 +24,7 @@ from precsched.generators import GeneratorSpec, generate
 from precsched.model import Schedule, build_instance
 from precsched.oracle import EXACT_CAP, optimal_makespan, optimal_schedule
 
-from helpers import pairs, ref_assign_levels
+from helpers import cover_pairs, pairs, ref_assign_levels, stored_cover
 
 
 def test_family_sixteen_jobs_eps_one():
@@ -109,6 +109,10 @@ def test_padding_five_chain_on_three_machines():
     assert (0, 13) in pairs(padded) and (4, 5) in pairs(padded)
     assert (5, 6) in pairs(padded) and (5, 7) in pairs(padded)
     assert (5, 8) not in pairs(padded) and (8, 11) not in pairs(padded)
+    # The cover: the chain 0..4, its sink 4 to each dummy chain's head, the links.
+    heads = [(4, 5), (4, 8), (4, 11)]
+    links = [(5, 6), (6, 7), (8, 9), (9, 10), (11, 12), (12, 13)]
+    assert stored_cover(padded) == {(i, i + 1) for i in range(4)} | set(heads + links)
     assert optimal_makespan(padded) == 8
 
 
@@ -128,27 +132,31 @@ def test_padding_noop_when_already_a_power_of_two():
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=7),
     st.integers(min_value=1, max_value=3),
-    st.integers(min_value=1, max_value=9),
     st.randoms(use_true_random=False),
 )
-def test_padding_matches_closing_the_padded_edge_list(n, m, T, rng):
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+def test_padding_matches_closing_the_padded_edge_list(n, m, rng):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
     inst = build_instance(n, m, edges)
-    padded, tstar = pad_to_power_of_two(inst, T)
-    extra = tstar - T
-    total = n + m * extra
-    padded_edges = list(edges)
-    for c in range(m):
-        base = n + c * extra
-        padded_edges += [(base + i, base + i + 1) for i in range(extra - 1)]
-    padded_edges += [(u, d) for u in range(n) for d in range(n, total)]
-    want = build_instance(total, m, padded_edges)
-    assert tstar >= T and tstar & (tstar - 1) == 0
-    assert padded == want
-    assert padded.pred_masks == want.pred_masks
-    assert padded.succ_masks == want.succ_masks
+    # Every T from 1 to n + 2: a no-op at powers of two, dummies elsewhere.
+    for T in range(1, 10):
+        padded, tstar = pad_to_power_of_two(inst, T)
+        extra = tstar - T
+        total = n + m * extra
+        padded_edges = list(edges)
+        for c in range(m):
+            base = n + c * extra
+            padded_edges += [(base + i, base + i + 1) for i in range(extra - 1)]
+        padded_edges += [(u, d) for u in range(n) for d in range(n, total)]
+        want = build_instance(total, m, padded_edges)
+        assert tstar >= T and tstar & (tstar - 1) == 0
+        assert padded == want
+        assert padded.pred_masks == want.pred_masks
+        assert padded.succ_masks == want.succ_masks
+        assert stored_cover(padded) == cover_pairs(pairs(padded)), T
 
 
 @settings(max_examples=40, deadline=None)

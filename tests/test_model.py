@@ -17,7 +17,14 @@ from precsched.model import (
     validate_schedule,
 )
 
-from helpers import _ref_longest_chain, close_pairs, pairs, ref_chain_depths
+from helpers import (
+    _ref_longest_chain,
+    close_pairs,
+    cover_pairs,
+    pairs,
+    ref_chain_depths,
+    stored_cover,
+)
 
 DIAMOND = [(0, 1), (0, 2), (1, 3), (2, 3)]
 
@@ -59,6 +66,12 @@ def test_self_loop_is_a_cycle():
 def test_two_cycle_rejected():
     with pytest.raises(CycleError):
         build_instance(3, 1, [(0, 1), (1, 0)])
+
+
+def test_cycle_error_lists_the_stuck_jobs():
+    # 1 and 2 form the cycle and 3 waits behind it; 0 and 4 get ordered.
+    with pytest.raises(CycleError, match=r"cycle through jobs \[1, 2, 3\]$"):
+        build_instance(5, 1, [(0, 1), (1, 2), (2, 1), (2, 3), (0, 4)])
 
 
 def test_bad_endpoint_raises_index_error():
@@ -211,3 +224,28 @@ def test_chain_table_matches_the_every_successor_walk(inst, rng):
     for case in cases:
         _assert_chain_table_matches(case, None)
         _assert_chain_table_matches(case, {j for j in range(case.n) if rng.random() < 0.6})
+
+
+@st.composite
+def _redundant_edge_lists(draw, max_n=12):
+    """(n, edges): a relabelled DAG's edges plus closure pairs and duplicates, shuffled."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    perm = draw(st.permutations(range(n)))
+    cells = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)]
+    picked = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    edges = [c for c, on in zip(cells, picked) if on]
+    closed = sorted(close_pairs(n, edges))
+    if closed:
+        edges += draw(st.lists(st.sampled_from(closed), max_size=2 * len(closed)))
+    return n, draw(st.permutations(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_redundant_edge_lists())
+def test_cover_masks_are_the_transitive_reduction(case):
+    n, edges = case
+    inst = build_instance(n, 2, edges)
+    assert pairs(inst) == close_pairs(n, edges)
+    assert stored_cover(inst) == cover_pairs(pairs(inst))
+    # The cover is a function of the relation, whatever edge list made it.
+    assert build_instance(n, 2, sorted(stored_cover(inst))) == inst

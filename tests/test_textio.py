@@ -57,6 +57,7 @@ def test_emit_writes_the_transitive_reduction(case):
     assert from_closed == from_cover == inst
     assert from_closed.pred_masks == from_cover.pred_masks
     assert from_closed.succ_masks == from_cover.succ_masks
+    assert from_closed.cover_masks == from_cover.cover_masks == inst.cover_masks
 
 
 def test_comments_and_blank_lines_skipped():
