@@ -26,16 +26,31 @@ heuristic:
    precedes the other, and no successor of either is in S, so comparing the
    static successor masks suffices.
 
+Step generation costs a few big-int operations per state, not a pass over
+all n jobs. Once per search, _step_tables builds, per 8-bit chunk of job
+ids, a table (256 entries for a full chunk) whose entry b is the OR of the
+successor masks of the chunk's jobs in b, and lists the equal-successor
+classes with two or more members. A pending job is available when no
+pending job precedes it, so the available set is the pending set minus one
+table lookup per chunk. At most m available jobs make the one step. Jobs
+alone among the available ones in their class are lone jobs: when every
+available job is lone, the steps are the m-subsets of them, one
+`combinations` call. Otherwise each class with several available jobs
+contributes a prefix of its smallest ids, and the lone jobs complete each
+partial step to m jobs.
+
 The deterministic tie-break for optimal_schedule ("lexicographically
 smallest job set among optimal next steps") is evaluated over this pruned
 universe; replacing a member of a canonical set with a smaller same-class id
 is itself canonical, so the lexicographic minimum over all optimal maximal
-steps is always enumerated.
+steps is always enumerated. Steps come out in no particular order:
+optimal_makespan reads only a BFS distance, and optimal_schedule sorts the
+steps it walks.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import combinations
 
 from .model import Instance, Schedule, _bits
 
@@ -46,55 +61,77 @@ class TooLarge(ValueError):
     """Instance exceeds the exact-search job cap."""
 
 
-def _class_groups(inst: Instance):
-    """Partition job ids into equal-successor-mask classes."""
+def _step_tables(inst: Instance):
+    """Byte tables of successor masks, and the classes worth splitting.
+
+    Chunk k's table has entry b = OR of succ_masks over the jobs 8k + i with
+    bit i of b set, so one lookup per chunk gives every successor of a
+    pending set. The classes are the equal-successor-mask classes of two or
+    more jobs, as masks; every other job is alone in its class.
+    """
+    tables = []
+    for base in range(0, inst.n, 8):
+        table = [0]
+        for succ in inst.succ_masks[base:base + 8]:
+            table += [blocked | succ for blocked in table]
+        tables.append((base, table))
     by_mask: dict[int, int] = {}
-    class_of = [0] * inst.n
-    count = 0
-    for j in range(inst.n):
-        key = inst.succ_masks[j]
-        if key not in by_mask:
-            by_mask[key] = count
-            count += 1
-        class_of[j] = by_mask[key]
-    return class_of
+    for j, key in enumerate(inst.succ_masks):
+        by_mask[key] = by_mask.get(key, 0) | 1 << j
+    classes = [jobs for jobs in by_mask.values() if jobs & (jobs - 1)]
+    return tables, classes
 
 
-def _steps(inst: Instance, class_of, state: int, m: int) -> list[int]:
+def _steps(inst: Instance, tables, state: int, m: int) -> list[int]:
     """Canonical maximal steps from `state`, as job bitmasks."""
-    rest = ~state
-    groups: dict[int, list[int]] = {}
-    for j, pred in enumerate(inst.pred_masks):
-        if rest >> j & 1 and not pred & rest:
-            groups.setdefault(class_of[j], []).append(1 << j)
-    left = sum(map(len, groups.values()))
-    take = min(m, left)
-    if take == 0:
-        return []
-    if left == len(groups):
-        # Every available job is alone in its class; the bits are disjoint,
-        # so sum is |. About a third of desk states; cuts _steps time by a
-        # quarter against the class-by-class path below.
-        return list(map(sum, combinations([g[0] for g in groups.values()], take)))
+    chunks, classes = tables
+    rest = state ^ ((1 << inst.n) - 1)
+    blocked = 0
+    for base, table in chunks:
+        blocked |= table[rest >> base & 255]
+    # A pending job is available when no pending job precedes it.
+    avail = rest & ~blocked
+    left = avail.bit_count()
+    if left <= m:
+        return [avail] if avail else []
+    groups = []
+    spare = avail
+    for jobs in classes:
+        jobs &= avail
+        if jobs & (jobs - 1):
+            groups.append(jobs)
+            spare ^= jobs
+    # The lone jobs: available and the only available job of their class.
+    lone = []
+    while spare:
+        low = spare & -spare
+        lone.append(low)
+        spare ^= low
+    if not groups:
+        # The bits are disjoint, so sum is |.
+        return list(map(sum, combinations(lone, m)))
     # Class by class, OR in the class's c smallest ids, largest c first, and
-    # leave enough jobs in later classes to complete `take`; the last class
-    # takes what is still needed.
-    *head, last = groups.values()
-    steps = [(0, take)]
-    for group in head:
-        size = len(group)
+    # leave enough jobs in later classes and among the lone jobs to complete
+    # m; the lone jobs then fill what each partial step still needs.
+    steps = [(0, m)]
+    for jobs in groups:
+        prefix = [0]
+        while jobs:
+            low = jobs & -jobs
+            prefix.append(prefix[-1] | low)
+            jobs ^= low
+        size = len(prefix) - 1
         left -= size
-        prefix = list(accumulate(group, initial=0))
         steps = [
             (mask | prefix[c], need - c)
             for mask, need in steps
             for c in range(min(size, need), max(0, need - left) - 1, -1)
         ]
-    prefix = list(accumulate(last, initial=0))
-    return [mask | prefix[need] for mask, need in steps]
+    fill = [list(map(sum, combinations(lone, k))) for k in range(min(m, left) + 1)]
+    return [mask | more for mask, need in steps for more in fill[need]]
 
 
-def _levels(inst: Instance, class_of) -> dict[int, int]:
+def _levels(inst: Instance, tables) -> dict[int, int]:
     """BFS level of every ideal reached until the full set turns up (n >= 1)."""
     full = (1 << inst.n) - 1
     dist = {0: 0}
@@ -103,7 +140,7 @@ def _levels(inst: Instance, class_of) -> dict[int, int]:
         nxt = []
         for state in frontier:
             d = dist[state] + 1
-            for step in _steps(inst, class_of, state, inst.m):
+            for step in _steps(inst, tables, state, inst.m):
                 s2 = state | step
                 if s2 not in dist:
                     dist[s2] = d
@@ -123,7 +160,7 @@ def optimal_makespan(inst: Instance, cap: int = EXACT_CAP) -> int:
         raise TooLarge(f"n={inst.n} exceeds exact-search cap {cap}")
     if inst.n == 0:
         return 0
-    return _levels(inst, _class_groups(inst))[(1 << inst.n) - 1]
+    return _levels(inst, _step_tables(inst))[(1 << inst.n) - 1]
 
 
 def optimal_schedule(inst: Instance, cap: int = EXACT_CAP) -> Schedule:
@@ -141,12 +178,12 @@ def optimal_schedule(inst: Instance, cap: int = EXACT_CAP) -> Schedule:
     if inst.n == 0:
         return Schedule(start={}, horizon=0)
     full = (1 << inst.n) - 1
-    class_of = _class_groups(inst)
-    dist = _levels(inst, class_of)
+    tables = _step_tables(inst)
+    dist = _levels(inst, tables)
     horizon = dist[full]
 
     def forward(state: int, d: int):
-        steps = _steps(inst, class_of, state, inst.m)
+        steps = _steps(inst, tables, state, inst.m)
         ok = [s for s in steps if dist.get(state | s) == d + 1 < horizon or state | s == full]
         return iter(sorted(ok, key=lambda step: tuple(_bits(step))))
 

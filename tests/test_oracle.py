@@ -1,12 +1,21 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from precsched.generators import GeneratorSpec, generate
 from precsched.laminar import pad_to_power_of_two
 from precsched.model import Schedule, build_instance, longest_chain, validate_schedule
-from precsched.oracle import TooLarge, optimal_makespan, optimal_schedule
+from precsched.oracle import (
+    TooLarge,
+    _levels,
+    _step_tables,
+    _steps,
+    optimal_makespan,
+    optimal_schedule,
+)
 
 from helpers import brute_force_makespan, enumerate_poset_classes, pairs
 
@@ -226,3 +235,85 @@ def test_bitmask_steps_match_the_tuple_reference(inst):
         got, ref = optimal_schedule(case, cap=cap), _reference_schedule(case)
         assert got.start == ref.start
         assert got.horizon == ref.horizon
+
+
+@st.composite
+def _step_cases(draw):
+    """Relabelled DAGs on 1..20 jobs, so one to three byte tables, the last
+    often partial. In half of them only the first few ids have successors:
+    the rest are sinks, which share successor mask 0 and make one large
+    class."""
+    n = draw(st.integers(min_value=1, max_value=20))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    picked = draw(st.lists(st.sampled_from(pairs), max_size=2 * n, unique=True)) if pairs else []
+    if draw(st.booleans()):
+        sources = draw(st.integers(min_value=1, max_value=max(1, n // 3)))
+        picked = [(u, v) for u, v in picked if u < sources]
+    label = draw(st.permutations(range(n)))
+    m = draw(st.integers(min_value=1, max_value=4))
+    return build_instance(n, m, [(label[u], label[v]) for u, v in picked])
+
+
+def _assert_steps_match_the_reference(inst):
+    tables = _step_tables(inst)
+    class_of = _reference_class_of(inst)
+    for state in _levels(inst, tables):
+        got = _steps(inst, tables, state, inst.m)
+        assert len(set(got)) == len(got)
+        want = {_reference_mask(mv) for mv in _reference_moves(inst, class_of, state)}
+        assert set(got) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_step_cases())
+def test_steps_match_the_reference_moves_in_every_reached_state(inst):
+    _assert_steps_match_the_reference(inst)
+
+
+def test_every_table_entry_is_the_or_of_its_jobs_successors():
+    # Each of the first n // 2 jobs precedes one sink of its own, so no set
+    # of other jobs covers its successors: an entry that drops any job's
+    # successors differs from the OR. The relabelling mixes jobs and sinks
+    # within each chunk.
+    for n in range(1, 33):
+        label = list(range(n))
+        random.Random(n).shuffle(label)
+        inst = build_instance(n, 2, [(label[i], label[i + n // 2]) for i in range(n // 2)])
+        chunks, _ = _step_tables(inst)
+        assert [base for base, _ in chunks] == list(range(0, n, 8))
+        for base, table in chunks:
+            assert len(table) == 1 << min(8, n - base)
+            for b, blocked in enumerate(table):
+                want = 0
+                for i in range(8):
+                    if b >> i & 1:
+                        want |= inst.succ_masks[base + i]
+                assert blocked == want
+
+
+def _relabelled(inst, seed):
+    label = list(range(inst.n))
+    random.Random(seed).shuffle(label)
+    edges = [(label[u], label[v]) for u in range(inst.n) for v in range(inst.n)
+             if inst.succ_masks[u] >> v & 1]
+    return build_instance(inst.n, inst.m, edges)
+
+
+_FOUR_TABLE_SPECS = [
+    GeneratorSpec("chain", 25, 2),
+    GeneratorSpec("antichain", 29, 3),
+    GeneratorSpec("antichain", 32, 4),
+    GeneratorSpec("layered", 30, 2, seed=1, layers=15, width=2, edge_prob=0.5),
+    GeneratorSpec("layered", 27, 3, seed=2, layers=9, width=3, edge_prob=0.6),
+    GeneratorSpec("layered", 32, 4, seed=3, layers=8, width=4, edge_prob=0.7),
+]
+
+
+@pytest.mark.parametrize("spec", _FOUR_TABLE_SPECS, ids=lambda spec: f"{spec.kind}-{spec.n}")
+def test_four_tables_match_the_reference_above_the_cap(spec):
+    inst = generate(spec)
+    for case in (inst, _relabelled(inst, spec.n)):
+        _assert_steps_match_the_reference(case)
+        assert optimal_makespan(case, cap=case.n) == _reference_makespan(case)
+        got, ref = optimal_schedule(case, cap=case.n), _reference_schedule(case)
+        assert (got.start, got.horizon) == (ref.start, ref.horizon)
