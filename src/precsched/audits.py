@@ -34,7 +34,7 @@ from .laminar import (
     analysis_depth_limit,
     stride_of,
 )
-from .model import Instance, JobId, Schedule
+from .model import Instance, JobId, Schedule, _bits
 from .oracle import optimal_makespan, optimal_schedule
 from .qptas import CallTrace, solve
 
@@ -259,7 +259,7 @@ def run_oracle_pinned(
     def oracle_guess(rin):
         level = fam.level_of(rin.interval)
         p = partition_level(fam, level, rin.depth, stride, offset)
-        pins = {j: opt.start[j] for j in rin.jobs if level <= guess_level.get(j, -1) < p}
+        pins = {j: opt.start[j] for j in _bits(rin.jobs) if level <= guess_level.get(j, -1) < p}
         yield pins, fam.cells(rin.interval, p)
 
     traces: list[CallTrace] = []
@@ -320,7 +320,7 @@ def audit_instance(inst: Instance, eps=Fraction(1)) -> dict[str, AuditReport]:
         # The tops the level assignment put in the call's own level range,
         # from the interval's level up to its cells'.
         levels = range(fam.level_of(tr.interval), fam.level_of(tr.cells[0]))
-        top1 = tr.tops & frozenset().union(*map(assign.top_at_level, levels))
+        top1 = frozenset().union(*map(assign.top_at_level, levels))
         return [w for w in tr.windows if w.job in top1]
 
     # In CSV row order: the claims, then the informational rows.

@@ -49,24 +49,24 @@ def _sweep(inst, rest, occupancy, start, end):
     deleted from rest by index. Jobs placed at this slot only leave
     `pending` after the scan, so they block their successors until the next
     slot. The sweep ends once no job is pending. Returns (placed, left):
-    placed maps each placed job to its slot, and the set left holds the jobs
-    that expired or were still pending at end.
+    placed maps each placed job to its slot, and the mask left holds the
+    jobs that expired (gathered in `dropped`) or were still pending at end.
     """
     pred_masks = inst.pred_masks
     pending = 0
     for w in rest:
         pending |= 1 << w.job
     placed: dict[JobId, int] = {}
-    left: set[JobId] = set()
+    dropped = 0
     for t in range(start, end):
         if not rest:
             break
         # rest is sorted by deadline, so the expired jobs form a prefix.
         k = 0
         while k < len(rest) and rest[k].d <= t:
-            w = rest[k]
-            left.add(w.job)
-            pending ^= 1 << w.job
+            bit = 1 << rest[k].job
+            dropped |= bit
+            pending ^= bit
             k += 1
         if k:
             del rest[:k]
@@ -85,8 +85,7 @@ def _sweep(inst, rest, occupancy, start, end):
             pending ^= 1 << job
         for i in reversed(hits):
             del rest[i]
-    left.update(w.job for w in rest)
-    return placed, left
+    return placed, dropped | pending
 
 
 def _check_order(inst: Instance, order) -> list[int]:

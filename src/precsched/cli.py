@@ -410,7 +410,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, BadSpec, BadEps, BadHorizon, TooLarge, OSError) as exc:
+    except (CliError, BadSpec, BadEps, BadHorizon, TooLarge, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfeasibleHorizon as exc:

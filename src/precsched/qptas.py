@@ -12,6 +12,9 @@ discarded, and the guess with the fewest discards wins (ties: first in
 enumeration order). insert_discarded then repairs a result at the cost of
 one extra slot per discarded job.
 
+Inside the recursion every job set is a bitmask (bit j for job j): a call's
+jobs, its bottoms and tops, and all discards; solve returns a frozenset.
+
 Windows come from masks: model.slot_bounds narrows a job's window by only
 the bits of its predecessor and successor masks that are pinned (for a
 pinned window) or placed (for a top window), so no hot loop walks the whole
@@ -78,7 +81,7 @@ class NoSlot(RuntimeError):
 @dataclass(frozen=True)
 class RecursionInput:
     interval: tuple[int, int]
-    jobs: frozenset[JobId]
+    jobs: int  # job mask
     pinned: dict[JobId, int]
     depth: int
 
@@ -100,7 +103,8 @@ class CallTrace:
     """One non-unit recursion call, as its winning guess ran it.
 
     pins are the call's own new pins; windows holds every top window,
-    degenerate included, in job order; placed_tops are the EDF placements.
+    degenerate included, in job order, so the call's tops are exactly the
+    windows' jobs; placed_tops are the EDF placements.
     loads maps every slot of the interval to its job count after the sweep.
     A top that is neither placed nor degenerate was discarded at its deadline
     d, which windows_for_top keeps inside the interval.
@@ -110,7 +114,6 @@ class CallTrace:
     interval: tuple[int, int]
     cells: list[tuple[int, int]]
     pins: dict[JobId, int]
-    tops: frozenset[JobId]
     windows: list[TopWindow]
     placed_tops: dict[JobId, int]
     loads: dict[int, int]
@@ -126,7 +129,7 @@ def _loads(slots, s, e):
 
 
 def pin_windows(inst, jobs, pinned_new, merged, end):
-    """Jobs grouped by their window [lo, hi) under all pins: {(lo, hi): job mask}.
+    """Mask jobs grouped by their window [lo, hi) under all pins: {(lo, hi): mask}.
 
     merged holds every pin, pinned_new's included. A job pinned by
     pinned_new gets its own slot [t, t + 1); every other job gets
@@ -135,12 +138,12 @@ def pin_windows(inst, jobs, pinned_new, merged, end):
     recursion call computes them once per pin set. Raises EmptyWindow when
     the pins squeeze some job out entirely.
     """
-    free = [j for j in jobs if j not in pinned_new]
+    free = list(_bits(jobs & ~_mask(pinned_new)))
     groups: dict[tuple[int, int], int] = {}
     for j, w in zip(free, feasible_windows(inst, free, merged, end)):
         groups[w] = groups.get(w, 0) | 1 << j
     for j, t in pinned_new.items():
-        if j in jobs:
+        if jobs >> j & 1:
             groups[t, t + 1] = groups.get((t, t + 1), 0) | 1 << j
     return groups
 
@@ -166,14 +169,15 @@ def split_by_cells(groups, cells):
 def classify(inst, jobs, pinned_new, cells, pinned_old):
     """Split jobs into bottom-per-cell and top by feasible window.
 
-    pin_windows then split_by_cells, with the masks turned into frozensets;
+    pin_windows then split_by_cells on masks, turned into frozensets here;
     _recurse runs the same two steps, the first once per pin set. A pinned
     job counts as bottom of the cell holding its slot. Raises EmptyWindow
     when the combined pins squeeze some job out entirely, which prunes the
     guess.
     """
     merged = {**pinned_old, **pinned_new}
-    bottom, top = split_by_cells(pin_windows(inst, jobs, pinned_new, merged, cells[-1][1]), cells)
+    groups = pin_windows(inst, _mask(jobs), pinned_new, merged, cells[-1][1])
+    bottom, top = split_by_cells(groups, cells)
     return {c: frozenset(_bits(v)) for c, v in bottom.items()}, frozenset(_bits(top))
 
 
@@ -208,32 +212,32 @@ def edf_insert(inst, tops, occupancy, start, end):
     it discards the jobs whose deadline has arrived and places up to the
     slot's residual capacity of eligible jobs in (deadline, id) order; a job
     placed at a slot blocks its successors until the next slot. Returns
-    (placements, discards), where the discards are the degenerate, expired
-    and still pending tops; a slot's load after the sweep is its occupancy
-    plus the jobs placed there.
+    (placements, discard mask), where the discards are the degenerate,
+    expired and still pending tops; a slot's load after the sweep is its
+    occupancy plus the jobs placed there.
     """
     rest = []
-    degenerate = []
+    degenerate = 0
     for w in sorted(tops, key=lambda w: (w.d, w.job)):
         if w.degenerate:
-            degenerate.append(w.job)
+            degenerate |= 1 << w.job
         else:
             rest.append(w)
-    placed, discards = _sweep(inst, rest, occupancy, start, end)
-    discards.update(degenerate)
-    return placed, discards
+    placed, left = _sweep(inst, rest, occupancy, start, end)
+    return placed, degenerate | left
 
 
-def _settle_unit(inst, sub, t, free, starts, disc):
+def _settle_unit(inst, sub, t, free, starts):
     """Settle the unit cell [t, t + 1) that holds the job mask sub.
 
     Every job of the cell has window [t, t + 1), so the EDF step is one
     slot with nothing expired: a job is eligible iff none of its
     predecessors is in sub, and the first free eligible jobs in id order
-    start at t. Placements go into starts in that order and every other job
-    into disc, as edf_insert would place and discard them.
+    start at t. Placements go into starts in that order, and the mask of
+    every other job is returned, as edf_insert would place and discard them.
     """
     pred_masks = inst.pred_masks
+    disc = 0
     rest = sub
     while rest:
         low = rest & -rest
@@ -243,7 +247,8 @@ def _settle_unit(inst, sub, t, free, starts, disc):
             starts[j] = t
             free -= 1
         else:
-            disc.add(j)
+            disc |= low
+    return disc
 
 
 def _assignments(inst, subset, base_pins, s, e):
@@ -325,7 +330,7 @@ def exhaustive_guesses(inst, k_max):
 
     def guesses(rin):
         s, e = rin.interval
-        jobs = sorted(rin.jobs)
+        jobs = list(_bits(rin.jobs))
         partitions = list(_partitions(s, e, max(1, k_max)))
         for size in range(min(k_max, len(jobs)), -1, -1):
             for subset in combinations(jobs, size):
@@ -337,7 +342,7 @@ def exhaustive_guesses(inst, k_max):
 
 
 def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
-    """Best (starts, discards) over the guesses the source yields for rin.
+    """Best (starts, discard mask) over the guesses the source yields for rin.
 
     When traces is a list, the winning guess's CallTraces (its children's,
     then its own) are appended to it; otherwise no trace is built. The
@@ -352,15 +357,13 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
     """
     s, e = rin.interval
     if not rin.jobs:
-        return {}, set()
+        return {}, 0
     if e - s == 1:
         # Only a root of horizon 1 gets here: unit cells are settled in
         # their parent's cell loop, by the same rule.
         starts: dict[JobId, int] = {}
-        disc: set[JobId] = set()
         free = inst.m - _loads(rin.pinned.values(), s, e).get(s, 0)
-        _settle_unit(inst, _mask(rin.jobs), s, free, starts, disc)
-        return starts, disc
+        return starts, _settle_unit(inst, rin.jobs, s, free, starts)
     best = None
     last_pins = groups = None
     capped = rin.depth + 1 >= depth_max
@@ -380,7 +383,7 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
         bottom, top_mask = split_by_cells(groups, cells)
         calls = None if traces is None else []
         starts = dict(pins)
-        disc: set[JobId] = set()
+        disc = 0
         for cell in cells:
             sub = bottom[cell] & ~pins_mask
             if not sub:
@@ -389,23 +392,22 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
             if hi - lo == 1:
                 # A unit cell explores no guess and records no trace, and
                 # the depth cap does not apply to it.
-                _settle_unit(inst, sub, lo, inst.m - pin_load.get(lo, 0), starts, disc)
+                disc |= _settle_unit(inst, sub, lo, inst.m - pin_load.get(lo, 0), starts)
                 continue
             if capped:
                 # The depth cap: the child's whole job set is discarded,
                 # with no guess explored and no trace recorded.
-                disc.update(_bits(sub))
+                disc |= sub
                 continue
-            child = RecursionInput(cell, frozenset(_bits(sub)), merged, rin.depth + 1)
+            child = RecursionInput(cell, sub, merged, rin.depth + 1)
             cstarts, cdisc = _recurse(inst, child, depth_max, guesses, stats, calls)
             starts.update(cstarts)
             disc |= cdisc
-        if best is not None and len(disc) >= len(best[1]):
+        if best is not None and disc.bit_count() >= best[1].bit_count():
             # The tops can only add discards, so this guess cannot win.
             continue
-        top = frozenset(_bits(top_mask))
         placed_all = {**rin.pinned, **starts}
-        top_windows = windows_for_top(inst, top, cells, placed_all)
+        top_windows = windows_for_top(inst, _bits(top_mask), cells, placed_all)
         occupancy = _loads(placed_all.values(), s, e)
         tplaced, tdisc = edf_insert(inst, top_windows, occupancy, s, e)
         starts.update(tplaced)
@@ -420,19 +422,18 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
                     interval=rin.interval,
                     cells=cells,
                     pins=dict(pins),
-                    tops=top,
                     windows=top_windows,
                     placed_tops=tplaced,
                     loads=loads,
                 )
             )
-        if best is None or len(disc) < len(best[1]):
+        if best is None or disc.bit_count() < best[1].bit_count():
             best = (starts, disc, calls)
             if not disc:
                 break
     if best is None:
         # Every guess was pruned; cannot happen from a consistent parent.
-        return {}, set(rin.jobs)
+        return {}, rin.jobs
     if traces is not None:
         traces.extend(best[2])
     return best[0], best[1]
@@ -460,13 +461,13 @@ def solve(inst: Instance, T: int, guesses, depth_max: int, traces=None) -> Solve
     chain = longest_chain(inst)
     if T < chain:
         raise InfeasibleHorizon(f"horizon {T} is below the chain bound {chain}")
-    root = RecursionInput((0, T), frozenset(range(inst.n)), {}, 0)
+    root = RecursionInput((0, T), (1 << inst.n) - 1, {}, 0)
     starts, disc = _recurse(inst, root, depth_max, guesses, stats, traces)
     sched = Schedule(starts, T)
     report = validate_schedule(inst, sched)
-    if not report.feasible or set(starts) & disc or set(starts) | disc != set(range(inst.n)):
+    if not report.feasible or _mask(starts) ^ disc != root.jobs:
         raise RuntimeError("internal: inconsistent solve result")
-    return SolveResult(sched, frozenset(disc), stats)
+    return SolveResult(sched, frozenset(_bits(disc)), stats)
 
 
 def insert_discarded(inst: Instance, sched: Schedule, discarded) -> Schedule:

@@ -15,7 +15,9 @@ unit-cell mask rule: it builds the package's trace records and runs its EDF
 sweep (which tests/test_qptas.py checks against its own reference), but
 classifies and windows with the references here. Its unit intervals still
 recurse and run edf_insert over windows [t, t + 1), so that path is now the
-reference for the package's unit rule (qptas._settle_unit).
+reference for the package's unit rule (qptas._settle_unit). It keeps its job
+sets as sets, and builds or reads a job mask only where the package's
+RecursionInput and edf_insert take or return one.
 """
 
 from __future__ import annotations
@@ -272,6 +274,10 @@ def _mask_bits(mask: int):
         mask ^= low
 
 
+def _to_mask(jobs) -> int:
+    return sum(1 << j for j in jobs)
+
+
 def ref_feasible_window(inst, j, pinned, T):
     """[lo, hi) of j under pinned, walking every closure bit with a dict lookup.
 
@@ -488,7 +494,7 @@ def ref_exhaustive_guesses(inst, k_max):
 
     def guesses(rin):
         s, e = rin.interval
-        jobs = sorted(rin.jobs)
+        jobs = sorted(_mask_bits(rin.jobs))
         partitions = []
         for b in range(min(max(1, k_max) - 1, e - s - 1), -1, -1):
             for cuts in combinations(range(s + 1, e), b):
@@ -514,24 +520,26 @@ def ref_solve(inst, T, guesses, depth_max, traces=None):
     stats = SolveStats()
     starts, disc = {}, set()
     if inst.n:
-        root = RecursionInput((0, T), frozenset(range(inst.n)), {}, 0)
+        root = RecursionInput((0, T), _to_mask(range(inst.n)), {}, 0)
         starts, disc = _ref_recurse(inst, root, depth_max, guesses, stats, traces)
     return SolveResult(Schedule(starts, T), frozenset(disc), stats)
 
 
 def _ref_recurse(inst, rin, depth_max, guesses, stats, traces):
     s, e = rin.interval
-    if not rin.jobs:
+    jobs = set(_mask_bits(rin.jobs))
+    if not jobs:
         return {}, set()
     if e - s == 1:
-        tops = [TopWindow(j, s, e) for j in sorted(rin.jobs)]
-        return edf_insert(inst, tops, _ref_loads(rin.pinned.values(), s, e), s, e)
+        tops = [TopWindow(j, s, e) for j in sorted(jobs)]
+        placed, disc = edf_insert(inst, tops, _ref_loads(rin.pinned.values(), s, e), s, e)
+        return placed, set(_mask_bits(disc))
     if rin.depth >= depth_max:
-        return {}, set(rin.jobs)
+        return {}, jobs
     best = None
     for pins, cells in guesses(rin):
         stats.guesses_explored += 1
-        split = ref_classify(inst, rin.jobs, pins, cells, rin.pinned)
+        split = ref_classify(inst, jobs, pins, cells, rin.pinned)
         if split is None:
             continue
         bottom, top = split
@@ -542,7 +550,7 @@ def _ref_recurse(inst, rin, depth_max, guesses, stats, traces):
         for cell in cells:
             sub = bottom[cell] - pins.keys()
             if sub:
-                child = RecursionInput(cell, frozenset(sub), merged, rin.depth + 1)
+                child = RecursionInput(cell, _to_mask(sub), merged, rin.depth + 1)
                 cstarts, cdisc = _ref_recurse(inst, child, depth_max, guesses, stats, calls)
                 starts.update(cstarts)
                 disc |= cdisc
@@ -550,12 +558,12 @@ def _ref_recurse(inst, rin, depth_max, guesses, stats, traces):
         windows = [TopWindow(*w) for w in ref_windows_for_top(inst, top, cells, placed_all)]
         tplaced, tdisc = edf_insert(inst, windows, _ref_loads(placed_all.values(), s, e), s, e)
         starts.update(tplaced)
-        disc |= tdisc
+        disc.update(_mask_bits(tdisc))
         if calls is not None:
             slots = [*placed_all.values(), *tplaced.values()]
             loads = {t: sum(1 for x in slots if x == t) for t in range(s, e)}
             calls.append(CallTrace(
-                depth=rin.depth, interval=rin.interval, cells=cells, pins=dict(pins), tops=top,
+                depth=rin.depth, interval=rin.interval, cells=cells, pins=dict(pins),
                 windows=windows, placed_tops=tplaced, loads=loads,
             ))
         if best is None or len(disc) < len(best[1]):
@@ -563,7 +571,7 @@ def _ref_recurse(inst, rin, depth_max, guesses, stats, traces):
             if not disc:
                 break
     if best is None:
-        return {}, set(rin.jobs)
+        return {}, jobs
     if traces is not None:
         traces.extend(best[2])
     return best[0], best[1]

@@ -27,7 +27,7 @@ from precsched.laminar import (
     pad_to_power_of_two,
     stride_of,
 )
-from precsched.model import build_instance
+from precsched.model import _bits, build_instance
 from precsched.oracle import optimal_makespan, optimal_schedule
 from precsched.qptas import CallTrace, TopWindow, classify, edf_insert, windows_for_top
 
@@ -132,7 +132,7 @@ def test_pinned_replay_antichain_trace_frozen():
     assert tr.cells == [(0, 2), (2, 4)]
     assert (fam.level_of(tr.interval), fam.level_of(tr.cells[0])) == (0, 1)
     assert tr.pins == {}
-    assert tr.tops == frozenset({0, 1, 2, 3})
+    assert {w.job for w in tr.windows} == {0, 1, 2, 3}
     # Every top sits in the call's own level range [0, 1).
     assert assign.top_at_level(0) == frozenset({0, 1, 2, 3})
     assert [(w.job, w.r, w.d) for w in tr.windows] == [(j, 0, 4) for j in range(4)]
@@ -155,7 +155,6 @@ def test_idle_slots_keep_a_discarded_top_pending_until_its_deadline():
         interval=(0, 4),
         cells=[(0, 2), (2, 4)],
         pins={},
-        tops=frozenset({0}),
         windows=[TopWindow(0, 0, 2)],
         placed_tops={},
         loads={0: 1, 1: 1, 2: 0, 3: 0},
@@ -178,7 +177,7 @@ def test_pinned_replay_squeezed_guesses_everything_reachable():
     assert disc == set()
     assert len(traces) == 1
     assert traces[0].pins == {0: 0, 1: 1, 2: 2, 3: 3}
-    assert traces[0].tops == frozenset()
+    assert {w.job for w in traces[0].windows} == set()
 
 
 CLEAN_CASES = [
@@ -277,7 +276,7 @@ def _reference_replay(inst, opt, fam, eps, offset, assign):
             tops = [TopWindow(j, s, e) for j in sorted(jobs)]
             occ = Counter(t for t in pins.values() if t == s)
             placed, disc = edf_insert(inst, tops, occ, s, e)
-            discarded.update(disc)
+            discarded.update(_bits(disc))
             return placed
         level = fam.level_lengths.index(e - s)
         p = max(min(offset + depth * stride + 1, fam.deepest), level + 1)
@@ -299,7 +298,7 @@ def _reference_replay(inst, opt, fam, eps, offset, assign):
         windows = windows_for_top(inst, top, cells, placed_all)
         occ = Counter(t for t in placed_all.values() if s <= t < e)
         tplaced, tdisc = edf_insert(inst, windows, occ, s, e)
-        discarded.update(tdisc)
+        discarded.update(_bits(tdisc))
         starts.update(tplaced)
         slots = Counter([*placed_all.values(), *tplaced.values()])
         traces.append(
@@ -345,8 +344,10 @@ def test_pinned_run_matches_the_replay_reference(case, shift):
 
     def with_levels(tr):
         level, p = fam.level_of(tr.interval), fam.level_of(tr.cells[0])
-        top1 = tr.tops & frozenset().union(*map(assign.top_at_level, range(level, p)))
+        tops = frozenset(w.job for w in tr.windows)
+        top1 = tops & frozenset().union(*map(assign.top_at_level, range(level, p)))
         lam = tr.cells[0][1] - tr.cells[0][0]
-        return {**vars(tr), "level": level, "partition_level": p, "lam": lam, "top1": top1}
+        return {**vars(tr), "tops": tops, "level": level, "partition_level": p, "lam": lam,
+                "top1": top1}
 
     assert [with_levels(tr) for tr in traces] == want_traces

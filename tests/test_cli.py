@@ -111,6 +111,21 @@ def test_solve_infeasible_horizon_exits_1(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_solve_qptas_deep_chain_keeps_the_exit_code_contract(tmp_path, capsys):
+    # A 1500-job chain overflows the recursive chain table; that is a usage
+    # error (exit 2), not infeasibility (exit 1), and prints no traceback.
+    # Exit 0 once the chain table no longer recurses.
+    inst = tmp_path / "chain1500.inst"
+    assert main(["gen", "--kind", "chain", "--n", "1500", "--m", "2", "--output", str(inst)]) == 0
+    capsys.readouterr()
+    rc = main(["solve", "--input", str(inst), "--alg", "qptas", "--output", str(tmp_path / "s")])
+    err = capsys.readouterr().err
+    assert rc in (0, 2)
+    assert "Traceback" not in err
+    if rc == 2:
+        assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("mode, rc", [("laminar", 2), ("exhaustive", 1)])
 def test_solve_qptas_checks_eps_before_the_chain_bound(tmp_path, capsys, mode, rc):
     # Laminar mode needs m/eps integral, a usage error its guess source
