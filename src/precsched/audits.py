@@ -86,12 +86,14 @@ def check_shift_bound(assign: LevelAssignment, m: int, eps, T: int) -> AuditRepo
     Buckets across offsets must be disjoint (each counted appearance beyond
     the first is a violation), the job count may not exceed m*T, and the
     smallest bucket must fit under eps*T. The size comparison is exact.
+    population counts all m/eps offsets, but the loop stops at offset
+    level_count() - 1: its bucket and every later one are empty.
     """
     e = check_eps(eps)
     stride = stride_of(m, e)
     seen: Counter[JobId] = Counter()
     sizes = []
-    for a in range(stride):
+    for a in range(min(stride, assign.fam.level_count())):
         members: set[JobId] = set()
         for level in bucket_levels(assign.fam, a, stride):
             tops = assign.top_at_level(level)

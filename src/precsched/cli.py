@@ -1,11 +1,11 @@
 """Command line entry point: gen, solve, verify, bench, analyze, audit.
 
 Exit codes: 0 success (verify: feasible), 1 infeasible or violations found,
-2 usage or parse errors (a cyclic instance file, an --eps outside (0, 1], an
-unknown bench algorithm and an unreadable or unwritable path included); a
-file that does not decode or parse is named in the message. All
-randomness is seeded; bench output is byte-identical across runs unless
---timing is given.
+2 usage or parse errors (a cyclic instance file, an --eps outside (0, 1] or
+too small for a float, an unknown bench algorithm and an unreadable or
+unwritable path included); a file that does not decode or parse is named
+in the message. All randomness is seeded; bench output is byte-identical
+across runs unless --timing is given.
 """
 
 from __future__ import annotations
@@ -30,7 +30,14 @@ from .generators import (
     generate,
     _STANDARD,
 )
-from .laminar import BadEps, BadHorizon, check_eps, default_depth_max, pad_to_power_of_two
+from .laminar import (
+    BadEps,
+    BadHorizon,
+    check_eps,
+    default_depth_max,
+    pad_to_power_of_two,
+    stride_of,
+)
 from .model import CycleError, Instance, Schedule, longest_chain, validate_schedule
 from .oracle import EXACT_CAP, TooLarge, optimal_makespan, optimal_schedule
 from .qptas import InfeasibleHorizon, exhaustive_guesses, insert_discarded, laminar_guesses, solve
@@ -143,8 +150,10 @@ def _solve_laminar(
     Pads to a power-of-two horizon, solves, repairs the discards and drops
     the padding jobs; the declared horizon keeps the accounting (the padded
     horizon plus one slot per discarded job). An empty instance gets an
-    empty schedule at horizon T.
+    empty schedule at horizon T, once m/eps has passed the check every
+    other instance gets.
     """
+    stride_of(inst.m, eps)
     if inst.n == 0:
         return Schedule(start={}, horizon=T), 0, 0
     padded, tstar = pad_to_power_of_two(inst, T)

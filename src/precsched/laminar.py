@@ -14,6 +14,10 @@ it. partition_level(fam, level, depth, stride, offset) picks the depth-th
 level of that bucket as the cells of a recursion call on a level-`level`
 interval.
 
+pin_windows groups jobs by start window under pins, and split_by_cells
+calls a window inside one cell bottom and any other top: the solver's split
+of a call's jobs (qptas) and assign_levels' split of jobs into levels.
+
 assign_levels replays an optimal schedule against this family and sorts
 every job into exactly one guess set or one top set at exactly one level.
 A job belongs to the level where its feasible window (under the pins made
@@ -25,10 +29,11 @@ members pinned to their optimal slots until no long chain remains.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import Instance, JobId, Schedule, _mask, longest_chain_path, slot_bounds
+from .model import Instance, JobId, Schedule, _bits, _mask, longest_chain_path, slot_bounds
 
 
 class BadHorizon(ValueError):
@@ -125,14 +130,18 @@ def build_laminar(T: int, n: int, eps) -> LaminarFamily:
 
     T must be a power of two (pad_to_power_of_two arranges that), n >= 2.
     rho = ceil(log2(log2(n)/eps)), clamped to at least 1 so splitting always
-    makes progress (at n = 2, eps = 1 the raw formula gives 0).
+    makes progress (at n = 2, eps = 1 the raw formula gives 0). An eps so
+    small that log2(n)/eps is no finite float raises BadEps.
     """
     e = check_eps(eps)
     if T < 1 or T & (T - 1):
         raise BadHorizon(f"T must be a positive power of two, got {T}")
     if n < 2:
         raise ValueError(f"need at least 2 jobs for the level machinery, got {n}")
-    rho = max(1, math.ceil(math.log2(math.log2(n) / float(e))))
+    try:
+        rho = max(1, math.ceil(math.log2(math.log2(n) / float(e))))
+    except (OverflowError, ZeroDivisionError):
+        raise BadEps("eps is too small: log2(n)/eps overflows a float") from None
     lengths = [T]
     while lengths[-1] > 1:
         cur = lengths[-1]
@@ -178,31 +187,53 @@ def pad_to_power_of_two(inst: Instance, T: int) -> tuple[Instance, int]:
     return Instance(total, inst.m, tuple(preds), tuple(succs), tuple(cover)), tstar
 
 
-def feasible_windows(inst: Instance, jobs, pinned, T: int) -> list[tuple[int, int]]:
-    """Start slots [lo, hi) for each of jobs, in order, given pinned neighbors.
+def pin_windows(inst: Instance, jobs: int, pinned_new, merged, end: int) -> dict:
+    """Mask jobs grouped by their start window [lo, hi) under all pins: {(lo, hi): mask}.
 
-    Each window is model.slot_bounds over [0, T) with the mask of pinned
-    jobs, built once: lo is the latest pinned-predecessor completion, hi the
-    earliest pinned-successor start, and a job with no pinned neighbor costs
-    O(1). Raises EmptyWindow at the first job with lo >= hi. A job's own
-    pin, if any, is not consulted.
+    merged holds every pin, pinned_new's included. A job pinned by
+    pinned_new gets [t, t + 1); any other job gets model.slot_bounds over
+    [0, end) under merged's mask, built once, so a job with no pinned
+    neighbor costs O(1) and its own pin is not consulted. Raises EmptyWindow
+    at the first job, in id order, whose window is empty.
     """
-    pinned_mask = _mask(pinned)
-    out = []
-    for j in jobs:
-        lo, hi = slot_bounds(inst, j, pinned, pinned_mask, 0, T)
+    pinned_mask = _mask(merged)
+    groups: dict[tuple[int, int], int] = {}
+    for j in _bits(jobs & ~_mask(pinned_new)):
+        lo, hi = w = slot_bounds(inst, j, merged, pinned_mask, 0, end)
         if lo >= hi:
             raise EmptyWindow(f"job {j}: window [{lo}, {hi}) is empty")
-        out.append((lo, hi))
-    return out
+        groups[w] = groups.get(w, 0) | 1 << j
+    for j, t in pinned_new.items():
+        if jobs >> j & 1:
+            groups[t, t + 1] = groups.get((t, t + 1), 0) | 1 << j
+    return groups
+
+
+def split_by_cells(groups, cells):
+    """(bottom mask per cell, top mask) from pin_windows' groups.
+
+    cells partition a span holding every window. A window inside one cell
+    is bottom, else top; one bisect per distinct window, not per job.
+    """
+    starts = [c[0] for c in cells]
+    bottom = dict.fromkeys(cells, 0)
+    top = 0
+    for (lo, hi), mask in groups.items():
+        cell = cells[bisect_right(starts, lo) - 1]
+        if hi <= cell[1]:
+            bottom[cell] |= mask
+        else:
+            top |= mask
+    return bottom, top
 
 
 def feasible_window(inst: Instance, j: JobId, pinned, T: int) -> tuple[int, int]:
     """Start slots [lo, hi) where j can legally sit given pinned neighbors.
 
-    The one-job case of feasible_windows; raises EmptyWindow when lo >= hi.
+    The one-job case of pin_windows; raises EmptyWindow when lo >= hi.
     """
-    return feasible_windows(inst, (j,), pinned, T)[0]
+    (window,) = pin_windows(inst, 1 << j, {}, pinned, T)
+    return window
 
 
 @dataclass
@@ -245,11 +276,13 @@ def assign_levels(
 ) -> LevelAssignment:
     """Sort every job into one guess or top set at one level.
 
-    Processes levels top-down and intervals left to right. Membership in an
-    interval's job pool uses windows under pins from strictly earlier
-    levels; flexibility (straddling two or more children) tracks pins made
-    at the current level too. At unit leaves every remaining pool member
-    becomes top, which is what makes the partition total.
+    Processes levels top-down and intervals left to right. An interval's
+    pool is its bottom when pin_windows then split_by_cells split the
+    unassigned jobs by the level's cells, under pins from strictly earlier
+    levels; its flexible jobs are the top when the same split sorts its
+    unguessed pool by its children, under the current level's pins too. At
+    unit leaves every remaining pool member becomes top, which is what
+    makes the partition total.
     """
     e = check_eps(eps)
     n, m, T = inst.n, inst.m, fam.T
@@ -257,59 +290,41 @@ def assign_levels(
         raise ValueError("opt must be complete with makespan <= T")
     slot = opt.start
     pinned: dict[int, int] = {}
-    assigned: set[int] = set()
+    free = (1 << n) - 1
     out = LevelAssignment(fam=fam, n=n)
     # Every window below is taken under pins at optimal slots, so none is
-    # empty and feasible_windows never raises.
+    # empty and pin_windows never raises.
     for level in range(fam.level_count()):
-        length = fam.level_lengths[level]
-        free = [j for j in range(n) if j not in assigned]
-        pools: dict[int, list[int]] = {}
-        for j, (lo, hi) in zip(free, feasible_windows(inst, free, pinned, T)):
-            if hi <= (lo // length + 1) * length:
-                pools.setdefault(lo // length, []).append(j)
+        pools, _ = split_by_cells(pin_windows(inst, free, {}, pinned, T), fam.cells((0, T), level))
+        thresh = chain_threshold(fam.level_lengths[level], n, m, e)
         guess_row: dict[tuple[int, int], frozenset[int]] = {}
         top_row: dict[tuple[int, int], frozenset[int]] = {}
-        for i in sorted(pools):
-            start = i * length
-            node, pool = (start, start + length), pools[i]
+        for node, pool in pools.items():
+            if not pool:
+                continue
             if level == fam.deepest:
-                top_row[node] = frozenset(pool)
-                assigned.update(pool)
+                top_row[node] = frozenset(_bits(pool))
                 continue
             children = fam.cells(node, level + 1)
-            child_len = fam.level_lengths[level + 1]
-            thresh = chain_threshold(length, n, m, e)
-
-            def flexible_now() -> set[int]:
-                rest = [j for j in pool if j not in assigned]
-                return {
-                    j
-                    for j, (lo, hi) in zip(rest, feasible_windows(inst, rest, pinned, T))
-                    if (hi - 1 - start) // child_len > (lo - start) // child_len
-                }
-
-            guessed: set[int] = set()
+            guessed = 0
             while True:
-                chain = longest_chain_path(inst, flexible_now())
-                if not chain or Fraction(len(chain)) < thresh:
+                _, flexible = split_by_cells(
+                    pin_windows(inst, pool & ~guessed, {}, pinned, T), children
+                )
+                # The chain runs head first, so its optimal slots ascend.
+                chain = longest_chain_path(inst, _bits(flexible))
+                if not chain or len(chain) < thresh:
                     break
                 for cs, ce in children:
-                    inside = sorted(
-                        (j for j in chain if cs <= slot[j] < ce),
-                        key=lambda j: slot[j],
-                    )
-                    if inside:
-                        for x in {inside[0], inside[-1]}:
-                            guessed.add(x)
-                            assigned.add(x)
-                            pinned[x] = slot[x]
+                    inside = [j for j in chain if cs <= slot[j] < ce]
+                    for x in inside[:1] + inside[-1:]:
+                        guessed |= 1 << x
+                        pinned[x] = slot[x]
             if guessed:
-                guess_row[node] = frozenset(guessed)
-            tops = flexible_now()
-            if tops:
-                top_row[node] = frozenset(tops)
-                assigned.update(tops)
+                guess_row[node] = frozenset(_bits(guessed))
+            if flexible:
+                top_row[node] = frozenset(_bits(flexible))
+            free &= ~(guessed | flexible)
         if guess_row:
             out.guess[level] = guess_row
         if top_row:
@@ -327,7 +342,9 @@ def best_offset(assign: LevelAssignment, m: int, eps) -> tuple[int, int]:
     """
     stride = stride_of(m, eps)
     best = None
-    for a in range(stride):
+    # Offsets from level_count() - 1 on have empty buckets, so the first of
+    # them ties every later one, and the loop stops there.
+    for a in range(min(stride, assign.fam.level_count())):
         total = sum(
             len(assign.top_at_level(level)) for level in bucket_levels(assign.fam, a, stride)
         )

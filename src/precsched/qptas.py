@@ -19,12 +19,15 @@ Windows come from masks: model.slot_bounds narrows a job's window by only
 the bits of its predecessor and successor masks that are pinned (for a
 pinned window) or placed (for a top window), so no hot loop walks the whole
 closure. The pinned windows depend on the pins alone, so _recurse computes
-them once per pin set, grouped as {(lo, hi): job mask}, and splits the
-groups by cells for every guess that carries those pins: one bisect per
-distinct window, and one group in all when nothing is pinned. Discards only grow once a guess's
-cells have returned, so a guess whose cells already discard as many jobs as
-the best guess so far stops there, before its tops are windowed and swept;
-it could not win, and it explores no further guesses either way.
+them once per pin set, grouped as {(lo, hi): job mask} by
+laminar.pin_windows, and laminar.split_by_cells splits the groups by cells
+for every guess that carries those pins: one bisect per distinct window,
+and one group in all when nothing is pinned. The level analysis
+(laminar.assign_levels) sorts jobs with the same two routines. Discards
+only grow once a guess's cells have returned, so a guess whose cells
+already discard as many jobs as the best guess so far stops there, before
+its tops are windowed and swept; it could not win, and it explores no
+further guesses either way.
 
 A unit cell [t, t + 1) needs no guess: each of its jobs has window
 [t, t + 1), so the EDF step over it is fixed. _settle_unit applies that
@@ -54,8 +57,9 @@ from .baselines import TopWindow, _sweep
 from .laminar import (
     EmptyWindow,
     build_laminar,
-    feasible_windows,
     partition_level,
+    pin_windows,
+    split_by_cells,
     stride_of,
 )
 from .model import (
@@ -128,52 +132,14 @@ def _loads(slots, s, e):
     return occ
 
 
-def pin_windows(inst, jobs, pinned_new, merged, end):
-    """Mask jobs grouped by their window [lo, hi) under all pins: {(lo, hi): mask}.
-
-    merged holds every pin, pinned_new's included. A job pinned by
-    pinned_new gets its own slot [t, t + 1); every other job gets
-    feasible_windows under merged, which walks only the pinned bits of its
-    masks. The windows depend on the pins alone, not on the cells, so a
-    recursion call computes them once per pin set. Raises EmptyWindow when
-    the pins squeeze some job out entirely.
-    """
-    free = list(_bits(jobs & ~_mask(pinned_new)))
-    groups: dict[tuple[int, int], int] = {}
-    for j, w in zip(free, feasible_windows(inst, free, merged, end)):
-        groups[w] = groups.get(w, 0) | 1 << j
-    for j, t in pinned_new.items():
-        if jobs >> j & 1:
-            groups[t, t + 1] = groups.get((t, t + 1), 0) | 1 << j
-    return groups
-
-
-def split_by_cells(groups, cells):
-    """(bottom mask per cell, top mask) from pin_windows' groups.
-
-    A window inside one cell is bottom, else top; one bisect per distinct
-    window, not per job.
-    """
-    starts = [c[0] for c in cells]
-    bottom = dict.fromkeys(cells, 0)
-    top = 0
-    for (lo, hi), mask in groups.items():
-        cell = cells[bisect_right(starts, lo) - 1]
-        if hi <= cell[1]:
-            bottom[cell] |= mask
-        else:
-            top |= mask
-    return bottom, top
-
-
 def classify(inst, jobs, pinned_new, cells, pinned_old):
     """Split jobs into bottom-per-cell and top by feasible window.
 
-    pin_windows then split_by_cells on masks, turned into frozensets here;
-    _recurse runs the same two steps, the first once per pin set. A pinned
-    job counts as bottom of the cell holding its slot. Raises EmptyWindow
-    when the combined pins squeeze some job out entirely, which prunes the
-    guess.
+    laminar.pin_windows then laminar.split_by_cells on masks, turned into
+    frozensets here; _recurse runs the same two steps, the first once per
+    pin set. A pinned job counts as bottom of the cell holding its slot.
+    Raises EmptyWindow when the combined pins squeeze some job out
+    entirely, which prunes the guess.
     """
     merged = {**pinned_old, **pinned_new}
     groups = pin_windows(inst, _mask(jobs), pinned_new, merged, cells[-1][1])

@@ -18,15 +18,18 @@ from precsched.audits import (
     check_unique_level,
     check_window_slack,
     count_degenerate,
+    level_analysis,
     run_oracle_pinned,
 )
 from precsched.laminar import (
     assign_levels,
     best_offset,
+    bucket_levels,
     build_laminar,
     pad_to_power_of_two,
     stride_of,
 )
+from precsched.generators import standard_corpus
 from precsched.model import _bits, build_instance
 from precsched.oracle import optimal_makespan, optimal_schedule
 from precsched.qptas import CallTrace, TopWindow, classify, edf_insert, windows_for_top
@@ -254,6 +257,38 @@ def test_audit_instance_holds_on_random_instances(case):
     reports = audit_instance(build_instance(n, m, edges), eps=eps)
     for claim in CONTRACTUAL_CLAIMS + ADVISORY_CLAIMS:
         assert reports[claim].violations == 0, claim
+
+
+@settings(max_examples=30, deadline=None)
+@given(_audit_cases(), st.sampled_from([Fraction(1, 2), Fraction(1, 8), Fraction(1, 64)]))
+def test_offset_scans_agree_with_a_scan_of_every_offset(case, eps):
+    # Offsets from level_count() - 1 on have empty buckets, so best_offset
+    # and the shift-bound audit stop there; the full scan must agree.
+    n, edges, m, _ = case
+    inst = build_instance(n, m, edges)
+    padded, tstar = pad_to_power_of_two(inst, optimal_makespan(inst))
+    fam = build_laminar(tstar, padded.n, eps)
+    assign = assign_levels(padded, optimal_schedule(padded), fam, eps)
+    stride = stride_of(m, eps)
+    sizes = [
+        sum(len(assign.top_at_level(level)) for level in bucket_levels(fam, a, stride))
+        for a in range(stride)
+    ]
+    want = min(range(stride), key=sizes.__getitem__)
+    assert best_offset(assign, m, eps) == (want, sizes[want])
+    rep = check_shift_bound(assign, m, eps, tstar)
+    assert (rep.population, rep.violations, rep.worst) == (stride, 0, float(sizes[want]))
+
+
+def test_a_tiny_eps_scans_only_the_family_levels():
+    # m/eps is 2 * 10**9 offsets; a scan of all of them took minutes.
+    inst = dict(standard_corpus())["layered-06-m2"]
+    eps = Fraction(1, 10**9)
+    shift = audit_instance(inst, eps)["shift-bound"]
+    assert (shift.population, shift.violations) == (2 * 10**9, 0)
+    _, _, fam, _, offset, bucket = level_analysis(inst, eps)
+    assert offset < fam.level_count()
+    assert bucket == shift.worst == 0
 
 
 def _reference_replay(inst, opt, fam, eps, offset, assign):

@@ -425,6 +425,48 @@ def test_eps_outside_unit_interval_exits_2(tmp_path, capsys, argv, eps):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eps", ["1e-310", "1e-400"])
+@pytest.mark.parametrize("argv", [["solve", "--alg", "qptas"], ["analyze", "levels"], ["bench"]],
+                         ids=["solve", "analyze", "bench"])
+def test_eps_too_small_for_a_float_is_a_usage_error(tmp_path, capsys, argv, eps):
+    # Both lie in (0, 1], but log2(n)/eps overflows a float (1e-310) or
+    # divides by a float zero (1e-400) where the family picks its split.
+    corp = _gen_corpus(tmp_path, {"chain-05-m1"})
+    where = corp if argv[0] == "bench" else corp / "chain-05-m1.inst"
+    out = tmp_path / "out"
+    rc = main([*argv, "--input", str(where), f"--eps={eps}", "--output", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if argv[0] == "bench":
+        assert rc == 0
+        rows = {r["algorithm"]: r for r in csv.DictReader(out.read_text().splitlines())}
+        assert "too small" in rows["qptas"]["error"]
+        assert rows["ls"]["error"] == ""
+    else:
+        assert rc == 2
+        assert err.startswith("error: ") and "too small" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_laminar_eps_check_does_not_depend_on_the_job_count(tmp_path, capsys, n):
+    # m/eps = 4/3 is no integer; an empty instance used to exit 0 here.
+    corp = tmp_path / "corpus"
+    corp.mkdir()
+    inst = corp / "tiny.inst"
+    inst.write_text(emit_instance(build_instance(n, 1, [])))
+    out = tmp_path / "s.sched"
+    assert main(["solve", "--input", str(inst), "--alg", "qptas", "--eps", "3/4",
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: m/eps must be a positive integer")
+    assert not out.exists()
+    bench = tmp_path / "b.csv"
+    assert main(["bench", "--input", str(corp), "--eps", "3/4", "--output", str(bench)]) == 0
+    rows = {r["algorithm"]: r for r in csv.DictReader(bench.read_text().splitlines())}
+    assert rows["qptas"]["error"].startswith("m/eps must be a positive integer")
+    assert rows["qptas"]["makespan"] == ""
+
+
 def test_cyclic_instance_exits_2(tmp_path, capsys):
     inst = tmp_path / "cycle.inst"
     inst.write_text("jobs 2\nmachines 1\nedge 0 1\nedge 1 0\n")

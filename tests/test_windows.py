@@ -17,7 +17,7 @@ from helpers import (
     ref_solve,
     ref_windows_for_top,
 )
-from precsched.laminar import EmptyWindow, feasible_window, feasible_windows
+from precsched.laminar import EmptyWindow, feasible_window, pin_windows
 from precsched.model import build_instance, longest_chain
 from precsched.qptas import _assignments, classify, exhaustive_guesses, solve, windows_for_top
 
@@ -56,16 +56,24 @@ def _window_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_window_cases(), st.data())
-def test_feasible_windows_match_the_per_bit_walk(case, data):
+def test_pin_windows_match_the_per_bit_walk(case, data):
     inst, T, pinned = case
-    jobs = data.draw(st.lists(st.sampled_from(range(inst.n))))
-    want = [ref_feasible_window(inst, j, pinned, T) for j in jobs]
-    if any(lo >= hi for lo, hi in want):
+    jobs = data.draw(st.lists(st.sampled_from(range(inst.n)), unique=True))
+    # New pins are some of the pins; they may name jobs outside the mask.
+    pinned_new = {j: t for j, t in pinned.items() if data.draw(st.booleans())}
+    mask = sum(1 << j for j in jobs)
+    want = {j: ref_feasible_window(inst, j, pinned, T) for j in jobs}
+    free = {j: w for j, w in want.items() if j not in pinned_new}
+    if any(lo >= hi for lo, hi in free.values()):
         with pytest.raises(EmptyWindow):
-            feasible_windows(inst, jobs, pinned, T)
+            pin_windows(inst, mask, pinned_new, pinned, T)
     else:
-        assert feasible_windows(inst, jobs, pinned, T) == want
-    for j, (lo, hi) in zip(jobs, want):
+        groups = {}
+        for j, w in want.items():
+            w = (pinned_new[j], pinned_new[j] + 1) if j in pinned_new else w
+            groups[w] = groups.get(w, 0) | 1 << j
+        assert pin_windows(inst, mask, pinned_new, pinned, T) == groups
+    for j, (lo, hi) in want.items():
         if lo >= hi:
             with pytest.raises(EmptyWindow):
                 feasible_window(inst, j, pinned, T)
