@@ -29,13 +29,14 @@ from .laminar import (
     build_laminar,
     check_eps,
     default_depth_max,
+    pad_schedule,
     pad_to_power_of_two,
     partition_level,
     analysis_depth_limit,
     stride_of,
 )
 from .model import Instance, JobId, Schedule, _bits
-from .oracle import optimal_makespan, optimal_schedule
+from .oracle import EXACT_CAP, TooLarge, optimal_schedule
 from .qptas import CallTrace, solve
 
 # Claims whose violation means the implementation (or the analysis) is wrong,
@@ -286,13 +287,25 @@ def level_analysis(inst: Instance, eps):
     Returns (padded, opt, fam, assign, offset, bucket): the instance padded
     to the horizon fam.T, an exact optimal schedule of it, its laminar
     family and level assignment, and the best offset with the top-job count
-    of its bucket. The oracle's TooLarge is the one size rule: it is raised
-    when the instance or its padding exceeds the exact-search cap. Needs at
-    least 2 jobs.
+    of its bucket. TooLarge, with the oracle's message, is the one size
+    rule: the oracle raises it when the instance exceeds the exact-search
+    cap, and level_analysis when the padded instance does. Needs at least 2
+    jobs.
+
+    One search, on the instance itself: opt is its optimal_schedule plus
+    the forced dummy slots (pad_schedule), which is optimal_schedule of the
+    padded instance. Every original precedes every dummy, so until the
+    originals are done the padded search sees the same available jobs and
+    equal-successor classes and takes the same steps; a path through a
+    non-final ideal at level T cannot finish by T*, and after the last
+    original the m chains run one dummy each per slot.
     """
     e = check_eps(eps)
-    padded, tstar = pad_to_power_of_two(inst, optimal_makespan(inst))
-    opt = optimal_schedule(padded)
+    orig = optimal_schedule(inst)
+    padded, tstar = pad_to_power_of_two(inst, orig.horizon)
+    if padded.n > EXACT_CAP:
+        raise TooLarge(f"n={padded.n} exceeds exact-search cap {EXACT_CAP}")
+    opt = pad_schedule(inst, orig, tstar)
     fam = build_laminar(tstar, padded.n, e)
     assign = assign_levels(padded, opt, fam, e)
     offset, bucket = best_offset(assign, padded.m, e)

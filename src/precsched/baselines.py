@@ -1,9 +1,9 @@
 """Classic polynomial baselines: Graham list scheduling and Coffman-Graham.
 
 One greedy slot sweep (_sweep) places jobs with release/deadline windows
-(TopWindow) earliest-deadline-first, ties in priority order, into whatever
-capacity each slot has left. List scheduling is that sweep with every window
-open, [0, n), so the priority order alone decides; its makespan is within a
+earliest-deadline-first, ties in priority order, into whatever capacity
+each slot has left. List scheduling is that sweep with every window open,
+[0, n), so the priority order alone decides; its makespan is within a
 factor 2 - 1/m of optimal for any priority order (Graham). The scheme's EDF
 step (qptas.edf_insert) is the same sweep over its tops' windows.
 Coffman-Graham computes a specific priority order that is optimal for
@@ -38,13 +38,14 @@ class TopWindow:
 def _sweep(inst, rest, occupancy, start, end):
     """Place the windows in rest greedily, slot by slot over [start, end).
 
-    rest is a list of non-degenerate TopWindows sorted by deadline, ties in
-    priority order; the sweep empties it. At each slot: drop the pending
-    jobs whose deadline has arrived, and fill the residual capacity `free`
-    (none when the slot is already full or over) with eligible jobs in
-    rest's order. A bitmask `pending` holds the jobs that are neither placed
-    nor dropped; a job is eligible when released and none of its
-    predecessors is pending, one mask test per job. The scan of rest stops
+    rest is a list of non-degenerate windows as plain (d, job, r) tuples:
+    job may start in [r, d). It is sorted by deadline, ties in priority
+    order, and the sweep empties it. At each slot: drop the pending jobs
+    whose deadline has arrived, and fill the residual capacity `free` (none
+    when the slot is already full or over) with eligible jobs in rest's
+    order. A bitmask `pending` holds the jobs that are neither placed nor
+    dropped; a job is eligible when released and none of its predecessors
+    is pending, one mask test per job. The scan of rest stops
     at the first `free` eligible jobs, which are placed in that order and
     deleted from rest by index. Jobs placed at this slot only leave
     `pending` after the scan, so they block their successors until the next
@@ -54,8 +55,8 @@ def _sweep(inst, rest, occupancy, start, end):
     """
     pred_masks = inst.pred_masks
     pending = 0
-    for w in rest:
-        pending |= 1 << w.job
+    for _, job, _ in rest:
+        pending |= 1 << job
     placed: dict[JobId, int] = {}
     dropped = 0
     for t in range(start, end):
@@ -63,8 +64,8 @@ def _sweep(inst, rest, occupancy, start, end):
             break
         # rest is sorted by deadline, so the expired jobs form a prefix.
         k = 0
-        while k < len(rest) and rest[k].d <= t:
-            bit = 1 << rest[k].job
+        while k < len(rest) and rest[k][0] <= t:
+            bit = 1 << rest[k][1]
             dropped |= bit
             pending ^= bit
             k += 1
@@ -74,13 +75,13 @@ def _sweep(inst, rest, occupancy, start, end):
         if free <= 0:
             continue
         hits = []
-        for i, w in enumerate(rest):
-            if w.r <= t and not pred_masks[w.job] & pending:
+        for i, (_, job, r) in enumerate(rest):
+            if r <= t and not pred_masks[job] & pending:
                 hits.append(i)
                 if len(hits) == free:
                     break
         for i in hits:
-            job = rest[i].job
+            job = rest[i][1]
             placed[job] = t
             pending ^= 1 << job
         for i in reversed(hits):
@@ -105,7 +106,7 @@ def list_schedule(inst: Instance, order) -> Schedule:
     feasible and complete, and no slot is idle while an eligible job waits.
     """
     n = inst.n
-    placed, _ = _sweep(inst, [TopWindow(j, 0, n) for j in _check_order(inst, order)], {}, 0, n)
+    placed, _ = _sweep(inst, [(n, j, 0) for j in _check_order(inst, order)], {}, 0, n)
     return Schedule(start=placed, horizon=max(placed.values(), default=-1) + 1)
 
 

@@ -6,12 +6,18 @@ too small for a float, an unknown bench algorithm and an unreadable or
 unwritable path included); a file that does not decode or parse is named
 in the message. All randomness is seeded; bench output is byte-identical
 across runs unless --timing is given.
+
+The argument parser is built once per process, on the first main() call,
+and reused by every later call: parse_args returns a fresh Namespace and
+leaves the parser as it was, and usage errors and --help write to the
+sys.stderr and sys.stdout of the call that prints them.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import random
@@ -36,6 +42,7 @@ from .laminar import (
     check_eps,
     default_depth_max,
     pad_to_power_of_two,
+    rho_of,
     stride_of,
 )
 from .model import CycleError, Instance, Schedule, longest_chain, validate_schedule
@@ -150,11 +157,13 @@ def _solve_laminar(
     Pads to a power-of-two horizon, solves, repairs the discards and drops
     the padding jobs; the declared horizon keeps the accounting (the padded
     horizon plus one slot per discarded job). An empty instance gets an
-    empty schedule at horizon T, once m/eps has passed the check every
-    other instance gets.
+    empty schedule at horizon T, once eps has passed the checks every other
+    instance gets: m/eps an integer, and log2(n)/eps a finite float at n
+    clamped to 2 as laminar_guesses clamps it.
     """
     stride_of(inst.m, eps)
     if inst.n == 0:
+        rho_of(2, eps)
         return Schedule(start={}, horizon=T), 0, 0
     padded, tstar = pad_to_power_of_two(inst, T)
     if depth_max is None:
@@ -354,7 +363,9 @@ def _cmd_audit(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The precsched parser; built on the first call, the same object after."""
     parser = argparse.ArgumentParser(prog="precsched")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -125,23 +125,32 @@ def partition_level(
     return max(min(offset + depth * stride + 1, fam.deepest), level + 1)
 
 
-def build_laminar(T: int, n: int, eps) -> LaminarFamily:
-    """Build the family over [0, T) for an n-job instance at accuracy eps.
+def rho_of(n: int, eps) -> int:
+    """Split exponent rho = ceil(log2(log2(n)/eps)) for n >= 2 jobs, at least 1.
 
-    T must be a power of two (pad_to_power_of_two arranges that), n >= 2.
-    rho = ceil(log2(log2(n)/eps)), clamped to at least 1 so splitting always
-    makes progress (at n = 2, eps = 1 the raw formula gives 0). An eps so
-    small that log2(n)/eps is no finite float raises BadEps.
+    The clamp keeps splitting making progress (at n = 2, eps = 1 the raw
+    formula gives 0). An eps so small that log2(n)/eps is no finite float
+    raises BadEps.
     """
     e = check_eps(eps)
-    if T < 1 or T & (T - 1):
-        raise BadHorizon(f"T must be a positive power of two, got {T}")
     if n < 2:
         raise ValueError(f"need at least 2 jobs for the level machinery, got {n}")
     try:
-        rho = max(1, math.ceil(math.log2(math.log2(n) / float(e))))
+        return max(1, math.ceil(math.log2(math.log2(n) / float(e))))
     except (OverflowError, ZeroDivisionError):
         raise BadEps("eps is too small: log2(n)/eps overflows a float") from None
+
+
+def build_laminar(T: int, n: int, eps) -> LaminarFamily:
+    """Build the family over [0, T) for an n-job instance at accuracy eps.
+
+    T must be a power of two (pad_to_power_of_two arranges that), n >= 2;
+    rho is rho_of(n, eps).
+    """
+    check_eps(eps)
+    if T < 1 or T & (T - 1):
+        raise BadHorizon(f"T must be a positive power of two, got {T}")
+    rho = rho_of(n, eps)
     lengths = [T]
     while lengths[-1] > 1:
         cur = lengths[-1]
@@ -185,6 +194,21 @@ def pad_to_power_of_two(inst: Instance, T: int) -> tuple[Instance, int]:
             succs.append((chain ^ (below << 1 | 1)) << base)
             cover.append(1 << (base + i + 1) if i + 1 < extra else 0)
     return Instance(total, inst.m, tuple(preds), tuple(succs), tuple(cover)), tstar
+
+
+def pad_schedule(inst: Instance, sched: Schedule, tstar: int) -> Schedule:
+    """sched plus the dummies pad_to_power_of_two(inst, sched.horizon) appends.
+
+    Dummy i of every chain starts at sched.horizon + i, chain by chain within
+    a slot, as optimal_schedule lists them; the horizon becomes tstar.
+    """
+    T = sched.horizon
+    extra = tstar - T
+    start = dict(sched.start)
+    for i in range(extra):
+        for c in range(inst.m):
+            start[inst.n + c * extra + i] = T + i
+    return Schedule(start=start, horizon=tstar)
 
 
 def pin_windows(inst: Instance, jobs: int, pinned_new, merged, end: int) -> dict:

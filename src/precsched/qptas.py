@@ -173,22 +173,24 @@ def edf_insert(inst, tops, occupancy, start, end):
     """Sweep [start, end) placing tops earliest-deadline-first.
 
     Degenerate windows are discarded up front, so they never block their
-    successors. The rest, sorted by (deadline, id), go to the greedy slot
-    sweep that list scheduling also runs (baselines._sweep): at each slot
-    it discards the jobs whose deadline has arrived and places up to the
-    slot's residual capacity of eligible jobs in (deadline, id) order; a job
-    placed at a slot blocks its successors until the next slot. Returns
-    (placements, discard mask), where the discards are the degenerate,
-    expired and still pending tops; a slot's load after the sweep is its
-    occupancy plus the jobs placed there.
+    successors. The rest go as (d, job, r) tuples, which sort by (deadline,
+    id), to the greedy slot sweep that list scheduling also runs
+    (baselines._sweep): at each slot it discards the jobs whose deadline
+    has arrived and places up to the slot's residual capacity of eligible
+    jobs in (deadline, id) order; a job placed at a slot blocks its
+    successors until the next slot. Returns (placements, discard mask),
+    where the discards are the degenerate, expired and still pending tops;
+    a slot's load after the sweep is its occupancy plus the jobs placed
+    there.
     """
     rest = []
     degenerate = 0
-    for w in sorted(tops, key=lambda w: (w.d, w.job)):
+    for w in tops:
         if w.degenerate:
             degenerate |= 1 << w.job
         else:
-            rest.append(w)
+            rest.append((w.d, w.job, w.r))
+    rest.sort()
     placed, left = _sweep(inst, rest, occupancy, start, end)
     return placed, degenerate | left
 

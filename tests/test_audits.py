@@ -29,9 +29,9 @@ from precsched.laminar import (
     pad_to_power_of_two,
     stride_of,
 )
-from precsched.generators import standard_corpus
+from precsched.generators import GeneratorSpec, generate, standard_corpus
 from precsched.model import _bits, build_instance
-from precsched.oracle import optimal_makespan, optimal_schedule
+from precsched.oracle import EXACT_CAP, TooLarge, optimal_makespan, optimal_schedule
 from precsched.qptas import CallTrace, TopWindow, classify, edf_insert, windows_for_top
 
 from helpers import pairs
@@ -289,6 +289,55 @@ def test_a_tiny_eps_scans_only_the_family_levels():
     _, _, fam, _, offset, bucket = level_analysis(inst, eps)
     assert offset < fam.level_count()
     assert bucket == shift.worst == 0
+
+
+# Desk-sized structures: the four random_order and layered shapes of
+# perfbench's desk workload at its pinned seeds 0-3.
+DESK_SIZED = [
+    (f"{spec.kind}-{spec.n}-m{spec.m}-{spec.seed}", generate(spec))
+    for i in range(4)
+    for spec in (
+        GeneratorSpec("random_order", 20, 3, seed=i, edge_prob=0.1),
+        GeneratorSpec("random_order", 20, 2, seed=i, edge_prob=0.12),
+        GeneratorSpec("layered", 24, 4, seed=i, layers=4, width=6, edge_prob=0.3),
+        GeneratorSpec("random_order", 16, 2, seed=i, edge_prob=0.15),
+    )
+]
+
+
+def _check_padded_optimum(inst):
+    # level_analysis builds the padded optimum from one search on inst; it
+    # must be the padded instance's own optimal_schedule, slot for slot.
+    padded, _ = pad_to_power_of_two(inst, optimal_makespan(inst))
+    if padded.n > EXACT_CAP:
+        with pytest.raises(TooLarge, match=f"^n={padded.n} exceeds exact-search cap 24$"):
+            level_analysis(inst, 1)
+        return False
+    want = optimal_schedule(padded)
+    got_padded, got, *_ = level_analysis(inst, 1)
+    assert got_padded == padded
+    assert got.start == want.start
+    assert got.horizon == want.horizon
+    return True
+
+
+def test_padded_optimum_is_the_padded_search():
+    checked = [cid for cid, inst in standard_corpus() + DESK_SIZED if _check_padded_optimum(inst)]
+    # Every instance whose padding fits the cap: 12 of the corpus's 14, and
+    # the 8 desk-sized ones of optimum 7 (random-20-m3) or 8 (random-16-m2).
+    assert len(checked) == 12 + 8
+    assert "diamondmesh-13-m3" not in checked and "randomorder-18-m4" not in checked
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([0.1, 0.2, 0.35, 0.5, 0.8]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_padded_optimum_is_the_padded_search_on_random_orders(n, m, p, seed):
+    _check_padded_optimum(generate(GeneratorSpec("random_order", n, m, seed=seed, edge_prob=p)))
 
 
 def _reference_replay(inst, opt, fam, eps, offset, assign):

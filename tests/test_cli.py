@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from precsched import cli
 from precsched.audits import audit_instance
+from precsched.baselines import list_schedule
 from precsched.cli import main
 from precsched.generators import GeneratorSpec, generate, standard_corpus
 from precsched.model import Schedule, build_instance, longest_chain
 from precsched.oracle import TooLarge
-from precsched.textio import emit_instance, parse_instance, parse_schedule
+from precsched.textio import emit_instance, emit_schedule, parse_instance, parse_schedule
 
 
 def _gen_corpus(tmp_path, ids=None):
@@ -80,6 +81,42 @@ def test_solve_ls_orders(tmp_path, capsys):
         assert rc == 0
         assert main(["verify", "--input", str(inst), "--schedule", str(sched)]) == 0
     capsys.readouterr()
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # main() reuses one parser per process; each call's defaults, output
+    # and exit code must be those of a freshly built one.
+    assert cli.build_parser() is cli.build_parser()
+    corp = _gen_corpus(tmp_path, {"antichain-07-m3"})
+    inst = corp / "antichain-07-m3.inst"
+    shuffled, default = tmp_path / "random.sched", tmp_path / "default.sched"
+    assert main(["solve", "--input", str(inst), "--alg", "ls", "--order", "random",
+                 "--seed", "3", "--output", str(shuffled)]) == 0
+    assert main(["solve", "--input", str(inst), "--alg", "ls", "--output", str(default)]) == 0
+    capsys.readouterr()
+    id_order = emit_schedule(list_schedule(parse_instance(inst.read_text()), range(7)))
+    assert default.read_text() == id_order
+    assert shuffled.read_text() != id_order
+
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--schedule", str(default)])
+    assert exc.value.code == 2
+    first = capsys.readouterr()
+    assert first.out == ""
+    assert "the following arguments are required: --input" in first.err
+    assert main(["verify", "--input", str(inst), "--schedule", str(default)]) == 0
+    second = capsys.readouterr()
+    assert second.out.startswith("ok makespan=")
+    assert second.err == ""
+
+    for argv, usage in ((["--help"], "usage: precsched "), (["verify", "--help"],
+                                                           "usage: precsched verify ")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        shown = capsys.readouterr()
+        assert shown.out.startswith(usage)
+        assert shown.err == ""
 
 
 def test_solve_qptas_exhaustive_at_opt(tmp_path, capsys):
@@ -450,21 +487,24 @@ def test_eps_too_small_for_a_float_is_a_usage_error(tmp_path, capsys, argv, eps)
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_laminar_eps_check_does_not_depend_on_the_job_count(tmp_path, capsys, n):
-    # m/eps = 4/3 is no integer; an empty instance used to exit 0 here.
+    # m/eps = 4/3 is no integer, and 1e-400 is a float zero; an empty
+    # instance used to exit 0 at both.
     corp = tmp_path / "corpus"
     corp.mkdir()
     inst = corp / "tiny.inst"
     inst.write_text(emit_instance(build_instance(n, 1, [])))
-    out = tmp_path / "s.sched"
-    assert main(["solve", "--input", str(inst), "--alg", "qptas", "--eps", "3/4",
-                 "--output", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: m/eps must be a positive integer")
-    assert not out.exists()
-    bench = tmp_path / "b.csv"
-    assert main(["bench", "--input", str(corp), "--eps", "3/4", "--output", str(bench)]) == 0
-    rows = {r["algorithm"]: r for r in csv.DictReader(bench.read_text().splitlines())}
-    assert rows["qptas"]["error"].startswith("m/eps must be a positive integer")
-    assert rows["qptas"]["makespan"] == ""
+    for eps, message in (("3/4", "m/eps must be a positive integer"),
+                         ("1e-400", "eps is too small")):
+        out = tmp_path / "s.sched"
+        assert main(["solve", "--input", str(inst), "--alg", "qptas", f"--eps={eps}",
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+        bench = tmp_path / "b.csv"
+        assert main(["bench", "--input", str(corp), f"--eps={eps}", "--output", str(bench)]) == 0
+        rows = {r["algorithm"]: r for r in csv.DictReader(bench.read_text().splitlines())}
+        assert rows["qptas"]["error"].startswith(message)
+        assert rows["qptas"]["makespan"] == ""
 
 
 def test_cyclic_instance_exits_2(tmp_path, capsys):
