@@ -14,9 +14,14 @@ it. partition_level(fam, level, depth, stride, offset) picks the depth-th
 level of that bucket as the cells of a recursion call on a level-`level`
 interval.
 
-pin_windows groups jobs by start window under pins, and split_by_cells
-calls a window inside one cell bottom and any other top: the solver's split
-of a call's jobs (qptas) and assign_levels' split of jobs into levels.
+Jobs are grouped by start window, {(lo, hi): job mask}. pin_windows
+narrows grouped windows by pins, and pinned jobs leave the groups;
+narrowing composes, so a recursion call (qptas) narrows the windows its
+input carries, already narrowed by every ancestor pin, by its own pins
+only. split_by_cells gives each cell the groups whose window lies inside it
+(a child call's windows as they stand) and calls any other window top: the
+solver's split of a call's jobs and assign_levels' split of jobs into
+levels, which starts from {(0, T): jobs} under all its pins.
 
 assign_levels replays an optimal schedule against this family and sorts
 every job into exactly one guess set or one top set at exactly one level.
@@ -211,53 +216,54 @@ def pad_schedule(inst: Instance, sched: Schedule, tstar: int) -> Schedule:
     return Schedule(start=start, horizon=tstar)
 
 
-def pin_windows(inst: Instance, jobs: int, pinned_new, merged, end: int) -> dict:
-    """Mask jobs grouped by their start window [lo, hi) under all pins: {(lo, hi): mask}.
+def pin_windows(inst: Instance, groups, pins) -> dict:
+    """groups, {(lo, hi): job mask}, with every window narrowed by pins.
 
-    merged holds every pin, pinned_new's included. A job pinned by
-    pinned_new gets [t, t + 1); any other job gets model.slot_bounds over
-    [0, end) under merged's mask, built once, so a job with no pinned
-    neighbor costs O(1) and its own pin is not consulted. Raises EmptyWindow
-    at the first job, in id order, whose window is empty.
+    Pinned jobs leave the groups. Each other job's group window is narrowed
+    by model.slot_bounds under pins' mask, so a job with no pinned neighbor
+    costs O(1) and keeps its window. Narrowing composes: narrowing by A and
+    then by B is narrowing by both, so a recursion call narrows its
+    ancestors' windows by its own pins only. Raises EmptyWindow at the first
+    job whose window is empty.
     """
-    pinned_mask = _mask(merged)
-    groups: dict[tuple[int, int], int] = {}
-    for j in _bits(jobs & ~_mask(pinned_new)):
-        lo, hi = w = slot_bounds(inst, j, merged, pinned_mask, 0, end)
-        if lo >= hi:
-            raise EmptyWindow(f"job {j}: window [{lo}, {hi}) is empty")
-        groups[w] = groups.get(w, 0) | 1 << j
-    for j, t in pinned_new.items():
-        if jobs >> j & 1:
-            groups[t, t + 1] = groups.get((t, t + 1), 0) | 1 << j
-    return groups
+    pinned = _mask(pins)
+    out: dict[tuple[int, int], int] = {}
+    for w, mask in groups.items():
+        for j in _bits(mask & ~pinned):
+            lo, hi = nw = slot_bounds(inst, j, pins, pinned, *w)
+            if lo >= hi:
+                raise EmptyWindow(f"job {j}: window [{lo}, {hi}) is empty")
+            out[nw] = out.get(nw, 0) | 1 << j
+    return out
 
 
 def split_by_cells(groups, cells):
-    """(bottom mask per cell, top mask) from pin_windows' groups.
+    """(groups per cell, top groups) from pin_windows' groups.
 
     cells partition a span holding every window. A window inside one cell
-    is bottom, else top; one bisect per distinct window, not per job.
+    goes to that cell's groups, any other to the top groups; one bisect per
+    distinct window, not per job.
     """
     starts = [c[0] for c in cells]
-    bottom = dict.fromkeys(cells, 0)
-    top = 0
-    for (lo, hi), mask in groups.items():
-        cell = cells[bisect_right(starts, lo) - 1]
-        if hi <= cell[1]:
-            bottom[cell] |= mask
-        else:
-            top |= mask
+    bottom: dict[tuple[int, int], dict] = {c: {} for c in cells}
+    top = {}
+    for w, mask in groups.items():
+        cell = cells[bisect_right(starts, w[0]) - 1]
+        dest = bottom[cell] if w[1] <= cell[1] else top
+        dest[w] = mask
     return bottom, top
 
 
 def feasible_window(inst: Instance, j: JobId, pinned, T: int) -> tuple[int, int]:
     """Start slots [lo, hi) where j can legally sit given pinned neighbors.
 
-    The one-job case of pin_windows; raises EmptyWindow when lo >= hi.
+    model.slot_bounds over [0, T), so j's own pin is not consulted; raises
+    EmptyWindow when lo >= hi.
     """
-    (window,) = pin_windows(inst, 1 << j, {}, pinned, T)
-    return window
+    lo, hi = slot_bounds(inst, j, pinned, _mask(pinned), 0, T)
+    if lo >= hi:
+        raise EmptyWindow(f"job {j}: window [{lo}, {hi}) is empty")
+    return lo, hi
 
 
 @dataclass
@@ -301,7 +307,7 @@ def assign_levels(
     """Sort every job into one guess or top set at one level.
 
     Processes levels top-down and intervals left to right. An interval's
-    pool is its bottom when pin_windows then split_by_cells split the
+    pool is its cell's jobs when pin_windows then split_by_cells split the
     unassigned jobs by the level's cells, under pins from strictly earlier
     levels; its flexible jobs are the top when the same split sorts its
     unguessed pool by its children, under the current level's pins too. At
@@ -319,11 +325,14 @@ def assign_levels(
     # Every window below is taken under pins at optimal slots, so none is
     # empty and pin_windows never raises.
     for level in range(fam.level_count()):
-        pools, _ = split_by_cells(pin_windows(inst, free, {}, pinned, T), fam.cells((0, T), level))
+        groups = pin_windows(inst, {(0, T): free}, pinned)
+        pools, _ = split_by_cells(groups, fam.cells((0, T), level))
         thresh = chain_threshold(fam.level_lengths[level], n, m, e)
         guess_row: dict[tuple[int, int], frozenset[int]] = {}
         top_row: dict[tuple[int, int], frozenset[int]] = {}
-        for node, pool in pools.items():
+        for node, cell_groups in pools.items():
+            # A job has one window, so the groups' masks are disjoint.
+            pool = sum(cell_groups.values())
             if not pool:
                 continue
             if level == fam.deepest:
@@ -332,9 +341,10 @@ def assign_levels(
             children = fam.cells(node, level + 1)
             guessed = 0
             while True:
-                _, flexible = split_by_cells(
-                    pin_windows(inst, pool & ~guessed, {}, pinned, T), children
-                )
+                # The guessed jobs are pinned, so they leave the groups.
+                groups = pin_windows(inst, {(0, T): pool}, pinned)
+                _, tops = split_by_cells(groups, children)
+                flexible = sum(tops.values())
                 # The chain runs head first, so its optimal slots ascend.
                 chain = longest_chain_path(inst, _bits(flexible))
                 if not chain or len(chain) < thresh:

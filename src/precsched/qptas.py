@@ -15,14 +15,19 @@ one extra slot per discarded job.
 Inside the recursion every job set is a bitmask (bit j for job j): a call's
 jobs, its bottoms and tops, and all discards; solve returns a frozenset.
 
-Windows come from masks: model.slot_bounds narrows a job's window by only
-the bits of its predecessor and successor masks that are pinned (for a
-pinned window) or placed (for a top window), so no hot loop walks the whole
-closure. The pinned windows depend on the pins alone, so _recurse computes
-them once per pin set, grouped as {(lo, hi): job mask} by
-laminar.pin_windows, and laminar.split_by_cells splits the groups by cells
-for every guess that carries those pins: one bisect per distinct window,
-and one group in all when nothing is pinned. The level analysis
+A call's input is its subproblem alone (RecursionInput): its interval, its
+jobs, their start windows under every ancestor pin, grouped as
+{(lo, hi): job mask}, and the ancestor pins' load per slot of the interval.
+No ancestor's pin is carried down. A call narrows those windows by its own
+pins only (laminar.pin_windows: pinned jobs leave the groups, narrowing
+composes), once per pin set, and laminar.split_by_cells splits the groups
+by cells for every guess that carries those pins: one bisect per distinct
+window. A child's input is its cell's groups and the load inside its cell,
+with no further work. Windows come from masks: model.slot_bounds narrows a
+job's window by only the bits of its predecessor and successor masks that
+are pinned (for a pinned window) or placed (for a top window), so no hot
+loop walks the whole closure; a top starts from its group window and is
+narrowed by the call's own placements only. The level analysis
 (laminar.assign_levels) sorts jobs with the same two routines. Discards
 only grow once a guess's cells have returned, so a guess whose cells
 already discard as many jobs as the best guess so far stops there, before
@@ -84,9 +89,17 @@ class NoSlot(RuntimeError):
 
 @dataclass(frozen=True)
 class RecursionInput:
+    """One subproblem: an interval, its jobs, and what the ancestors' pins leave.
+
+    windows groups the jobs by start window under every ancestor pin, as
+    {(lo, hi): job mask}, each window inside the interval; load maps a slot
+    of the interval to the number of ancestor pins there.
+    """
+
     interval: tuple[int, int]
     jobs: int  # job mask
-    pinned: dict[JobId, int]
+    windows: dict[tuple[int, int], int]
+    load: dict[int, int]
     depth: int
 
 
@@ -123,44 +136,53 @@ class CallTrace:
     loads: dict[int, int]
 
 
-def _loads(slots, s, e):
-    """Jobs per slot among the given slots that fall in [s, e)."""
-    occ: dict[int, int] = {}
+def _add_load(load, slots):
+    """A copy of load with one more job at each of the given slots."""
+    out = dict(load)
     for t in slots:
-        if s <= t < e:
-            occ[t] = occ.get(t, 0) + 1
-    return occ
+        out[t] = out.get(t, 0) + 1
+    return out
 
 
 def classify(inst, jobs, pinned_new, cells, pinned_old):
     """Split jobs into bottom-per-cell and top by feasible window.
 
-    laminar.pin_windows then laminar.split_by_cells on masks, turned into
-    frozensets here; _recurse runs the same two steps, the first once per
-    pin set. A pinned job counts as bottom of the cell holding its slot.
-    Raises EmptyWindow when the combined pins squeeze some job out
-    entirely, which prunes the guess.
+    Kept only for the tests and perfbench's tracer, which wraps it by name;
+    ROADMAP item 1 deletes it. The unpinned jobs' windows over [0, end) are
+    narrowed by laminar.pin_windows, by pinned_old and then by pinned_new as
+    the recursion narrows them, and laminar.split_by_cells splits them; the
+    masks become frozensets here. Neither jobs nor pinned_new names a job of
+    pinned_old, as in the recursion. A job pinned by pinned_new counts as
+    bottom of the cell holding its slot. Raises EmptyWindow when the pins
+    squeeze some job out entirely.
     """
-    merged = {**pinned_old, **pinned_new}
-    groups = pin_windows(inst, _mask(jobs), pinned_new, merged, cells[-1][1])
+    fixed = _mask(jobs) & _mask(pinned_new)
+    groups = pin_windows(inst, {(0, cells[-1][1]): _mask(jobs) ^ fixed}, pinned_old)
+    groups = pin_windows(inst, groups, pinned_new)
+    for j in _bits(fixed):
+        w = (pinned_new[j], pinned_new[j] + 1)
+        groups[w] = groups.get(w, 0) | 1 << j
     bottom, top = split_by_cells(groups, cells)
-    return {c: frozenset(_bits(v)) for c, v in bottom.items()}, frozenset(_bits(top))
+    bottom = {c: frozenset(_bits(sum(g.values()))) for c, g in bottom.items()}
+    return bottom, frozenset(_bits(sum(top.values())))
 
 
-def windows_for_top(inst, top, cells, placed):
-    """Release/deadline per top job, snapped outward to cell boundaries.
+def windows_for_top(inst, groups, cells, placed):
+    """Release/deadline per top job, in job order, snapped outward to cells.
 
-    r is the earliest cell start at or after every placed predecessor's
-    completion, d the latest cell end at or before every placed successor's
-    start. When no boundary qualifies the window collapses (degenerate).
-    The bounds are slot_bounds over the cells' span with the placed mask.
+    groups holds the tops by window, {(lo, hi): job mask}, as split_by_cells
+    returns them; slot_bounds narrows each job's group window by the placed
+    jobs only. r is the earliest cell start at or after the narrowed lo, d
+    the latest cell end at or before the narrowed hi. When no boundary
+    qualifies the window collapses (degenerate).
     """
     starts = [c[0] for c in cells]
     ends = [c[1] for c in cells]
     placed_mask = _mask(placed)
+    tops = sorted((j, w) for w, mask in groups.items() for j in _bits(mask))
     out = []
-    for j in sorted(top):
-        lo, hi = slot_bounds(inst, j, placed, placed_mask, starts[0], ends[-1])
+    for j, w in tops:
+        lo, hi = slot_bounds(inst, j, placed, placed_mask, *w)
         i = bisect_left(starts, lo)
         r = starts[i] if i < len(starts) else ends[-1]
         i = bisect_right(ends, hi) - 1
@@ -219,39 +241,35 @@ def _settle_unit(inst, sub, t, free, starts):
     return disc
 
 
-def _assignments(inst, subset, base_pins, s, e):
+def _assignments(inst, subset, bounds, load):
     """All consistent slot assignments for subset, DFS, slots ascending.
 
-    The merged pins and their mask grow and shrink with the DFS, so each
-    step is one slot_bounds over [s, e) under the pinned mask and nothing is
-    rebuilt per step.
+    bounds maps each job of subset to its window under the ancestor pins,
+    and load each slot to their count there. The chosen slots and their
+    mask grow and shrink with the DFS, so each step is one slot_bounds that
+    narrows the job's window by the jobs chosen before it.
     """
     m = inst.m
-    occ = _loads(base_pins.values(), s, e)
-    merged = dict(base_pins)
+    occ = dict(load)
     chosen: dict[JobId, int] = {}
 
-    def rec(i, pinned_mask):
+    def rec(i, chosen_mask):
         if i == len(subset):
             yield dict(chosen)
             return
         j = subset[i]
-        lo, hi = slot_bounds(inst, j, merged, pinned_mask, s, e)
-        inner = pinned_mask | 1 << j
+        lo, hi = slot_bounds(inst, j, chosen, chosen_mask, *bounds[j])
+        inner = chosen_mask | 1 << j
         for t in range(lo, hi):
             if occ.get(t, 0) >= m:
                 continue
-            chosen[j] = merged[j] = t
+            chosen[j] = t
             occ[t] = occ.get(t, 0) + 1
             yield from rec(i + 1, inner)
             occ[t] -= 1
             del chosen[j]
-        # merged is read only at pinned bits, so a slot left behind is never
-        # seen, except that of a job in subset and base_pins both.
-        if j in base_pins:
-            merged[j] = base_pins[j]
 
-    yield from rec(0, _mask(base_pins))
+    yield from rec(0, 0)
 
 
 def _partitions(s, e, cells_cap):
@@ -297,12 +315,12 @@ def exhaustive_guesses(inst, k_max):
         raise ValueError(f"k_max must be >= 0, got {k_max}")
 
     def guesses(rin):
-        s, e = rin.interval
         jobs = list(_bits(rin.jobs))
-        partitions = list(_partitions(s, e, max(1, k_max)))
+        bounds = {j: w for w, mask in rin.windows.items() for j in _bits(mask)}
+        partitions = list(_partitions(*rin.interval, max(1, k_max)))
         for size in range(min(k_max, len(jobs)), -1, -1):
             for subset in combinations(jobs, size):
-                for pins in _assignments(inst, subset, rin.pinned, s, e):
+                for pins in _assignments(inst, subset, bounds, rin.load):
                     for cells in partitions:
                         yield pins, cells
 
@@ -313,15 +331,16 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
     """Best (starts, discard mask) over the guesses the source yields for rin.
 
     When traces is a list, the winning guess's CallTraces (its children's,
-    then its own) are appended to it; otherwise no trace is built. The
-    grouped pin windows (or their EmptyWindow prune) and the pins' mask are
-    kept while consecutive guesses carry equal pins, since the cells, which
-    partition the interval, do not change them. A guess whose cells discard
-    at least as many jobs as the best guess skips its tops. rin.depth is
-    below depth_max; a child at depth_max gets no call and discards its
-    jobs, unless its cell is a unit interval. A unit cell gets no call at
-    any depth: _settle_unit settles it in the cell loop, under the pins'
-    load at its slot, which is kept with the pin windows.
+    then its own) are appended to it; otherwise no trace is built. A guess
+    narrows rin.windows by its own pins only (or prunes on EmptyWindow), and
+    its pins join rin.load; both are kept while consecutive guesses carry
+    equal pins, since the cells, which partition the interval, do not change
+    them. A child's input is its cell's groups and the load inside the cell.
+    A guess whose cells discard at least as many jobs as the best guess
+    skips its tops. rin.depth is below depth_max; a child at depth_max gets
+    no call and discards its jobs, unless its cell is a unit interval. A
+    unit cell gets no call at any depth: _settle_unit settles it in the cell
+    loop, under the pins' load at its slot.
     """
     s, e = rin.interval
     if not rin.jobs:
@@ -330,8 +349,7 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
         # Only a root of horizon 1 gets here: unit cells are settled in
         # their parent's cell loop, by the same rule.
         starts: dict[JobId, int] = {}
-        free = inst.m - _loads(rin.pinned.values(), s, e).get(s, 0)
-        return starts, _settle_unit(inst, rin.jobs, s, free, starts)
+        return starts, _settle_unit(inst, rin.jobs, s, inst.m - rin.load.get(s, 0), starts)
     best = None
     last_pins = groups = None
     capped = rin.depth + 1 >= depth_max
@@ -339,24 +357,21 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
         stats.guesses_explored += 1
         if pins != last_pins:
             last_pins = dict(pins)
-            merged = {**rin.pinned, **pins}
-            pins_mask = _mask(pins)
             try:
-                groups = pin_windows(inst, rin.jobs, pins, merged, e)
-                pin_load = _loads(merged.values(), s, e)
+                groups = pin_windows(inst, rin.windows, pins)
+                pin_load = _add_load(rin.load, pins.values())
             except EmptyWindow:
                 groups = None
         if groups is None:
             continue
-        bottom, top_mask = split_by_cells(groups, cells)
+        bottom, top = split_by_cells(groups, cells)
         calls = None if traces is None else []
         starts = dict(pins)
         disc = 0
-        for cell in cells:
-            sub = bottom[cell] & ~pins_mask
+        for (lo, hi), windows in bottom.items():
+            sub = sum(windows.values())
             if not sub:
                 continue
-            lo, hi = cell
             if hi - lo == 1:
                 # A unit cell explores no guess and records no trace, and
                 # the depth cap does not apply to it.
@@ -367,23 +382,21 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
                 # with no guess explored and no trace recorded.
                 disc |= sub
                 continue
-            child = RecursionInput(cell, sub, merged, rin.depth + 1)
+            load = {t: c for t, c in pin_load.items() if lo <= t < hi}
+            child = RecursionInput((lo, hi), sub, windows, load, rin.depth + 1)
             cstarts, cdisc = _recurse(inst, child, depth_max, guesses, stats, calls)
             starts.update(cstarts)
             disc |= cdisc
         if best is not None and disc.bit_count() >= best[1].bit_count():
             # The tops can only add discards, so this guess cannot win.
             continue
-        placed_all = {**rin.pinned, **starts}
-        top_windows = windows_for_top(inst, _bits(top_mask), cells, placed_all)
-        occupancy = _loads(placed_all.values(), s, e)
+        top_windows = windows_for_top(inst, top, cells, starts)
+        occupancy = _add_load(rin.load, starts.values())
         tplaced, tdisc = edf_insert(inst, top_windows, occupancy, s, e)
         starts.update(tplaced)
         disc |= tdisc
         if calls is not None:
-            loads = {t: occupancy.get(t, 0) for t in range(s, e)}
-            for t in tplaced.values():
-                loads[t] += 1
+            loads = _add_load({t: occupancy.get(t, 0) for t in range(s, e)}, tplaced.values())
             calls.append(
                 CallTrace(
                     depth=rin.depth,
@@ -429,7 +442,8 @@ def solve(inst: Instance, T: int, guesses, depth_max: int, traces=None) -> Solve
     chain = longest_chain(inst)
     if T < chain:
         raise InfeasibleHorizon(f"horizon {T} is below the chain bound {chain}")
-    root = RecursionInput((0, T), (1 << inst.n) - 1, {}, 0)
+    jobs = (1 << inst.n) - 1
+    root = RecursionInput((0, T), jobs, {(0, T): jobs}, {}, 0)
     starts, disc = _recurse(inst, root, depth_max, guesses, stats, traces)
     sched = Schedule(starts, T)
     report = validate_schedule(inst, sched)

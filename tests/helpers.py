@@ -10,14 +10,17 @@ scheduling as a per-slot scan and sort of every remaining job, the form the
 package used before it ran the EDF step's sweep; and ref_chain_depths is the
 chain-depth table walking every successor, without the package's skip of
 memo hits. The one exception is ref_solve, the
-recursion as it ran before the dominance cutoff, the grouped split and the
-unit-cell mask rule: it builds the package's trace records and runs its EDF
-sweep (which tests/test_qptas.py checks against its own reference), but
-classifies and windows with the references here. Its unit intervals still
-recurse and run edf_insert over windows [t, t + 1), so that path is now the
-reference for the package's unit rule (qptas._settle_unit). It keeps its job
-sets as sets, and builds or reads a job mask only where the package's
-RecursionInput and edf_insert take or return one.
+recursion as it ran before the dominance cutoff, the grouped split, the
+unit-cell mask rule and the per-call inputs: it builds the package's trace
+records and runs its EDF sweep (which tests/test_qptas.py checks against its
+own reference), but classifies and windows with the references here. Its
+calls take a RefInput, which carries every ancestor's pin, and each call
+re-derives its windows and loads from all of them, where the package's
+RecursionInput carries only the call's windows and pin load. Its unit
+intervals still recurse and run edf_insert over windows [t, t + 1), so that
+path is now the reference for the package's unit rule (qptas._settle_unit).
+It keeps its job sets as sets, and builds or reads a job mask only where
+RefInput and the package's edf_insert take or return one.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import NamedTuple
 
 from precsched.model import Schedule
 from precsched.qptas import (
     CallTrace,
-    RecursionInput,
     SolveResult,
     SolveStats,
     TopWindow,
@@ -509,18 +512,27 @@ def ref_exhaustive_guesses(inst, k_max):
     return guesses
 
 
+class RefInput(NamedTuple):
+    """A ref_solve call's input: its interval, job mask, every ancestor pin, depth."""
+
+    interval: tuple
+    jobs: int
+    pinned: dict
+    depth: int
+
+
 def ref_solve(inst, T, guesses, depth_max, traces=None):
     """SolveResult of the recursion that finishes every guess it explores.
 
     Classifies each guess with ref_classify and windows its tops with
     ref_windows_for_top, with no windows kept across guesses and no guess
     abandoned before its EDF sweep. It skips solve's input checks and final
-    validation.
+    validation. guesses takes a RefInput, as ref_exhaustive_guesses does.
     """
     stats = SolveStats()
     starts, disc = {}, set()
     if inst.n:
-        root = RecursionInput((0, T), _to_mask(range(inst.n)), {}, 0)
+        root = RefInput((0, T), _to_mask(range(inst.n)), {}, 0)
         starts, disc = _ref_recurse(inst, root, depth_max, guesses, stats, traces)
     return SolveResult(Schedule(starts, T), frozenset(disc), stats)
 
@@ -550,7 +562,7 @@ def _ref_recurse(inst, rin, depth_max, guesses, stats, traces):
         for cell in cells:
             sub = bottom[cell] - pins.keys()
             if sub:
-                child = RecursionInput(cell, _to_mask(sub), merged, rin.depth + 1)
+                child = RefInput(cell, _to_mask(sub), merged, rin.depth + 1)
                 cstarts, cdisc = _ref_recurse(inst, child, depth_max, guesses, stats, calls)
                 starts.update(cstarts)
                 disc |= cdisc

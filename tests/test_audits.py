@@ -116,7 +116,7 @@ def test_forced_degenerate_window_is_counted():
     tri = build_instance(3, 1, [(0, 1), (1, 2)])
     cells = [(0, 2), (2, 4)]
     # Predecessor placed at 1 and successor at 2 leave no boundary gap.
-    windows = windows_for_top(tri, {1}, cells, {0: 1, 2: 2})
+    windows = windows_for_top(tri, {(0, 4): 1 << 1}, cells, {0: 1, 2: 2})
     assert [(w.job, w.r, w.d, w.degenerate) for w in windows] == [(1, 2, 2, True)]
     rep = count_degenerate(windows, 1, 1, 4, 4)
     assert (rep.population, rep.violations, rep.worst, rep.bound) == (1, 0, 1.0, 4.0)
@@ -379,7 +379,7 @@ def _reference_replay(inst, opt, fam, eps, offset, assign):
             if sub:
                 starts.update(call(cell, frozenset(sub), merged, depth + 1))
         placed_all = {**pins, **starts}
-        windows = windows_for_top(inst, top, cells, placed_all)
+        windows = windows_for_top(inst, {interval: sum(1 << j for j in top)}, cells, placed_all)
         occ = Counter(t for t in placed_all.values() if s <= t < e)
         tplaced, tdisc = edf_insert(inst, windows, occ, s, e)
         discarded.update(_bits(tdisc))

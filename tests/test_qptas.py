@@ -83,9 +83,10 @@ def test_classify_raises_on_squeezed_window():
 def test_windows_snap_to_cell_boundaries():
     inst = build_instance(3, 1, [(0, 1), (1, 2)])
     cells = [(0, 4), (4, 8)]
-    assert windows_for_top(inst, {1}, cells, {}) == [TopWindow(1, 0, 8)]
-    assert windows_for_top(inst, {1}, cells, {0: 2}) == [TopWindow(1, 4, 8)]
-    got = windows_for_top(inst, {1}, cells, {0: 3, 2: 4})
+    top = {(0, 8): 1 << 1}
+    assert windows_for_top(inst, top, cells, {}) == [TopWindow(1, 0, 8)]
+    assert windows_for_top(inst, top, cells, {0: 2}) == [TopWindow(1, 4, 8)]
+    got = windows_for_top(inst, top, cells, {0: 3, 2: 4})
     assert got == [TopWindow(1, 4, 4)] and got[0].degenerate
 
 
@@ -306,7 +307,7 @@ def test_unit_cell_rule_matches_edf_insert(case):
 
 def test_enumeration_count_matches_the_forced_example():
     inst = build_instance(1, 1, [])
-    rin = RecursionInput((0, 2), _mask({0}), {}, 0)
+    rin = RecursionInput((0, 2), 1, {(0, 2): 1}, {}, 0)
     got = list(exhaustive_guesses(inst, 1)(rin))
     assert got == [
         ({0: 0}, [(0, 2)]),
@@ -317,7 +318,7 @@ def test_enumeration_count_matches_the_forced_example():
 
 def test_enumeration_laminar_k0_yields_one_guess():
     inst = build_instance(4, 1, [(i, i + 1) for i in range(3)])
-    rin = RecursionInput((0, 4), _mask(range(4)), {}, 0)
+    rin = RecursionInput((0, 4), _mask(range(4)), {(0, 4): _mask(range(4))}, {}, 0)
     got = list(laminar_guesses(inst, 4, 1)(rin))
     assert got == [({}, [(0, 2), (2, 4)])]
 

@@ -2,14 +2,17 @@
 
 The exhaustive source's slot DFS and the whole recursion are checked the
 same way, against the references that rebuild their pins at every step and
-finish every guess.
+finish every guess. Window narrowing must compose, since a call narrows its
+ancestors' windows by its own pins only, and a recursion call's result must
+depend on its input alone.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    _ref_loads,
     ref_assignments,
     ref_classify,
     ref_exhaustive_guesses,
@@ -17,6 +20,7 @@ from helpers import (
     ref_solve,
     ref_windows_for_top,
 )
+from precsched import qptas
 from precsched.laminar import EmptyWindow, feasible_window, pin_windows
 from precsched.model import build_instance, longest_chain
 from precsched.qptas import _assignments, classify, exhaustive_guesses, solve, windows_for_top
@@ -59,20 +63,18 @@ def _window_cases(draw):
 def test_pin_windows_match_the_per_bit_walk(case, data):
     inst, T, pinned = case
     jobs = data.draw(st.lists(st.sampled_from(range(inst.n)), unique=True))
-    # New pins are some of the pins; they may name jobs outside the mask.
-    pinned_new = {j: t for j, t in pinned.items() if data.draw(st.booleans())}
+    # Pins may name jobs outside the mask; pinned jobs of the mask leave it.
     mask = sum(1 << j for j in jobs)
     want = {j: ref_feasible_window(inst, j, pinned, T) for j in jobs}
-    free = {j: w for j, w in want.items() if j not in pinned_new}
+    free = {j: w for j, w in want.items() if j not in pinned}
     if any(lo >= hi for lo, hi in free.values()):
         with pytest.raises(EmptyWindow):
-            pin_windows(inst, mask, pinned_new, pinned, T)
+            pin_windows(inst, {(0, T): mask}, pinned)
     else:
         groups = {}
-        for j, w in want.items():
-            w = (pinned_new[j], pinned_new[j] + 1) if j in pinned_new else w
+        for j, w in free.items():
             groups[w] = groups.get(w, 0) | 1 << j
-        assert pin_windows(inst, mask, pinned_new, pinned, T) == groups
+        assert pin_windows(inst, {(0, T): mask}, pinned) == groups
     for j, (lo, hi) in want.items():
         if lo >= hi:
             with pytest.raises(EmptyWindow):
@@ -104,8 +106,57 @@ def test_windows_for_top_match_the_per_bit_walk(case, data):
     inst, T, placed = case
     cells = data.draw(_cells(T))
     top = set(data.draw(st.lists(st.sampled_from(range(inst.n)), unique=True))) - placed.keys()
-    got = windows_for_top(inst, top, cells, placed)
+    got = windows_for_top(inst, {(0, T): sum(1 << j for j in top)}, cells, placed)
     assert [(w.job, w.r, w.d) for w in got] == ref_windows_for_top(inst, top, cells, placed)
+
+
+@st.composite
+def _groups(draw, inst, T):
+    """Some jobs grouped by nonempty windows inside [0, T): {(lo, hi): mask}."""
+    groups = {}
+    for j in draw(st.lists(st.sampled_from(range(inst.n)), unique=True)):
+        lo = draw(st.integers(min_value=0, max_value=T - 1))
+        w = (lo, draw(st.integers(min_value=lo + 1, max_value=T)))
+        groups[w] = groups.get(w, 0) | 1 << j
+    return groups
+
+
+def _narrowed(inst, groups, pins):
+    try:
+        return pin_windows(inst, groups, pins)
+    except EmptyWindow:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_window_cases(), st.data())
+def test_narrowing_composes(case, data):
+    inst, T, pins = case
+    groups = data.draw(_groups(inst, T))
+    in_b = {j: data.draw(st.booleans()) for j in pins}
+    a = {j: t for j, t in pins.items() if not in_b[j]}
+    b = {j: t for j, t in pins.items() if in_b[j]}
+    first = _narrowed(inst, groups, a)
+    # The first stage also checks b's jobs, which the one-shot call skips.
+    assume(first is not None)
+    assert _narrowed(inst, first, b) == _narrowed(inst, groups, pins)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_window_cases(), st.data())
+def test_top_windows_narrow_ancestor_windows_by_placements(case, data):
+    # A call's tops start from their windows under the ancestor pins, which
+    # its own placements then narrow.
+    inst, T, slots = case
+    cells = data.draw(_cells(T))
+    ancestors = {j: t for j, t in slots.items() if data.draw(st.booleans())}
+    placed = {j: t for j, t in slots.items() if j not in ancestors}
+    top = set(data.draw(st.lists(st.sampled_from(range(inst.n)), unique=True))) - slots.keys()
+    groups = _narrowed(inst, {(0, T): sum(1 << j for j in top)}, ancestors)
+    assume(groups is not None)
+    got = windows_for_top(inst, groups, cells, placed)
+    want = ref_windows_for_top(inst, top, cells, {**ancestors, **placed})
+    assert [(w.job, w.r, w.d) for w in got] == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,21 +187,53 @@ def test_assignments_match_the_rebuilding_dfs(case, data):
     inst, T, base = case
     s = data.draw(st.integers(min_value=0, max_value=T - 1))
     e = data.draw(st.integers(min_value=s + 1, max_value=T))
-    # The subset may overlap the base pins; the DFS's own slot then wins.
-    subset = tuple(data.draw(st.lists(st.sampled_from(range(inst.n)), unique=True, max_size=3)))
-    before = dict(base)
-    got = [list(a.items()) for a in _assignments(inst, subset, base, s, e)]
+    # The subset avoids the base pins, as a call's jobs avoid its ancestors'.
+    free = sorted(set(range(inst.n)) - base.keys())
+    subset = tuple(data.draw(st.lists(st.sampled_from(free), unique=True, max_size=3))) if free else ()
+    bounds = {}
+    for j in subset:
+        lo, hi = ref_feasible_window(inst, j, base, e)
+        bounds[j] = (max(lo, s), hi)
+    load = _ref_loads(base.values(), s, e)
+    got = [list(a.items()) for a in _assignments(inst, subset, bounds, load)]
     assert got == [list(a.items()) for a in ref_assignments(inst, subset, base, s, e)]
-    assert base == before
+    assert load == _ref_loads(base.values(), s, e)
 
 
-def test_assignments_give_a_moved_base_pin_its_slot_back():
-    # Job 2 is pinned at 2 and also in the subset. Once the DFS has tried it
-    # at 3 and backs out to move job 0, its predecessor 1 must see slot 2.
-    inst = build_instance(3, 2, [(1, 2)])
-    got = list(_assignments(inst, (0, 1, 2), {2: 2}, 0, 4))
-    assert got == list(ref_assignments(inst, (0, 1, 2), {2: 2}, 0, 4))
-    assert all(a[1] < 2 for a in got)
+@settings(max_examples=30, deadline=None)
+@given(
+    _closed_dags(max_n=6, min_n=3),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=2, max_value=3),
+    st.integers(min_value=0, max_value=1),
+)
+# An antichain where 84 of 147 calls repeat an earlier call's input.
+@example(build_instance(4, 3, []), 1, 3, 1)
+def test_a_recursion_call_depends_only_on_its_input(inst, k_max, depth_max, slack):
+    # _recurse calls itself through the module, so the wrapper sees every
+    # call. Equal inputs must give equal results and explore as many
+    # guesses, or a memo keyed on the input would change the output.
+    T = max(-(-inst.n // inst.m), longest_chain(inst)) + slack
+    recurse = qptas._recurse
+    seen = {}
+
+    def recorded(inst, rin, depth_max, guesses, stats, traces=None):
+        key = (
+            rin.interval,
+            rin.jobs,
+            tuple(sorted(rin.windows.items())),
+            tuple(sorted(rin.load.items())),
+            rin.depth,
+        )
+        before = stats.guesses_explored
+        starts, disc = recurse(inst, rin, depth_max, guesses, stats, traces)
+        got = (list(starts.items()), disc, stats.guesses_explored - before)
+        assert seen.setdefault(key, got) == got
+        return starts, disc
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qptas, "_recurse", recorded)
+        solve(inst, T, exhaustive_guesses(inst, k_max), depth_max)
 
 
 def _budgeted(guesses, limit):
