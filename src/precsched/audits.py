@@ -68,7 +68,9 @@ class AuditReport:
 
 def check_unique_level(assign: LevelAssignment) -> AuditReport:
     """Every job must appear in exactly one guess or top set."""
-    counts = [len(assign.memberships(j)) for j in range(assign.n)]
+    rows = [*assign.guess.values(), *assign.top.values()]
+    seen = Counter(j for row in rows for mask in row.values() for j in _bits(mask))
+    counts = [seen[j] for j in range(assign.n)]
     bad = sum(1 for c in counts if c != 1)
     worst = max(counts, default=0)
     return AuditReport(
@@ -95,12 +97,12 @@ def check_shift_bound(assign: LevelAssignment, m: int, eps, T: int) -> AuditRepo
     seen: Counter[JobId] = Counter()
     sizes = []
     for a in range(min(stride, assign.fam.level_count())):
-        members: set[JobId] = set()
+        members = 0
         for level in bucket_levels(assign.fam, a, stride):
             tops = assign.top_at_level(level)
             members |= tops
-            seen.update(tops)
-        sizes.append(len(members))
+            seen.update(_bits(tops))
+        sizes.append(members.bit_count())
     violations = sum(c - 1 for c in seen.values() if c > 1)
     if assign.n > m * T:
         violations += 1
@@ -255,19 +257,18 @@ def run_oracle_pinned(
     CallTraces, children first.
     """
     stride = stride_of(inst.m, eps)
-    guess_level = {
-        j: lvl for lvl, row in assign.guess.items() for members in row.values() for j in members
-    }
+    # The level's guess masks; a job has one level, so sums are unions.
+    guessed = [sum(assign.guess.get(lvl, {}).values()) for lvl in range(fam.level_count())]
 
     def oracle_guess(rin):
         level = fam.level_of(rin.interval)
         p = partition_level(fam, level, rin.depth, stride, offset)
-        pins = {j: opt.start[j] for j in _bits(rin.jobs) if level <= guess_level.get(j, -1) < p}
+        pins = {j: opt.start[j] for j in _bits(rin.jobs & sum(guessed[level:p]))}
         yield pins, fam.cells(rin.interval, p)
 
     traces: list[CallTrace] = []
     result = solve(inst, fam.T, oracle_guess, fam.level_count(), traces=traces)
-    return traces, result.schedule.start, set(result.discarded)
+    return traces, result.schedule.start, result.discarded
 
 
 def _merge_margin(name: str, reports) -> AuditReport:
@@ -333,10 +334,11 @@ def audit_instance(inst: Instance, eps=Fraction(1)) -> dict[str, AuditReport]:
 
     def top1_windows(tr):
         # The tops the level assignment put in the call's own level range,
-        # from the interval's level up to its cells'.
+        # from the interval's level up to its cells'. A job has one level,
+        # so the sum of their masks is their union.
         levels = range(fam.level_of(tr.interval), fam.level_of(tr.cells[0]))
-        top1 = frozenset().union(*map(assign.top_at_level, levels))
-        return [w for w in tr.windows if w.job in top1]
+        top1 = sum(map(assign.top_at_level, levels))
+        return [w for w in tr.windows if top1 >> w.job & 1]
 
     # In CSV row order: the claims, then the informational rows.
     reports = {

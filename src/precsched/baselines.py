@@ -15,24 +15,9 @@ never rescans the unlabeled jobs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .model import Instance, JobId, Schedule
-
-
-@dataclass(frozen=True)
-class TopWindow:
-    """Job `job` may start in the slots [r, d)."""
-
-    job: JobId
-    r: int
-    d: int
-
-    @property
-    def degenerate(self) -> bool:
-        # Bad guesses can produce r > d, not just r = d; both are unplaceable.
-        return self.r >= self.d
 
 
 def _sweep(inst, rest, occupancy, start, end):

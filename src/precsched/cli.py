@@ -28,14 +28,7 @@ from pathlib import Path
 
 from .audits import ADVISORY_CLAIMS, CONTRACTUAL_CLAIMS, audit_instance, level_analysis
 from .baselines import coffman_graham_schedule, list_schedule
-from .generators import (
-    KINDS,
-    BadSpec,
-    GeneratorSpec,
-    corpus_id,
-    generate,
-    _STANDARD,
-)
+from .generators import KINDS, BadSpec, GeneratorSpec, generate, standard_corpus
 from .laminar import (
     BadEps,
     BadHorizon,
@@ -45,7 +38,7 @@ from .laminar import (
     rho_of,
     stride_of,
 )
-from .model import CycleError, Instance, Schedule, longest_chain, validate_schedule
+from .model import CycleError, Instance, Schedule, _bits, longest_chain, validate_schedule
 from .oracle import EXACT_CAP, TooLarge, optimal_makespan, optimal_schedule
 from .qptas import InfeasibleHorizon, exhaustive_guesses, insert_discarded, laminar_guesses, solve
 from .textio import (
@@ -120,9 +113,10 @@ def _cmd_gen(args) -> int:
             raise CliError("--corpus needs --outdir")
         out = Path(args.outdir)
         out.mkdir(parents=True, exist_ok=True)
-        for spec in _STANDARD:
-            (out / f"{corpus_id(spec)}.inst").write_text(emit_instance(generate(spec)))
-        print(f"wrote {len(_STANDARD)} instances to {out}")
+        corpus = standard_corpus()
+        for cid, inst in corpus:
+            (out / f"{cid}.inst").write_text(emit_instance(inst))
+        print(f"wrote {len(corpus)} instances to {out}")
         return 0
     if not args.kind:
         raise CliError("either --corpus or --kind is required")
@@ -324,8 +318,8 @@ def _cmd_analyze(args) -> int:
                     level,
                     key[0],
                     key[1],
-                    " ".join(map(str, sorted(per_guess.get(key, ())))),
-                    " ".join(map(str, sorted(per_top.get(key, ())))),
+                    " ".join(map(str, _bits(per_guess.get(key, 0)))),
+                    " ".join(map(str, _bits(per_top.get(key, 0)))),
                 ]
             )
     _write(args.output, buf.getvalue())

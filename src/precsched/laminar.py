@@ -21,14 +21,19 @@ input carries, already narrowed by every ancestor pin, by its own pins
 only. split_by_cells gives each cell the groups whose window lies inside it
 (a child call's windows as they stand) and calls any other window top: the
 solver's split of a call's jobs and assign_levels' split of jobs into
-levels, which starts from {(0, T): jobs} under all its pins.
+levels.
 
 assign_levels replays an optimal schedule against this family and sorts
-every job into exactly one guess set or one top set at exactly one level.
-A job belongs to the level where its feasible window (under the pins made
-so far) still straddles at least two child intervals; long chains of such
-flexible jobs (model.longest_chain_path) get their per-child first and last
-members pinned to their optimal slots until no long chain remains.
+every job into exactly one guess set or one top set at exactly one level;
+the sets are job masks. A job belongs to the level where its feasible
+window (under the pins made so far) still straddles at least two child
+intervals; long chains of such flexible jobs (model.longest_chain_path) get
+their per-child first and last members pinned to their optimal slots until
+no long chain remains. Each level narrows {(0, T): unassigned jobs} by all
+earlier pins once; within a level, the recursion's rule applies: a node
+takes its cell's groups as they stand (the level's other pins lie in other
+cells and narrow none of its windows), and each chain round narrows them by
+its own new pins only.
 """
 
 from __future__ import annotations
@@ -268,27 +273,22 @@ def feasible_window(inst: Instance, j: JobId, pinned, T: int) -> tuple[int, int]
 
 @dataclass
 class LevelAssignment:
-    """guess[level][interval] and top[level][interval] partition all jobs."""
+    """guess[level][interval] and top[level][interval] partition all jobs.
+
+    Each set is a job mask (bit j for job j), as the recursion's job sets are.
+    """
 
     fam: LaminarFamily
     n: int
-    guess: dict[int, dict[tuple[int, int], frozenset[JobId]]] = field(default_factory=dict)
-    top: dict[int, dict[tuple[int, int], frozenset[JobId]]] = field(default_factory=dict)
+    guess: dict[int, dict[tuple[int, int], int]] = field(default_factory=dict)
+    top: dict[int, dict[tuple[int, int], int]] = field(default_factory=dict)
 
-    def memberships(self, j: JobId) -> list[tuple[str, int, tuple[int, int]]]:
-        out = []
-        for kind, table in (("guess", self.guess), ("top", self.top)):
-            for level, per_interval in table.items():
-                for key, jobs in per_interval.items():
-                    if j in jobs:
-                        out.append((kind, level, key))
-        return out
-
-    def top_at_level(self, level: int) -> frozenset[JobId]:
-        acc: set[JobId] = set()
-        for jobs in self.top.get(level, {}).values():
-            acc |= jobs
-        return frozenset(acc)
+    def top_at_level(self, level: int) -> int:
+        """The mask of the level's tops: the OR of its intervals' masks."""
+        acc = 0
+        for mask in self.top.get(level, {}).values():
+            acc |= mask
+        return acc
 
 
 def chain_threshold(I_len: int, n: int, m: int, eps) -> Fraction:
@@ -304,15 +304,17 @@ def assign_levels(
     fam: LaminarFamily,
     eps,
 ) -> LevelAssignment:
-    """Sort every job into one guess or top set at one level.
+    """Sort every job into one guess or top set at one level, as job masks.
 
     Processes levels top-down and intervals left to right. An interval's
-    pool is its cell's jobs when pin_windows then split_by_cells split the
+    pool is its cell's groups when pin_windows then split_by_cells split the
     unassigned jobs by the level's cells, under pins from strictly earlier
-    levels; its flexible jobs are the top when the same split sorts its
-    unguessed pool by its children, under the current level's pins too. At
-    unit leaves every remaining pool member becomes top, which is what
-    makes the partition total.
+    levels; pins made earlier at its level lie in other cells and leave
+    them as they are. Each chain round narrows the groups by that round's
+    new pins only (narrowing composes); the interval's flexible jobs are the
+    top when split_by_cells sorts the unguessed pool's groups by its
+    children. At unit leaves every remaining pool member becomes top, which
+    is what makes the partition total.
     """
     e = check_eps(eps)
     n, m, T = inst.n, inst.m, fam.T
@@ -328,36 +330,40 @@ def assign_levels(
         groups = pin_windows(inst, {(0, T): free}, pinned)
         pools, _ = split_by_cells(groups, fam.cells((0, T), level))
         thresh = chain_threshold(fam.level_lengths[level], n, m, e)
-        guess_row: dict[tuple[int, int], frozenset[int]] = {}
-        top_row: dict[tuple[int, int], frozenset[int]] = {}
-        for node, cell_groups in pools.items():
-            # A job has one window, so the groups' masks are disjoint.
-            pool = sum(cell_groups.values())
-            if not pool:
+        guess_row: dict[tuple[int, int], int] = {}
+        top_row: dict[tuple[int, int], int] = {}
+        for node, groups in pools.items():
+            if not groups:
                 continue
             if level == fam.deepest:
-                top_row[node] = frozenset(_bits(pool))
+                # A job has one window, so the groups' masks are disjoint.
+                top_row[node] = sum(groups.values())
                 continue
             children = fam.cells(node, level + 1)
+            # The pins made at this level so far sit in other cells. A pinned
+            # predecessor of a job here sits before this cell and a successor
+            # after it, so they leave this cell's windows as they are.
             guessed = 0
             while True:
-                # The guessed jobs are pinned, so they leave the groups.
-                groups = pin_windows(inst, {(0, T): pool}, pinned)
                 _, tops = split_by_cells(groups, children)
                 flexible = sum(tops.values())
                 # The chain runs head first, so its optimal slots ascend.
                 chain = longest_chain_path(inst, _bits(flexible))
                 if not chain or len(chain) < thresh:
                     break
+                new = {}
                 for cs, ce in children:
                     inside = [j for j in chain if cs <= slot[j] < ce]
                     for x in inside[:1] + inside[-1:]:
-                        guessed |= 1 << x
-                        pinned[x] = slot[x]
+                        new[x] = slot[x]
+                # The guessed jobs are pinned, so they leave the groups.
+                groups = pin_windows(inst, groups, new)
+                guessed |= _mask(new)
+                pinned.update(new)
             if guessed:
-                guess_row[node] = frozenset(_bits(guessed))
+                guess_row[node] = guessed
             if flexible:
-                top_row[node] = frozenset(_bits(flexible))
+                top_row[node] = flexible
             free &= ~(guessed | flexible)
         if guess_row:
             out.guess[level] = guess_row
@@ -380,7 +386,8 @@ def best_offset(assign: LevelAssignment, m: int, eps) -> tuple[int, int]:
     # them ties every later one, and the loop stops there.
     for a in range(min(stride, assign.fam.level_count())):
         total = sum(
-            len(assign.top_at_level(level)) for level in bucket_levels(assign.fam, a, stride)
+            assign.top_at_level(level).bit_count()
+            for level in bucket_levels(assign.fam, a, stride)
         )
         if best is None or total < best[1]:
             best = (a, total)

@@ -58,7 +58,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
-from .baselines import TopWindow, _sweep
+from .baselines import _sweep
 from .laminar import (
     EmptyWindow,
     build_laminar,
@@ -85,6 +85,20 @@ class InfeasibleHorizon(ValueError):
 
 class NoSlot(RuntimeError):
     """insert_discarded found no legal slot; indicates an internal bug."""
+
+
+@dataclass(frozen=True)
+class TopWindow:
+    """Job `job` may start in the slots [r, d)."""
+
+    job: JobId
+    r: int
+    d: int
+
+    @property
+    def degenerate(self) -> bool:
+        # Bad guesses can produce r > d, not just r = d; both are unplaceable.
+        return self.r >= self.d
 
 
 @dataclass(frozen=True)

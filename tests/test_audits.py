@@ -52,7 +52,7 @@ def test_unique_level_clean_and_duplicated():
     rep = check_unique_level(assign)
     assert (rep.population, rep.violations, rep.worst, rep.bound) == (4, 0, 1.0, 1.0)
     # Corrupt the assignment: job 0 gains a second membership.
-    assign.guess[1] = {(0, 2): frozenset({0})}
+    assign.guess[1] = {(0, 2): 1 << 0}
     rep = check_unique_level(assign)
     assert rep.violations == 1
     assert rep.worst == 2.0
@@ -69,8 +69,8 @@ def test_shift_bound_flags_overlapping_buckets():
     inst, opt, fam = _antichain4()
     assign = assign_levels(inst, opt, fam, 1)
     # Job 0 planted in the level-1 and level-2 buckets of the same offset.
-    assign.top[1] = {(0, 2): frozenset({0})}
-    assign.top[2] = {(0, 1): frozenset({0})}
+    assign.top[1] = {(0, 2): 1 << 0}
+    assign.top[2] = {(0, 1): 1 << 0}
     assert check_shift_bound(assign, 1, 1, 4).violations == 1
 
 
@@ -137,7 +137,7 @@ def test_pinned_replay_antichain_trace_frozen():
     assert tr.pins == {}
     assert {w.job for w in tr.windows} == {0, 1, 2, 3}
     # Every top sits in the call's own level range [0, 1).
-    assert assign.top_at_level(0) == frozenset({0, 1, 2, 3})
+    assert assign.top_at_level(0) == 0b1111
     assert [(w.job, w.r, w.d) for w in tr.windows] == [(j, 0, 4) for j in range(4)]
     assert not any(w.degenerate for w in tr.windows)
     assert tr.placed_tops == {0: 0, 1: 1, 2: 2, 3: 3}
@@ -271,7 +271,7 @@ def test_offset_scans_agree_with_a_scan_of_every_offset(case, eps):
     assign = assign_levels(padded, optimal_schedule(padded), fam, eps)
     stride = stride_of(m, eps)
     sizes = [
-        sum(len(assign.top_at_level(level)) for level in bucket_levels(fam, a, stride))
+        sum(assign.top_at_level(level).bit_count() for level in bucket_levels(fam, a, stride))
         for a in range(stride)
     ]
     want = min(range(stride), key=sizes.__getitem__)
@@ -340,6 +340,13 @@ def test_padded_optimum_is_the_padded_search_on_random_orders(n, m, p, seed):
     _check_padded_optimum(generate(GeneratorSpec("random_order", n, m, seed=seed, edge_prob=p)))
 
 
+def _tops_at(assign, levels):
+    # The top jobs of the given levels, read job by job off the mask tables.
+    return frozenset(
+        j for lvl in levels for mask in assign.top.get(lvl, {}).values() for j in _bits(mask)
+    )
+
+
 def _reference_replay(inst, opt, fam, eps, offset, assign):
     # The auditors' former hand-kept copy of the solver's recursion: pin the
     # guessed jobs of levels [level, p) at their optimal slots, classify,
@@ -348,9 +355,6 @@ def _reference_replay(inst, opt, fam, eps, offset, assign):
     # lam, top1) beside the solver's fields.
     stride = stride_of(inst.m, eps)
     traces, discarded = [], set()
-
-    def tops_at(levels):
-        return frozenset().union(*(assign.top_at_level(lvl) for lvl in levels))
 
     def call(interval, jobs, pins, depth):
         s, e = interval
@@ -370,7 +374,7 @@ def _reference_replay(inst, opt, fam, eps, offset, assign):
         for lvl in range(level, p):
             for (ks, ke), members in assign.guess.get(lvl, {}).items():
                 if ks >= s and ke <= e:
-                    new_pins.update((j, opt.start[j]) for j in members if j in jobs)
+                    new_pins.update((j, opt.start[j]) for j in _bits(members) if j in jobs)
         bottom, top = classify(inst, jobs, new_pins, cells, pins)
         merged = {**pins, **new_pins}
         starts = dict(new_pins)
@@ -396,7 +400,7 @@ def _reference_replay(inst, opt, fam, eps, offset, assign):
                 pins=new_pins,
                 tops=top,
                 windows=windows,
-                top1=top & tops_at(range(level, p)),
+                top1=top & _tops_at(assign, range(level, p)),
                 placed_tops=tplaced,
                 loads={t: slots[t] for t in range(s, e)},
             )
@@ -429,7 +433,7 @@ def test_pinned_run_matches_the_replay_reference(case, shift):
     def with_levels(tr):
         level, p = fam.level_of(tr.interval), fam.level_of(tr.cells[0])
         tops = frozenset(w.job for w in tr.windows)
-        top1 = tops & frozenset().union(*map(assign.top_at_level, range(level, p)))
+        top1 = tops & _tops_at(assign, range(level, p))
         lam = tr.cells[0][1] - tr.cells[0][0]
         return {**vars(tr), "tops": tops, "level": level, "partition_level": p, "lam": lam,
                 "top1": top1}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from precsched.baselines import coffman_graham_schedule, list_schedule
 from precsched.laminar import (
     BadEps,
     BadHorizon,
@@ -17,14 +18,34 @@ from precsched.laminar import (
     check_eps,
     default_depth_max,
     feasible_window,
+    pad_schedule,
     pad_to_power_of_two,
     analysis_depth_limit,
 )
 from precsched.generators import GeneratorSpec, generate
-from precsched.model import Schedule, build_instance
+from precsched.model import Schedule, _bits, build_instance
 from precsched.oracle import EXACT_CAP, optimal_makespan, optimal_schedule
 
 from helpers import cover_pairs, pairs, ref_assign_levels, stored_cover
+
+
+def as_sets(table):
+    """A LevelAssignment table, {level: {interval: job mask}}, with frozensets for masks."""
+    return {
+        level: {key: frozenset(_bits(mask)) for key, mask in row.items()}
+        for level, row in table.items()
+    }
+
+
+def memberships(assign, j):
+    """(kind, level, interval) of every guess or top set of assign holding job j."""
+    return [
+        (kind, level, key)
+        for kind, table in (("guess", assign.guess), ("top", assign.top))
+        for level, row in table.items()
+        for key, mask in row.items()
+        if mask >> j & 1
+    ]
 
 
 def test_family_sixteen_jobs_eps_one():
@@ -183,16 +204,17 @@ def test_assign_levels_sixteen_chain_guesses_everything():
     opt = Schedule({j: j for j in range(16)}, 16)
     fam = build_laminar(16, 16, 1)
     assign = assign_levels(inst, opt, fam, 1)
-    assert assign.guess[0] == {(0, 16): frozenset({0, 3, 4, 7, 8, 11, 12, 15})}
-    assert assign.guess[1] == {
+    guess = as_sets(assign.guess)
+    assert guess[0] == {(0, 16): frozenset({0, 3, 4, 7, 8, 11, 12, 15})}
+    assert guess[1] == {
         (0, 4): frozenset({1, 2}),
         (4, 8): frozenset({5, 6}),
         (8, 12): frozenset({9, 10}),
         (12, 16): frozenset({13, 14}),
     }
     assert assign.top == {}
-    assert assign.memberships(0) == [("guess", 0, (0, 16))]
-    assert assign.memberships(13) == [("guess", 1, (12, 16))]
+    assert memberships(assign, 0) == [("guess", 0, (0, 16))]
+    assert memberships(assign, 13) == [("guess", 1, (12, 16))]
 
 
 def test_assign_levels_squeezed_jobs_become_leaf_tops():
@@ -205,9 +227,9 @@ def test_assign_levels_squeezed_jobs_become_leaf_tops():
     fam = build_laminar(4, 6, 1)
     assert fam.level_lengths == (4, 1)
     assign = assign_levels(inst, opt, fam, 1)
-    assert assign.guess == {0: {(0, 4): frozenset({0, 1, 2, 3})}}
-    assert assign.top == {1: {(1, 2): frozenset({4}), (2, 3): frozenset({5})}}
-    assert assign.memberships(4) == [("top", 1, (1, 2))]
+    assert assign.guess == {0: {(0, 4): 0b1111}}
+    assert assign.top == {1: {(1, 2): 1 << 4, (2, 3): 1 << 5}}
+    assert memberships(assign, 4) == [("top", 1, (1, 2))]
     assert best_offset(assign, 2, 1) == (1, 0)
     assert best_offset(assign, 1, 1) == (0, 2)
 
@@ -257,7 +279,7 @@ def test_assignment_partitions_jobs_once_each(case):
     assign = assign_levels(padded, opt, fam, eps)
 
     for j in range(padded.n):
-        entries = assign.memberships(j)
+        entries = memberships(assign, j)
         assert len(entries) == 1, f"job {j} sorted {len(entries)} times"
         kind, level, (lo, hi) = entries[0]
         # The optimal slot always sits inside the owning interval.
@@ -267,24 +289,24 @@ def test_assignment_partitions_jobs_once_each(case):
     stride = int(Fraction(m) / Fraction(eps))
     assert 0 <= a < stride
     manual = sum(
-        len(assign.top_at_level(level))
+        assign.top_at_level(level).bit_count()
         for level in range(a + 1, fam.level_count(), stride)
     )
     assert count == manual
     # The smallest bucket is a lower bound on all of them.
     for b in range(stride):
         other = sum(
-            len(assign.top_at_level(level))
+            assign.top_at_level(level).bit_count()
             for level in range(b + 1, fam.level_count(), stride)
         )
         assert other >= count
 
 
 @st.composite
-def _generated(draw):
-    """A random_order or layered instance with 2 <= n <= 10."""
-    n = draw(st.integers(min_value=2, max_value=10))
-    m = draw(st.integers(min_value=1, max_value=3))
+def _generated(draw, min_n=2, max_n=10, max_m=3):
+    """A random_order or layered instance with min_n <= n <= max_n, m <= max_m."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    m = draw(st.integers(min_value=1, max_value=max_m))
     seed = draw(st.integers(min_value=0, max_value=2**16))
     edge_prob = draw(st.sampled_from([0.1, 0.3, 0.5, 0.8]))
     if draw(st.booleans()):
@@ -304,4 +326,18 @@ def test_assign_levels_matches_the_per_pin_reference(inst, eps):
     opt = optimal_schedule(padded)
     fam = build_laminar(tstar, padded.n, eps)
     assign = assign_levels(padded, opt, fam, eps)
-    assert (assign.guess, assign.top) == ref_assign_levels(padded, opt, fam, eps)
+    assert (as_sets(assign.guess), as_sets(assign.top)) == ref_assign_levels(padded, opt, fam, eps)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_generated(min_n=30, max_n=200, max_m=4), st.booleans(), st.sampled_from([Fraction(1), Fraction(1, 2)]))
+def test_assign_levels_matches_the_per_pin_reference_beyond_the_oracle_cap(inst, cg, eps):
+    # assign_levels needs a complete schedule within the horizon, not an
+    # optimum, so a baseline's schedule stands in where the oracle cannot
+    # reach; many chain rounds and hundreds of pins arise here.
+    sched = coffman_graham_schedule(inst) if cg else list_schedule(inst, range(inst.n))
+    padded, tstar = pad_to_power_of_two(inst, sched.horizon)
+    opt = pad_schedule(inst, sched, tstar)
+    fam = build_laminar(tstar, padded.n, eps)
+    assign = assign_levels(padded, opt, fam, eps)
+    assert (as_sets(assign.guess), as_sets(assign.top)) == ref_assign_levels(padded, opt, fam, eps)
