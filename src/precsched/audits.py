@@ -5,8 +5,10 @@ shifting, window slack, degenerate counts, idle slots, level count) and
 returns an AuditReport. level_analysis is the one pipeline from an instance
 to its level assignment and best offset; `analyze levels` prints it and
 audit_instance audits it. run_oracle_pinned runs the solver itself
-(qptas.solve) with an oracle-pinned guess source: every call pins the jobs
-the level assignment guessed at their slots in an exact optimal schedule.
+(qptas.solve) on the solver's laminar source plus pins: every call takes
+the cells laminar_guesses gives it and pins the jobs the level assignment
+guessed in the call's level range at their slots in an exact optimal
+schedule. The family comes from one place, the level assignment's fam.
 The solver's own per-call traces feed the window and idle auditors, which
 take each call's levels from the family: that of its interval and that of
 its cells. Everything here is desk-scale: it sits on top of the exact
@@ -23,21 +25,19 @@ from fractions import Fraction
 from .laminar import (
     LaminarFamily,
     LevelAssignment,
+    analysis_depth_limit,
     assign_levels,
     best_offset,
-    bucket_levels,
+    bucket_tops,
     build_laminar,
     check_eps,
     default_depth_max,
     pad_schedule,
     pad_to_power_of_two,
-    partition_level,
-    analysis_depth_limit,
-    stride_of,
 )
 from .model import Instance, JobId, Schedule, _bits
 from .oracle import EXACT_CAP, TooLarge, optimal_schedule
-from .qptas import CallTrace, solve
+from .qptas import CallTrace, laminar_guesses, solve
 
 # Claims whose violation means the implementation (or the analysis) is wrong,
 # versus bounds that are only expected to hold in the audited regime.
@@ -85,21 +85,21 @@ def check_unique_level(assign: LevelAssignment) -> AuditReport:
 def check_shift_bound(assign: LevelAssignment, m: int, eps, T: int) -> AuditReport:
     """Some offset's top buckets hold at most eps*T jobs.
 
-    Buckets for offset a collect the top jobs of its bucket_levels.
-    Buckets across offsets must be disjoint (each counted appearance beyond
-    the first is a violation), the job count may not exceed m*T, and the
-    smallest bucket must fit under eps*T. The size comparison is exact.
-    population counts all m/eps offsets, but the loop stops at offset
-    level_count() - 1: its bucket and every later one are empty.
+    Buckets for offset a collect the top jobs of its bucket_levels, as
+    bucket_tops reads them. Buckets across offsets must be disjoint (each
+    counted appearance beyond the first is a violation), the job count may
+    not exceed m*T, and the smallest bucket must fit under eps*T. The size
+    comparison is exact. population counts all m/eps offsets, but
+    bucket_tops stops at offset level_count() - 1: its bucket and every
+    later one are empty.
     """
     e = check_eps(eps)
-    stride = stride_of(m, e)
+    stride, buckets = bucket_tops(assign, m, e)
     seen: Counter[JobId] = Counter()
     sizes = []
-    for a in range(min(stride, assign.fam.level_count())):
+    for bucket in buckets:
         members = 0
-        for level in bucket_levels(assign.fam, a, stride):
-            tops = assign.top_at_level(level)
+        for tops in bucket:
             members |= tops
             seen.update(_bits(tops))
         sizes.append(members.bit_count())
@@ -140,24 +140,20 @@ def check_level_count(fam: LaminarFamily, n: int, eps) -> AuditReport:
 
 
 def check_window_slack(
-    opt: Schedule,
-    windows,
-    lam: int,
-    pins: dict[JobId, int] | None = None,
+    opt: Schedule, windows, lam: int, pins: dict[JobId, int]
 ) -> AuditReport:
     """Each top job's optimal slot sits within lam of its guessed window.
 
-    The claim holds for runs whose pins agree with opt; when pins are given
-    they are verified first and PreconditionUnmet raised on any mismatch.
-    The needed slack for a window [r, d) around slot s is max(r-s, s-d+1),
-    so 0 means the slot is already inside.
+    The claim holds for runs whose pins agree with opt; the pins are
+    verified first and PreconditionUnmet raised on any mismatch. The needed
+    slack for a window [r, d) around slot s is max(r-s, s-d+1), so 0 means
+    the slot is already inside.
     """
-    if pins is not None:
-        for j, t in pins.items():
-            if opt.start.get(j) != t:
-                raise PreconditionUnmet(
-                    f"pin {j}@{t} disagrees with the optimal slot {opt.start.get(j)}"
-                )
+    for j, t in pins.items():
+        if opt.start.get(j) != t:
+            raise PreconditionUnmet(
+                f"pin {j}@{t} disagrees with the optimal slot {opt.start.get(j)}"
+            )
     needed = []
     for w in windows:
         s = opt.start[w.job]
@@ -238,33 +234,29 @@ def audit_idle_slots(trace: CallTrace, m: int, eps, n: int) -> AuditReport:
 
 
 def run_oracle_pinned(
-    inst: Instance,
-    opt: Schedule,
-    fam: LaminarFamily,
-    eps,
-    offset: int,
-    assign: LevelAssignment,
+    inst: Instance, opt: Schedule, eps, offset: int, assign: LevelAssignment
 ):
-    """Run the solver with every guess pinned at its optimal slot.
+    """Run the solver on the laminar source plus pins at optimal slots.
 
-    The guess source gives each call one guess: the call's jobs that the
-    level assignment guessed at some level from the interval's own level up
-    to (but not including) its partition level, pinned at their slots in
-    opt, on the partition level's cells. The solver then classifies,
-    recurses on bottoms, windows the tops and runs the EDF sweep as it
-    always does. Its depth cap is the family's level count, which no call
-    reaches. Returns (traces, starts, discarded); traces are the solver's
-    CallTraces, children first.
+    Each call takes its one guess's cells from laminar_guesses(inst, T, eps,
+    offset), T the horizon of assign.fam, the family the assignment was
+    made on. It pins its jobs that the level assignment guessed at the
+    levels from fam.level_of(interval) up to, but not including,
+    fam.level_of(cells[0]), at their slots in opt. The solver then
+    classifies, recurses on bottoms, windows the tops and runs the EDF
+    sweep as it always does. Its depth cap is the family's level count,
+    which no call reaches. Returns (traces, starts, discarded); traces are
+    the solver's CallTraces, children first.
     """
-    stride = stride_of(inst.m, eps)
+    fam = assign.fam
+    laminar = laminar_guesses(inst, fam.T, eps, offset)
     # The level's guess masks; a job has one level, so sums are unions.
     guessed = [sum(assign.guess.get(lvl, {}).values()) for lvl in range(fam.level_count())]
 
     def oracle_guess(rin):
-        level = fam.level_of(rin.interval)
-        p = partition_level(fam, level, rin.depth, stride, offset)
-        pins = {j: opt.start[j] for j in _bits(rin.jobs & sum(guessed[level:p]))}
-        yield pins, fam.cells(rin.interval, p)
+        for _, cells in laminar(rin):
+            levels = slice(fam.level_of(rin.interval), fam.level_of(cells[0]))
+            yield {j: opt.start[j] for j in _bits(rin.jobs & sum(guessed[levels]))}, cells
 
     traces: list[CallTrace] = []
     result = solve(inst, fam.T, oracle_guess, fam.level_count(), traces=traces)
@@ -285,13 +277,13 @@ def _merge_margin(name: str, reports) -> AuditReport:
 def level_analysis(inst: Instance, eps):
     """Pad to a power-of-two optimum, solve it exactly and assign levels.
 
-    Returns (padded, opt, fam, assign, offset, bucket): the instance padded
-    to the horizon fam.T, an exact optimal schedule of it, its laminar
-    family and level assignment, and the best offset with the top-job count
-    of its bucket. TooLarge, with the oracle's message, is the one size
-    rule: the oracle raises it when the instance exceeds the exact-search
-    cap, and level_analysis when the padded instance does. Needs at least 2
-    jobs.
+    Returns (padded, opt, assign, offset, bucket): the instance padded to
+    the horizon assign.fam.T, an exact optimal schedule of it, its level
+    assignment on its laminar family (assign.fam), and the best offset with
+    the top-job count of its bucket. TooLarge, with the oracle's message,
+    is the one size rule: the oracle raises it when the instance exceeds
+    the exact-search cap, and level_analysis when the padded instance does.
+    Needs at least 2 jobs.
 
     One search, on the instance itself: opt is its optimal_schedule plus
     the forced dummy slots (pad_schedule), which is optimal_schedule of the
@@ -307,10 +299,9 @@ def level_analysis(inst: Instance, eps):
     if padded.n > EXACT_CAP:
         raise TooLarge(f"n={padded.n} exceeds exact-search cap {EXACT_CAP}")
     opt = pad_schedule(inst, orig, tstar)
-    fam = build_laminar(tstar, padded.n, e)
-    assign = assign_levels(padded, opt, fam, e)
+    assign = assign_levels(padded, opt, build_laminar(tstar, padded.n, e), e)
     offset, bucket = best_offset(assign, padded.m, e)
-    return padded, opt, fam, assign, offset, bucket
+    return padded, opt, assign, offset, bucket
 
 
 def audit_instance(inst: Instance, eps=Fraction(1)) -> dict[str, AuditReport]:
@@ -328,9 +319,9 @@ def audit_instance(inst: Instance, eps=Fraction(1)) -> dict[str, AuditReport]:
     e = check_eps(eps)
     if inst.n < 2:
         raise ValueError(f"need at least 2 jobs to audit, got {inst.n}")
-    padded, opt, fam, assign, a, _ = level_analysis(inst, e)
-    traces, _, _ = run_oracle_pinned(padded, opt, fam, e, a, assign)
-    m = padded.m
+    padded, opt, assign, a, _ = level_analysis(inst, e)
+    traces, _, _ = run_oracle_pinned(padded, opt, e, a, assign)
+    fam, m = assign.fam, padded.m
 
     def top1_windows(tr):
         # The tops the level assignment put in the call's own level range,

@@ -1,11 +1,12 @@
 """Command line entry point: gen, solve, verify, bench, analyze, audit.
 
 Exit codes: 0 success (verify: feasible), 1 infeasible or violations found,
-2 usage or parse errors (a cyclic instance file, an --eps outside (0, 1] or
-too small for a float, an unknown bench algorithm and an unreadable or
-unwritable path included); a file that does not decode or parse is named
-in the message. All randomness is seeded; bench output is byte-identical
-across runs unless --timing is given.
+2 usage or parse errors (a cyclic instance file, an --eps outside (0, 1],
+too small for a float or with a decimal exponent beyond EPS_EXPONENT_MAX,
+an unknown bench algorithm and an unreadable or unwritable path included);
+a file that does not decode or parse is named in the message. All
+randomness is seeded; bench output is byte-identical across runs unless
+--timing is given.
 
 The argument parser is built once per process, on the first main() call,
 and reused by every later call: parse_args returns a fresh Namespace and
@@ -49,6 +50,10 @@ from .textio import (
     parse_schedule,
 )
 
+# The largest decimal exponent (either sign) --eps may carry. The error
+# messages print eps and m/eps, which stay far below the 4300 digits that
+# Python's int-to-text conversion allows by default.
+EPS_EXPONENT_MAX = 1000
 AUDIT_COLUMNS = ("claim", "instance", "population", "violations", "observed", "bound")
 BENCH_ALGS = ("exact", "ls", "cg", "qptas")
 BENCH_COLUMNS = (
@@ -87,8 +92,20 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _parse_eps(value: str) -> Fraction:
-    """--eps as a Fraction in (0, 1]; anything else is a usage error."""
+    """--eps as a Fraction in (0, 1]; anything else is a usage error.
+
+    So is a decimal exponent beyond EPS_EXPONENT_MAX either way, checked
+    before the Fraction is built: Fraction builds 10**|exponent| as an
+    integer, which takes seconds at exponent 10**7 and never ends at 10**9.
+    Any text after an "e" that int() rejects, Fraction rejects too.
+    """
+    _, sep, exponent = value.lower().partition("e")
     try:
+        if sep and abs(int(exponent)) > EPS_EXPONENT_MAX:
+            raise CliError(
+                f"bad eps {value!r}; its exponent must lie in "
+                f"-{EPS_EXPONENT_MAX}..{EPS_EXPONENT_MAX}"
+            )
         eps = Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise CliError(f"bad eps {value!r}; use forms like 1, 1/2, 0.25") from None
@@ -299,13 +316,12 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if args.what != "levels":
-        raise CliError(f"unknown analysis {args.what!r}")
     inst = _read_instance(args.input)
     eps = _parse_eps(args.eps)
     if inst.n < 2:
         raise CliError(f"need at least 2 jobs for the level table, got {inst.n}")
-    padded, _, fam, assign, a, count = level_analysis(inst, eps)
+    padded, _, assign, a, count = level_analysis(inst, eps)
+    fam = assign.fam
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["level", "start", "end", "guess", "top"])

@@ -9,18 +9,19 @@ tuples: LaminarFamily.level_of gives a family interval's level and
 cells(interval, level) the intervals of a deeper level inside it.
 
 Offset a's bucket is the levels a + 1, a + 1 + stride, ... with stride
-m/eps (bucket_levels); best_offset and the shift-bound audit sum tops over
-it. partition_level(fam, level, depth, stride, offset) picks the depth-th
-level of that bucket as the cells of a recursion call on a level-`level`
-interval.
+m/eps (bucket_levels); bucket_tops reads each bucket's top masks, which
+best_offset and the shift-bound audit sum. partition_level(fam, level,
+depth, stride, offset) picks the depth-th level of that bucket as the cells
+of a recursion call on a level-`level` interval.
 
 Jobs are grouped by start window, {(lo, hi): job mask}. pin_windows
 narrows grouped windows by pins, and pinned jobs leave the groups;
 narrowing composes, so a recursion call (qptas) narrows the windows its
 input carries, already narrowed by every ancestor pin, by its own pins
-only. split_by_cells gives each cell the groups whose window lies inside it
-(a child call's windows as they stand) and calls any other window top: the
-solver's split of a call's jobs and assign_levels' split of jobs into
+only. classify gives each cell the groups whose window lies inside it, its
+bottom jobs (a child call's windows as they stand), and calls any other
+window top. It is the one split of jobs by cells: the solver's split of
+every guess's jobs (qptas imports it) and assign_levels' split of jobs into
 levels.
 
 assign_levels replays an optimal schedule against this family and sorts
@@ -242,12 +243,12 @@ def pin_windows(inst: Instance, groups, pins) -> dict:
     return out
 
 
-def split_by_cells(groups, cells):
+def classify(groups, cells):
     """(groups per cell, top groups) from pin_windows' groups.
 
     cells partition a span holding every window. A window inside one cell
-    goes to that cell's groups, any other to the top groups; one bisect per
-    distinct window, not per job.
+    goes to that cell's groups (its bottom jobs), any other to the top
+    groups; one bisect per distinct window, not per job.
     """
     starts = [c[0] for c in cells]
     bottom: dict[tuple[int, int], dict] = {c: {} for c in cells}
@@ -307,12 +308,12 @@ def assign_levels(
     """Sort every job into one guess or top set at one level, as job masks.
 
     Processes levels top-down and intervals left to right. An interval's
-    pool is its cell's groups when pin_windows then split_by_cells split the
+    pool is its cell's groups when pin_windows then classify split the
     unassigned jobs by the level's cells, under pins from strictly earlier
     levels; pins made earlier at its level lie in other cells and leave
     them as they are. Each chain round narrows the groups by that round's
     new pins only (narrowing composes); the interval's flexible jobs are the
-    top when split_by_cells sorts the unguessed pool's groups by its
+    top when classify sorts the unguessed pool's groups by its
     children. At unit leaves every remaining pool member becomes top, which
     is what makes the partition total.
     """
@@ -328,7 +329,7 @@ def assign_levels(
     # empty and pin_windows never raises.
     for level in range(fam.level_count()):
         groups = pin_windows(inst, {(0, T): free}, pinned)
-        pools, _ = split_by_cells(groups, fam.cells((0, T), level))
+        pools, _ = classify(groups, fam.cells((0, T), level))
         thresh = chain_threshold(fam.level_lengths[level], n, m, e)
         guess_row: dict[tuple[int, int], int] = {}
         top_row: dict[tuple[int, int], int] = {}
@@ -345,10 +346,10 @@ def assign_levels(
             # after it, so they leave this cell's windows as they are.
             guessed = 0
             while True:
-                _, tops = split_by_cells(groups, children)
+                _, tops = classify(groups, children)
                 flexible = sum(tops.values())
                 # The chain runs head first, so its optimal slots ascend.
-                chain = longest_chain_path(inst, _bits(flexible))
+                chain = longest_chain_path(inst, flexible)
                 if not chain or len(chain) < thresh:
                     break
                 new = {}
@@ -372,6 +373,21 @@ def assign_levels(
     return out
 
 
+def bucket_tops(assign: LevelAssignment, m: int, eps) -> tuple[int, list[list[int]]]:
+    """(stride, buckets): stride_of(m, eps) and each offset's top masks.
+
+    buckets[a] lists top_at_level over bucket_levels(fam, a, stride), level
+    by level. Offsets from level_count() - 1 on have empty buckets, so the
+    list stops at the first of them, which stands for every later one.
+    """
+    stride = stride_of(m, eps)
+    fam = assign.fam
+    return stride, [
+        [assign.top_at_level(level) for level in bucket_levels(fam, a, stride)]
+        for a in range(min(stride, fam.level_count()))
+    ]
+
+
 def best_offset(assign: LevelAssignment, m: int, eps) -> tuple[int, int]:
     """Offset a in 0..m/eps-1 minimizing the tops on its bucket_levels.
 
@@ -380,18 +396,10 @@ def best_offset(assign: LevelAssignment, m: int, eps) -> tuple[int, int]:
     horizon, when the assignment came from an optimal schedule (n <= m*T).
     Ties pick the smallest offset. m/eps must be a positive integer.
     """
-    stride = stride_of(m, eps)
-    best = None
-    # Offsets from level_count() - 1 on have empty buckets, so the first of
-    # them ties every later one, and the loop stops there.
-    for a in range(min(stride, assign.fam.level_count())):
-        total = sum(
-            assign.top_at_level(level).bit_count()
-            for level in bucket_levels(assign.fam, a, stride)
-        )
-        if best is None or total < best[1]:
-            best = (a, total)
-    return best
+    _, buckets = bucket_tops(assign, m, eps)
+    totals = [sum(tops.bit_count() for tops in bucket) for bucket in buckets]
+    a = min(range(len(totals)), key=totals.__getitem__)
+    return a, totals[a]
 
 
 def analysis_depth_limit(n: int, m: int, eps) -> int:

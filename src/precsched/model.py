@@ -10,12 +10,14 @@ Schedules record start slots only; machine assignment is irrelevant for
 unit jobs because any slot with at most m jobs can be mapped to machines
 arbitrarily.
 
-One memoised chain-depth table serves both chain queries: longest_chain
-takes its maximum, and longest_chain_path walks a deterministic witness
-down it. The table's walk skips the successors of each successor it has
+One memoised chain-depth table, over a job mask, serves both chain
+queries: longest_chain takes its maximum over all jobs, and
+longest_chain_path walks a deterministic witness down it inside the mask
+it is given. The table's walk skips the successors of each successor it has
 visited, which are memoised by then, so it does not visit every closure
 pair. longest_chain_path is the source of the long chains that the level
-assignment (laminar.assign_levels) pins.
+assignment (laminar.assign_levels) pins; it passes its flexible jobs' mask
+as it stands.
 """
 
 from __future__ import annotations
@@ -256,26 +258,18 @@ def validate_schedule(inst: Instance, sched: Schedule) -> ValidationReport:
     )
 
 
-def _chain_depths(inst: Instance, subset) -> tuple[dict[int, int], int]:
-    """(depth, member mask) of subset's jobs; subset=None means all jobs.
+def _chain_depths(inst: Instance, mask: int) -> dict[int, int]:
+    """The chain-depth table of the jobs in mask.
 
     depth[j] is the job count of the longest chain that starts at j and
-    stays inside the member mask. A memoised depth-first search from each
-    member in id order; it recurses once per chain link. Once chain_from(v)
-    returns, every successor of v is memoised and shallower than v, so the
-    walk over j's successors drops succ_masks[v] from what is left. It
-    skips only memo hits: the table, its insertion order and the
-    recursion's nesting are those of a walk over every successor.
+    stays inside mask. A memoised depth-first search from each member in id
+    order; it recurses once per chain link. Once chain_from(v) returns,
+    every successor of v is memoised and shallower than v, so the walk over
+    j's successors drops succ_masks[v] from what is left. It skips only memo
+    hits: the table, its insertion order and the recursion's nesting are
+    those of a walk over every successor. A bit at or above n raises
+    IndexError at its succ_masks lookup.
     """
-    if subset is None:
-        members = range(inst.n)
-        member_mask = (1 << inst.n) - 1
-    else:
-        members = sorted(subset)
-        member_mask = 0
-        for j in members:
-            _check_job(inst, j)
-            member_mask |= 1 << j
     succ_masks = inst.succ_masks
     depth: dict[int, int] = {}
 
@@ -284,7 +278,7 @@ def _chain_depths(inst: Instance, subset) -> tuple[dict[int, int], int]:
         if got is not None:
             return got
         best = 0
-        rest = succ_masks[j] & member_mask
+        rest = succ_masks[j] & mask
         while rest:
             low = rest & -rest
             v = low.bit_length() - 1
@@ -295,34 +289,35 @@ def _chain_depths(inst: Instance, subset) -> tuple[dict[int, int], int]:
         depth[j] = best + 1
         return best + 1
 
-    for j in members:
+    for j in _bits(mask):
         chain_from(j)
-    return depth, member_mask
+    return depth
 
 
-def longest_chain(inst: Instance, subset=None) -> int:
-    """Length (job count) of the longest precedence chain inside subset.
+def longest_chain(inst: Instance) -> int:
+    """Length (job count) of the longest precedence chain of the instance.
 
-    subset=None means all jobs. A chain here is a set of pairwise comparable
-    jobs; with a closed relation that equals a directed path. Unit jobs make
-    this a makespan lower bound: max(ceil(n/m), longest_chain).
+    A chain here is a set of pairwise comparable jobs; with a closed
+    relation that equals a directed path. Unit jobs make this a makespan
+    lower bound: max(ceil(n/m), longest_chain).
     """
-    return max(_chain_depths(inst, subset)[0].values(), default=0)
+    return max(_chain_depths(inst, (1 << inst.n) - 1).values(), default=0)
 
 
-def longest_chain_path(inst: Instance, subset=None) -> list[JobId]:
-    """A longest chain inside subset, head first; [] for an empty subset.
+def longest_chain_path(inst: Instance, mask: int) -> list[JobId]:
+    """A longest chain inside the job mask, head first; [] for an empty mask.
 
     The head is the smallest job of greatest depth, and each next job the
     smallest successor one level shallower, so the witness is deterministic.
+    IndexError for a bit at or above n.
     """
-    depth, member_mask = _chain_depths(inst, subset)
+    depth = _chain_depths(inst, mask)
     best = max(depth.values(), default=0)
     if not best:
         return []
     path = [min(j for j, d in depth.items() if d == best)]
     while depth[path[-1]] > 1:
         below = depth[path[-1]] - 1
-        succ = inst.succ_masks[path[-1]] & member_mask
+        succ = inst.succ_masks[path[-1]] & mask
         path.append(next(v for v in _bits(succ) if depth[v] == below))
     return path

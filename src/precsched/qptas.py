@@ -20,13 +20,14 @@ jobs, their start windows under every ancestor pin, grouped as
 {(lo, hi): job mask}, and the ancestor pins' load per slot of the interval.
 No ancestor's pin is carried down. A call narrows those windows by its own
 pins only (laminar.pin_windows: pinned jobs leave the groups, narrowing
-composes), once per pin set, and laminar.split_by_cells splits the groups
-by cells for every guess that carries those pins: one bisect per distinct
-window. A child's input is its cell's groups and the load inside its cell,
-with no further work. Windows come from masks: model.slot_bounds narrows a
-job's window by only the bits of its predecessor and successor masks that
-are pinned (for a pinned window) or placed (for a top window), so no hot
-loop walks the whole closure; a top starts from its group window and is
+composes), once per pin set, and classify (laminar.classify, imported here)
+splits the groups into bottoms per cell and tops for every guess that
+carries those pins: one bisect per distinct window. A child's input is its
+cell's groups and the load inside its cell, with no further work. Windows
+come from masks: model.slot_bounds narrows a job's window by only the bits
+of its predecessor and successor masks that are pinned (for a pinned
+window) or placed (for a top window), so no hot loop walks the whole
+closure; a top starts from its group window and is
 narrowed by the call's own placements only. The level analysis
 (laminar.assign_levels) sorts jobs with the same two routines. Discards
 only grow once a guess's cells have returned, so a guess whose cells
@@ -46,10 +47,11 @@ RecursionInput -> iterable of (pins, cells), which solve's caller supplies.
 laminar_guesses pins nothing and takes the one partition dictated by the
 interval family and a level offset. exhaustive_guesses enumerates the full
 guess space, which is astronomical, so it is only usable at toy sizes (n
-around 10). The auditors pass a source that pins each call's guessed jobs at
-their optimal slots. Given a trace list, the recursion records one CallTrace
-per non-unit call of the winning guess, built from the sweep's inputs and
-result; the sweep itself has no trace mode.
+around 10). The auditors' source is laminar_guesses plus pins: the same
+cells, with each call's guessed jobs pinned at their optimal slots. Given a
+trace list, the recursion records one CallTrace per non-unit call of the
+winning guess, built from the sweep's inputs and result; the sweep itself
+has no trace mode.
 """
 
 from __future__ import annotations
@@ -62,9 +64,9 @@ from .baselines import _sweep
 from .laminar import (
     EmptyWindow,
     build_laminar,
+    classify,
     partition_level,
     pin_windows,
-    split_by_cells,
     stride_of,
 )
 from .model import (
@@ -158,33 +160,10 @@ def _add_load(load, slots):
     return out
 
 
-def classify(inst, jobs, pinned_new, cells, pinned_old):
-    """Split jobs into bottom-per-cell and top by feasible window.
-
-    Kept only for the tests and perfbench's tracer, which wraps it by name;
-    ROADMAP item 1 deletes it. The unpinned jobs' windows over [0, end) are
-    narrowed by laminar.pin_windows, by pinned_old and then by pinned_new as
-    the recursion narrows them, and laminar.split_by_cells splits them; the
-    masks become frozensets here. Neither jobs nor pinned_new names a job of
-    pinned_old, as in the recursion. A job pinned by pinned_new counts as
-    bottom of the cell holding its slot. Raises EmptyWindow when the pins
-    squeeze some job out entirely.
-    """
-    fixed = _mask(jobs) & _mask(pinned_new)
-    groups = pin_windows(inst, {(0, cells[-1][1]): _mask(jobs) ^ fixed}, pinned_old)
-    groups = pin_windows(inst, groups, pinned_new)
-    for j in _bits(fixed):
-        w = (pinned_new[j], pinned_new[j] + 1)
-        groups[w] = groups.get(w, 0) | 1 << j
-    bottom, top = split_by_cells(groups, cells)
-    bottom = {c: frozenset(_bits(sum(g.values()))) for c, g in bottom.items()}
-    return bottom, frozenset(_bits(sum(top.values())))
-
-
 def windows_for_top(inst, groups, cells, placed):
     """Release/deadline per top job, in job order, snapped outward to cells.
 
-    groups holds the tops by window, {(lo, hi): job mask}, as split_by_cells
+    groups holds the tops by window, {(lo, hi): job mask}, as classify
     returns them; slot_bounds narrows each job's group window by the placed
     jobs only. r is the earliest cell start at or after the narrowed lo, d
     the latest cell end at or before the narrowed hi. When no boundary
@@ -378,7 +357,7 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
                 groups = None
         if groups is None:
             continue
-        bottom, top = split_by_cells(groups, cells)
+        bottom, top = classify(groups, cells)
         calls = None if traces is None else []
         starts = dict(pins)
         disc = 0

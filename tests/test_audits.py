@@ -32,9 +32,9 @@ from precsched.laminar import (
 from precsched.generators import GeneratorSpec, generate, standard_corpus
 from precsched.model import _bits, build_instance
 from precsched.oracle import EXACT_CAP, TooLarge, optimal_makespan, optimal_schedule
-from precsched.qptas import CallTrace, TopWindow, classify, edf_insert, windows_for_top
+from precsched.qptas import CallTrace, TopWindow, edf_insert, windows_for_top
 
-from helpers import pairs
+from helpers import pairs, ref_classify
 
 SQUEEZE_EDGES = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 2), (1, 5), (5, 3)]
 
@@ -103,10 +103,10 @@ def test_level_count_sweep_powers_of_two():
 def test_window_slack_inside_violation_and_precondition():
     inst, opt, fam = _antichain4()
     inside = [TopWindow(j, 0, 4) for j in range(4)]
-    rep = check_window_slack(opt, inside, 2)
+    rep = check_window_slack(opt, inside, 2, {})
     assert (rep.population, rep.violations, rep.worst, rep.bound) == (4, 0, 0.0, 2.0)
     # Slot 0 against window [4, 4) needs slack 4.
-    rep = check_window_slack(opt, [TopWindow(0, 4, 4)], 1)
+    rep = check_window_slack(opt, [TopWindow(0, 4, 4)], 1, {})
     assert (rep.violations, rep.worst) == (1, 4.0)
     with pytest.raises(PreconditionUnmet):
         check_window_slack(opt, inside, 2, pins={1: 3})
@@ -126,7 +126,7 @@ def test_pinned_replay_antichain_trace_frozen():
     inst, opt, fam = _antichain4()
     assign = assign_levels(inst, opt, fam, 1)
     assert best_offset(assign, 1, 1) == (0, 0)
-    traces, starts, disc = run_oracle_pinned(inst, opt, fam, 1, 0, assign)
+    traces, starts, disc = run_oracle_pinned(inst, opt, 1, 0, assign)
     assert starts == {0: 0, 1: 1, 2: 2, 3: 3}
     assert disc == set()
     assert len(traces) == 1
@@ -174,7 +174,7 @@ def test_pinned_replay_squeezed_guesses_everything_reachable():
     assign = assign_levels(inst, opt, fam, 1)
     a, count = best_offset(assign, 2, 1)
     assert (a, count) == (1, 0)
-    traces, starts, disc = run_oracle_pinned(inst, opt, fam, 1, a, assign)
+    traces, starts, disc = run_oracle_pinned(inst, opt, 1, a, assign)
     # Root pins the four guessed jobs; 4 and 5 drop to unit cells.
     assert starts == dict(opt.start)
     assert disc == set()
@@ -236,7 +236,7 @@ def test_pinned_replay_is_complete_and_feasible(case):
     fam = build_laminar(tstar, padded.n, eps)
     assign = assign_levels(padded, opt, fam, eps)
     a, _ = best_offset(assign, padded.m, eps)
-    traces, starts, disc = run_oracle_pinned(padded, opt, fam, eps, a, assign)
+    traces, starts, disc = run_oracle_pinned(padded, opt, eps, a, assign)
 
     assert set(starts) | disc == set(range(padded.n))
     assert not set(starts) & disc
@@ -286,8 +286,8 @@ def test_a_tiny_eps_scans_only_the_family_levels():
     eps = Fraction(1, 10**9)
     shift = audit_instance(inst, eps)["shift-bound"]
     assert (shift.population, shift.violations) == (2 * 10**9, 0)
-    _, _, fam, _, offset, bucket = level_analysis(inst, eps)
-    assert offset < fam.level_count()
+    _, _, assign, offset, bucket = level_analysis(inst, eps)
+    assert offset < assign.fam.level_count()
     assert bucket == shift.worst == 0
 
 
@@ -349,8 +349,9 @@ def _tops_at(assign, levels):
 
 def _reference_replay(inst, opt, fam, eps, offset, assign):
     # The auditors' former hand-kept copy of the solver's recursion: pin the
-    # guessed jobs of levels [level, p) at their optimal slots, classify,
-    # recurse on cells, window the tops and sweep. Traces are field dicts,
+    # guessed jobs of levels [level, p) at their optimal slots, classify
+    # (with helpers.ref_classify, not the package's split), recurse on
+    # cells, window the tops and sweep. Traces are field dicts,
     # children first, with the call's level data (level, partition_level,
     # lam, top1) beside the solver's fields.
     stride = stride_of(inst.m, eps)
@@ -375,7 +376,7 @@ def _reference_replay(inst, opt, fam, eps, offset, assign):
             for (ks, ke), members in assign.guess.get(lvl, {}).items():
                 if ks >= s and ke <= e:
                     new_pins.update((j, opt.start[j]) for j in _bits(members) if j in jobs)
-        bottom, top = classify(inst, jobs, new_pins, cells, pins)
+        bottom, top = ref_classify(inst, jobs, new_pins, cells, pins)
         merged = {**pins, **new_pins}
         starts = dict(new_pins)
         for cell in cells:
@@ -425,7 +426,7 @@ def test_pinned_run_matches_the_replay_reference(case, shift):
     fam = build_laminar(tstar, padded.n, eps)
     assign = assign_levels(padded, opt, fam, eps)
     offset = shift % stride_of(m, eps)
-    traces, starts, disc = run_oracle_pinned(padded, opt, fam, eps, offset, assign)
+    traces, starts, disc = run_oracle_pinned(padded, opt, eps, offset, assign)
     want_traces, want_starts, want_disc = _reference_replay(padded, opt, fam, eps, offset, assign)
     assert starts == want_starts
     assert disc == want_disc

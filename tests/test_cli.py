@@ -485,6 +485,29 @@ def test_eps_too_small_for_a_float_is_a_usage_error(tmp_path, capsys, argv, eps)
         assert not out.exists()
 
 
+@pytest.mark.parametrize("eps", ["1e-1000000000", "1e1000000000", "3e-4300", "1E+4300"])
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--alg", "qptas"], ["bench"], ["analyze", "levels"], ["audit"]],
+    ids=["solve", "bench", "analyze", "audit"],
+)
+def test_eps_with_a_huge_exponent_is_a_usage_error(tmp_path, capsys, argv, eps):
+    # Fraction("1e-1000000000") builds 10**(10**9) and never returns; at
+    # exponent 4300 its value printed in the error message overflowed
+    # Python's int-to-text limit and raised a traceback.
+    corp = _gen_corpus(tmp_path, {"chain-05-m1"})
+    where = corp / "chain-05-m1.inst" if argv[0] in ("solve", "analyze") else corp
+    out = tmp_path / "out"
+    began = time.perf_counter()
+    rc = main([*argv, "--input", str(where), f"--eps={eps}", "--output", str(out)])
+    assert time.perf_counter() - began < 1
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: bad eps {eps!r}; its exponent must lie in -1000..1000\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_laminar_eps_check_does_not_depend_on_the_job_count(tmp_path, capsys, n):
     # m/eps = 4/3 is no integer, and 1e-400 is a float zero; an empty

@@ -9,6 +9,7 @@ from precsched.model import (
     Schedule,
     Violation,
     _chain_depths,
+    _mask,
     build_instance,
     longest_chain,
     longest_chain_path,
@@ -143,9 +144,14 @@ def test_longest_chain_diamond():
     expect = _chains_by_enumeration(4, pairs(inst), range(4))
     assert expect == 3
     assert longest_chain(inst) == 3
-    assert longest_chain(inst, {1, 2}) == 1
-    assert longest_chain(inst, {0, 1, 3}) == 3
-    assert longest_chain(inst, set()) == 0
+    assert len(longest_chain_path(inst, _mask({1, 2}))) == 1
+    assert longest_chain_path(inst, _mask({0, 1, 3})) == [0, 1, 3]
+    assert longest_chain_path(inst, 0) == []
+    # A bit at or above n names no job.
+    with pytest.raises(IndexError):
+        longest_chain_path(inst, _mask({0, 4}))
+    with pytest.raises(IndexError):
+        _chain_depths(inst, 1 << 7)
 
 
 @st.composite
@@ -172,10 +178,10 @@ def test_longest_chain_agrees_with_enumeration(case, rng):
     n, edges = case
     inst = build_instance(n, 2, edges)
     subset = {j for j in range(n) if rng.random() < 0.7}
-    assert longest_chain(inst, subset) == _chains_by_enumeration(n, pairs(inst), subset)
-    path = longest_chain_path(inst, subset)
+    assert longest_chain(inst) == _chains_by_enumeration(n, pairs(inst), range(n))
+    path = longest_chain_path(inst, _mask(subset))
     assert path == _ref_longest_chain(inst, subset)
-    assert len(path) == longest_chain(inst, subset)
+    assert len(path) == _chains_by_enumeration(n, pairs(inst), subset)
     assert all((u, v) in pairs(inst) for u, v in zip(path, path[1:]))
 
 
@@ -208,10 +214,9 @@ def _relabelled_dags(draw, max_n=14):
 
 
 def _assert_chain_table_matches(inst, subset):
-    got, mask = _chain_depths(inst, subset)
-    want, want_mask = ref_chain_depths(inst, subset)
+    got = _chain_depths(inst, (1 << inst.n) - 1 if subset is None else _mask(subset))
+    want, _ = ref_chain_depths(inst, subset)
     assert list(got.items()) == list(want.items())
-    assert mask == want_mask
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from precsched import laminar
 from precsched.baselines import list_schedule
 from precsched.laminar import (
     BadEps,
@@ -15,8 +16,9 @@ from precsched.laminar import (
     default_depth_max,
     pad_to_power_of_two,
     partition_level,
+    pin_windows,
 )
-from precsched.model import Schedule, _mask, build_instance, validate_schedule
+from precsched.model import Schedule, _bits, _mask, build_instance, validate_schedule
 from precsched.oracle import optimal_makespan
 from precsched.qptas import (
     InfeasibleHorizon,
@@ -32,6 +34,8 @@ from precsched.qptas import (
     solve,
     windows_for_top,
 )
+
+from helpers import ref_classify
 
 DIAMOND = [(0, 1), (0, 2), (1, 3), (2, 3)]
 
@@ -54,30 +58,54 @@ def test_guess_sources_and_solve_validate_their_arguments():
         laminar_guesses(inst, 2, 1, offset=-1)
 
 
+def _split(inst, jobs, pins, cells):
+    """(bottom per cell, top) as job sets: pin_windows, then classify.
+
+    Checked against ref_classify on the unpinned jobs, since pinned jobs
+    leave the groups.
+    """
+    groups = pin_windows(inst, {(0, cells[-1][1]): _mask(jobs)}, pins)
+    bottom, top = classify(groups, cells)
+    got = (
+        {c: frozenset(_bits(sum(g.values()))) for c, g in bottom.items()},
+        frozenset(_bits(sum(top.values()))),
+    )
+    assert got == ref_classify(inst, set(jobs) - pins.keys(), pins, cells, {})
+    return got
+
+
+def test_classify_is_the_live_split():
+    assert classify is laminar.classify
+
+
 def test_classify_one_cell_means_all_bottom():
     inst = build_instance(3, 1, [(0, 1), (1, 2)])
-    bottom, top = classify(inst, {0, 1, 2}, {}, [(0, 8)], {})
+    bottom, top = _split(inst, {0, 1, 2}, {}, [(0, 8)])
     assert bottom == {(0, 8): frozenset({0, 1, 2})} and top == frozenset()
 
 
 def test_classify_pin_splits_a_chain():
     inst = build_instance(3, 1, [(0, 1), (1, 2)])
-    bottom, top = classify(inst, {0, 1, 2}, {1: 4}, [(0, 4), (4, 8)], {})
-    assert bottom == {(0, 4): frozenset({0}), (4, 8): frozenset({1, 2})}
+    bottom, top = _split(inst, {0, 1, 2}, {1: 4}, [(0, 4), (4, 8)])
+    # The pinned job leaves the groups; its neighbours fall on either side.
+    assert bottom == {(0, 4): frozenset({0}), (4, 8): frozenset({2})}
     assert top == frozenset()
 
 
 def test_classify_unpinned_diamond_is_all_top():
     inst = build_instance(4, 2, DIAMOND)
-    bottom, top = classify(inst, {0, 1, 2, 3}, {}, [(0, 2), (2, 4)], {})
+    bottom, top = _split(inst, {0, 1, 2, 3}, {}, [(0, 2), (2, 4)])
     assert top == frozenset({0, 1, 2, 3})
     assert all(not v for v in bottom.values())
 
 
 def test_classify_raises_on_squeezed_window():
+    # The squeeze shows in pin_windows, before any split by cells.
     inst = build_instance(3, 1, [(0, 1), (1, 2)])
+    pins = {0: 3, 2: 4}
+    assert ref_classify(inst, {1}, pins, [(0, 4), (4, 8)], {}) is None
     with pytest.raises(EmptyWindow):
-        classify(inst, {1}, {}, [(0, 4), (4, 8)], {0: 3, 2: 4})
+        _split(inst, {1}, pins, [(0, 4), (4, 8)])
 
 
 def test_windows_snap_to_cell_boundaries():

@@ -21,9 +21,9 @@ from helpers import (
     ref_windows_for_top,
 )
 from precsched import qptas
-from precsched.laminar import EmptyWindow, feasible_window, pin_windows
-from precsched.model import build_instance, longest_chain
-from precsched.qptas import _assignments, classify, exhaustive_guesses, solve, windows_for_top
+from precsched.laminar import EmptyWindow, classify, feasible_window, pin_windows
+from precsched.model import _bits, _mask, build_instance, longest_chain
+from precsched.qptas import _assignments, exhaustive_guesses, solve, windows_for_top
 
 
 @st.composite
@@ -90,14 +90,26 @@ def test_classify_matches_the_per_bit_walk(case, data):
     cells = data.draw(_cells(T))
     unpinned = set(range(inst.n)) - pinned_old.keys()
     jobs = set(data.draw(st.lists(st.sampled_from(sorted(unpinned)), unique=True))) if unpinned else set()
-    # New pins may name jobs outside the call's job set; those are ignored.
+    # New pins may name jobs outside the call's job set; they narrow its
+    # windows. Pinned jobs leave the groups, so the split sees the rest.
     pinned_new = data.draw(_slots(unpinned, T))
-    want = ref_classify(inst, jobs, pinned_new, cells, pinned_old)
+    free = jobs - pinned_new.keys()
+    want = ref_classify(inst, free, pinned_new, cells, pinned_old)
+
+    def split():
+        # As the recursion does it: ancestor pins, then the call's own.
+        groups = pin_windows(inst, {(0, T): _mask(free)}, pinned_old)
+        bottom, top = classify(pin_windows(inst, groups, pinned_new), cells)
+        return (
+            {c: frozenset(_bits(sum(g.values()))) for c, g in bottom.items()},
+            frozenset(_bits(sum(top.values()))),
+        )
+
     if want is None:
         with pytest.raises(EmptyWindow):
-            classify(inst, jobs, pinned_new, cells, pinned_old)
+            split()
     else:
-        assert classify(inst, jobs, pinned_new, cells, pinned_old) == want
+        assert split() == want
 
 
 @settings(max_examples=150, deadline=None)
