@@ -8,11 +8,12 @@ audit_instance audits it. run_oracle_pinned runs the solver itself
 (qptas.solve) on the solver's laminar source plus pins: every call takes
 the cells laminar_guesses gives it and pins the jobs the level assignment
 guessed in the call's level range at their slots in an exact optimal
-schedule. The family comes from one place, the level assignment's fam.
-The solver's own per-call traces feed the window and idle auditors, which
-take each call's levels from the family: that of its interval and that of
-its cells. Everything here is desk-scale: it sits on top of the exact
-oracle.
+schedule. The family comes from one place, the level assignment's fam,
+built once per instance by level_analysis; every auditor reads n, m, eps
+and the stride from it. The solver's own per-call traces feed the window
+and idle auditors, which take each call's levels from the family: that of
+its interval and that of its cells. Everything here is desk-scale: it sits
+on top of the exact oracle.
 """
 
 from __future__ import annotations
@@ -82,52 +83,50 @@ def check_unique_level(assign: LevelAssignment) -> AuditReport:
     )
 
 
-def check_shift_bound(assign: LevelAssignment, m: int, eps, T: int) -> AuditReport:
+def check_shift_bound(assign: LevelAssignment) -> AuditReport:
     """Some offset's top buckets hold at most eps*T jobs.
 
-    Buckets for offset a collect the top jobs of its bucket_levels, as
-    bucket_tops reads them. Buckets across offsets must be disjoint (each
-    counted appearance beyond the first is a violation), the job count may
-    not exceed m*T, and the smallest bucket must fit under eps*T. The size
-    comparison is exact. population counts all m/eps offsets, but
-    bucket_tops stops at offset level_count() - 1: its bucket and every
-    later one are empty.
+    m, eps and T are assign.fam's. Buckets for offset a collect the top jobs
+    of its bucket_levels, as bucket_tops reads them. Buckets across offsets
+    must be disjoint (each counted appearance beyond the first is a
+    violation), the job count may not exceed m*T, and the smallest bucket
+    must fit under eps*T. The size comparison is exact. population counts
+    all m/eps offsets, but bucket_tops stops at offset level_count() - 1:
+    its bucket and every later one are empty.
     """
-    e = check_eps(eps)
-    stride, buckets = bucket_tops(assign, m, e)
+    fam = assign.fam
+    e, T = fam.eps, fam.T
     seen: Counter[JobId] = Counter()
     sizes = []
-    for bucket in buckets:
+    for bucket in bucket_tops(assign):
         members = 0
         for tops in bucket:
             members |= tops
             seen.update(_bits(tops))
         sizes.append(members.bit_count())
     violations = sum(c - 1 for c in seen.values() if c > 1)
-    if assign.n > m * T:
+    if assign.n > fam.m * T:
         violations += 1
     smallest = min(sizes)
-    if Fraction(smallest) > e * T:
+    if smallest > e * T:
         violations += 1
     return AuditReport(
         name="shift-bound",
-        population=stride,
+        population=fam.stride,
         violations=violations,
         worst=float(smallest),
         bound=float(e * T),
     )
 
 
-def check_level_count(fam: LaminarFamily, n: int, eps) -> AuditReport:
+def check_level_count(fam: LaminarFamily) -> AuditReport:
     """The deepest level index stays within log2(n)/log2(log2(n)/eps) + 1.
 
-    The divisor can vanish or go negative for tiny n or large eps; the bound
-    is +inf there and the check passes vacuously.
+    n and eps are fam's. The divisor can vanish or go negative for tiny n or
+    large eps; the bound is +inf there and the check passes vacuously.
     """
-    e = check_eps(eps)
-    if n < 2:
-        raise ValueError(f"need at least 2 jobs, got {n}")
-    denom = math.log2(math.log2(n) / float(e)) if math.log2(n) / float(e) > 0 else 0.0
+    n = fam.n
+    denom = math.log2(math.log2(n) / float(fam.eps))
     bound = math.log2(n) / denom + 1 if denom > 0 else math.inf
     worst = float(fam.deepest)
     return AuditReport(
@@ -168,15 +167,15 @@ def check_window_slack(
     )
 
 
-def count_degenerate(windows, m: int, eps, n: int, interval_len: int) -> AuditReport:
+def count_degenerate(windows, fam: LaminarFamily, interval_len: int) -> AuditReport:
     """Degenerate windows among the given ones versus 2*m*eps*|I|/log2(n).
 
-    The caller passes the call's top-1 windows (tops of the call's own level
-    range). Advisory: the bound is an analysis artifact, not a contract.
+    m, eps and n are fam's. The caller passes the call's top-1 windows (tops
+    of the call's own level range). Advisory: the bound is an analysis
+    artifact, not a contract.
     """
-    e = check_eps(eps)
     count = sum(1 for w in windows if w.degenerate)
-    bound = 2 * m * float(e) * interval_len / math.log2(n) if n >= 2 else math.inf
+    bound = 2 * fam.m * float(fam.eps) * interval_len / math.log2(fam.n)
     return AuditReport(
         name="degenerate-count",
         population=len(windows),
@@ -186,17 +185,17 @@ def count_degenerate(windows, m: int, eps, n: int, interval_len: int) -> AuditRe
     )
 
 
-def audit_idle_slots(trace: CallTrace, m: int, eps, n: int) -> AuditReport:
+def audit_idle_slots(trace: CallTrace, fam: LaminarFamily) -> AuditReport:
     """Idle slots while a non-degenerate top is pending, per meta-interval.
 
     A cell is covered when every one of its slots has some live top pending
     (released, not yet finished or discarded). Meta-intervals are maximal
     runs of consecutive covered cells. Within each, slots with load < m are
-    counted against |I_hat| * eps / (m * log2(n)). The report aggregates the
-    call's meta-intervals: worst is the largest count-minus-bound margin,
-    bound 0.0. Advisory.
+    counted against |I_hat| * eps / (m * log2(n)), with m, eps and n fam's.
+    The report aggregates the call's meta-intervals: worst is the largest
+    count-minus-bound margin, bound 0.0. Advisory.
     """
-    e = check_eps(eps)
+    m = fam.m
     live = [w for w in trace.windows if not w.degenerate]
     # An unplaced live top is discarded at its deadline.
     ends = {
@@ -208,7 +207,7 @@ def audit_idle_slots(trace: CallTrace, m: int, eps, n: int) -> AuditReport:
         return any(w.r <= t < ends[w.job] for w in live)
 
     covered = [all(pending(t) for t in range(cs, ce)) for cs, ce in trace.cells]
-    rate = float(e) / (m * math.log2(n)) if n >= 2 else math.inf
+    rate = float(fam.eps) / (m * math.log2(fam.n))
     runs = []
     i = 0
     while i < len(covered):
@@ -233,15 +232,13 @@ def audit_idle_slots(trace: CallTrace, m: int, eps, n: int) -> AuditReport:
     )
 
 
-def run_oracle_pinned(
-    inst: Instance, opt: Schedule, eps, offset: int, assign: LevelAssignment
-):
+def run_oracle_pinned(inst: Instance, opt: Schedule, offset: int, assign: LevelAssignment):
     """Run the solver on the laminar source plus pins at optimal slots.
 
-    Each call takes its one guess's cells from laminar_guesses(inst, T, eps,
-    offset), T the horizon of assign.fam, the family the assignment was
-    made on. It pins its jobs that the level assignment guessed at the
-    levels from fam.level_of(interval) up to, but not including,
+    Each call takes its one guess's cells from laminar_guesses(fam, offset),
+    fam = assign.fam, the family the assignment was made on; no other
+    family is built. It pins its jobs that the level assignment guessed at
+    the levels from fam.level_of(interval) up to, but not including,
     fam.level_of(cells[0]), at their slots in opt. The solver then
     classifies, recurses on bottoms, windows the tops and runs the EDF
     sweep as it always does. Its depth cap is the family's level count,
@@ -249,7 +246,7 @@ def run_oracle_pinned(
     the solver's CallTraces, children first.
     """
     fam = assign.fam
-    laminar = laminar_guesses(inst, fam.T, eps, offset)
+    laminar = laminar_guesses(fam, offset)
     # The level's guess masks; a job has one level, so sums are unions.
     guessed = [sum(assign.guess.get(lvl, {}).values()) for lvl in range(fam.level_count())]
 
@@ -299,8 +296,8 @@ def level_analysis(inst: Instance, eps):
     if padded.n > EXACT_CAP:
         raise TooLarge(f"n={padded.n} exceeds exact-search cap {EXACT_CAP}")
     opt = pad_schedule(inst, orig, tstar)
-    assign = assign_levels(padded, opt, build_laminar(tstar, padded.n, e), e)
-    offset, bucket = best_offset(assign, padded.m, e)
+    assign = assign_levels(padded, opt, build_laminar(tstar, padded.n, padded.m, e))
+    offset, bucket = best_offset(assign)
     return padded, opt, assign, offset, bucket
 
 
@@ -320,8 +317,8 @@ def audit_instance(inst: Instance, eps=Fraction(1)) -> dict[str, AuditReport]:
     if inst.n < 2:
         raise ValueError(f"need at least 2 jobs to audit, got {inst.n}")
     padded, opt, assign, a, _ = level_analysis(inst, e)
-    traces, _, _ = run_oracle_pinned(padded, opt, e, a, assign)
-    fam, m = assign.fam, padded.m
+    traces, _, _ = run_oracle_pinned(padded, opt, a, assign)
+    fam = assign.fam
 
     def top1_windows(tr):
         # The tops the level assignment put in the call's own level range,
@@ -334,7 +331,7 @@ def audit_instance(inst: Instance, eps=Fraction(1)) -> dict[str, AuditReport]:
     # In CSV row order: the claims, then the informational rows.
     reports = {
         "unique-level": check_unique_level(assign),
-        "shift-bound": check_shift_bound(assign, m, e, fam.T),
+        "shift-bound": check_shift_bound(assign),
         "window-slack": _merge_margin(
             "window-slack",
             [
@@ -342,24 +339,24 @@ def audit_instance(inst: Instance, eps=Fraction(1)) -> dict[str, AuditReport]:
                 for tr in traces
             ],
         ),
-        "level-count": check_level_count(fam, padded.n, e),
+        "level-count": check_level_count(fam),
         "degenerate-count": _merge_margin(
             "degenerate-count",
             [
-                count_degenerate(top1_windows(tr), m, e, padded.n, tr.interval[1] - tr.interval[0])
+                count_degenerate(top1_windows(tr), fam, tr.interval[1] - tr.interval[0])
                 for tr in traces
             ],
         ),
         "idle-slots": _merge_margin(
-            "idle-slots", [audit_idle_slots(tr, m, e, padded.n) for tr in traces]
+            "idle-slots", [audit_idle_slots(tr, fam) for tr in traces]
         ),
     }
     # Informational rows: replay depth against the working cap and against
     # the analysis limit. Not part of either claim set.
     deepest = max((tr.depth for tr in traces), default=0)
     for name, limit in (
-        ("recursion-depth", default_depth_max(padded.n, m, e)),
-        ("recursion-depth-analysis", analysis_depth_limit(padded.n, m, e)),
+        ("recursion-depth", default_depth_max(fam)),
+        ("recursion-depth-analysis", analysis_depth_limit(fam)),
     ):
         reports[name] = AuditReport(
             name=name,

@@ -2,11 +2,11 @@
 
 Exit codes: 0 success (verify: feasible), 1 infeasible or violations found,
 2 usage or parse errors (a cyclic instance file, an --eps outside (0, 1],
-too small for a float or with a decimal exponent beyond EPS_EXPONENT_MAX,
-an unknown bench algorithm and an unreadable or unwritable path included);
-a file that does not decode or parse is named in the message. All
-randomness is seeded; bench output is byte-identical across runs unless
---timing is given.
+too small for a float, with a decimal exponent beyond EPS_EXPONENT_MAX or
+with more than EPS_DIGITS_MAX digits before it, an unknown bench algorithm
+and an unreadable or unwritable path included); a file that does not
+decode or parse is named in the message. All randomness is seeded; bench
+output is byte-identical across runs unless --timing is given.
 
 The argument parser is built once per process, on the first main() call,
 and reused by every later call: parse_args returns a fresh Namespace and
@@ -33,11 +33,10 @@ from .generators import KINDS, BadSpec, GeneratorSpec, generate, standard_corpus
 from .laminar import (
     BadEps,
     BadHorizon,
+    build_laminar,
     check_eps,
     default_depth_max,
     pad_to_power_of_two,
-    rho_of,
-    stride_of,
 )
 from .model import CycleError, Instance, Schedule, _bits, longest_chain, validate_schedule
 from .oracle import EXACT_CAP, TooLarge, optimal_makespan, optimal_schedule
@@ -50,10 +49,12 @@ from .textio import (
     parse_schedule,
 )
 
-# The largest decimal exponent (either sign) --eps may carry. The error
-# messages print eps and m/eps, which stay far below the 4300 digits that
-# Python's int-to-text conversion allows by default.
+# The largest decimal exponent (either sign) --eps may carry, and the most
+# digits it may carry before that exponent. Together they keep eps, which
+# the error messages print, far below the 4300 digits that Python's
+# int-to-text conversion allows by default.
 EPS_EXPONENT_MAX = 1000
+EPS_DIGITS_MAX = 1000
 AUDIT_COLUMNS = ("claim", "instance", "population", "violations", "observed", "bound")
 BENCH_ALGS = ("exact", "ls", "cg", "qptas")
 BENCH_COLUMNS = (
@@ -94,18 +95,23 @@ def _write(path: str | None, text: str) -> None:
 def _parse_eps(value: str) -> Fraction:
     """--eps as a Fraction in (0, 1]; anything else is a usage error.
 
-    So is a decimal exponent beyond EPS_EXPONENT_MAX either way, checked
-    before the Fraction is built: Fraction builds 10**|exponent| as an
-    integer, which takes seconds at exponent 10**7 and never ends at 10**9.
-    Any text after an "e" that int() rejects, Fraction rejects too.
+    So are a decimal exponent beyond EPS_EXPONENT_MAX either way and more
+    than EPS_DIGITS_MAX digits before it, both checked before the Fraction
+    is built: Fraction builds 10**|exponent| as an integer, which takes
+    seconds at exponent 10**7 and never ends at 10**9, and a value of 4300
+    digits or more cannot be printed in a message. Any text after an "e"
+    that int() rejects, Fraction rejects too.
     """
-    _, sep, exponent = value.lower().partition("e")
+    mantissa, sep, exponent = value.lower().partition("e")
     try:
         if sep and abs(int(exponent)) > EPS_EXPONENT_MAX:
             raise CliError(
                 f"bad eps {value!r}; its exponent must lie in "
                 f"-{EPS_EXPONENT_MAX}..{EPS_EXPONENT_MAX}"
             )
+        digits = sum(c.isdigit() for c in mantissa)
+        if digits > EPS_DIGITS_MAX:
+            raise CliError(f"bad eps: {digits} digits, over the {EPS_DIGITS_MAX} allowed")
         eps = Fraction(value)
     except (ValueError, ZeroDivisionError):
         raise CliError(f"bad eps {value!r}; use forms like 1, 1/2, 0.25") from None
@@ -165,21 +171,24 @@ def _solve_laminar(
 ) -> tuple[Schedule, int, int]:
     """Laminar qptas at horizon T: (schedule, discards, guesses explored).
 
-    Pads to a power-of-two horizon, solves, repairs the discards and drops
-    the padding jobs; the declared horizon keeps the accounting (the padded
-    horizon plus one slot per discarded job). An empty instance gets an
-    empty schedule at horizon T, once eps has passed the checks every other
-    instance gets: m/eps an integer, and log2(n)/eps a finite float at n
-    clamped to 2 as laminar_guesses clamps it.
+    Builds the laminar family once, for the padded instance with its job
+    count clamped to at least 2, pads to its power-of-two horizon, solves,
+    repairs the discards and drops the padding jobs; the declared horizon
+    keeps the accounting (the padded horizon plus one slot per discarded
+    job). The family is built before the padding, whose m * (T* - T)
+    dummies it counts, so a bad eps is reported before any dummy is made.
+    An empty instance gets an empty schedule at horizon T, once eps has
+    passed the same checks on a 2-job family (build_laminar(1, 2, m, eps)).
     """
-    stride_of(inst.m, eps)
     if inst.n == 0:
-        rho_of(2, eps)
+        build_laminar(1, 2, inst.m, eps)
         return Schedule(start={}, horizon=T), 0, 0
-    padded, tstar = pad_to_power_of_two(inst, T)
+    tstar = 1 << (T - 1).bit_length()
+    fam = build_laminar(tstar, max(inst.n + inst.m * (tstar - T), 2), inst.m, eps)
+    padded, _ = pad_to_power_of_two(inst, T)
     if depth_max is None:
-        depth_max = default_depth_max(padded.n, padded.m, eps)
-    result = solve(padded, tstar, laminar_guesses(padded, tstar, eps), depth_max)
+        depth_max = default_depth_max(fam)
+    result = solve(padded, tstar, laminar_guesses(fam), depth_max)
     sched = insert_discarded(padded, result.schedule, result.discarded)
     trimmed = Schedule(
         start={j: t for j, t in sched.start.items() if j < inst.n},

@@ -8,11 +8,18 @@ number of levels grows like log T / log log n. Intervals are (start, end)
 tuples: LaminarFamily.level_of gives a family interval's level and
 cells(interval, level) the intervals of a deeper level inside it.
 
-Offset a's bucket is the levels a + 1, a + 1 + stride, ... with stride
-m/eps (bucket_levels); bucket_tops reads each bucket's top masks, which
+build_laminar(T, n, m, eps) is the one place the scheme's parameters are
+checked: eps in (0, 1], m/eps a positive integer, T a power of two, n >= 2
+and rho a finite float. The family carries n, m, the checked eps and the
+stride m/eps, and every helper below that needs them (partition_level,
+bucket_levels, chain_threshold, the depth bounds, the auditors) reads them
+from the family instead of taking and re-checking them.
+
+Offset a's bucket is the levels a + 1, a + 1 + stride, ...
+(bucket_levels); bucket_tops reads each bucket's top masks, which
 best_offset and the shift-bound audit sum. partition_level(fam, level,
-depth, stride, offset) picks the depth-th level of that bucket as the cells
-of a recursion call on a level-`level` interval.
+depth, offset) picks the depth-th level of that bucket as the cells of a
+recursion call on a level-`level` interval.
 
 Jobs are grouped by start window, {(lo, hi): job mask}. pin_windows
 narrows grouped windows by pins, and pinned jobs leave the groups;
@@ -70,10 +77,18 @@ def check_eps(eps) -> Fraction:
 class LaminarFamily:
     """Uniform laminar subdivision of [0, T); all intervals of a level share a length.
 
-    Intervals are (start, end) tuples; level 0 is the root (0, T).
+    Intervals are (start, end) tuples; level 0 is the root (0, T). The
+    family also carries the parameters build_laminar checked and every
+    helper reads from it: the job count n (at least 2), the machine count m,
+    the accuracy eps (a Fraction in (0, 1]), the offset stride m/eps (a
+    positive integer) and the split exponent rho.
     """
 
     T: int
+    n: int
+    m: int
+    eps: Fraction
+    stride: int
     rho: int
     level_lengths: tuple[int, ...]
 
@@ -105,68 +120,51 @@ class LaminarFamily:
         return [(s, s + length) for s in range(interval[0], interval[1], length)]
 
 
-def stride_of(m: int, eps) -> int:
-    """Level stride m/eps of the offset buckets; must be a positive integer."""
-    e = check_eps(eps)
-    q, r = divmod(m * e.denominator, e.numerator)
-    if r or q < 1:
-        raise BadEps(f"m/eps must be a positive integer, got {Fraction(m) / e}")
-    return q
-
-
-def bucket_levels(fam: LaminarFamily, offset: int, stride: int) -> range:
-    """Levels offset + 1, offset + 1 + stride, ... of fam: offset's bucket.
+def bucket_levels(fam: LaminarFamily, offset: int) -> range:
+    """Levels offset + 1, offset + 1 + fam.stride, ... of fam: offset's bucket.
 
     The buckets of offsets 0..stride-1 are disjoint and cover every level
     >= 1.
     """
-    return range(offset + 1, fam.level_count(), stride)
+    return range(offset + 1, fam.level_count(), fam.stride)
 
 
-def partition_level(
-    fam: LaminarFamily, level: int, depth: int, stride: int, offset: int = 0
-) -> int:
+def partition_level(fam: LaminarFamily, level: int, depth: int, offset: int = 0) -> int:
     """Level of the cells of a depth-`depth` call on a level-`level` interval.
 
-    offset + depth * stride + 1, the depth-th level of offset's bucket (see
-    bucket_levels; stride is stride_of(m, eps)), capped at the deepest level
-    and kept at least one level below `level` so every call splits its
-    interval.
+    offset + depth * fam.stride + 1, the depth-th level of offset's bucket
+    (see bucket_levels), capped at the deepest level and kept at least one
+    level below `level` so every call splits its interval.
     """
-    return max(min(offset + depth * stride + 1, fam.deepest), level + 1)
+    return max(min(offset + depth * fam.stride + 1, fam.deepest), level + 1)
 
 
-def rho_of(n: int, eps) -> int:
-    """Split exponent rho = ceil(log2(log2(n)/eps)) for n >= 2 jobs, at least 1.
+def build_laminar(T: int, n: int, m: int, eps) -> LaminarFamily:
+    """Build the family over [0, T) for an n-job, m-machine instance at accuracy eps.
 
-    The clamp keeps splitting making progress (at n = 2, eps = 1 the raw
-    formula gives 0). An eps so small that log2(n)/eps is no finite float
-    raises BadEps.
+    Checks, in this order: eps in (0, 1]; m/eps a positive integer, the
+    stride; T a power of two (pad_to_power_of_two arranges that); n >= 2.
+    rho = ceil(log2(log2(n)/eps)), at least 1 so that splitting makes
+    progress (at n = 2, eps = 1 the raw formula gives 0); an eps so small
+    that log2(n)/eps is no finite float raises BadEps.
     """
     e = check_eps(eps)
+    stride, r = divmod(m * e.denominator, e.numerator)
+    if r or stride < 1:
+        raise BadEps(f"m/eps must be a positive integer, got m = {m}, eps = {e}")
+    if T < 1 or T & (T - 1):
+        raise BadHorizon(f"T must be a positive power of two, got {T}")
     if n < 2:
         raise ValueError(f"need at least 2 jobs for the level machinery, got {n}")
     try:
-        return max(1, math.ceil(math.log2(math.log2(n) / float(e))))
+        rho = max(1, math.ceil(math.log2(math.log2(n) / float(e))))
     except (OverflowError, ZeroDivisionError):
         raise BadEps("eps is too small: log2(n)/eps overflows a float") from None
-
-
-def build_laminar(T: int, n: int, eps) -> LaminarFamily:
-    """Build the family over [0, T) for an n-job instance at accuracy eps.
-
-    T must be a power of two (pad_to_power_of_two arranges that), n >= 2;
-    rho is rho_of(n, eps).
-    """
-    check_eps(eps)
-    if T < 1 or T & (T - 1):
-        raise BadHorizon(f"T must be a positive power of two, got {T}")
-    rho = rho_of(n, eps)
     lengths = [T]
     while lengths[-1] > 1:
         cur = lengths[-1]
         lengths.append(cur // (1 << rho) if cur >= 1 << rho else 1)
-    return LaminarFamily(T=T, rho=rho, level_lengths=tuple(lengths))
+    return LaminarFamily(T, n, m, e, stride, rho, tuple(lengths))
 
 
 def pad_to_power_of_two(inst: Instance, T: int) -> tuple[Instance, int]:
@@ -292,21 +290,17 @@ class LevelAssignment:
         return acc
 
 
-def chain_threshold(I_len: int, n: int, m: int, eps) -> Fraction:
+def chain_threshold(fam: LaminarFamily, I_len: int) -> Fraction:
     """Minimum chain length that triggers guessing inside an interval."""
-    e = check_eps(eps)
+    n = fam.n
     scale = 1 << math.ceil(math.log2(math.log2(n))) if n > 2 else 1
-    return e * I_len / (m * scale)
+    return fam.eps * I_len / (fam.m * scale)
 
 
-def assign_levels(
-    inst: Instance,
-    opt: Schedule,
-    fam: LaminarFamily,
-    eps,
-) -> LevelAssignment:
+def assign_levels(inst: Instance, opt: Schedule, fam: LaminarFamily) -> LevelAssignment:
     """Sort every job into one guess or top set at one level, as job masks.
 
+    fam is inst's family: its n, m and eps set the chain thresholds.
     Processes levels top-down and intervals left to right. An interval's
     pool is its cell's groups when pin_windows then classify split the
     unassigned jobs by the level's cells, under pins from strictly earlier
@@ -317,8 +311,7 @@ def assign_levels(
     children. At unit leaves every remaining pool member becomes top, which
     is what makes the partition total.
     """
-    e = check_eps(eps)
-    n, m, T = inst.n, inst.m, fam.T
+    n, T = inst.n, fam.T
     if opt.makespan() > T or any(j not in opt.start for j in range(n)):
         raise ValueError("opt must be complete with makespan <= T")
     slot = opt.start
@@ -330,7 +323,7 @@ def assign_levels(
     for level in range(fam.level_count()):
         groups = pin_windows(inst, {(0, T): free}, pinned)
         pools, _ = classify(groups, fam.cells((0, T), level))
-        thresh = chain_threshold(fam.level_lengths[level], n, m, e)
+        thresh = chain_threshold(fam, fam.level_lengths[level])
         guess_row: dict[tuple[int, int], int] = {}
         top_row: dict[tuple[int, int], int] = {}
         for node, groups in pools.items():
@@ -373,49 +366,42 @@ def assign_levels(
     return out
 
 
-def bucket_tops(assign: LevelAssignment, m: int, eps) -> tuple[int, list[list[int]]]:
-    """(stride, buckets): stride_of(m, eps) and each offset's top masks.
+def bucket_tops(assign: LevelAssignment) -> list[list[int]]:
+    """Each offset's top masks: buckets[a] lists top_at_level over bucket_levels.
 
-    buckets[a] lists top_at_level over bucket_levels(fam, a, stride), level
-    by level. Offsets from level_count() - 1 on have empty buckets, so the
-    list stops at the first of them, which stands for every later one.
+    bucket_levels(assign.fam, a), level by level. Offsets from
+    level_count() - 1 on have empty buckets, so the list stops at the first
+    of them, which stands for every later one.
     """
-    stride = stride_of(m, eps)
     fam = assign.fam
-    return stride, [
-        [assign.top_at_level(level) for level in bucket_levels(fam, a, stride)]
-        for a in range(min(stride, fam.level_count()))
+    return [
+        [assign.top_at_level(level) for level in bucket_levels(fam, a)]
+        for a in range(min(fam.stride, fam.level_count()))
     ]
 
 
-def best_offset(assign: LevelAssignment, m: int, eps) -> tuple[int, int]:
+def best_offset(assign: LevelAssignment) -> tuple[int, int]:
     """Offset a in 0..m/eps-1 minimizing the tops on its bucket_levels.
 
     Those bucket unions are disjoint across offsets and cover all levels
     >= 1, so the smallest bucket holds at most eps*T jobs, T the family's
     horizon, when the assignment came from an optimal schedule (n <= m*T).
-    Ties pick the smallest offset. m/eps must be a positive integer.
+    Ties pick the smallest offset.
     """
-    _, buckets = bucket_tops(assign, m, eps)
-    totals = [sum(tops.bit_count() for tops in bucket) for bucket in buckets]
+    totals = [sum(tops.bit_count() for tops in bucket) for bucket in bucket_tops(assign)]
     a = min(range(len(totals)), key=totals.__getitem__)
     return a, totals[a]
 
 
-def analysis_depth_limit(n: int, m: int, eps) -> int:
+def analysis_depth_limit(fam: LaminarFamily) -> int:
     """Recursion depth bound ceil(eps * (log2 n / log2 log2 n + 1) / m)."""
-    e = check_eps(eps)
+    n = fam.n
     if n <= 2:
         return 1
     inner = math.log2(math.log2(n))
-    if inner <= 0:
-        return 1
-    return max(1, math.ceil(float(e) * (math.log2(n) / inner + 1) / m))
+    return max(1, math.ceil(float(fam.eps) * (math.log2(n) / inner + 1) / fam.m))
 
 
-def default_depth_max(n: int, m: int, eps) -> int:
+def default_depth_max(fam: LaminarFamily) -> int:
     """Default recursion cap ceil((eps/m) * log2 n) + 1."""
-    e = check_eps(eps)
-    if n < 2:
-        return 1
-    return math.ceil(float(e) / m * math.log2(n)) + 1
+    return math.ceil(float(fam.eps) / fam.m * math.log2(fam.n)) + 1

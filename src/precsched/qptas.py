@@ -44,14 +44,15 @@ records no trace; a root of horizon 1 is settled by the same helper.
 
 The recursion (_recurse) takes its guesses from a guess source, a callable
 RecursionInput -> iterable of (pins, cells), which solve's caller supplies.
-laminar_guesses pins nothing and takes the one partition dictated by the
-interval family and a level offset. exhaustive_guesses enumerates the full
-guess space, which is astronomical, so it is only usable at toy sizes (n
-around 10). The auditors' source is laminar_guesses plus pins: the same
-cells, with each call's guessed jobs pinned at their optimal slots. Given a
-trace list, the recursion records one CallTrace per non-unit call of the
-winning guess, built from the sweep's inputs and result; the sweep itself
-has no trace mode.
+laminar_guesses(fam, offset) pins nothing and takes the one partition
+dictated by a checked interval family (laminar.build_laminar, which the
+caller runs once per solve) and a level offset. exhaustive_guesses
+enumerates the full guess space, which is astronomical, so it is only
+usable at toy sizes (n around 10). The auditors' source is
+laminar_guesses plus pins: the same cells, with each call's guessed jobs
+pinned at their optimal slots. Given a trace list, the recursion records
+one CallTrace per non-unit call of the winning guess, built from the
+sweep's inputs and result; the sweep itself has no trace mode.
 """
 
 from __future__ import annotations
@@ -61,14 +62,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .baselines import _sweep
-from .laminar import (
-    EmptyWindow,
-    build_laminar,
-    classify,
-    partition_level,
-    pin_windows,
-    stride_of,
-)
+from .laminar import EmptyWindow, classify, partition_level, pin_windows
 from .model import (
     Instance,
     JobId,
@@ -274,22 +268,19 @@ def _partitions(s, e, cells_cap):
             yield [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
 
 
-def laminar_guesses(inst, T, eps, offset=0):
-    """Guess source that pins nothing and takes the family's cells.
+def laminar_guesses(fam, offset=0):
+    """Guess source that pins nothing and takes the cells of the family fam.
 
-    Each call gets one guess: no pins, the cells of the interval family at
-    the call's partition level (see partition_level), whose level is
-    shifted by offset. Builds the family once; T must be a power of two (see
-    pad_to_power_of_two) and m/eps a positive integer, and both are checked
-    here, before any search.
+    Each call gets one guess: no pins, the cells of fam at the call's
+    partition level (see partition_level), whose level is shifted by
+    offset. build_laminar has checked fam's parameters, so only offset is
+    checked here, before any search.
     """
     if offset < 0:
         raise ValueError(f"offset must be >= 0, got {offset}")
-    stride = stride_of(inst.m, eps)
-    fam = build_laminar(T, max(inst.n, 2), eps)
 
     def guesses(rin):
-        level = partition_level(fam, fam.level_of(rin.interval), rin.depth, stride, offset)
+        level = partition_level(fam, fam.level_of(rin.interval), rin.depth, offset)
         yield {}, fam.cells(rin.interval, level)
 
     return guesses

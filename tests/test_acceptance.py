@@ -17,7 +17,7 @@ from precsched.audits import ADVISORY_CLAIMS, CONTRACTUAL_CLAIMS, audit_instance
 from precsched.baselines import coffman_graham_schedule, list_schedule
 from precsched.cli import main
 from precsched.generators import GeneratorSpec, generate, standard_corpus
-from precsched.laminar import default_depth_max, pad_to_power_of_two
+from precsched.laminar import build_laminar, default_depth_max, pad_to_power_of_two
 from precsched.model import build_instance, validate_schedule
 from precsched.oracle import EXACT_CAP, optimal_makespan
 from precsched.qptas import exhaustive_guesses, insert_discarded, laminar_guesses, solve
@@ -122,8 +122,9 @@ def test_criterion_5_feasibility_and_accounting(capsys):
         if inst.n <= 9:
             runs.append(("exhaustive", inst, OPT[cid], exhaustive_guesses(inst, inst.n), 1))
         padded, tstar = pad_to_power_of_two(inst, OPT[cid])
-        laminar = laminar_guesses(padded, tstar, Fraction(1))
-        for depth_max in (1, default_depth_max(padded.n, padded.m, 1)):
+        fam = build_laminar(tstar, max(padded.n, 2), padded.m, Fraction(1))
+        laminar = laminar_guesses(fam)
+        for depth_max in (1, default_depth_max(fam)):
             runs.append(("laminar", padded, tstar, laminar, depth_max))
         for mode, target, T, guesses, depth_max in runs:
             result = solve(target, T, guesses, depth_max)

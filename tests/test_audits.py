@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from precsched import audits, laminar, qptas
 from precsched.audits import (
     ADVISORY_CLAIMS,
     CONTRACTUAL_CLAIMS,
@@ -27,7 +28,6 @@ from precsched.laminar import (
     bucket_levels,
     build_laminar,
     pad_to_power_of_two,
-    stride_of,
 )
 from precsched.generators import GeneratorSpec, generate, standard_corpus
 from precsched.model import _bits, build_instance
@@ -42,13 +42,13 @@ SQUEEZE_EDGES = [(0, 1), (1, 2), (2, 3), (0, 4), (4, 2), (1, 5), (5, 3)]
 def _antichain4():
     inst = build_instance(4, 1, [])
     opt = optimal_schedule(inst)
-    fam = build_laminar(4, 4, 1)
+    fam = build_laminar(4, 4, 1, 1)
     return inst, opt, fam
 
 
 def test_unique_level_clean_and_duplicated():
     inst, opt, fam = _antichain4()
-    assign = assign_levels(inst, opt, fam, 1)
+    assign = assign_levels(inst, opt, fam)
     rep = check_unique_level(assign)
     assert (rep.population, rep.violations, rep.worst, rep.bound) == (4, 0, 1.0, 1.0)
     # Corrupt the assignment: job 0 gains a second membership.
@@ -60,32 +60,38 @@ def test_unique_level_clean_and_duplicated():
 
 def test_shift_bound_clean_on_squeezed_instance():
     inst = build_instance(6, 2, SQUEEZE_EDGES)
-    assign = assign_levels(inst, optimal_schedule(inst), build_laminar(4, 6, 1), 1)
-    rep = check_shift_bound(assign, 2, 1, 4)
+    assign = assign_levels(inst, optimal_schedule(inst), build_laminar(4, 6, 2, 1))
+    rep = check_shift_bound(assign)
     assert (rep.population, rep.violations, rep.worst, rep.bound) == (2, 0, 0.0, 4.0)
 
 
 def test_shift_bound_flags_overlapping_buckets():
     inst, opt, fam = _antichain4()
-    assign = assign_levels(inst, opt, fam, 1)
+    assign = assign_levels(inst, opt, fam)
     # Job 0 planted in the level-1 and level-2 buckets of the same offset.
     assign.top[1] = {(0, 2): 1 << 0}
     assign.top[2] = {(0, 1): 1 << 0}
-    assert check_shift_bound(assign, 1, 1, 4).violations == 1
+    assert check_shift_bound(assign).violations == 1
 
 
 def test_shift_bound_flags_overfull_horizon():
-    inst, opt, fam = _antichain4()
-    assign = assign_levels(inst, opt, fam, 1)
-    # 4 jobs cannot fit one machine for 2 slots.
-    assert check_shift_bound(assign, 1, 1, 2).violations == 1
+    # 4 jobs cannot fit one machine for 2 slots: two machines run them in 2,
+    # but the family the assignment is read against has m = 1.
+    inst = build_instance(4, 2, [])
+    fam = build_laminar(2, 4, 1, 1)
+    assign = assign_levels(inst, optimal_schedule(inst), fam)
+    rep = check_shift_bound(assign)
+    assert (rep.violations, rep.worst, rep.bound) == (1, 0.0, 2.0)
+    # Read against the instance's own two machines, nothing overflows.
+    two = build_laminar(2, 4, 2, 1)
+    assert check_shift_bound(assign_levels(inst, optimal_schedule(inst), two)).violations == 0
 
 
 def test_level_count_frozen_and_vacuous():
-    rep = check_level_count(build_laminar(16, 16, 1), 16, 1)
+    rep = check_level_count(build_laminar(16, 16, 1, 1))
     assert (rep.population, rep.violations, rep.worst, rep.bound) == (3, 0, 2.0, 3.0)
     # log2(log2 2 / 1) = 0: the bound degenerates to +inf.
-    rep = check_level_count(build_laminar(1, 2, 1), 2, 1)
+    rep = check_level_count(build_laminar(1, 2, 1, 1))
     assert rep.violations == 0
     assert rep.bound == float("inf")
 
@@ -96,8 +102,8 @@ def test_level_count_sweep_powers_of_two():
         for m in (1, 2, 4):
             for eps in (Fraction(1), Fraction(1, 2)):
                 n = T * m
-                fam = build_laminar(T, n, eps)
-                assert check_level_count(fam, n, eps).violations == 0, (T, m, eps)
+                fam = build_laminar(T, n, m, eps)
+                assert check_level_count(fam).violations == 0, (T, m, eps)
 
 
 def test_window_slack_inside_violation_and_precondition():
@@ -118,15 +124,15 @@ def test_forced_degenerate_window_is_counted():
     # Predecessor placed at 1 and successor at 2 leave no boundary gap.
     windows = windows_for_top(tri, {(0, 4): 1 << 1}, cells, {0: 1, 2: 2})
     assert [(w.job, w.r, w.d, w.degenerate) for w in windows] == [(1, 2, 2, True)]
-    rep = count_degenerate(windows, 1, 1, 4, 4)
+    rep = count_degenerate(windows, build_laminar(4, 4, 1, 1), 4)
     assert (rep.population, rep.violations, rep.worst, rep.bound) == (1, 0, 1.0, 4.0)
 
 
 def test_pinned_replay_antichain_trace_frozen():
     inst, opt, fam = _antichain4()
-    assign = assign_levels(inst, opt, fam, 1)
-    assert best_offset(assign, 1, 1) == (0, 0)
-    traces, starts, disc = run_oracle_pinned(inst, opt, 1, 0, assign)
+    assign = assign_levels(inst, opt, fam)
+    assert best_offset(assign) == (0, 0)
+    traces, starts, disc = run_oracle_pinned(inst, opt, 0, assign)
     assert starts == {0: 0, 1: 1, 2: 2, 3: 3}
     assert disc == set()
     assert len(traces) == 1
@@ -143,7 +149,7 @@ def test_pinned_replay_antichain_trace_frozen():
     assert tr.placed_tops == {0: 0, 1: 1, 2: 2, 3: 3}
     assert tr.loads == {0: 1, 1: 1, 2: 1, 3: 1}
 
-    idle = audit_idle_slots(tr, 1, 1, 4)
+    idle = audit_idle_slots(tr, fam)
     # One meta-interval spanning [0, 4); loads never dip below m = 1.
     assert (idle.population, idle.violations, idle.worst) == (1, 0, -2.0)
     slack = check_window_slack(opt, tr.windows, 2, tr.pins)
@@ -162,7 +168,7 @@ def test_idle_slots_keep_a_discarded_top_pending_until_its_deadline():
         placed_tops={},
         loads={0: 1, 1: 1, 2: 0, 3: 0},
     )
-    idle = audit_idle_slots(tr, 1, 1, 4)
+    idle = audit_idle_slots(tr, build_laminar(4, 4, 1, 1))
     # One meta-interval [0, 2) with no idle slot, against a bound of 2 * 1/2.
     assert (idle.population, idle.violations, idle.worst) == (1, 0, -1.0)
 
@@ -170,11 +176,11 @@ def test_idle_slots_keep_a_discarded_top_pending_until_its_deadline():
 def test_pinned_replay_squeezed_guesses_everything_reachable():
     inst = build_instance(6, 2, SQUEEZE_EDGES)
     opt = optimal_schedule(inst)
-    fam = build_laminar(4, 6, 1)
-    assign = assign_levels(inst, opt, fam, 1)
-    a, count = best_offset(assign, 2, 1)
+    fam = build_laminar(4, 6, 2, 1)
+    assign = assign_levels(inst, opt, fam)
+    a, count = best_offset(assign)
     assert (a, count) == (1, 0)
-    traces, starts, disc = run_oracle_pinned(inst, opt, 1, a, assign)
+    traces, starts, disc = run_oracle_pinned(inst, opt, a, assign)
     # Root pins the four guessed jobs; 4 and 5 drop to unit cells.
     assert starts == dict(opt.start)
     assert disc == set()
@@ -216,6 +222,36 @@ def test_audit_instance_rejects_tiny_instances():
         audit_instance(build_instance(1, 1, []))
 
 
+def test_audit_instance_builds_one_family(monkeypatch):
+    # level_analysis builds the family; the pinned run takes its cells from
+    # that same family (assign.fam) instead of building another.
+    families, sources, assigns = [], [], []
+
+    def recording(log, fn, keep):
+        def wrapper(*args):
+            result = fn(*args)
+            log.append(keep(args, result))
+            return result
+
+        return wrapper
+
+    for mod in (audits, laminar, qptas):
+        if hasattr(mod, "build_laminar"):
+            monkeypatch.setattr(
+                mod, "build_laminar", recording(families, mod.build_laminar, lambda a, r: r)
+            )
+    monkeypatch.setattr(
+        audits, "laminar_guesses", recording(sources, audits.laminar_guesses, lambda a, r: a[0])
+    )
+    monkeypatch.setattr(
+        audits, "run_oracle_pinned", recording(assigns, audits.run_oracle_pinned, lambda a, r: a[-1])
+    )
+    audit_instance(dict(standard_corpus())["layered-06-m2"], Fraction(1, 2))
+    assert len(families) == 1
+    assert len(assigns) == len(sources) == 1
+    assert sources[0] is assigns[0].fam is families[0]
+
+
 @st.composite
 def _audit_cases(draw):
     n = draw(st.integers(min_value=2, max_value=6))
@@ -233,10 +269,10 @@ def test_pinned_replay_is_complete_and_feasible(case):
     inst = build_instance(n, m, edges)
     padded, tstar = pad_to_power_of_two(inst, optimal_makespan(inst))
     opt = optimal_schedule(padded)
-    fam = build_laminar(tstar, padded.n, eps)
-    assign = assign_levels(padded, opt, fam, eps)
-    a, _ = best_offset(assign, padded.m, eps)
-    traces, starts, disc = run_oracle_pinned(padded, opt, eps, a, assign)
+    fam = build_laminar(tstar, padded.n, padded.m, eps)
+    assign = assign_levels(padded, opt, fam)
+    a, _ = best_offset(assign)
+    traces, starts, disc = run_oracle_pinned(padded, opt, a, assign)
 
     assert set(starts) | disc == set(range(padded.n))
     assert not set(starts) & disc
@@ -267,16 +303,17 @@ def test_offset_scans_agree_with_a_scan_of_every_offset(case, eps):
     n, edges, m, _ = case
     inst = build_instance(n, m, edges)
     padded, tstar = pad_to_power_of_two(inst, optimal_makespan(inst))
-    fam = build_laminar(tstar, padded.n, eps)
-    assign = assign_levels(padded, optimal_schedule(padded), fam, eps)
-    stride = stride_of(m, eps)
+    fam = build_laminar(tstar, padded.n, m, eps)
+    assign = assign_levels(padded, optimal_schedule(padded), fam)
+    stride = fam.stride
+    assert stride == m / eps
     sizes = [
-        sum(assign.top_at_level(level).bit_count() for level in bucket_levels(fam, a, stride))
+        sum(assign.top_at_level(level).bit_count() for level in bucket_levels(fam, a))
         for a in range(stride)
     ]
     want = min(range(stride), key=sizes.__getitem__)
-    assert best_offset(assign, m, eps) == (want, sizes[want])
-    rep = check_shift_bound(assign, m, eps, tstar)
+    assert best_offset(assign) == (want, sizes[want])
+    rep = check_shift_bound(assign)
     assert (rep.population, rep.violations, rep.worst) == (stride, 0, float(sizes[want]))
 
 
@@ -354,7 +391,7 @@ def _reference_replay(inst, opt, fam, eps, offset, assign):
     # cells, window the tops and sweep. Traces are field dicts,
     # children first, with the call's level data (level, partition_level,
     # lam, top1) beside the solver's fields.
-    stride = stride_of(inst.m, eps)
+    stride = int(inst.m / Fraction(eps))
     traces, discarded = [], set()
 
     def call(interval, jobs, pins, depth):
@@ -423,10 +460,10 @@ def test_pinned_run_matches_the_replay_reference(case, shift):
     inst = build_instance(n, m, edges)
     padded, tstar = pad_to_power_of_two(inst, optimal_makespan(inst))
     opt = optimal_schedule(padded)
-    fam = build_laminar(tstar, padded.n, eps)
-    assign = assign_levels(padded, opt, fam, eps)
-    offset = shift % stride_of(m, eps)
-    traces, starts, disc = run_oracle_pinned(padded, opt, eps, offset, assign)
+    fam = build_laminar(tstar, padded.n, m, eps)
+    assign = assign_levels(padded, opt, fam)
+    offset = shift % fam.stride
+    traces, starts, disc = run_oracle_pinned(padded, opt, offset, assign)
     want_traces, want_starts, want_disc = _reference_replay(padded, opt, fam, eps, offset, assign)
     assert starts == want_starts
     assert disc == want_disc

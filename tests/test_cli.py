@@ -508,6 +508,59 @@ def test_eps_with_a_huge_exponent_is_a_usage_error(tmp_path, capsys, argv, eps):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eps", ["0." + "1" * 4300, "1" * 4300 + "." + "1" * 4300],
+                         ids=["below-1", "above-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "--alg", "qptas"], ["bench"], ["analyze", "levels"], ["audit"]],
+    ids=["solve", "bench", "analyze", "audit"],
+)
+def test_eps_with_a_long_mantissa_is_a_usage_error(tmp_path, capsys, argv, eps):
+    # Such an eps has a denominator or numerator of 4301 digits, which the
+    # error messages could not print: solve and analyze raised a ValueError
+    # traceback, bench put that ValueError's text in the qptas error cell,
+    # and audit skipped every instance with it.
+    corp = _gen_corpus(tmp_path, {"layered-16-m2"})
+    where = corp / "layered-16-m2.inst" if argv[0] in ("solve", "analyze") else corp
+    out = tmp_path / "out"
+    began = time.perf_counter()
+    rc = main([*argv, "--input", str(where), f"--eps={eps}", "--output", str(out)])
+    assert time.perf_counter() - began < 1
+    assert rc == 2
+    digits = sum(c.isdigit() for c in eps)
+    assert capsys.readouterr().err == f"error: bad eps: {digits} digits, over the 1000 allowed\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["solve", "--alg", "qptas"], ["bench"]], ids=["solve", "bench"])
+def test_a_huge_machine_count_with_a_bad_stride_is_reported(tmp_path, capsys, argv):
+    # m/eps for a 4299-digit m at eps 0.07 is a fraction of 4301 digits; its
+    # message used to print it and raised a ValueError instead. The message
+    # names m and eps, and the family is checked before the 3-chain is
+    # padded with m chains of dummies.
+    big = "9" * 4299
+    corp = tmp_path / "corpus"
+    corp.mkdir()
+    inst = corp / "big-m.inst"
+    inst.write_text(f"jobs 3\nmachines {big}\nedge 0 1\nedge 1 2\n")
+    out = tmp_path / "out"
+    where = inst if argv[0] == "solve" else corp
+    began = time.perf_counter()
+    rc = main([*argv, "--input", str(where), "--eps", "0.07", "--output", str(out)])
+    assert time.perf_counter() - began < 1
+    message = f"m/eps must be a positive integer, got m = {big}, eps = 7/100"
+    err = capsys.readouterr().err
+    if argv[0] == "solve":
+        assert rc == 2
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+    else:
+        assert rc == 0 and err == ""
+        rows = {r["algorithm"]: r for r in csv.DictReader(out.read_text().splitlines())}
+        assert rows["qptas"]["error"] == message
+        assert (rows["ls"]["makespan"], rows["ls"]["error"]) == ("3", "")
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_laminar_eps_check_does_not_depend_on_the_job_count(tmp_path, capsys, n):
     # m/eps = 4/3 is no integer, and 1e-400 is a float zero; an empty

@@ -1,5 +1,6 @@
 """Laminar family construction, padding, windows, and level assignment."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -49,7 +50,7 @@ def memberships(assign, j):
 
 
 def test_family_sixteen_jobs_eps_one():
-    fam = build_laminar(16, 16, 1)
+    fam = build_laminar(16, 16, 1, 1)
     assert fam.rho == 2
     assert fam.level_lengths == (16, 4, 1)
     assert fam.level_count() == 3
@@ -69,13 +70,13 @@ def test_family_sixteen_jobs_eps_one():
 
 
 def test_family_halving_eps_deepens_the_split():
-    fam = build_laminar(16, 16, Fraction(1, 2))
+    fam = build_laminar(16, 16, 1, Fraction(1, 2))
     assert fam.rho == 3
     assert fam.level_lengths == (16, 2, 1)
 
 
 def test_family_unit_horizon_is_a_single_leaf():
-    fam = build_laminar(1, 2, 1)
+    fam = build_laminar(1, 2, 1, 1)
     assert fam.level_lengths == (1,)
     assert fam.deepest == 0
     assert fam.cells((0, 1), 0) == [(0, 1)]
@@ -91,7 +92,7 @@ def test_family_unit_horizon_is_a_single_leaf():
 )
 def test_family_levels_are_laminar(log_t, n, eps):
     T = 1 << log_t
-    fam = build_laminar(T, n, eps)
+    fam = build_laminar(T, n, 1, eps)
     root = (0, T)
     assert fam.level_of(root) == 0
     prev = [root]
@@ -111,14 +112,34 @@ def test_family_levels_are_laminar(log_t, n, eps):
 
 def test_family_rejects_bad_inputs():
     with pytest.raises(BadHorizon):
-        build_laminar(12, 8, 1)
+        build_laminar(12, 8, 1, 1)
     with pytest.raises(BadHorizon):
-        build_laminar(0, 8, 1)
+        build_laminar(0, 8, 1, 1)
     with pytest.raises(ValueError):
-        build_laminar(8, 1, 1)
+        build_laminar(8, 1, 1, 1)
     for eps in (0, 2, -1, Fraction(3, 2)):
         with pytest.raises(BadEps):
             check_eps(eps)
+        with pytest.raises(BadEps):
+            build_laminar(8, 8, 1, eps)
+    # eps is checked first, then m/eps, then T, then n and rho.
+    with pytest.raises(BadEps, match="eps must be in"):
+        build_laminar(12, 1, 3, 2)
+    with pytest.raises(BadEps, match="m/eps must be a positive integer, got m = 2, eps = 3/4"):
+        build_laminar(12, 1, 2, Fraction(3, 4))
+    with pytest.raises(BadHorizon):
+        build_laminar(12, 1, 3, Fraction(3, 4))
+    with pytest.raises(ValueError, match="at least 2 jobs"):
+        build_laminar(8, 1, 3, Fraction(1, 10**400))
+    with pytest.raises(BadEps, match="too small"):
+        build_laminar(8, 2, 3, Fraction(1, 10**400))
+
+
+def test_family_carries_its_checked_parameters():
+    fam = build_laminar(16, 16, 3, "1/2")
+    assert (fam.T, fam.n, fam.m, fam.eps, fam.stride) == (16, 16, 3, Fraction(1, 2), 6)
+    assert type(fam.eps) is Fraction
+    assert build_laminar(4, 3, 2, 1).stride == 2
 
 
 def test_padding_five_chain_on_three_machines():
@@ -202,8 +223,8 @@ def test_feasible_window_between_pinned_neighbors():
 def test_assign_levels_sixteen_chain_guesses_everything():
     inst = build_instance(16, 1, [(i, i + 1) for i in range(15)])
     opt = Schedule({j: j for j in range(16)}, 16)
-    fam = build_laminar(16, 16, 1)
-    assign = assign_levels(inst, opt, fam, 1)
+    fam = build_laminar(16, 16, 1, 1)
+    assign = assign_levels(inst, opt, fam)
     guess = as_sets(assign.guess)
     assert guess[0] == {(0, 16): frozenset({0, 3, 4, 7, 8, 11, 12, 15})}
     assert guess[1] == {
@@ -224,37 +245,43 @@ def test_assign_levels_squeezed_jobs_become_leaf_tops():
     inst = build_instance(6, 2, edges)
     opt = optimal_schedule(inst)
     assert opt.start == {0: 0, 1: 1, 2: 2, 3: 3, 4: 1, 5: 2}
-    fam = build_laminar(4, 6, 1)
+    fam = build_laminar(4, 6, 2, 1)
     assert fam.level_lengths == (4, 1)
-    assign = assign_levels(inst, opt, fam, 1)
+    assign = assign_levels(inst, opt, fam)
     assert assign.guess == {0: {(0, 4): 0b1111}}
     assert assign.top == {1: {(1, 2): 1 << 4, (2, 3): 1 << 5}}
     assert memberships(assign, 4) == [("top", 1, (1, 2))]
-    assert best_offset(assign, 2, 1) == (1, 0)
-    assert best_offset(assign, 1, 1) == (0, 2)
+    assert best_offset(assign) == (1, 0)
+    # The same assignment read with stride m/eps = 1: one bucket, both tops.
+    one = build_laminar(4, 6, 1, 1)
+    assert one.level_lengths == fam.level_lengths
+    assert best_offset(replace(assign, fam=one)) == (0, 2)
 
 
 def test_best_offset_requires_integer_stride():
+    # An assignment's stride is its family's, and no family has m/eps = 3/2.
     inst = build_instance(2, 1, [(0, 1)])
-    fam = build_laminar(2, 2, 1)
-    assign = assign_levels(inst, Schedule({0: 0, 1: 1}, 2), fam, 1)
+    fam = build_laminar(2, 2, 1, 1)
+    assign = assign_levels(inst, Schedule({0: 0, 1: 1}, 2), fam)
+    assert best_offset(assign) == (0, 0)
     with pytest.raises(BadEps):
-        best_offset(assign, 1, Fraction(2, 3))
+        build_laminar(2, 2, 1, Fraction(2, 3))
 
 
 def test_chain_threshold_is_exact():
-    assert chain_threshold(16, 16, 1, 1) == Fraction(4)
-    assert chain_threshold(16, 16, 4, 1) == Fraction(1)
-    assert chain_threshold(4, 6, 2, 1) == Fraction(1, 2)
-    assert chain_threshold(5, 16, 3, Fraction(1, 3)) == Fraction(5, 36)
+    assert chain_threshold(build_laminar(16, 16, 1, 1), 16) == Fraction(4)
+    assert chain_threshold(build_laminar(16, 16, 4, 1), 16) == Fraction(1)
+    assert chain_threshold(build_laminar(4, 6, 2, 1), 4) == Fraction(1, 2)
+    assert chain_threshold(build_laminar(16, 16, 3, Fraction(1, 3)), 5) == Fraction(5, 36)
 
 
 def test_analysis_parameter_helpers():
-    assert default_depth_max(16, 1, 1) == 5
-    assert default_depth_max(16, 4, 1) == 2
-    assert analysis_depth_limit(16, 1, 1) == 3
-    assert analysis_depth_limit(65536, 2, 1) == 3
-    assert analysis_depth_limit(2, 1, 1) == 1
+    assert default_depth_max(build_laminar(1, 16, 1, 1)) == 5
+    assert default_depth_max(build_laminar(1, 16, 4, 1)) == 2
+    assert default_depth_max(build_laminar(1, 2, 1, 1)) == 2
+    assert analysis_depth_limit(build_laminar(1, 16, 1, 1)) == 3
+    assert analysis_depth_limit(build_laminar(1, 65536, 2, 1)) == 3
+    assert analysis_depth_limit(build_laminar(1, 2, 1, 1)) == 1
 
 
 @st.composite
@@ -275,8 +302,8 @@ def test_assignment_partitions_jobs_once_each(case):
     opt_len = optimal_makespan(inst)
     padded, tstar = pad_to_power_of_two(inst, opt_len)
     opt = optimal_schedule(padded)
-    fam = build_laminar(tstar, padded.n, eps)
-    assign = assign_levels(padded, opt, fam, eps)
+    fam = build_laminar(tstar, padded.n, m, eps)
+    assign = assign_levels(padded, opt, fam)
 
     for j in range(padded.n):
         entries = memberships(assign, j)
@@ -285,8 +312,9 @@ def test_assignment_partitions_jobs_once_each(case):
         # The optimal slot always sits inside the owning interval.
         assert lo <= opt.start[j] < hi
 
-    a, count = best_offset(assign, m, eps)
+    a, count = best_offset(assign)
     stride = int(Fraction(m) / Fraction(eps))
+    assert fam.stride == stride
     assert 0 <= a < stride
     manual = sum(
         assign.top_at_level(level).bit_count()
@@ -324,8 +352,8 @@ def test_assign_levels_matches_the_per_pin_reference(inst, eps):
     # Long chains at m = 3 pad past the oracle's cap.
     assume(padded.n <= EXACT_CAP)
     opt = optimal_schedule(padded)
-    fam = build_laminar(tstar, padded.n, eps)
-    assign = assign_levels(padded, opt, fam, eps)
+    fam = build_laminar(tstar, padded.n, padded.m, eps)
+    assign = assign_levels(padded, opt, fam)
     assert (as_sets(assign.guess), as_sets(assign.top)) == ref_assign_levels(padded, opt, fam, eps)
 
 
@@ -338,6 +366,6 @@ def test_assign_levels_matches_the_per_pin_reference_beyond_the_oracle_cap(inst,
     sched = coffman_graham_schedule(inst) if cg else list_schedule(inst, range(inst.n))
     padded, tstar = pad_to_power_of_two(inst, sched.horizon)
     opt = pad_schedule(inst, sched, tstar)
-    fam = build_laminar(tstar, padded.n, eps)
-    assign = assign_levels(padded, opt, fam, eps)
+    fam = build_laminar(tstar, padded.n, padded.m, eps)
+    assign = assign_levels(padded, opt, fam)
     assert (as_sets(assign.guess), as_sets(assign.top)) == ref_assign_levels(padded, opt, fam, eps)

@@ -53,9 +53,9 @@ def test_guess_sources_and_solve_validate_their_arguments():
     with pytest.raises(ValueError):
         solve(inst, 2, exhaustive_guesses(inst, 0), 0)
     with pytest.raises(BadEps):
-        laminar_guesses(inst, 2, 0)
+        build_laminar(2, 2, 1, 0)
     with pytest.raises(ValueError):
-        laminar_guesses(inst, 2, 1, offset=-1)
+        laminar_guesses(build_laminar(2, 2, 1, 1), offset=-1)
 
 
 def _split(inst, jobs, pins, cells):
@@ -347,15 +347,16 @@ def test_enumeration_count_matches_the_forced_example():
 def test_enumeration_laminar_k0_yields_one_guess():
     inst = build_instance(4, 1, [(i, i + 1) for i in range(3)])
     rin = RecursionInput((0, 4), _mask(range(4)), {(0, 4): _mask(range(4))}, {}, 0)
-    got = list(laminar_guesses(inst, 4, 1)(rin))
+    got = list(laminar_guesses(build_laminar(4, 4, 1, 1))(rin))
     assert got == [({}, [(0, 2), (2, 4)])]
 
 
 def test_partition_level_gives_the_cell_length_per_depth():
-    fam = build_laminar(16, 16, 1)
+    fam = build_laminar(16, 16, 1, 1)
+    assert fam.stride == 1
 
     def cell_length(depth):
-        return fam.level_lengths[partition_level(fam, 0, depth, 1)]
+        return fam.level_lengths[partition_level(fam, 0, depth)]
 
     assert [cell_length(d) for d in (0, 1, 5)] == [4, 1, 1]
 
@@ -380,7 +381,7 @@ def test_solve_exhaustive_chain_plus_free_jobs():
 
 def test_solve_laminar_antichain_all_top():
     inst = build_instance(8, 2, [])
-    res = solve(inst, 4, laminar_guesses(inst, 4, 1), 2)
+    res = solve(inst, 4, laminar_guesses(build_laminar(4, 8, 2, 1)), 2)
     assert res.discarded == frozenset()
     assert res.schedule.start == {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
     assert res.stats.guesses_explored == 1
@@ -388,7 +389,7 @@ def test_solve_laminar_antichain_all_top():
 
 def test_solve_laminar_chain_rides_the_edf():
     inst = build_instance(4, 1, [(i, i + 1) for i in range(3)])
-    res = solve(inst, 4, laminar_guesses(inst, 4, 1), 2)
+    res = solve(inst, 4, laminar_guesses(build_laminar(4, 4, 1, 1)), 2)
     assert res.discarded == frozenset()
     assert res.schedule.start == {0: 0, 1: 1, 2: 2, 3: 3}
 
@@ -405,13 +406,14 @@ def test_solve_depth_cap_discards_the_call():
 
 def test_solve_single_job_unit_horizon():
     inst = build_instance(1, 1, [])
-    res = solve(inst, 1, laminar_guesses(inst, 1, 1), 1)
+    # The family's job count is clamped to 2, as the CLI clamps it.
+    res = solve(inst, 1, laminar_guesses(build_laminar(1, 2, 1, 1)), 1)
     assert res.schedule.start == {0: 0} and res.discarded == frozenset()
 
 
 def test_solve_empty_instance():
     inst = build_instance(0, 2, [])
-    res = solve(inst, 4, laminar_guesses(inst, 4, 1), 1)
+    res = solve(inst, 4, laminar_guesses(build_laminar(4, 2, 2, 1)), 1)
     assert res.schedule.start == {} and res.schedule.horizon == 4
 
 
@@ -422,15 +424,13 @@ def test_solve_horizon_below_chain_bound():
 
 
 def test_solve_laminar_rejects_ragged_horizons():
-    inst = build_instance(3, 2, [])
     with pytest.raises(BadHorizon):
-        laminar_guesses(inst, 3, 1)
+        build_laminar(3, 3, 2, 1)
 
 
 def test_solve_laminar_needs_integer_stride():
-    inst = build_instance(3, 1, [])
     with pytest.raises(BadEps):
-        laminar_guesses(inst, 4, Fraction(2, 3))
+        build_laminar(4, 3, 1, Fraction(2, 3))
 
 
 def test_insert_discarded_noop():
@@ -497,9 +497,10 @@ def test_laminar_solve_plus_repair_is_always_complete(case):
     inst = build_instance(n, m, edges)
     T = optimal_makespan(inst)
     padded, tstar = pad_to_power_of_two(inst, T)
-    depth_max = default_depth_max(padded.n, m, 1)
-    res = solve(padded, tstar, laminar_guesses(padded, tstar, 1), depth_max)
-    again = solve(padded, tstar, laminar_guesses(padded, tstar, 1), depth_max)
+    fam = build_laminar(tstar, max(padded.n, 2), m, 1)
+    depth_max = default_depth_max(fam)
+    res = solve(padded, tstar, laminar_guesses(fam), depth_max)
+    again = solve(padded, tstar, laminar_guesses(fam), depth_max)
     assert (res.schedule.start, res.discarded) == (again.schedule.start, again.discarded)
     full = insert_discarded(padded, res.schedule, res.discarded)
     report = validate_schedule(padded, full)
@@ -515,9 +516,10 @@ def test_tracing_leaves_the_solve_result_unchanged(case, k_max, slack):
     inst = build_instance(n, m, edges)
     T = optimal_makespan(inst)
     padded, tstar = pad_to_power_of_two(inst, T)
+    fam = build_laminar(tstar, max(padded.n, 2), m, 1)
     runs = [
         (inst, T + slack, exhaustive_guesses(inst, min(k_max, n)), 2),
-        (padded, tstar, laminar_guesses(padded, tstar, 1), default_depth_max(padded.n, m, 1)),
+        (padded, tstar, laminar_guesses(fam), default_depth_max(fam)),
     ]
     for target, horizon, guesses, depth_max in runs:
         traces = []
