@@ -184,6 +184,24 @@ def build_instance(n: int, m: int, edges) -> Instance:
     return Instance(n, m, tuple(anc), tuple(desc), tuple(cover))
 
 
+def reverse(inst: Instance) -> Instance:
+    """The time-reversed instance: every precedence edge points the other way.
+
+    Slot t of a schedule of inst is slot T - 1 - t of a schedule of the
+    reversal, so the two share their optimum and their longest chain. The
+    predecessor and successor masks swap, and the cover is transposed in
+    one pass over its edges.
+    """
+    cover = [0] * inst.n
+    for u, mask in enumerate(inst.cover_masks):
+        bit = 1 << u
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            cover[low.bit_length() - 1] |= bit
+    return Instance(inst.n, inst.m, inst.succ_masks, inst.pred_masks, tuple(cover))
+
+
 @dataclass
 class Schedule:
     """Start slots for (a subset of) jobs within a declared horizon.

@@ -1,4 +1,15 @@
-"""Exact makespan oracle for desk-scale instances.
+"""Exact makespan oracle for desk-scale instances, and a certificate before it.
+
+A polynomial certificate answers first where it can. lower_bound is Hu's
+height bound, taken on the instance and on its time reversal: with height(j)
+the job count of the longest chain starting at j, a job of height k or more
+has k - 1 jobs after it in a chain, so in a schedule of makespan C all such
+jobs run in the first C - k + 1 slots, and C >= k - 1 + ceil(|{j :
+height(j) >= k}| / m) for every k. A schedule whose makespan meets that
+bound is optimal, so certified_optimum tries list scheduling in id order,
+then Coffman-Graham, and returns the first that meets it, or None.
+optimal_makespan and optimal_schedule are the search alone: they never
+consult the certificate, so the baselines can be judged against them.
 
 Search space: order ideals (downward-closed job sets) of the precedence
 order, encoded as bitmasks. A schedule prefix that has run for t slots is
@@ -52,7 +63,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .model import Instance, Schedule, _bits
+from .baselines import coffman_graham_schedule, list_schedule
+from .model import Instance, Schedule, _bits, _chain_depths, reverse
 
 EXACT_CAP = 24
 
@@ -203,3 +215,38 @@ def optimal_schedule(inst: Instance, cap: int = EXACT_CAP) -> Schedule:
         for j in _bits(path[t + 1] ^ path[t]):
             start[j] = t
     return Schedule(start=start, horizon=horizon)
+
+
+def _height_bound(inst: Instance) -> int:
+    """Hu's height bound: max over k of k - 1 + ceil(|{j : height(j) >= k}| / m).
+
+    With heights in decreasing order, the i-th job (from 1) of height h
+    gives h - 1 + ceil(i/m), and the last job of each height gives that
+    height's term. Integer ceilings only, so no machine count overflows a
+    float; 0 at n = 0.
+    """
+    heights = sorted(_chain_depths(inst, (1 << inst.n) - 1).values(), reverse=True)
+    return max((h - 1 - (-i // inst.m) for i, h in enumerate(heights, 1)), default=0)
+
+
+def lower_bound(inst: Instance) -> int:
+    """The larger of the height bounds of inst and of its time reversal.
+
+    At least max(ceil(n/m), longest chain) and at most the optimum.
+    """
+    return max(_height_bound(inst), _height_bound(reverse(inst)))
+
+
+def certified_optimum(inst: Instance) -> Schedule | None:
+    """A baseline schedule that meets lower_bound, hence optimal; else None.
+
+    List scheduling in id order is tried first, Coffman-Graham only when it
+    misses. There is no job cap: the bound is two chain tables, and each
+    baseline one slot sweep.
+    """
+    bound = lower_bound(inst)
+    sched = list_schedule(inst, range(inst.n))
+    if sched.makespan() == bound:
+        return sched
+    sched = coffman_graham_schedule(inst)
+    return sched if sched.makespan() == bound else None

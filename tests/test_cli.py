@@ -15,7 +15,7 @@ from precsched.baselines import list_schedule
 from precsched.cli import main
 from precsched.generators import GeneratorSpec, generate, standard_corpus
 from precsched.model import Schedule, build_instance, longest_chain
-from precsched.oracle import TooLarge
+from precsched.oracle import TooLarge, certified_optimum, lower_bound, optimal_makespan
 from precsched.textio import emit_instance, emit_schedule, parse_instance, parse_schedule
 
 
@@ -262,8 +262,12 @@ def test_bench_deterministic_and_sound(tmp_path):
 
 
 def _count_oracle_calls(monkeypatch):
-    """Wrap cli's oracle names; returns (searches, refusals) keyed by (name, n)."""
-    searches, refusals = Counter(), Counter()
+    """Wrap cli's oracle names; returns (calls, refusals) keyed by (name, n).
+
+    "certificate" counts the certificate's calls, "makespan" and "schedule"
+    the two searches.
+    """
+    calls, refusals = Counter(), Counter()
 
     def counted(name, fn):
         def wrapper(inst, *args, **kwargs):
@@ -272,35 +276,71 @@ def _count_oracle_calls(monkeypatch):
             except cli.TooLarge:
                 refusals[name, inst.n] += 1
                 raise
-            searches[name, inst.n] += 1
+            calls[name, inst.n] += 1
             return result
 
         return wrapper
 
+    monkeypatch.setattr(cli, "certified_optimum", counted("certificate", cli.certified_optimum))
     monkeypatch.setattr(cli, "optimal_makespan", counted("makespan", cli.optimal_makespan))
     monkeypatch.setattr(cli, "optimal_schedule", counted("schedule", cli.optimal_schedule))
-    return searches, refusals
+    return calls, refusals
+
+
+def _gen_uncertified(path):
+    """The complete 5x5 layered instance at m = 4: lower bound 3, optimum 4."""
+    argv = ["gen", "--kind", "layered", "--n", "10", "--m", "4", "--layers", "2",
+            "--width", "5", "--edge-prob", "1.0", "--output", str(path)]
+    assert main(argv) == 0
+    inst = parse_instance(path.read_text())
+    assert (lower_bound(inst), certified_optimum(inst), optimal_makespan(inst)) == (3, None, 4)
 
 
 def test_bench_searches_each_optimum_once(tmp_path, monkeypatch):
-    # SMALL has one instance per size, so n names the instance.
+    # Each instance has its own size, so n names it. SMALL's optima are
+    # certified; full-10-m4's is not, so it alone is searched.
     corp = _gen_corpus(tmp_path, SMALL)
+    _gen_uncertified(corp / "full-10-m4.inst")
     (corp / "wide-30-m4.inst").write_text(emit_instance(build_instance(30, 4, [])))
-    searches, refusals = _count_oracle_calls(monkeypatch)
+    calls, refusals = _count_oracle_calls(monkeypatch)
     out = tmp_path / "b.csv"
     assert main(["bench", "--input", str(corp), "--alg", "exact,ls,cg,qptas", "--output", str(out)]) == 0
-    sizes = sorted(int(cid.split("-")[1]) for cid in SMALL)
-    assert sorted(searches.elements()) == sorted(
-        (name, n) for n in sizes for name in ("makespan", "schedule")
+    sizes = sorted(int(cid.split("-")[1]) for cid in SMALL) + [10]
+    # One certificate per instance below the cap, one makespan search for
+    # the uncertified optimum only, and one schedule search per exact row.
+    assert sorted(calls.elements()) == sorted(
+        [(name, n) for n in sizes for name in ("certificate", "schedule")] + [("makespan", 10)]
     )
     # Above the cap the exact row is refused before any search, and nothing
-    # else asks the oracle.
+    # else asks the oracle or the certificate.
     assert refusals == Counter({("schedule", 30): 1})
     reader = csv.DictReader(out.read_text().splitlines())
     rows = {(r["instance"], r["algorithm"]): r for r in reader}
     assert "exceeds exact-search cap" in rows["wide-30-m4", "exact"]["error"]
     assert rows["wide-30-m4", "qptas"]["error"] == ""
     assert rows["wide-30-m4", "qptas"]["opt"] == ""
+    for alg in ("exact", "ls", "cg", "qptas"):
+        assert (rows["full-10-m4", alg]["opt"], rows["full-10-m4", alg]["error"]) == ("4", "")
+    assert rows["full-10-m4", "exact"]["makespan"] == "4"
+
+
+def test_auto_horizon_searches_only_uncertified_optima(tmp_path, monkeypatch):
+    corp = _gen_corpus(tmp_path, {"layered-06-m2"})
+    _gen_uncertified(tmp_path / "full-10-m4.inst")
+    calls, _ = _count_oracle_calls(monkeypatch)
+    horizons = []
+    real = cli._solve_laminar
+
+    def solve_laminar(inst, T, *args):
+        horizons.append(T)
+        return real(inst, T, *args)
+
+    monkeypatch.setattr(cli, "_solve_laminar", solve_laminar)
+    for path in (corp / "layered-06-m2.inst", tmp_path / "full-10-m4.inst"):
+        argv = ["solve", "--input", str(path), "--alg", "qptas", "--output", str(tmp_path / "s")]
+        assert main(argv) == 0
+    assert horizons == [3, 4]
+    assert calls == Counter({("certificate", 6): 1, ("certificate", 10): 1, ("makespan", 10): 1})
 
 
 def test_bench_exact_row_reports_its_own_schedule(tmp_path, monkeypatch):
@@ -329,22 +369,28 @@ def test_bench_timing_fills_column(tmp_path):
 
 
 def test_bench_timing_charges_opt_search_to_qptas_row(tmp_path, monkeypatch):
-    # qptas's auto horizon is the shared optimum, so its row pays for the
-    # search; rows that do not use it do not.
-    real = cli.optimal_makespan
+    # qptas's auto horizon is the shared optimum, so its row pays for finding
+    # it, by certificate (chain-05-m1) or by search (full-10-m4); rows that
+    # do not use it do not.
+    def slowed(fn):
+        def slow(inst, *a, **kw):
+            time.sleep(0.2)
+            return fn(inst, *a, **kw)
 
-    def slow(inst, *a, **kw):
-        time.sleep(0.2)
-        return real(inst, *a, **kw)
+        return slow
 
-    monkeypatch.setattr(cli, "optimal_makespan", slow)
-    corp = _gen_corpus(tmp_path, {"chain-05-m1"})
-    out = tmp_path / "b.csv"
-    argv = ["bench", "--input", str(corp), "--alg", "ls,qptas", "--timing", "--output", str(out)]
-    assert main(argv) == 0
-    reader = csv.DictReader(out.read_text().splitlines())
-    wall = {r["algorithm"]: float(r["wall_ms"]) for r in reader}
-    assert wall["qptas"] >= 200 > wall["ls"]
+    (tmp_path / "full").mkdir()
+    _gen_uncertified(tmp_path / "full" / "full-10-m4.inst")
+    for name, corp in (("certified_optimum", _gen_corpus(tmp_path, {"chain-05-m1"})),
+                       ("optimal_makespan", tmp_path / "full")):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, name, slowed(getattr(cli, name)))
+            out = tmp_path / "b.csv"
+            argv = ["bench", "--input", str(corp), "--alg", "ls,qptas", "--timing", "--output", str(out)]
+            assert main(argv) == 0
+        reader = csv.DictReader(out.read_text().splitlines())
+        wall = {r["algorithm"]: float(r["wall_ms"]) for r in reader}
+        assert wall["qptas"] >= 200 > wall["ls"], name
 
 
 def test_bench_empty_dir_exits_2(tmp_path, capsys):
@@ -651,7 +697,7 @@ def test_unknown_bench_algorithm_exits_2(tmp_path, capsys, monkeypatch, algs):
     # The names are checked before any instance is solved; they used to
     # become an `unknown algorithm` error in each row, with exit 0.
     corp = _gen_corpus(tmp_path, {"chain-05-m1"})
-    for name in ("optimal_makespan", "list_schedule"):
+    for name in ("certified_optimum", "optimal_makespan", "list_schedule"):
         monkeypatch.setattr(cli, name, lambda *a: pytest.fail("bench solved an instance"))
     out = tmp_path / "bench.csv"
     assert main(["bench", "--input", str(corp), "--alg", algs, "--output", str(out)]) == 2

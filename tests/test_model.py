@@ -14,9 +14,11 @@ from precsched.model import (
     longest_chain,
     longest_chain_path,
     predecessors,
+    reverse,
     successors,
     validate_schedule,
 )
+from precsched.oracle import optimal_makespan
 
 from helpers import (
     _ref_longest_chain,
@@ -254,3 +256,23 @@ def test_cover_masks_are_the_transitive_reduction(case):
     assert stored_cover(inst) == cover_pairs(pairs(inst))
     # The cover is a function of the relation, whatever edge list made it.
     assert build_instance(n, 2, sorted(stored_cover(inst))) == inst
+
+
+@settings(max_examples=150, deadline=None)
+@given(_redundant_edge_lists(), st.integers(min_value=1, max_value=4))
+def test_reverse_is_the_instance_of_the_reversed_edges(case, m):
+    n, edges = case
+    inst = build_instance(n, m, edges)
+    back = reverse(inst)
+    # Equality compares all three mask tuples, the cover included.
+    assert back == build_instance(n, m, [(v, u) for u, v in edges])
+    assert reverse(back) == inst
+
+
+@settings(max_examples=100, deadline=None)
+@given(_relabelled_dags(max_n=12))
+def test_chain_and_optimum_are_invariant_under_reversal(inst):
+    # Slot t of a schedule becomes slot T - 1 - t of the reversed one.
+    back = reverse(inst)
+    assert longest_chain(back) == longest_chain(inst)
+    assert optimal_makespan(back) == optimal_makespan(inst)

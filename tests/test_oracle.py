@@ -10,9 +10,12 @@ from precsched.laminar import pad_to_power_of_two
 from precsched.model import Schedule, build_instance, longest_chain, validate_schedule
 from precsched.oracle import (
     TooLarge,
+    _height_bound,
     _levels,
     _step_tables,
     _steps,
+    certified_optimum,
+    lower_bound,
     optimal_makespan,
     optimal_schedule,
 )
@@ -317,3 +320,43 @@ def test_four_tables_match_the_reference_above_the_cap(spec):
         assert optimal_makespan(case, cap=case.n) == _reference_makespan(case)
         got, ref = optimal_schedule(case, cap=case.n), _reference_schedule(case)
         assert (got.start, got.horizon) == (ref.start, ref.horizon)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_relabelled_dags())
+def test_lower_bound_and_certificate_against_the_search(inst):
+    opt = optimal_makespan(inst, cap=inst.n)
+    bound = lower_bound(inst)
+    assert max(-(-inst.n // inst.m), longest_chain(inst)) <= bound <= opt
+    sched = certified_optimum(inst)
+    if sched is not None:
+        report = validate_schedule(inst, sched)
+        assert report.complete and report.feasible
+        assert sched.makespan() == sched.horizon == opt
+
+
+def test_out_star_is_certified_by_the_reversed_bound():
+    inst = build_instance(4, 2, [(0, 1), (0, 2), (0, 3)])
+    # Forward, only job 0 has height 2; reversed, jobs 1..3 all do.
+    assert _height_bound(inst) == 2
+    assert lower_bound(inst) == 3 == optimal_makespan(inst)
+    assert certified_optimum(inst).makespan() == 3
+
+
+def test_complete_bipartite_at_m4_has_no_certificate():
+    inst = build_instance(10, 4, [(u, v) for u in range(5) for v in range(5, 10)])
+    assert lower_bound(inst) == 3
+    assert certified_optimum(inst) is None
+    assert optimal_makespan(inst) == 4
+
+
+def test_empty_instance_bound_and_certificate():
+    inst = build_instance(0, 3, [])
+    assert lower_bound(inst) == 0
+    assert certified_optimum(inst) == Schedule(start={}, horizon=0)
+
+
+def test_lower_bound_takes_a_huge_machine_count():
+    inst = build_instance(3, 10**5000, [(0, 1)])
+    assert lower_bound(inst) == 2
+    assert certified_optimum(inst).makespan() == 2
