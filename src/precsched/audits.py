@@ -3,8 +3,9 @@
 Each auditor inspects one structural claim (level uniqueness, offset
 shifting, window slack, degenerate counts, idle slots, level count) and
 returns an AuditReport. level_analysis is the one pipeline from an instance
-to its level assignment and best offset; `analyze levels` prints it and
-audit_instance audits it. run_oracle_pinned runs the solver itself
+to its level assignment and best offset; it pads through
+laminar.pad_with_family, as the solver's run does. `analyze levels` prints
+it and audit_instance audits it. run_oracle_pinned runs the solver itself
 (qptas.solve) on the solver's laminar source plus pins: every call takes
 the cells laminar_guesses gives it and pins the jobs the level assignment
 guessed in the call's level range at their slots in an exact optimal
@@ -30,11 +31,10 @@ from .laminar import (
     assign_levels,
     best_offset,
     bucket_tops,
-    build_laminar,
     check_eps,
     default_depth_max,
     pad_schedule,
-    pad_to_power_of_two,
+    pad_with_family,
 )
 from .model import Instance, JobId, Schedule, _bits
 from .oracle import EXACT_CAP, TooLarge, optimal_schedule
@@ -175,7 +175,9 @@ def count_degenerate(windows, fam: LaminarFamily, interval_len: int) -> AuditRep
     artifact, not a contract.
     """
     count = sum(1 for w in windows if w.degenerate)
-    bound = 2 * fam.m * float(fam.eps) * interval_len / math.log2(fam.n)
+    # m * eps passes the float range at a huge machine count; the bound is inf.
+    scale = fam.m * fam.eps
+    bound = 2 * (float(scale) if scale < 2**1023 else math.inf) * interval_len / math.log2(fam.n)
     return AuditReport(
         name="degenerate-count",
         population=len(windows),
@@ -207,7 +209,7 @@ def audit_idle_slots(trace: CallTrace, fam: LaminarFamily) -> AuditReport:
         return any(w.r <= t < ends[w.job] for w in live)
 
     covered = [all(pending(t) for t in range(cs, ce)) for cs, ce in trace.cells]
-    rate = float(fam.eps) / (m * math.log2(fam.n))
+    rate = float(fam.eps / m) / math.log2(fam.n)
     runs = []
     i = 0
     while i < len(covered):
@@ -280,7 +282,9 @@ def level_analysis(inst: Instance, eps):
     the top-job count of its bucket. TooLarge, with the oracle's message,
     is the one size rule: the oracle raises it when the instance exceeds
     the exact-search cap, and level_analysis when the padded instance does.
-    Needs at least 2 jobs.
+    eps is checked, then the job count (at least 2), before the search;
+    pad_with_family pads and builds the family, raising BadHorizon on too
+    many dummies.
 
     One search, on the instance itself: opt is its optimal_schedule plus
     the forced dummy slots (pad_schedule), which is optimal_schedule of the
@@ -291,12 +295,14 @@ def level_analysis(inst: Instance, eps):
     original the m chains run one dummy each per slot.
     """
     e = check_eps(eps)
+    if inst.n < 2:
+        raise ValueError(f"need at least 2 jobs for the level analysis, got {inst.n}")
     orig = optimal_schedule(inst)
-    padded, tstar = pad_to_power_of_two(inst, orig.horizon)
+    padded, fam = pad_with_family(inst, orig.horizon, e)
     if padded.n > EXACT_CAP:
         raise TooLarge(f"n={padded.n} exceeds exact-search cap {EXACT_CAP}")
-    opt = pad_schedule(inst, orig, tstar)
-    assign = assign_levels(padded, opt, build_laminar(tstar, padded.n, padded.m, e))
+    opt = pad_schedule(inst, orig, fam.T)
+    assign = assign_levels(padded, opt, fam)
     offset, bucket = best_offset(assign)
     return padded, opt, assign, offset, bucket
 
@@ -313,10 +319,7 @@ def audit_instance(inst: Instance, eps=Fraction(1)) -> dict[str, AuditReport]:
     the analysis recursion-depth limit. Needs at least 2 jobs; raises
     TooLarge above the oracle cap.
     """
-    e = check_eps(eps)
-    if inst.n < 2:
-        raise ValueError(f"need at least 2 jobs to audit, got {inst.n}")
-    padded, opt, assign, a, _ = level_analysis(inst, e)
+    padded, opt, assign, a, _ = level_analysis(inst, eps)
     traces, _, _ = run_oracle_pinned(padded, opt, a, assign)
     fam = assign.fam
 

@@ -1,5 +1,11 @@
 """Command line entry point: gen, solve, verify, bench, analyze, audit.
 
+This module parses arguments, prints results and maps errors to exit
+codes; the algorithms live in the package. The laminar scheme is one call,
+qptas.solve_laminar (padding, family, solve and repair), which `solve
+--mode laminar` and bench's qptas column share; the exhaustive mode runs
+qptas.solve and the same repair step, qptas.repair.
+
 Exit codes: 0 success (verify: feasible), 1 infeasible or violations found,
 2 usage or parse errors (a cyclic instance file, an --eps outside (0, 1],
 too small for a float, with a decimal exponent beyond EPS_EXPONENT_MAX or
@@ -30,17 +36,10 @@ from pathlib import Path
 from .audits import ADVISORY_CLAIMS, CONTRACTUAL_CLAIMS, audit_instance, level_analysis
 from .baselines import coffman_graham_schedule, list_schedule
 from .generators import KINDS, BadSpec, GeneratorSpec, generate, standard_corpus
-from .laminar import (
-    BadEps,
-    BadHorizon,
-    build_laminar,
-    check_eps,
-    default_depth_max,
-    pad_to_power_of_two,
-)
+from .laminar import BadEps, BadHorizon, check_eps
 from .model import CycleError, Instance, Schedule, _bits, longest_chain, validate_schedule
 from .oracle import EXACT_CAP, TooLarge, certified_optimum, optimal_makespan, optimal_schedule
-from .qptas import InfeasibleHorizon, exhaustive_guesses, insert_discarded, laminar_guesses, solve
+from .qptas import InfeasibleHorizon, exhaustive_guesses, repair, solve, solve_laminar
 from .textio import (
     ParseError,
     emit_instance,
@@ -176,37 +175,6 @@ def _auto_horizon(inst: Instance, opt: int | None = None) -> int:
     return max(math.ceil(inst.n / inst.m), longest_chain(inst))
 
 
-def _solve_laminar(
-    inst: Instance, T: int, eps: Fraction, depth_max: int | None = None
-) -> tuple[Schedule, int, int]:
-    """Laminar qptas at horizon T: (schedule, discards, guesses explored).
-
-    Builds the laminar family once, for the padded instance with its job
-    count clamped to at least 2, pads to its power-of-two horizon, solves,
-    repairs the discards and drops the padding jobs; the declared horizon
-    keeps the accounting (the padded horizon plus one slot per discarded
-    job). The family is built before the padding, whose m * (T* - T)
-    dummies it counts, so a bad eps is reported before any dummy is made.
-    An empty instance gets an empty schedule at horizon T, once eps has
-    passed the same checks on a 2-job family (build_laminar(1, 2, m, eps)).
-    """
-    if inst.n == 0:
-        build_laminar(1, 2, inst.m, eps)
-        return Schedule(start={}, horizon=T), 0, 0
-    tstar = 1 << (T - 1).bit_length()
-    fam = build_laminar(tstar, max(inst.n + inst.m * (tstar - T), 2), inst.m, eps)
-    padded, _ = pad_to_power_of_two(inst, T)
-    if depth_max is None:
-        depth_max = default_depth_max(fam)
-    result = solve(padded, tstar, laminar_guesses(fam), depth_max)
-    sched = insert_discarded(padded, result.schedule, result.discarded)
-    trimmed = Schedule(
-        start={j: t for j, t in sched.start.items() if j < inst.n},
-        horizon=sched.horizon,
-    )
-    return trimmed, len(result.discarded), result.stats.guesses_explored
-
-
 def _solve_qptas(inst: Instance, args) -> tuple[Schedule, int, int]:
     eps = _parse_eps(args.eps)
     if args.depth_max is not None and args.depth_max < 1:
@@ -228,11 +196,10 @@ def _solve_qptas(inst: Instance, args) -> tuple[Schedule, int, int]:
         if T > cap:
             raise CliError(f"horizon must be at most max(n, 1) = {cap}, got {T}")
     if args.mode == "laminar":
-        return _solve_laminar(inst, T, eps, args.depth_max)
+        return solve_laminar(inst, T, eps, args.depth_max)
     guesses = exhaustive_guesses(inst, inst.n if args.kmax is None else args.kmax)
     result = solve(inst, T, guesses, 1 if args.depth_max is None else args.depth_max)
-    sched = insert_discarded(inst, result.schedule, result.discarded)
-    return sched, len(result.discarded), result.stats.guesses_explored
+    return repair(inst, result, inst.n)
 
 
 def _cmd_solve(args) -> int:
@@ -295,7 +262,7 @@ def _bench_one(cid: str, inst: Instance, alg: str, eps: Fraction, opt: int | Non
         elif alg == "cg":
             mk = coffman_graham_schedule(inst).makespan()
         else:  # qptas; _cmd_bench has checked every name against BENCH_ALGS
-            sched, discards, _ = _solve_laminar(inst, _auto_horizon(inst, opt), eps)
+            sched, discards, _ = solve_laminar(inst, _auto_horizon(inst, opt), eps)
             mk = sched.horizon
         row["makespan"] = str(mk)
         row["discards"] = str(discards)

@@ -15,6 +15,13 @@ stride m/eps, and every helper below that needs them (partition_level,
 bucket_levels, chain_threshold, the depth bounds, the auditors) reads them
 from the family instead of taking and re-checking them.
 
+pad_with_family(inst, T, eps) is the one place the scheme's padding is
+decided: the power-of-two horizon T* >= T, the m * (T* - T) dummy jobs
+pad_to_power_of_two appends (at most DUMMY_MAX) and the family's job count.
+It builds the family before any dummy, so a bad eps costs no padding. The
+solver's run (qptas.solve_laminar) and the level analysis
+(audits.level_analysis) both take their padded instance and family from it.
+
 Offset a's bucket is the levels a + 1, a + 1 + stride, ...
 (bucket_levels); bucket_tops reads each bucket's top masks, which
 best_offset and the shift-bound audit sum. partition_level(fam, level,
@@ -203,6 +210,35 @@ def pad_to_power_of_two(inst: Instance, T: int) -> tuple[Instance, int]:
             succs.append((chain ^ (below << 1 | 1)) << base)
             cover.append(1 << (base + i + 1) if i + 1 < extra else 0)
     return Instance(total, inst.m, tuple(preds), tuple(succs), tuple(cover)), tstar
+
+
+# The most dummies pad_with_family lets pad_to_power_of_two append, far above
+# the few hundred that the tests and benchmark instances take. A padded job
+# holds masks of up to n + dummies bits, so the padded instance grows with
+# the square of the dummy count: 2**16 dummies take hundreds of megabytes,
+# and a machine count of thousands of digits could never be padded.
+DUMMY_MAX = 1 << 16
+
+
+def pad_with_family(inst: Instance, T: int, eps) -> tuple[Instance, LaminarFamily]:
+    """inst padded to the power-of-two horizon T* >= T, and its laminar family.
+
+    The one place that decides the scheme's padding: T*, the m * (T* - T)
+    dummies pad_to_power_of_two appends, and the family's job count, the
+    padded job count clamped to at least 2. build_laminar runs first, so a
+    bad eps is reported before any dummy is made; so is a dummy count above
+    DUMMY_MAX, as BadHorizon.
+    """
+    tstar = 1 << (T - 1).bit_length()
+    dummies = inst.m * (tstar - T)
+    fam = build_laminar(tstar, max(inst.n + dummies, 2), inst.m, eps)
+    if dummies > DUMMY_MAX:
+        raise BadHorizon(
+            f"padding horizon {T} to {tstar} takes m * {tstar - T} dummy jobs, "
+            f"over the {DUMMY_MAX} allowed"
+        )
+    padded, _ = pad_to_power_of_two(inst, T)
+    return padded, fam
 
 
 def pad_schedule(inst: Instance, sched: Schedule, tstar: int) -> Schedule:
@@ -399,9 +435,13 @@ def analysis_depth_limit(fam: LaminarFamily) -> int:
     if n <= 2:
         return 1
     inner = math.log2(math.log2(n))
-    return max(1, math.ceil(float(fam.eps) * (math.log2(n) / inner + 1) / fam.m))
+    return max(1, math.ceil(float(fam.eps / fam.m) * (math.log2(n) / inner + 1)))
 
 
 def default_depth_max(fam: LaminarFamily) -> int:
-    """Default recursion cap ceil((eps/m) * log2 n) + 1."""
-    return math.ceil(float(fam.eps) / fam.m * math.log2(fam.n)) + 1
+    """Default recursion cap ceil((eps/m) * log2 n) + 1.
+
+    eps/m is exact until it becomes a float, so no machine count overflows
+    one.
+    """
+    return math.ceil(float(fam.eps / fam.m) * math.log2(fam.n)) + 1

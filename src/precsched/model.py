@@ -55,21 +55,15 @@ class Instance:
     cover_masks: tuple[int, ...]
 
 
-def _check_job(inst: Instance, j: JobId) -> None:
+def predecessors(inst: Instance, j: JobId) -> frozenset[JobId]:
+    """All jobs that must finish before j starts (closure, not just direct).
+
+    No solver reads it; the benchmark's closure-pair count
+    (perfbench/run.py, _closure_pairs) is its caller.
+    """
     if not 0 <= j < inst.n:
         raise IndexError(f"job {j} outside 0..{inst.n - 1}")
-
-
-def predecessors(inst: Instance, j: JobId) -> frozenset[JobId]:
-    """All jobs that must finish before j starts (closure, not just direct)."""
-    _check_job(inst, j)
     return frozenset(_bits(inst.pred_masks[j]))
-
-
-def successors(inst: Instance, j: JobId) -> frozenset[JobId]:
-    """All jobs that cannot start before j finishes."""
-    _check_job(inst, j)
-    return frozenset(_bits(inst.succ_masks[j]))
 
 
 def _bits(mask: int):

@@ -7,7 +7,10 @@ has k - 1 jobs after it in a chain, so in a schedule of makespan C all such
 jobs run in the first C - k + 1 slots, and C >= k - 1 + ceil(|{j :
 height(j) >= k}| / m) for every k. A schedule whose makespan meets that
 bound is optimal, so certified_optimum tries list scheduling in id order,
-then Coffman-Graham, and returns the first that meets it, or None.
+then Coffman-Graham, and returns the first that meets it. At m <= 2 it
+never returns None: Coffman-Graham is optimal at m = 2 (Coffman and Graham
+1972), and at m = 1 the list schedule, which leaves no slot idle, already
+meets the bound n.
 optimal_makespan and optimal_schedule are the search alone: they never
 consult the certificate, so the baselines can be judged against them.
 
@@ -238,15 +241,17 @@ def lower_bound(inst: Instance) -> int:
 
 
 def certified_optimum(inst: Instance) -> Schedule | None:
-    """A baseline schedule that meets lower_bound, hence optimal; else None.
+    """A baseline schedule that meets lower_bound, or is optimal by theorem; else None.
 
     List scheduling in id order is tried first, Coffman-Graham only when it
-    misses. There is no job cap: the bound is two chain tables, and each
-    baseline one slot sweep.
+    misses. Coffman-Graham is returned at m = 2 even above the bound, since
+    it is optimal there; at m = 1 list scheduling meets the bound. There is
+    no job cap: the bound is two chain tables, and each baseline one slot
+    sweep.
     """
     bound = lower_bound(inst)
     sched = list_schedule(inst, range(inst.n))
     if sched.makespan() == bound:
         return sched
     sched = coffman_graham_schedule(inst)
-    return sched if sched.makespan() == bound else None
+    return sched if inst.m <= 2 or sched.makespan() == bound else None

@@ -53,6 +53,13 @@ laminar_guesses plus pins: the same cells, with each call's guessed jobs
 pinned at their optimal slots. Given a trace list, the recursion records
 one CallTrace per non-unit call of the winning guess, built from the
 sweep's inputs and result; the sweep itself has no trace mode.
+
+solve_laminar is the scheme's one run: laminar.pad_with_family pads the
+instance to a power-of-two horizon and builds its family, solve runs
+laminar_guesses there, and repair (insert_discarded, then the jobs below
+the original count) reinserts the discards and drops the padding. The
+exhaustive mode shares repair. The auditors' pinned run calls solve
+directly: it needs the unrepaired starts and the traces.
 """
 
 from __future__ import annotations
@@ -62,7 +69,14 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .baselines import _sweep
-from .laminar import EmptyWindow, classify, partition_level, pin_windows
+from .laminar import (
+    EmptyWindow,
+    classify,
+    default_depth_max,
+    pad_with_family,
+    partition_level,
+    pin_windows,
+)
 from .model import (
     Instance,
     JobId,
@@ -460,3 +474,37 @@ def insert_discarded(inst: Instance, sched: Schedule, discarded) -> Schedule:
         scheduled |= 1 << j
         horizon += 1
     return Schedule(starts, horizon)
+
+
+def repair(target: Instance, result: SolveResult, n: int) -> tuple[Schedule, int, int]:
+    """(schedule, discards, guesses explored) of a solve of target, jobs below n kept.
+
+    insert_discarded reinserts the result's discards, one fresh slot each,
+    and target's jobs from n on, the padding when target is a padded
+    instance, are dropped. The horizon keeps the accounting: the solve's
+    horizon plus one slot per discard.
+    """
+    sched = insert_discarded(target, result.schedule, result.discarded)
+    start = {j: t for j, t in sched.start.items() if j < n}
+    return Schedule(start, sched.horizon), len(result.discarded), result.stats.guesses_explored
+
+
+def solve_laminar(
+    inst: Instance, T: int, eps, depth_max: int | None = None
+) -> tuple[Schedule, int, int]:
+    """The laminar scheme at horizon T: (schedule, discards, guesses explored).
+
+    The one run: pad_with_family pads inst to its power-of-two horizon T*
+    and builds the family, solve runs laminar_guesses on the padded
+    instance at T* (to default_depth_max(fam) unless depth_max is given),
+    and repair reinserts the discards and drops the dummies. An empty
+    instance gets an empty schedule at horizon T, once eps has passed the
+    same checks on the 2-job family of horizon 1.
+    """
+    if inst.n == 0:
+        pad_with_family(inst, 1, eps)
+        return Schedule(start={}, horizon=T), 0, 0
+    padded, fam = pad_with_family(inst, T, eps)
+    if depth_max is None:
+        depth_max = default_depth_max(fam)
+    return repair(padded, solve(padded, fam.T, laminar_guesses(fam), depth_max), inst.n)

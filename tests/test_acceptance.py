@@ -17,7 +17,7 @@ from precsched.audits import ADVISORY_CLAIMS, CONTRACTUAL_CLAIMS, audit_instance
 from precsched.baselines import coffman_graham_schedule, list_schedule
 from precsched.cli import main
 from precsched.generators import GeneratorSpec, generate, standard_corpus
-from precsched.laminar import build_laminar, default_depth_max, pad_to_power_of_two
+from precsched.laminar import default_depth_max, pad_to_power_of_two, pad_with_family
 from precsched.model import build_instance, validate_schedule
 from precsched.oracle import EXACT_CAP, optimal_makespan
 from precsched.qptas import exhaustive_guesses, insert_discarded, laminar_guesses, solve
@@ -121,11 +121,10 @@ def test_criterion_5_feasibility_and_accounting(capsys):
         runs = []
         if inst.n <= 9:
             runs.append(("exhaustive", inst, OPT[cid], exhaustive_guesses(inst, inst.n), 1))
-        padded, tstar = pad_to_power_of_two(inst, OPT[cid])
-        fam = build_laminar(tstar, max(padded.n, 2), padded.m, Fraction(1))
+        padded, fam = pad_with_family(inst, OPT[cid], Fraction(1))
         laminar = laminar_guesses(fam)
         for depth_max in (1, default_depth_max(fam)):
-            runs.append(("laminar", padded, tstar, laminar, depth_max))
+            runs.append(("laminar", padded, fam.T, laminar, depth_max))
         for mode, target, T, guesses, depth_max in runs:
             result = solve(target, T, guesses, depth_max)
             final = insert_discarded(target, result.schedule, result.discarded)

@@ -28,6 +28,7 @@ from precsched.laminar import (
     bucket_levels,
     build_laminar,
     pad_to_power_of_two,
+    pad_with_family,
 )
 from precsched.generators import GeneratorSpec, generate, standard_corpus
 from precsched.model import _bits, build_instance
@@ -267,9 +268,8 @@ def _audit_cases(draw):
 def test_pinned_replay_is_complete_and_feasible(case):
     n, edges, m, eps = case
     inst = build_instance(n, m, edges)
-    padded, tstar = pad_to_power_of_two(inst, optimal_makespan(inst))
+    padded, fam = pad_with_family(inst, optimal_makespan(inst), eps)
     opt = optimal_schedule(padded)
-    fam = build_laminar(tstar, padded.n, padded.m, eps)
     assign = assign_levels(padded, opt, fam)
     a, _ = best_offset(assign)
     traces, starts, disc = run_oracle_pinned(padded, opt, a, assign)
@@ -278,7 +278,7 @@ def test_pinned_replay_is_complete_and_feasible(case):
     assert not set(starts) & disc
     loads = {}
     for j, t in starts.items():
-        assert 0 <= t < tstar
+        assert 0 <= t < fam.T
         loads[t] = loads.get(t, 0) + 1
         for p in range(padded.n):
             if p in starts and (p, j) in pairs(padded):
@@ -302,8 +302,7 @@ def test_offset_scans_agree_with_a_scan_of_every_offset(case, eps):
     # and the shift-bound audit stop there; the full scan must agree.
     n, edges, m, _ = case
     inst = build_instance(n, m, edges)
-    padded, tstar = pad_to_power_of_two(inst, optimal_makespan(inst))
-    fam = build_laminar(tstar, padded.n, m, eps)
+    padded, fam = pad_with_family(inst, optimal_makespan(inst), eps)
     assign = assign_levels(padded, optimal_schedule(padded), fam)
     stride = fam.stride
     assert stride == m / eps
@@ -458,9 +457,8 @@ def _reference_replay(inst, opt, fam, eps, offset, assign):
 def test_pinned_run_matches_the_replay_reference(case, shift):
     n, edges, m, eps = case
     inst = build_instance(n, m, edges)
-    padded, tstar = pad_to_power_of_two(inst, optimal_makespan(inst))
+    padded, fam = pad_with_family(inst, optimal_makespan(inst), eps)
     opt = optimal_schedule(padded)
-    fam = build_laminar(tstar, padded.n, m, eps)
     assign = assign_levels(padded, opt, fam)
     offset = shift % fam.stride
     traces, starts, disc = run_oracle_pinned(padded, opt, offset, assign)

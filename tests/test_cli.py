@@ -14,6 +14,7 @@ from precsched.audits import audit_instance
 from precsched.baselines import list_schedule
 from precsched.cli import main
 from precsched.generators import GeneratorSpec, generate, standard_corpus
+from precsched.laminar import DUMMY_MAX
 from precsched.model import Schedule, build_instance, longest_chain
 from precsched.oracle import TooLarge, certified_optimum, lower_bound, optimal_makespan
 from precsched.textio import emit_instance, emit_schedule, parse_instance, parse_schedule
@@ -329,13 +330,14 @@ def test_auto_horizon_searches_only_uncertified_optima(tmp_path, monkeypatch):
     _gen_uncertified(tmp_path / "full-10-m4.inst")
     calls, _ = _count_oracle_calls(monkeypatch)
     horizons = []
-    real = cli._solve_laminar
+    real = cli.solve_laminar
 
     def solve_laminar(inst, T, *args):
         horizons.append(T)
         return real(inst, T, *args)
 
-    monkeypatch.setattr(cli, "_solve_laminar", solve_laminar)
+    # cli binds the run by name, so patch it there.
+    monkeypatch.setattr(cli, "solve_laminar", solve_laminar)
     for path in (corp / "layered-06-m2.inst", tmp_path / "full-10-m4.inst"):
         argv = ["solve", "--input", str(path), "--alg", "qptas", "--output", str(tmp_path / "s")]
         assert main(argv) == 0
@@ -605,6 +607,60 @@ def test_a_huge_machine_count_with_a_bad_stride_is_reported(tmp_path, capsys, ar
         rows = {r["algorithm"]: r for r in csv.DictReader(out.read_text().splitlines())}
         assert rows["qptas"]["error"] == message
         assert (rows["ls"]["makespan"], rows["ls"]["error"]) == ("3", "")
+
+
+def _huge_m_corpus(tmp_path, n, edges):
+    corp = tmp_path / "corpus"
+    corp.mkdir()
+    inst = corp / "huge-m.inst"
+    lines = [f"jobs {n}", f"machines {'9' * 4299}", *(f"edge {u} {v}" for u, v in edges)]
+    inst.write_text("\n".join(lines) + "\n")
+    return corp, inst
+
+
+def test_a_huge_machine_count_is_refused_before_padding(tmp_path, capsys):
+    # The 3-chain's optimum 3 pads to T* = 4 with one dummy per machine: a
+    # 4299-digit dummy count, which ended in an OverflowError traceback and
+    # exit 1 on solve and analyze levels, and in a traceback on audit and
+    # bench.
+    corp, inst = _huge_m_corpus(tmp_path, 3, [(0, 1), (1, 2)])
+    refused = f"padding horizon 3 to 4 takes m * 1 dummy jobs, over the {DUMMY_MAX} allowed"
+    out = tmp_path / "out"
+    for argv in (["solve", "--alg", "qptas"], ["analyze", "levels"]):
+        assert main([*argv, "--input", str(inst), "--eps", "1", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {refused}\n"
+        assert not out.exists()
+    assert main(["audit", "--input", str(corp), "--eps", "1", "--output", str(out)]) == 0
+    assert capsys.readouterr().err == f"skipping huge-m: {refused}\n"
+    assert out.read_text() == ",".join(cli.AUDIT_COLUMNS) + "\n"
+    assert main(["bench", "--input", str(corp), "--eps", "1", "--output", str(out)]) == 0
+    rows = {r["algorithm"]: r for r in csv.DictReader(out.read_text().splitlines())}
+    assert (rows["qptas"]["makespan"], rows["qptas"]["error"]) == ("", refused)
+    assert (rows["cg"]["makespan"], rows["cg"]["opt"], rows["cg"]["error"]) == ("3", "3", "")
+
+
+@pytest.mark.parametrize("n, edges", [(3, []), (2, [(0, 1)])], ids=["edgeless-3", "chain-2"])
+def test_a_huge_machine_count_without_padding_runs(tmp_path, capsys, n, edges):
+    # The optimum (1 or 2) is a power of two, so no dummy is needed. The
+    # depth bounds and the degenerate-count bound converted m to a float
+    # and raised OverflowError on solve, audit and bench.
+    corp, inst = _huge_m_corpus(tmp_path, n, edges)
+    T = len(edges) + 1  # the longest chain; m >= n
+    out = tmp_path / "out"
+    assert main(["solve", "--alg", "qptas", "--input", str(inst), "--eps", "1",
+                 "--output", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(f"makespan={T} discarded=0 ")
+    assert main(["verify", "--input", str(inst), "--schedule", str(out)]) == 0
+    assert main(["audit", "--input", str(corp), "--eps", "1", "--output", str(out)]) == 0
+    rows = {r["claim"]: r for r in csv.DictReader(out.read_text().splitlines())}
+    assert all(r["violations"] == "0" for r in rows.values())
+    assert main(["bench", "--input", str(corp), "--eps", "1", "--output", str(out)]) == 0
+    rows = {r["algorithm"]: r for r in csv.DictReader(out.read_text().splitlines())}
+    assert (rows["qptas"]["makespan"], rows["qptas"]["error"]) == (str(T), "")
+    assert capsys.readouterr().err == ""
+    argv = ["analyze", "levels", "--input", str(inst), "--eps", "1", "--output", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == f"offset=0 bucket=0 horizon={T} padded_jobs={n}\n"
 
 
 @pytest.mark.parametrize("n", [0, 1])

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from precsched import laminar
 from precsched.baselines import coffman_graham_schedule, list_schedule
 from precsched.laminar import (
+    DUMMY_MAX,
     BadEps,
     BadHorizon,
     EmptyWindow,
@@ -21,6 +23,7 @@ from precsched.laminar import (
     feasible_window,
     pad_schedule,
     pad_to_power_of_two,
+    pad_with_family,
     analysis_depth_limit,
 )
 from precsched.generators import GeneratorSpec, generate
@@ -211,6 +214,45 @@ def test_padding_lands_exactly_on_the_power_of_two(n, m, rng):
     assert optimal_makespan(padded) == tstar
 
 
+def test_pad_with_family_is_the_padding_and_its_family():
+    inst = build_instance(3, 2, [(0, 1), (1, 2)])
+    for T in range(1, 10):
+        padded, fam = pad_with_family(inst, T, Fraction(1, 2))
+        want, tstar = pad_to_power_of_two(inst, T)
+        assert padded == want
+        assert fam == build_laminar(tstar, padded.n, 2, Fraction(1, 2))
+
+
+def _no_padding(inst, T):
+    raise AssertionError("pad_to_power_of_two ran before the checks")
+
+
+@pytest.mark.parametrize("eps", [Fraction(3, 4), Fraction(1, 10**400), 2],
+                         ids=["ragged-stride", "float-zero", "above-1"])
+def test_pad_with_family_checks_eps_before_any_dummy(monkeypatch, eps):
+    # The 3-chain at T = 3 pads to T* = 4 with one dummy per machine.
+    monkeypatch.setattr(laminar, "pad_to_power_of_two", _no_padding)
+    with pytest.raises(BadEps):
+        pad_with_family(build_instance(3, 2, [(0, 1), (1, 2)]), 3, eps)
+
+
+def test_pad_with_family_refuses_dummies_past_the_bound(monkeypatch):
+    chain = [(0, 1), (1, 2)]
+    monkeypatch.setattr(laminar, "pad_to_power_of_two", _no_padding)
+    # At T = 3 each of the m machines takes one dummy, and the message
+    # never prints m, which may have more digits than Python prints.
+    for m in (DUMMY_MAX + 1, 10**4298):
+        with pytest.raises(BadHorizon, match=(
+            f"^padding horizon 3 to 4 takes m \\* 1 dummy jobs, over the {DUMMY_MAX} allowed$"
+        )):
+            pad_with_family(build_instance(3, m, chain), 3, 1)
+    # DUMMY_MAX dummies themselves are allowed; a stand-in pads them.
+    calls = []
+    monkeypatch.setattr(laminar, "pad_to_power_of_two", lambda inst, T: calls.append(T) or (inst, 4))
+    pad_with_family(build_instance(3, DUMMY_MAX, chain), 3, 1)
+    assert calls == [3]
+
+
 def test_feasible_window_between_pinned_neighbors():
     inst = build_instance(3, 1, [(0, 1), (1, 2)])
     assert feasible_window(inst, 1, {0: 0, 2: 5}, 16) == (1, 5)
@@ -299,10 +341,8 @@ def _assignment_cases(draw):
 def test_assignment_partitions_jobs_once_each(case):
     n, edges, m, eps = case
     inst = build_instance(n, m, edges)
-    opt_len = optimal_makespan(inst)
-    padded, tstar = pad_to_power_of_two(inst, opt_len)
+    padded, fam = pad_with_family(inst, optimal_makespan(inst), eps)
     opt = optimal_schedule(padded)
-    fam = build_laminar(tstar, padded.n, m, eps)
     assign = assign_levels(padded, opt, fam)
 
     for j in range(padded.n):
@@ -348,11 +388,10 @@ def _generated(draw, min_n=2, max_n=10, max_m=3):
 @settings(max_examples=60, deadline=None)
 @given(_generated(), st.sampled_from([Fraction(1), Fraction(1, 2)]))
 def test_assign_levels_matches_the_per_pin_reference(inst, eps):
-    padded, tstar = pad_to_power_of_two(inst, optimal_makespan(inst))
+    padded, fam = pad_with_family(inst, optimal_makespan(inst), eps)
     # Long chains at m = 3 pad past the oracle's cap.
     assume(padded.n <= EXACT_CAP)
     opt = optimal_schedule(padded)
-    fam = build_laminar(tstar, padded.n, padded.m, eps)
     assign = assign_levels(padded, opt, fam)
     assert (as_sets(assign.guess), as_sets(assign.top)) == ref_assign_levels(padded, opt, fam, eps)
 
@@ -364,8 +403,7 @@ def test_assign_levels_matches_the_per_pin_reference_beyond_the_oracle_cap(inst,
     # optimum, so a baseline's schedule stands in where the oracle cannot
     # reach; many chain rounds and hundreds of pins arise here.
     sched = coffman_graham_schedule(inst) if cg else list_schedule(inst, range(inst.n))
-    padded, tstar = pad_to_power_of_two(inst, sched.horizon)
-    opt = pad_schedule(inst, sched, tstar)
-    fam = build_laminar(tstar, padded.n, padded.m, eps)
+    padded, fam = pad_with_family(inst, sched.horizon, eps)
+    opt = pad_schedule(inst, sched, fam.T)
     assign = assign_levels(padded, opt, fam)
     assert (as_sets(assign.guess), as_sets(assign.top)) == ref_assign_levels(padded, opt, fam, eps)

@@ -15,7 +15,6 @@ from precsched.model import (
     longest_chain_path,
     predecessors,
     reverse,
-    successors,
     validate_schedule,
 )
 from precsched.oracle import optimal_makespan
@@ -92,7 +91,7 @@ def test_bad_machine_count():
 def test_adjacency_queries():
     inst = build_instance(4, 2, DIAMOND)
     assert predecessors(inst, 3) == frozenset({0, 1, 2})
-    assert successors(inst, 0) == frozenset({1, 2, 3})
+    assert inst.succ_masks[0] == 0b1110
     assert predecessors(inst, 0) == frozenset()
     with pytest.raises(IndexError):
         predecessors(inst, 4)

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from precsched.generators import GeneratorSpec, generate
@@ -333,6 +333,19 @@ def test_lower_bound_and_certificate_against_the_search(inst):
         report = validate_schedule(inst, sched)
         assert report.complete and report.feasible
         assert sched.makespan() == sched.horizon == opt
+
+
+@settings(max_examples=150, deadline=None)
+@given(_relabelled_dags().filter(lambda inst: inst.m <= 2))
+# Bound 3 (chain 3, ceil(5/2) = 3), optimum 4: only Coffman-Graham's
+# optimality at m = 2 certifies it.
+@example(build_instance(5, 2, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]))
+def test_certificate_never_fails_at_two_machines_or_fewer(inst):
+    sched = certified_optimum(inst)
+    assert sched is not None
+    report = validate_schedule(inst, sched)
+    assert report.complete and report.feasible
+    assert sched.makespan() == optimal_makespan(inst, cap=inst.n)
 
 
 def test_out_star_is_certified_by_the_reversed_bound():

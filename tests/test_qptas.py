@@ -14,7 +14,7 @@ from precsched.laminar import (
     EmptyWindow,
     build_laminar,
     default_depth_max,
-    pad_to_power_of_two,
+    pad_with_family,
     partition_level,
     pin_windows,
 )
@@ -406,8 +406,10 @@ def test_solve_depth_cap_discards_the_call():
 
 def test_solve_single_job_unit_horizon():
     inst = build_instance(1, 1, [])
-    # The family's job count is clamped to 2, as the CLI clamps it.
-    res = solve(inst, 1, laminar_guesses(build_laminar(1, 2, 1, 1)), 1)
+    # pad_with_family clamps the family's job count to 2 and pads nothing.
+    padded, fam = pad_with_family(inst, 1, 1)
+    assert (padded, fam) == (inst, build_laminar(1, 2, 1, 1))
+    res = solve(inst, 1, laminar_guesses(fam), 1)
     assert res.schedule.start == {0: 0} and res.discarded == frozenset()
 
 
@@ -496,16 +498,15 @@ def test_laminar_solve_plus_repair_is_always_complete(case):
     n, edges, m = case
     inst = build_instance(n, m, edges)
     T = optimal_makespan(inst)
-    padded, tstar = pad_to_power_of_two(inst, T)
-    fam = build_laminar(tstar, max(padded.n, 2), m, 1)
+    padded, fam = pad_with_family(inst, T, 1)
     depth_max = default_depth_max(fam)
-    res = solve(padded, tstar, laminar_guesses(fam), depth_max)
-    again = solve(padded, tstar, laminar_guesses(fam), depth_max)
+    res = solve(padded, fam.T, laminar_guesses(fam), depth_max)
+    again = solve(padded, fam.T, laminar_guesses(fam), depth_max)
     assert (res.schedule.start, res.discarded) == (again.schedule.start, again.discarded)
     full = insert_discarded(padded, res.schedule, res.discarded)
     report = validate_schedule(padded, full)
     assert report.feasible and report.complete
-    assert full.horizon == tstar + len(res.discarded)
+    assert full.horizon == fam.T + len(res.discarded)
     assert full.makespan() <= full.horizon
 
 
@@ -515,11 +516,10 @@ def test_tracing_leaves_the_solve_result_unchanged(case, k_max, slack):
     n, edges, m = case
     inst = build_instance(n, m, edges)
     T = optimal_makespan(inst)
-    padded, tstar = pad_to_power_of_two(inst, T)
-    fam = build_laminar(tstar, max(padded.n, 2), m, 1)
+    padded, fam = pad_with_family(inst, T, 1)
     runs = [
         (inst, T + slack, exhaustive_guesses(inst, min(k_max, n)), 2),
-        (padded, tstar, laminar_guesses(fam), default_depth_max(fam)),
+        (padded, fam.T, laminar_guesses(fam), default_depth_max(fam)),
     ]
     for target, horizon, guesses, depth_max in runs:
         traces = []
