@@ -40,6 +40,9 @@ from .model import Instance, JobId, Schedule, _bits
 from .oracle import EXACT_CAP, TooLarge, optimal_schedule
 from .qptas import CallTrace, laminar_guesses, solve
 
+STRIDE_DIGITS = 4300  # the most digits of a stride the audit CSV prints
+_STRIDE_BOUND = 10**STRIDE_DIGITS  # built once: the power takes tens of microseconds
+
 # Claims whose violation means the implementation (or the analysis) is wrong,
 # versus bounds that are only expected to hold in the audited regime.
 CONTRACTUAL_CLAIMS = ("unique-level", "shift-bound", "window-slack", "level-count")
@@ -244,8 +247,8 @@ def run_oracle_pinned(inst: Instance, opt: Schedule, offset: int, assign: LevelA
     fam.level_of(cells[0]), at their slots in opt. The solver then
     classifies, recurses on bottoms, windows the tops and runs the EDF
     sweep as it always does. Its depth cap is the family's level count,
-    which no call reaches. Returns (traces, starts, discarded); traces are
-    the solver's CallTraces, children first.
+    which no call reaches. Returns the solver's SolveResult: the unrepaired
+    schedule, the discards and the traces, children first.
     """
     fam = assign.fam
     laminar = laminar_guesses(fam, offset)
@@ -257,9 +260,7 @@ def run_oracle_pinned(inst: Instance, opt: Schedule, offset: int, assign: LevelA
             levels = slice(fam.level_of(rin.interval), fam.level_of(cells[0]))
             yield {j: opt.start[j] for j in _bits(rin.jobs & sum(guessed[levels]))}, cells
 
-    traces: list[CallTrace] = []
-    result = solve(inst, fam.T, oracle_guess, fam.level_count(), traces=traces)
-    return traces, result.schedule.start, result.discarded
+    return solve(inst, fam.T, oracle_guess, fam.level_count())
 
 
 def _merge_margin(name: str, reports) -> AuditReport:
@@ -317,11 +318,16 @@ def audit_instance(inst: Instance, eps=Fraction(1)) -> dict[str, AuditReport]:
     margin rows (bound 0.0); a call's slack bound is its cell length. Two
     informational rows record the run's depth against the working cap and
     the analysis recursion-depth limit. Needs at least 2 jobs; raises
-    TooLarge above the oracle cap.
+    TooLarge above the oracle cap, and ValueError, before the pinned run,
+    when the stride m/eps has more than STRIDE_DIGITS digits.
     """
     padded, opt, assign, a, _ = level_analysis(inst, eps)
-    traces, _, _ = run_oracle_pinned(padded, opt, a, assign)
     fam = assign.fam
+    if fam.stride >= _STRIDE_BOUND:
+        # The shift-bound row's population is the stride, and str() refuses
+        # an int of more digits (Python's default limit).
+        raise ValueError(f"m/eps has more than {STRIDE_DIGITS} digits, too many to print")
+    traces = run_oracle_pinned(padded, opt, a, assign).traces
 
     def top1_windows(tr):
         # The tops the level assignment put in the call's own level range,

@@ -50,16 +50,21 @@ caller runs once per solve) and a level offset. exhaustive_guesses
 enumerates the full guess space, which is astronomical, so it is only
 usable at toy sizes (n around 10). The auditors' source is
 laminar_guesses plus pins: the same cells, with each call's guessed jobs
-pinned at their optimal slots. Given a trace list, the recursion records
-one CallTrace per non-unit call of the winning guess, built from the
-sweep's inputs and result; the sweep itself has no trace mode.
+pinned at their optimal slots.
+
+A call returns what it did: its starts, its discard mask, the number of
+guesses it and its calls explored, and its traces, one CallTrace per
+non-unit call of the winning guess (its children's, then its own), built
+from the sweep's inputs and result. It reads and writes no shared state,
+so equal inputs give equal returns. solve puts the count and the traces in
+its SolveResult; the sweep itself has no trace mode.
 
 solve_laminar is the scheme's one run: laminar.pad_with_family pads the
 instance to a power-of-two horizon and builds its family, solve runs
 laminar_guesses there, and repair (insert_discarded, then the jobs below
 the original count) reinserts the discards and drops the padding. The
 exhaustive mode shares repair. The auditors' pinned run calls solve
-directly: it needs the unrepaired starts and the traces.
+directly: it needs the unrepaired result and its traces.
 """
 
 from __future__ import annotations
@@ -134,9 +139,12 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A solve's schedule, discards and guess count, and its winning calls' traces."""
+
     schedule: Schedule
     discarded: frozenset[JobId]
     stats: SolveStats
+    traces: tuple[CallTrace, ...]
 
 
 @dataclass
@@ -325,34 +333,36 @@ def exhaustive_guesses(inst, k_max):
     return guesses
 
 
-def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
-    """Best (starts, discard mask) over the guesses the source yields for rin.
+def _recurse(inst, rin, depth_max, guesses):
+    """(starts, discard mask, guesses explored, traces) of the best guess for rin.
 
-    When traces is a list, the winning guess's CallTraces (its children's,
-    then its own) are appended to it; otherwise no trace is built. A guess
-    narrows rin.windows by its own pins only (or prunes on EmptyWindow), and
-    its pins join rin.load; both are kept while consecutive guesses carry
-    equal pins, since the cells, which partition the interval, do not change
-    them. A child's input is its cell's groups and the load inside the cell.
-    A guess whose cells discard at least as many jobs as the best guess
-    skips its tops. rin.depth is below depth_max; a child at depth_max gets
-    no call and discards its jobs, unless its cell is a unit interval. A
-    unit cell gets no call at any depth: _settle_unit settles it in the cell
-    loop, under the pins' load at its slot.
+    A function of its input: the count covers every guess the source
+    yields for rin and its calls explore, and traces holds the winning
+    guess's CallTraces, its children's, then its own. A guess narrows
+    rin.windows by its own pins only (or prunes on EmptyWindow), and its
+    pins join rin.load; both are kept while consecutive guesses carry equal
+    pins, since the cells, which partition the interval, do not change
+    them. A child's input is its cell's groups and the load inside the
+    cell. A guess whose cells discard at least as many jobs as the best
+    guess skips its tops. rin.depth is below depth_max; a child at
+    depth_max gets no call and discards its jobs, unless its cell is a unit
+    interval. A unit cell gets no call at any depth: _settle_unit settles
+    it in the cell loop, under the pins' load at its slot.
     """
     s, e = rin.interval
     if not rin.jobs:
-        return {}, 0
+        return {}, 0, 0, []
     if e - s == 1:
         # Only a root of horizon 1 gets here: unit cells are settled in
         # their parent's cell loop, by the same rule.
         starts: dict[JobId, int] = {}
-        return starts, _settle_unit(inst, rin.jobs, s, inst.m - rin.load.get(s, 0), starts)
+        return starts, _settle_unit(inst, rin.jobs, s, inst.m - rin.load.get(s, 0), starts), 0, []
     best = None
+    explored = 0
     last_pins = groups = None
     capped = rin.depth + 1 >= depth_max
     for pins, cells in guesses(rin):
-        stats.guesses_explored += 1
+        explored += 1
         if pins != last_pins:
             last_pins = dict(pins)
             try:
@@ -363,7 +373,7 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
         if groups is None:
             continue
         bottom, top = classify(groups, cells)
-        calls = None if traces is None else []
+        calls = []
         starts = dict(pins)
         disc = 0
         for (lo, hi), windows in bottom.items():
@@ -382,9 +392,11 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
                 continue
             load = {t: c for t, c in pin_load.items() if lo <= t < hi}
             child = RecursionInput((lo, hi), sub, windows, load, rin.depth + 1)
-            cstarts, cdisc = _recurse(inst, child, depth_max, guesses, stats, calls)
+            cstarts, cdisc, cexplored, ctraces = _recurse(inst, child, depth_max, guesses)
             starts.update(cstarts)
             disc |= cdisc
+            explored += cexplored
+            calls += ctraces
         if best is not None and disc.bit_count() >= best[1].bit_count():
             # The tops can only add discards, so this guess cannot win.
             continue
@@ -393,40 +405,30 @@ def _recurse(inst, rin, depth_max, guesses, stats, traces=None):
         tplaced, tdisc = edf_insert(inst, top_windows, occupancy, s, e)
         starts.update(tplaced)
         disc |= tdisc
-        if calls is not None:
+        if best is None or disc.bit_count() < best[1].bit_count():
+            # Only the best guess's trace is returned, so only a new best builds one.
             loads = _add_load({t: occupancy.get(t, 0) for t in range(s, e)}, tplaced.values())
             calls.append(
-                CallTrace(
-                    depth=rin.depth,
-                    interval=rin.interval,
-                    cells=cells,
-                    pins=dict(pins),
-                    windows=top_windows,
-                    placed_tops=tplaced,
-                    loads=loads,
-                )
+                CallTrace(rin.depth, rin.interval, cells, dict(pins), top_windows, tplaced, loads)
             )
-        if best is None or disc.bit_count() < best[1].bit_count():
             best = (starts, disc, calls)
             if not disc:
                 break
     if best is None:
         # Every guess was pruned; cannot happen from a consistent parent.
-        return {}, rin.jobs
-    if traces is not None:
-        traces.extend(best[2])
-    return best[0], best[1]
+        return {}, rin.jobs, explored, []
+    return best[0], best[1], explored, best[2]
 
 
-def solve(inst: Instance, T: int, guesses, depth_max: int, traces=None) -> SolveResult:
-    """Best-guess schedule inside horizon T plus the jobs it discarded.
+def solve(inst: Instance, T: int, guesses, depth_max: int) -> SolveResult:
+    """Best-guess schedule inside horizon T, its discards, guess count and traces.
 
     guesses is the guess source, a callable RecursionInput -> iterable of
     (pins, cells), such as laminar_guesses or exhaustive_guesses. depth_max
     caps recursion depth: a cell at depth depth_max discards its whole job
     set, unless it is a unit interval, which _settle_unit settles at any
-    depth with no guess explored. When traces is a list, one CallTrace per
-    non-unit call of the winning guesses is appended to it, children first.
+    depth with no guess explored. The result's traces hold one CallTrace
+    per non-unit call of the winning guesses, children first.
 
     Raises InfeasibleHorizon below the longest-chain bound. The result
     schedule keeps horizon T even when the last busy slot is earlier;
@@ -434,20 +436,19 @@ def solve(inst: Instance, T: int, guesses, depth_max: int, traces=None) -> Solve
     """
     if depth_max < 1:
         raise ValueError(f"depth_max must be >= 1, got {depth_max}")
-    stats = SolveStats()
     if inst.n == 0:
-        return SolveResult(Schedule({}, T), frozenset(), stats)
+        return SolveResult(Schedule({}, T), frozenset(), SolveStats(), ())
     chain = longest_chain(inst)
     if T < chain:
         raise InfeasibleHorizon(f"horizon {T} is below the chain bound {chain}")
     jobs = (1 << inst.n) - 1
     root = RecursionInput((0, T), jobs, {(0, T): jobs}, {}, 0)
-    starts, disc = _recurse(inst, root, depth_max, guesses, stats, traces)
+    starts, disc, explored, traces = _recurse(inst, root, depth_max, guesses)
     sched = Schedule(starts, T)
     report = validate_schedule(inst, sched)
     if not report.feasible or _mask(starts) ^ disc != root.jobs:
         raise RuntimeError("internal: inconsistent solve result")
-    return SolveResult(sched, frozenset(_bits(disc)), stats)
+    return SolveResult(sched, frozenset(_bits(disc)), SolveStats(explored), tuple(traces))
 
 
 def insert_discarded(inst: Instance, sched: Schedule, discarded) -> Schedule:

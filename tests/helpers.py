@@ -521,20 +521,22 @@ class RefInput(NamedTuple):
     depth: int
 
 
-def ref_solve(inst, T, guesses, depth_max, traces=None):
+def ref_solve(inst, T, guesses, depth_max):
     """SolveResult of the recursion that finishes every guess it explores.
 
     Classifies each guess with ref_classify and windows its tops with
     ref_windows_for_top, with no windows kept across guesses and no guess
     abandoned before its EDF sweep. It skips solve's input checks and final
     validation. guesses takes a RefInput, as ref_exhaustive_guesses does.
+    Its calls count guesses into one shared SolveStats and append the
+    winning guesses' CallTraces to one shared list, children first.
     """
     stats = SolveStats()
-    starts, disc = {}, set()
+    starts, disc, traces = {}, set(), []
     if inst.n:
         root = RefInput((0, T), _to_mask(range(inst.n)), {}, 0)
         starts, disc = _ref_recurse(inst, root, depth_max, guesses, stats, traces)
-    return SolveResult(Schedule(starts, T), frozenset(disc), stats)
+    return SolveResult(Schedule(starts, T), frozenset(disc), stats, tuple(traces))
 
 
 def _ref_recurse(inst, rin, depth_max, guesses, stats, traces):
@@ -556,7 +558,7 @@ def _ref_recurse(inst, rin, depth_max, guesses, stats, traces):
             continue
         bottom, top = split
         merged = {**rin.pinned, **pins}
-        calls = None if traces is None else []
+        calls = []
         starts = dict(pins)
         disc = set()
         for cell in cells:
@@ -571,19 +573,17 @@ def _ref_recurse(inst, rin, depth_max, guesses, stats, traces):
         tplaced, tdisc = edf_insert(inst, windows, _ref_loads(placed_all.values(), s, e), s, e)
         starts.update(tplaced)
         disc.update(_mask_bits(tdisc))
-        if calls is not None:
-            slots = [*placed_all.values(), *tplaced.values()]
-            loads = {t: sum(1 for x in slots if x == t) for t in range(s, e)}
-            calls.append(CallTrace(
-                depth=rin.depth, interval=rin.interval, cells=cells, pins=dict(pins),
-                windows=windows, placed_tops=tplaced, loads=loads,
-            ))
+        slots = [*placed_all.values(), *tplaced.values()]
+        loads = {t: sum(1 for x in slots if x == t) for t in range(s, e)}
+        calls.append(CallTrace(
+            depth=rin.depth, interval=rin.interval, cells=cells, pins=dict(pins),
+            windows=windows, placed_tops=tplaced, loads=loads,
+        ))
         if best is None or len(disc) < len(best[1]):
             best = (starts, disc, calls)
             if not disc:
                 break
     if best is None:
         return {}, jobs
-    if traces is not None:
-        traces.extend(best[2])
+    traces.extend(best[2])
     return best[0], best[1]

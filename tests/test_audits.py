@@ -133,7 +133,8 @@ def test_pinned_replay_antichain_trace_frozen():
     inst, opt, fam = _antichain4()
     assign = assign_levels(inst, opt, fam)
     assert best_offset(assign) == (0, 0)
-    traces, starts, disc = run_oracle_pinned(inst, opt, 0, assign)
+    res = run_oracle_pinned(inst, opt, 0, assign)
+    traces, starts, disc = res.traces, res.schedule.start, res.discarded
     assert starts == {0: 0, 1: 1, 2: 2, 3: 3}
     assert disc == set()
     assert len(traces) == 1
@@ -181,7 +182,8 @@ def test_pinned_replay_squeezed_guesses_everything_reachable():
     assign = assign_levels(inst, opt, fam)
     a, count = best_offset(assign)
     assert (a, count) == (1, 0)
-    traces, starts, disc = run_oracle_pinned(inst, opt, a, assign)
+    res = run_oracle_pinned(inst, opt, a, assign)
+    traces, starts, disc = res.traces, res.schedule.start, res.discarded
     # Root pins the four guessed jobs; 4 and 5 drop to unit cells.
     assert starts == dict(opt.start)
     assert disc == set()
@@ -272,7 +274,8 @@ def test_pinned_replay_is_complete_and_feasible(case):
     opt = optimal_schedule(padded)
     assign = assign_levels(padded, opt, fam)
     a, _ = best_offset(assign)
-    traces, starts, disc = run_oracle_pinned(padded, opt, a, assign)
+    res = run_oracle_pinned(padded, opt, a, assign)
+    traces, starts, disc = res.traces, res.schedule.start, res.discarded
 
     assert set(starts) | disc == set(range(padded.n))
     assert not set(starts) & disc
@@ -461,7 +464,8 @@ def test_pinned_run_matches_the_replay_reference(case, shift):
     opt = optimal_schedule(padded)
     assign = assign_levels(padded, opt, fam)
     offset = shift % fam.stride
-    traces, starts, disc = run_oracle_pinned(padded, opt, offset, assign)
+    res = run_oracle_pinned(padded, opt, offset, assign)
+    traces, starts, disc = res.traces, res.schedule.start, res.discarded
     want_traces, want_starts, want_disc = _reference_replay(padded, opt, fam, eps, offset, assign)
     assert starts == want_starts
     assert disc == want_disc

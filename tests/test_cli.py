@@ -6,11 +6,11 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from precsched import cli
-from precsched.audits import audit_instance
+from precsched.audits import STRIDE_DIGITS, audit_instance
 from precsched.baselines import list_schedule
 from precsched.cli import main
 from precsched.generators import GeneratorSpec, generate, standard_corpus
@@ -663,6 +663,37 @@ def test_a_huge_machine_count_without_padding_runs(tmp_path, capsys, n, edges):
     assert capsys.readouterr().err == f"offset=0 bucket=0 horizon={T} padded_jobs={n}\n"
 
 
+def test_audit_skips_a_stride_too_long_to_print(tmp_path, capsys):
+    # The shift-bound row's population is the stride m/eps. For 3 edgeless
+    # jobs on 4299-digit machines it has 4301 digits at eps 1/11, which csv
+    # could not turn into text: audit ended in a ValueError traceback.
+    corp, _ = _huge_m_corpus(tmp_path, 3, [])
+    out = tmp_path / "audit.csv"
+    assert main(["audit", "--input", str(corp), "--eps", "1/11", "--output", str(out)]) == 0
+    too_long = f"m/eps has more than {STRIDE_DIGITS} digits, too many to print"
+    assert capsys.readouterr().err == f"skipping huge-m: {too_long}\n"
+    assert out.read_text() == ",".join(cli.AUDIT_COLUMNS) + "\n"
+    # At eps 1/2 the stride 2m has 4300 digits and prints.
+    assert main(["audit", "--input", str(corp), "--eps", "1/2", "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = [
+        (r["claim"], r["instance"], r["population"], r["violations"], r["observed"], r["bound"])
+        for r in csv.DictReader(out.read_text().splitlines())
+    ]
+    stride = str(2 * (10**4299 - 1))
+    assert len(stride) == STRIDE_DIGITS
+    assert rows == [
+        ("unique-level", "huge-m", "3", "0", "1.000000", "1.000000"),
+        ("shift-bound", "huge-m", stride, "0", "0.000000", "0.500000"),
+        ("window-slack", "huge-m", "0", "0", "0.000000", "0.000000"),
+        ("level-count", "huge-m", "1", "0", "0.000000", "1.952245"),
+        ("degenerate-count", "huge-m", "0", "0", "0.000000", "0.000000"),
+        ("idle-slots", "huge-m", "0", "0", "0.000000", "0.000000"),
+        ("recursion-depth", "huge-m", "0", "0", "0.000000", "1.000000"),
+        ("recursion-depth-analysis", "huge-m", "0", "0", "0.000000", "1.000000"),
+    ]
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_laminar_eps_check_does_not_depend_on_the_job_count(tmp_path, capsys, n):
     # m/eps = 4/3 is no integer, and 1e-400 is a float zero; an empty
@@ -697,6 +728,10 @@ def _instance_texts(draw):
     """Instance text with any edge list: cycles, self-loops, ids past n, m >= n."""
     n = draw(st.integers(min_value=0, max_value=10))
     m = draw(st.integers(min_value=0, max_value=12))
+    # One text in eight has 4299-digit machines, where m/eps outgrows
+    # float and str() alike.
+    if draw(st.integers(min_value=0, max_value=7)) == 0:
+        m = 10**4299 - 1
     # One edge list in five may name job n, one past the last job.
     top = n if draw(st.integers(min_value=0, max_value=4)) == 0 else max(n - 1, 0)
     ids = st.integers(min_value=0, max_value=top)
@@ -712,6 +747,8 @@ def _instance_texts(draw):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_instance_texts(), st.sampled_from(["auto", "1", "3"]))
+# At eps 1/11 audit's stride for this file has 4301 digits.
+@example(f"jobs 3\nmachines {'9' * 4299}\n", "auto")
 def test_any_instance_text_keeps_the_exit_code_contract(tmp_path, capsys, text, horizon):
     # parse -> solve (every algorithm) -> verify exits 0, 1 or 2 and never
     # raises; a schedule that solve wrote verifies clean. So do bench and
@@ -741,7 +778,7 @@ def test_any_instance_text_keeps_the_exit_code_contract(tmp_path, capsys, text, 
             assert not sched.exists()
             assert main(["verify", "--input", str(inst), "--schedule", str(sched)]) in (1, 2)
         assert "Traceback" not in capsys.readouterr().err
-    for eps in ("1", "2/3"):
+    for eps in ("1", "2/3", "1/11"):
         for argv in (["bench", "--input", str(corpus)], ["audit", "--input", str(corpus)],
                      ["analyze", "levels", "--input", str(inst)]):
             assert main([*argv, "--eps", eps, "--output", str(sched)]) in (0, 1, 2)

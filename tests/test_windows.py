@@ -187,10 +187,8 @@ def test_exhaustive_solve_does_not_depend_on_pin_identity(inst, k_max, depth_max
     def fresh(rin):
         return ((dict(pins), cells) for pins, cells in guesses(rin))
 
-    plain_traces, fresh_traces = [], []
-    plain = solve(inst, T, guesses, depth_max, traces=plain_traces)
-    assert solve(inst, T, fresh, depth_max, traces=fresh_traces) == plain
-    assert fresh_traces == plain_traces
+    # The results compare their traces too.
+    assert solve(inst, T, fresh, depth_max) == solve(inst, T, guesses, depth_max)
 
 
 @settings(max_examples=150, deadline=None)
@@ -223,13 +221,14 @@ def test_assignments_match_the_rebuilding_dfs(case, data):
 @example(build_instance(4, 3, []), 1, 3, 1)
 def test_a_recursion_call_depends_only_on_its_input(inst, k_max, depth_max, slack):
     # _recurse calls itself through the module, so the wrapper sees every
-    # call. Equal inputs must give equal results and explore as many
-    # guesses, or a memo keyed on the input would change the output.
+    # call. Equal inputs must give equal returns: the starts in the same
+    # order, the discards, the guess count and the traces, which a memo
+    # keyed on the input would replay.
     T = max(-(-inst.n // inst.m), longest_chain(inst)) + slack
     recurse = qptas._recurse
     seen = {}
 
-    def recorded(inst, rin, depth_max, guesses, stats, traces=None):
+    def recorded(inst, rin, depth_max, guesses):
         key = (
             rin.interval,
             rin.jobs,
@@ -237,11 +236,11 @@ def test_a_recursion_call_depends_only_on_its_input(inst, k_max, depth_max, slac
             tuple(sorted(rin.load.items())),
             rin.depth,
         )
-        before = stats.guesses_explored
-        starts, disc = recurse(inst, rin, depth_max, guesses, stats, traces)
-        got = (list(starts.items()), disc, stats.guesses_explored - before)
-        assert seen.setdefault(key, got) == got
-        return starts, disc
+        got = recurse(inst, rin, depth_max, guesses)
+        starts, disc, explored, traces = got
+        record = (list(starts.items()), disc, explored, tuple(traces))
+        assert seen.setdefault(key, record) == record
+        return got
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qptas, "_recurse", recorded)
@@ -294,11 +293,8 @@ def _assert_solve_matches_reference(inst, T, k_max, depth_max):
     # Infeasible-at-the-bound instances explore 10^5-10^6 guesses at depth 3,
     # so each side gets the same guess budget. Both explore the same guesses
     # in the same order, so the budget cuts both at the same guess.
-    got_traces, want_traces = [], []
-    got = solve(inst, T, _budgeted(exhaustive_guesses(inst, k_max), 3000), depth_max, got_traces)
-    want = ref_solve(
-        inst, T, _budgeted(ref_exhaustive_guesses(inst, k_max), 3000), depth_max, want_traces
-    )
+    # The results compare their traces too.
+    got = solve(inst, T, _budgeted(exhaustive_guesses(inst, k_max), 3000), depth_max)
+    want = ref_solve(inst, T, _budgeted(ref_exhaustive_guesses(inst, k_max), 3000), depth_max)
     assert got == want
-    assert got_traces == want_traces
     return got
