@@ -1,10 +1,14 @@
 """Command line entry point: gen, solve, verify, bench, analyze, audit.
 
 This module parses arguments, prints results and maps errors to exit
-codes; the algorithms live in the package. The laminar scheme is one call,
-qptas.solve_laminar (padding, family, solve and repair), which `solve
+codes; the algorithms live in the package. The optimum, where one is known,
+comes from oracle.known_optimum, which `solve --horizon auto` and bench's
+opt column share. The baselines go through one dispatch, _baseline, which
+`solve` and bench's exact, ls and cg rows share. The laminar scheme is one
+call, qptas.solve_laminar (padding, family, solve and repair), which `solve
 --mode laminar` and bench's qptas column share; the exhaustive mode runs
-qptas.solve and the same repair step, qptas.repair.
+qptas.solve and the same repair step, qptas.repair. bench, analyze levels
+and audit write their CSV through one writer, _write_csv.
 
 Exit codes: 0 success (verify: feasible), 1 infeasible or violations found,
 2 usage or parse errors (a cyclic instance file, an --eps outside (0, 1],
@@ -38,7 +42,7 @@ from .baselines import coffman_graham_schedule, list_schedule
 from .generators import KINDS, BadSpec, GeneratorSpec, generate, standard_corpus
 from .laminar import BadEps, BadHorizon, check_eps
 from .model import CycleError, Instance, Schedule, _bits, longest_chain, validate_schedule
-from .oracle import EXACT_CAP, TooLarge, certified_optimum, optimal_makespan, optimal_schedule
+from .oracle import TooLarge, known_optimum, optimal_schedule
 from .qptas import InfeasibleHorizon, exhaustive_guesses, repair, solve, solve_laminar
 from .textio import (
     ParseError,
@@ -89,6 +93,15 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
+
+
+def _write_csv(path: str | None, columns, rows) -> None:
+    """Write `columns` as a header, then `rows`, as CSV with LF line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    _write(path, buf.getvalue())
 
 
 def _parse_eps(value: str) -> Fraction:
@@ -156,23 +169,25 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _optimum(inst: Instance) -> int:
-    """The optimum of an instance below the oracle cap.
-
-    A baseline schedule that meets the lower bound certifies it without a
-    search; the oracle searches only when neither baseline does.
-    """
-    sched = certified_optimum(inst)
-    return optimal_makespan(inst) if sched is None else sched.makespan()
-
-
-def _auto_horizon(inst: Instance, opt: int | None = None) -> int:
-    # The optimum (`opt` when the caller already has it) when the instance
-    # is desk-sized, certified or searched, otherwise the classic lower
+def _auto_horizon(inst: Instance, opt: int | None) -> int:
+    # The optimum when known_optimum gave one, otherwise the classic lower
     # bound; discards at a too-small horizon are repaired afterwards.
-    if inst.n <= EXACT_CAP:
-        return _optimum(inst) if opt is None else opt
-    return max(math.ceil(inst.n / inst.m), longest_chain(inst))
+    if opt is None:
+        return max(math.ceil(inst.n / inst.m), longest_chain(inst))
+    return opt
+
+
+def _baseline(inst: Instance, alg: str, order: str = "id", seed: int = 0) -> Schedule:
+    """The exact, ls or cg schedule; solve and bench both run this."""
+    if alg == "exact":
+        return optimal_schedule(inst)
+    if alg == "cg" or order == "cg":
+        # ls under the Coffman-Graham order is the Coffman-Graham schedule.
+        return coffman_graham_schedule(inst)
+    ids = list(range(inst.n))
+    if order == "random":
+        random.Random(seed).shuffle(ids)
+    return list_schedule(inst, ids)
 
 
 def _solve_qptas(inst: Instance, args) -> tuple[Schedule, int, int]:
@@ -182,7 +197,7 @@ def _solve_qptas(inst: Instance, args) -> tuple[Schedule, int, int]:
     if args.kmax is not None and args.kmax < 0:
         raise CliError(f"--kmax must be at least 0, got {args.kmax}")
     if args.horizon == "auto":
-        T = _auto_horizon(inst)
+        T = _auto_horizon(inst, known_optimum(inst))
     else:
         try:
             T = int(args.horizon)
@@ -204,20 +219,10 @@ def _solve_qptas(inst: Instance, args) -> tuple[Schedule, int, int]:
 
 def _cmd_solve(args) -> int:
     inst = _read_instance(args.input)
-    discards = 0
-    explored = 0
-    if args.alg == "exact":
-        sched = optimal_schedule(inst)
-    elif args.alg == "cg" or (args.alg == "ls" and args.order == "cg"):
-        # ls under the Coffman-Graham order is the Coffman-Graham schedule.
-        sched = coffman_graham_schedule(inst)
-    elif args.alg == "ls":
-        order = list(range(inst.n))
-        if args.order == "random":
-            random.Random(args.seed).shuffle(order)
-        sched = list_schedule(inst, order)
-    else:
+    if args.alg == "qptas":
         sched, discards, explored = _solve_qptas(inst, args)
+    else:
+        sched, discards, explored = _baseline(inst, args.alg, args.order, args.seed), 0, 0
     _write(args.output, emit_schedule(sched))
     print(f"makespan={sched.horizon} discarded={discards} explored={explored}")
     return 0
@@ -241,29 +246,25 @@ def _cmd_verify(args) -> int:
 
 def _bench_one(cid: str, inst: Instance, alg: str, eps: Fraction, opt: int | None,
                opt_s: float, timing: bool):
-    """One bench row; `opt` is the instance's optimum, None above the oracle cap.
+    """One bench row, as `solve --alg <alg> --eps <eps>` would score it.
 
-    `opt_s` is the time finding `opt` took, by certificate or by search; the
-    qptas row's wall_ms includes it, since its auto horizon is that optimum.
+    `opt` is known_optimum's answer, None when no optimum is known. `opt_s`
+    is the time finding it took, by certificate or by search; the qptas
+    row's wall_ms includes it, since its auto horizon is that optimum.
     """
     row = {c: "" for c in BENCH_COLUMNS}
     row["instance"] = cid
     row["algorithm"] = alg
     began = time.perf_counter()
     try:
-        discards = 0
-        if alg == "exact":
-            # The search, independent of how `opt` was found: the row's
-            # makespan is checked against `opt`, not copied from it.
-            sched = optimal_schedule(inst)
-            mk = sched.makespan()
-        elif alg == "ls":
-            mk = list_schedule(inst, range(inst.n)).makespan()
-        elif alg == "cg":
-            mk = coffman_graham_schedule(inst).makespan()
-        else:  # qptas; _cmd_bench has checked every name against BENCH_ALGS
+        if alg == "qptas":  # _cmd_bench has checked every name against BENCH_ALGS
             sched, discards, _ = solve_laminar(inst, _auto_horizon(inst, opt), eps)
-            mk = sched.horizon
+        else:
+            # exact runs its own search, independent of how `opt` was found:
+            # the row's makespan is checked against `opt`, not copied from it.
+            sched, discards = _baseline(inst, alg), 0
+        # What solve prints; for a baseline, its last busy slot + 1.
+        mk = sched.horizon
         row["makespan"] = str(mk)
         row["discards"] = str(discards)
         if opt is not None:
@@ -275,7 +276,7 @@ def _bench_one(cid: str, inst: Instance, alg: str, eps: Fraction, opt: int | Non
     if timing:
         wall_s = time.perf_counter() - began + (opt_s if alg == "qptas" else 0.0)
         row["wall_ms"] = f"{wall_s * 1000:.3f}"
-    return row
+    return [row[c] for c in BENCH_COLUMNS]
 
 
 def _cmd_bench(args) -> int:
@@ -289,15 +290,11 @@ def _cmd_bench(args) -> int:
     for cid, inst in corpus:
         # One optimum per instance, kept for this call only.
         began = time.perf_counter()
-        opt = _optimum(inst) if inst.n <= EXACT_CAP else None
+        opt = known_optimum(inst)
         opt_s = time.perf_counter() - began
         rows.extend(_bench_one(cid, inst, alg, eps, opt, opt_s, args.timing) for alg in algs)
-    rows.sort(key=lambda r: (r["instance"], r["algorithm"]))
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    _write(args.output, buf.getvalue())
+    rows.sort(key=lambda r: r[:2])  # by instance, then algorithm
+    _write_csv(args.output, BENCH_COLUMNS, rows)
     return 0
 
 
@@ -308,23 +305,14 @@ def _cmd_analyze(args) -> int:
         raise CliError(f"need at least 2 jobs for the level table, got {inst.n}")
     padded, _, assign, a, count = level_analysis(inst, eps)
     fam = assign.fam
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["level", "start", "end", "guess", "top"])
+    rows = []
     for level in range(fam.level_count()):
         per_guess = assign.guess.get(level, {})
         per_top = assign.top.get(level, {})
         for key in sorted(set(per_guess) | set(per_top)):
-            writer.writerow(
-                [
-                    level,
-                    key[0],
-                    key[1],
-                    " ".join(map(str, _bits(per_guess.get(key, 0)))),
-                    " ".join(map(str, _bits(per_top.get(key, 0)))),
-                ]
-            )
-    _write(args.output, buf.getvalue())
+            cells = (" ".join(map(str, _bits(jobs.get(key, 0)))) for jobs in (per_guess, per_top))
+            rows.append([level, *key, *cells])
+    _write_csv(args.output, ("level", "start", "end", "guess", "top"), rows)
     print(f"offset={a} bucket={count} horizon={fam.T} padded_jobs={padded.n}", file=sys.stderr)
     return 0
 
@@ -332,9 +320,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_audit(args) -> int:
     corpus = _corpus_dir(args.input)
     eps = _parse_eps(args.eps)
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=AUDIT_COLUMNS, lineterminator="\n")
-    writer.writeheader()
+    rows = []
     counted = set(CONTRACTUAL_CLAIMS + ADVISORY_CLAIMS)
     failed = 0
     for cid, inst in corpus:
@@ -345,17 +331,10 @@ def _cmd_audit(args) -> int:
             continue
         for claim, rep in reports.items():
             failed += rep.violations if claim in counted else 0
-            writer.writerow(
-                {
-                    "claim": claim,
-                    "instance": cid,
-                    "population": rep.population,
-                    "violations": rep.violations,
-                    "observed": f"{rep.worst:.6f}",
-                    "bound": f"{rep.bound:.6f}",
-                }
+            rows.append(
+                [claim, cid, rep.population, rep.violations, f"{rep.worst:.6f}", f"{rep.bound:.6f}"]
             )
-    _write(args.output, buf.getvalue())
+    _write_csv(args.output, AUDIT_COLUMNS, rows)
     return 1 if failed else 0
 
 

@@ -13,6 +13,10 @@ never returns None: Coffman-Graham is optimal at m = 2 (Coffman and Graham
 meets the bound n.
 optimal_makespan and optimal_schedule are the search alone: they never
 consult the certificate, so the baselines can be judged against them.
+known_optimum is the one policy for "the optimum, if one is known": the
+certificate first, the search only when it fails, and nothing above
+EXACT_CAP. The cap decision lives there alone, so a state budget or a wider
+certificate changes that one function.
 
 Search space: order ideals (downward-closed job sets) of the precedence
 order, encoded as bitmasks. A schedule prefix that has run for t slots is
@@ -255,3 +259,17 @@ def certified_optimum(inst: Instance) -> Schedule | None:
         return sched
     sched = coffman_graham_schedule(inst)
     return sched if inst.m <= 2 or sched.makespan() == bound else None
+
+
+def known_optimum(inst: Instance) -> int | None:
+    """The optimum's makespan when it is known, else None.
+
+    None above EXACT_CAP, even where a certificate exists, so a large
+    instance gets no search and its callers fall back to their own bounds.
+    Below the cap the certificate answers first and optimal_makespan
+    searches only when it returns None.
+    """
+    if inst.n > EXACT_CAP:
+        return None
+    sched = certified_optimum(inst)
+    return optimal_makespan(inst) if sched is None else sched.makespan()

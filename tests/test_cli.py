@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from precsched import cli
+from precsched import cli, oracle
 from precsched.audits import STRIDE_DIGITS, audit_instance
 from precsched.baselines import list_schedule
 from precsched.cli import main
@@ -263,10 +263,11 @@ def test_bench_deterministic_and_sound(tmp_path):
 
 
 def _count_oracle_calls(monkeypatch):
-    """Wrap cli's oracle names; returns (calls, refusals) keyed by (name, n).
+    """Wrap the oracle's names; returns (calls, refusals) keyed by (name, n).
 
     "certificate" counts the certificate's calls, "makespan" and "schedule"
-    the two searches.
+    the two searches. known_optimum calls the first two through oracle's
+    own bindings, and bench's exact row the schedule search through cli's.
     """
     calls, refusals = Counter(), Counter()
 
@@ -282,8 +283,8 @@ def _count_oracle_calls(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(cli, "certified_optimum", counted("certificate", cli.certified_optimum))
-    monkeypatch.setattr(cli, "optimal_makespan", counted("makespan", cli.optimal_makespan))
+    monkeypatch.setattr(oracle, "certified_optimum", counted("certificate", oracle.certified_optimum))
+    monkeypatch.setattr(oracle, "optimal_makespan", counted("makespan", oracle.optimal_makespan))
     monkeypatch.setattr(cli, "optimal_schedule", counted("schedule", cli.optimal_schedule))
     return calls, refusals
 
@@ -386,7 +387,7 @@ def test_bench_timing_charges_opt_search_to_qptas_row(tmp_path, monkeypatch):
     for name, corp in (("certified_optimum", _gen_corpus(tmp_path, {"chain-05-m1"})),
                        ("optimal_makespan", tmp_path / "full")):
         with monkeypatch.context() as patch:
-            patch.setattr(cli, name, slowed(getattr(cli, name)))
+            patch.setattr(oracle, name, slowed(getattr(oracle, name)))
             out = tmp_path / "b.csv"
             argv = ["bench", "--input", str(corp), "--alg", "ls,qptas", "--timing", "--output", str(out)]
             assert main(argv) == 0
@@ -418,6 +419,24 @@ def test_bench_writes_rows_for_an_empty_instance(tmp_path, capsys):
         # 0/0 has no ratio.
         assert (empty["makespan"], empty["opt"], empty["ratio"], empty["error"]) == ("0", "0", "", "")
         assert (one["makespan"], one["opt"], one["ratio"], one["error"]) == ("1", "1", "1.000000", "")
+
+
+def test_bench_rows_report_what_solve_prints(tmp_path, capsys):
+    # bench and solve share the optimum, the baseline dispatch and the
+    # laminar run, so each row's makespan and discards are those that
+    # `solve --alg <alg>` prints at its defaults.
+    corp = _gen_corpus(tmp_path)
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--input", str(corp), "--output", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert Counter(r["algorithm"] for r in rows) == {alg: 14 for alg in ("exact", "ls", "cg", "qptas")}
+    capsys.readouterr()
+    for row in rows:
+        argv = ["solve", "--input", str(corp / f"{row['instance']}.inst"), "--alg", row["algorithm"],
+                "--output", str(tmp_path / "s")]
+        assert main(argv) == 0
+        printed = dict(field.split("=") for field in capsys.readouterr().out.split())
+        assert (row["makespan"], row["discards"]) == (printed["makespan"], printed["discarded"]), row
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -790,8 +809,9 @@ def test_unknown_bench_algorithm_exits_2(tmp_path, capsys, monkeypatch, algs):
     # The names are checked before any instance is solved; they used to
     # become an `unknown algorithm` error in each row, with exit 0.
     corp = _gen_corpus(tmp_path, {"chain-05-m1"})
-    for name in ("certified_optimum", "optimal_makespan", "list_schedule"):
-        monkeypatch.setattr(cli, name, lambda *a: pytest.fail("bench solved an instance"))
+    for mod, name in ((oracle, "certified_optimum"), (oracle, "optimal_makespan"),
+                      (cli, "list_schedule")):
+        monkeypatch.setattr(mod, name, lambda *a: pytest.fail("bench solved an instance"))
     out = tmp_path / "bench.csv"
     assert main(["bench", "--input", str(corp), "--alg", algs, "--output", str(out)]) == 2
     err = capsys.readouterr().err

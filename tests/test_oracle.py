@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from precsched import oracle
 from precsched.generators import GeneratorSpec, generate
 from precsched.laminar import pad_to_power_of_two
 from precsched.model import Schedule, build_instance, longest_chain, validate_schedule
@@ -15,6 +16,7 @@ from precsched.oracle import (
     _step_tables,
     _steps,
     certified_optimum,
+    known_optimum,
     lower_bound,
     optimal_makespan,
     optimal_schedule,
@@ -333,6 +335,7 @@ def test_lower_bound_and_certificate_against_the_search(inst):
         report = validate_schedule(inst, sched)
         assert report.complete and report.feasible
         assert sched.makespan() == sched.horizon == opt
+    assert known_optimum(inst) == opt
 
 
 @settings(max_examples=150, deadline=None)
@@ -361,6 +364,15 @@ def test_complete_bipartite_at_m4_has_no_certificate():
     assert lower_bound(inst) == 3
     assert certified_optimum(inst) is None
     assert optimal_makespan(inst) == 4
+    assert known_optimum(inst) == 4
+
+
+def test_known_optimum_is_none_above_the_cap(monkeypatch):
+    # Above EXACT_CAP neither the certificate nor the search runs, though
+    # list scheduling would certify these 25 edgeless jobs.
+    for name in ("certified_optimum", "optimal_makespan"):
+        monkeypatch.setattr(oracle, name, lambda *a: pytest.fail("the oracle ran above the cap"))
+    assert known_optimum(build_instance(25, 3, [])) is None
 
 
 def test_empty_instance_bound_and_certificate():
