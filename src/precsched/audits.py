@@ -15,6 +15,17 @@ and the stride from it. The solver's own per-call traces feed the window
 and idle auditors, which take each call's levels from the family: that of
 its interval and that of its cells. Everything here is desk-scale: it sits
 on top of the exact oracle.
+
+The pinned run's depth cap is the family's level count, which no call
+reaches: every call splits its interval at least one level deeper. The
+one depth row, recursion-depth-analysis, compares the traced depths with
+laminar.analysis_depth_limit.
+
+The claims' comparisons are exact where the quantities are integers or
+Fractions (unique-level, shift-bound, window-slack). The level-count,
+degenerate-count and idle-slots bounds, and analysis_depth_limit, take
+float logarithms of n, and every AuditReport holds its worst and bound
+as floats, as the audit CSV prints them.
 """
 
 from __future__ import annotations
@@ -32,7 +43,6 @@ from .laminar import (
     best_offset,
     bucket_tops,
     check_eps,
-    default_depth_max,
     pad_schedule,
     pad_with_family,
 )
@@ -315,11 +325,12 @@ def audit_instance(inst: Instance, eps=Fraction(1)) -> dict[str, AuditReport]:
     offset from level_analysis, runs the pinned recursion, and returns one
     report per claim, in the order of the audit CSV's rows. window-slack,
     degenerate-count and idle-slots aggregate the per-call reports into
-    margin rows (bound 0.0); a call's slack bound is its cell length. Two
-    informational rows record the run's depth against the working cap and
-    the analysis recursion-depth limit. Needs at least 2 jobs; raises
-    TooLarge above the oracle cap, and ValueError, before the pinned run,
-    when the stride m/eps has more than STRIDE_DIGITS digits.
+    margin rows (bound 0.0); a call's slack bound is its cell length. One
+    informational row, recursion-depth-analysis, records the run's depth
+    against analysis_depth_limit; the family bounds the run itself (see
+    run_oracle_pinned), so there is no cap to report. Needs at least 2
+    jobs; raises TooLarge above the oracle cap, and ValueError, before the
+    pinned run, when the stride m/eps has more than STRIDE_DIGITS digits.
     """
     padded, opt, assign, a, _ = level_analysis(inst, eps)
     fam = assign.fam
@@ -337,8 +348,10 @@ def audit_instance(inst: Instance, eps=Fraction(1)) -> dict[str, AuditReport]:
         top1 = sum(map(assign.top_at_level, levels))
         return [w for w in tr.windows if top1 >> w.job & 1]
 
-    # In CSV row order: the claims, then the informational rows.
-    reports = {
+    limit = analysis_depth_limit(fam)
+    # In CSV row order: the claims, then the informational depth row, which
+    # is part of neither claim set.
+    return {
         "unique-level": check_unique_level(assign),
         "shift-bound": check_shift_bound(assign),
         "window-slack": _merge_margin(
@@ -359,19 +372,11 @@ def audit_instance(inst: Instance, eps=Fraction(1)) -> dict[str, AuditReport]:
         "idle-slots": _merge_margin(
             "idle-slots", [audit_idle_slots(tr, fam) for tr in traces]
         ),
-    }
-    # Informational rows: replay depth against the working cap and against
-    # the analysis limit. Not part of either claim set.
-    deepest = max((tr.depth for tr in traces), default=0)
-    for name, limit in (
-        ("recursion-depth", default_depth_max(fam)),
-        ("recursion-depth-analysis", analysis_depth_limit(fam)),
-    ):
-        reports[name] = AuditReport(
-            name=name,
+        "recursion-depth-analysis": AuditReport(
+            name="recursion-depth-analysis",
             population=len(traces),
             violations=sum(1 for tr in traces if tr.depth > limit),
-            worst=float(deepest),
+            worst=float(max((tr.depth for tr in traces), default=0)),
             bound=float(limit),
-        )
-    return reports
+        ),
+    }

@@ -211,7 +211,9 @@ def _solve_qptas(inst: Instance, args) -> tuple[Schedule, int, int]:
         if T > cap:
             raise CliError(f"horizon must be at most max(n, 1) = {cap}, got {T}")
     if args.mode == "laminar":
-        return solve_laminar(inst, T, eps, args.depth_max)
+        # The family bounds the laminar recursion: --kmax and --depth-max,
+        # range-checked above in both modes, apply to the exhaustive mode only.
+        return solve_laminar(inst, T, eps)
     guesses = exhaustive_guesses(inst, inst.n if args.kmax is None else args.kmax)
     result = solve(inst, T, guesses, 1 if args.depth_max is None else args.depth_max)
     return repair(inst, result, inst.n)

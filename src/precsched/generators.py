@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .model import Instance, build_instance
+from .model import JOBS_MAX, Instance, build_instance
 
 
 class BadSpec(ValueError):
@@ -42,8 +42,8 @@ class GeneratorSpec:
 def _check(spec: GeneratorSpec) -> None:
     if spec.kind not in KINDS:
         raise BadSpec(f"unknown kind {spec.kind!r}")
-    if spec.n < 0:
-        raise BadSpec(f"n must be >= 0, got {spec.n}")
+    if not 0 <= spec.n <= JOBS_MAX:
+        raise BadSpec(f"n must be in [0, {JOBS_MAX}], got {spec.n}")
     if spec.m < 1:
         raise BadSpec(f"m must be >= 1, got {spec.m}")
     if not 0.0 <= spec.edge_prob <= 1.0:

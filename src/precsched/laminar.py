@@ -12,8 +12,14 @@ build_laminar(T, n, m, eps) is the one place the scheme's parameters are
 checked: eps in (0, 1], m/eps a positive integer, T a power of two, n >= 2
 and rho a finite float. The family carries n, m, the checked eps and the
 stride m/eps, and every helper below that needs them (partition_level,
-bucket_levels, chain_threshold, the depth bounds, the auditors) reads them
-from the family instead of taking and re-checking them.
+bucket_levels, chain_threshold, analysis_depth_limit, the auditors) reads
+them from the family instead of taking and re-checking them.
+
+Three quantities here come from float logarithms: rho (build_laminar),
+the log2 log2 n scale in chain_threshold (rounded up to a power of two, so
+the threshold itself is a Fraction), and analysis_depth_limit. Everything
+else, eps, the stride, windows and level lengths included, is an integer
+or a Fraction.
 
 pad_with_family(inst, T, eps) is the one place the scheme's padding is
 decided: the power-of-two horizon T* >= T, the m * (T* - T) dummy jobs
@@ -437,11 +443,3 @@ def analysis_depth_limit(fam: LaminarFamily) -> int:
     inner = math.log2(math.log2(n))
     return max(1, math.ceil(float(fam.eps / fam.m) * (math.log2(n) / inner + 1)))
 
-
-def default_depth_max(fam: LaminarFamily) -> int:
-    """Default recursion cap ceil((eps/m) * log2 n) + 1.
-
-    eps/m is exact until it becomes a float, so no machine count overflows
-    one.
-    """
-    return math.ceil(float(fam.eps / fam.m) * math.log2(fam.n)) + 1

@@ -35,6 +35,13 @@ class BadMachineCount(ValueError):
     """Machine count must be a positive integer."""
 
 
+# The most jobs an instance file (textio.parse_instance) or a generator spec
+# (generators.generate) may declare, checked before build_instance, which
+# allocates per-job lists before it reads an edge: at 2**62 jobs that raises
+# MemoryError, at 10**20 OverflowError. Tests and benchmarks use n <= 8000.
+JOBS_MAX = 1 << 20
+
+
 @dataclass(frozen=True)
 class Instance:
     """A scheduling instance with a transitively closed precedence DAG.

@@ -15,8 +15,11 @@ optimal_makespan and optimal_schedule are the search alone: they never
 consult the certificate, so the baselines can be judged against them.
 known_optimum is the one policy for "the optimum, if one is known": the
 certificate first, the search only when it fails, and nothing above
-EXACT_CAP. The cap decision lives there alone, so a state budget or a wider
-certificate changes that one function.
+EXACT_CAP. `solve --horizon auto` and bench take their optimum from it.
+EXACT_CAP is applied in three more places: optimal_makespan and
+optimal_schedule raise TooLarge above their `cap` argument (EXACT_CAP by
+default), and audits.level_analysis raises it when the padded instance
+exceeds EXACT_CAP. A state budget in place of the cap changes those four.
 
 Search space: order ideals (downward-closed job sets) of the precedence
 order, encoded as bitmasks. A schedule prefix that has run for t slots is

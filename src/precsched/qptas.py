@@ -65,6 +65,11 @@ laminar_guesses there, and repair (insert_discarded, then the jobs below
 the original count) reinserts the discards and drops the padding. The
 exhaustive mode shares repair. The auditors' pinned run calls solve
 directly: it needs the unrepaired result and its traces.
+
+solve's depth cap, depth_max, matters to the exhaustive mode alone. A
+family source splits every call's interval at least one level deeper
+(partition_level), so the family bounds its own recursion: solve_laminar
+and the auditors' pinned run pass fam.level_count(), which no call reaches.
 """
 
 from __future__ import annotations
@@ -77,7 +82,6 @@ from .baselines import _sweep
 from .laminar import (
     EmptyWindow,
     classify,
-    default_depth_max,
     pad_with_family,
     partition_level,
     pin_windows,
@@ -490,22 +494,20 @@ def repair(target: Instance, result: SolveResult, n: int) -> tuple[Schedule, int
     return Schedule(start, sched.horizon), len(result.discarded), result.stats.guesses_explored
 
 
-def solve_laminar(
-    inst: Instance, T: int, eps, depth_max: int | None = None
-) -> tuple[Schedule, int, int]:
+def solve_laminar(inst: Instance, T: int, eps) -> tuple[Schedule, int, int]:
     """The laminar scheme at horizon T: (schedule, discards, guesses explored).
 
     The one run: pad_with_family pads inst to its power-of-two horizon T*
     and builds the family, solve runs laminar_guesses on the padded
-    instance at T* (to default_depth_max(fam) unless depth_max is given),
-    and repair reinserts the discards and drops the dummies. An empty
-    instance gets an empty schedule at horizon T, once eps has passed the
-    same checks on the 2-job family of horizon 1.
+    instance at T*, and repair reinserts the discards and drops the
+    dummies. The family bounds the recursion: every call splits its
+    interval at least one level deeper, so a non-unit call's depth is
+    below fam.deepest and the depth cap fam.level_count() is never reached.
+    An empty instance gets an empty schedule at horizon T, once eps has
+    passed the same checks on the 2-job family of horizon 1.
     """
     if inst.n == 0:
         pad_with_family(inst, 1, eps)
         return Schedule(start={}, horizon=T), 0, 0
     padded, fam = pad_with_family(inst, T, eps)
-    if depth_max is None:
-        depth_max = default_depth_max(fam)
-    return repair(padded, solve(padded, fam.T, laminar_guesses(fam), depth_max), inst.n)
+    return repair(padded, solve(padded, fam.T, laminar_guesses(fam), fam.level_count()), inst.n)

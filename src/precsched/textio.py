@@ -11,7 +11,7 @@ canonical form (sorted edge and job lines) so that parse(emit(x)) == x.
 
 from __future__ import annotations
 
-from .model import Instance, Schedule, _bits, build_instance
+from .model import JOBS_MAX, Instance, Schedule, _bits, build_instance
 
 
 class ParseError(ValueError):
@@ -48,7 +48,10 @@ def _directive(lineno: int, parts, name: str, argc: int):
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse an instance file. Raises ParseError with the offending line."""
+    """Parse an instance file. Raises ParseError with the offending line.
+
+    A job count above model.JOBS_MAX is refused on its `jobs` line.
+    """
     lines = _logical_lines(text)
     try:
         lineno, parts = next(lines)
@@ -56,6 +59,8 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(1, "missing 'jobs' line") from None
     _directive(lineno, parts, "jobs", 1)
     n = _int_field(lineno, parts[1], "job count")
+    if n > JOBS_MAX:
+        raise ParseError(lineno, f"job count must be <= {JOBS_MAX}, got {n}")
     try:
         lineno, parts = next(lines)
     except StopIteration:

@@ -17,7 +17,7 @@ from precsched.audits import ADVISORY_CLAIMS, CONTRACTUAL_CLAIMS, audit_instance
 from precsched.baselines import coffman_graham_schedule, list_schedule
 from precsched.cli import main
 from precsched.generators import GeneratorSpec, generate, standard_corpus
-from precsched.laminar import default_depth_max, pad_to_power_of_two, pad_with_family
+from precsched.laminar import pad_to_power_of_two, pad_with_family
 from precsched.model import build_instance, validate_schedule
 from precsched.oracle import EXACT_CAP, optimal_makespan
 from precsched.qptas import exhaustive_guesses, insert_discarded, laminar_guesses, solve
@@ -123,7 +123,7 @@ def test_criterion_5_feasibility_and_accounting(capsys):
             runs.append(("exhaustive", inst, OPT[cid], exhaustive_guesses(inst, inst.n), 1))
         padded, fam = pad_with_family(inst, OPT[cid], Fraction(1))
         laminar = laminar_guesses(fam)
-        for depth_max in (1, default_depth_max(fam)):
+        for depth_max in (1, fam.level_count()):
             runs.append(("laminar", padded, fam.T, laminar, depth_max))
         for mode, target, T, guesses, depth_max in runs:
             result = solve(target, T, guesses, depth_max)

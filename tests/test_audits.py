@@ -216,8 +216,8 @@ def test_audit_instance_chain8_frozen_fields():
     # Family levels are 8, 2, 1; the whole chain is guessed at the root.
     assert reports["level-count"].worst == 2.0
     assert reports["window-slack"].population == 0
-    assert reports["recursion-depth"].population == 1
-    assert reports["recursion-depth"].worst == 0.0
+    assert reports["recursion-depth-analysis"].population == 1
+    assert reports["recursion-depth-analysis"].worst == 0.0
 
 
 def test_audit_instance_rejects_tiny_instances():

@@ -15,7 +15,7 @@ from precsched.baselines import list_schedule
 from precsched.cli import main
 from precsched.generators import GeneratorSpec, generate, standard_corpus
 from precsched.laminar import DUMMY_MAX
-from precsched.model import Schedule, build_instance, longest_chain
+from precsched.model import JOBS_MAX, Schedule, build_instance, longest_chain
 from precsched.oracle import TooLarge, certified_optimum, lower_bound, optimal_makespan
 from precsched.textio import emit_instance, emit_schedule, parse_instance, parse_schedule
 
@@ -203,6 +203,21 @@ def test_solve_qptas_out_of_range_numbers_exit_2(tmp_path, capsys, extra):
     assert main([*argv, *extra, "--output", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_depth_max_leaves_the_laminar_mode_as_it_is(tmp_path, capsys):
+    # The family bounds the laminar recursion and --depth-max applies to the
+    # exhaustive mode only, so a valid value prints what the default run
+    # prints, down to the explored= count.
+    corp = _gen_corpus(tmp_path, {"layered-16-m2"})
+    argv = ["solve", "--input", str(corp / "layered-16-m2.inst"), "--alg", "qptas"]
+    runs = []
+    for extra in ([], ["--depth-max", "1"], ["--depth-max", "2"]):
+        out = tmp_path / "s.sched"
+        assert main([*argv, *extra, "--output", str(out)]) == 0
+        runs.append((capsys.readouterr().out, out.read_text()))
+    assert runs[0][0].startswith("makespan=8 discarded=0 ")
+    assert runs == [runs[0]] * 3
 
 
 @pytest.mark.parametrize("mode", ["laminar", "exhaustive"])
@@ -463,7 +478,7 @@ def test_audit_corpus_csv(tmp_path, capsys):
     out = tmp_path / "audit.csv"
     assert main(["audit", "--input", str(corp), "--output", str(out)]) == 0
     rows = list(csv.DictReader(out.read_text().splitlines()))
-    assert len(rows) == len(SMALL) * 8
+    assert len(rows) == len(SMALL) * 7
     assert all(r["violations"] == "0" for r in rows)
     claims = {r["claim"] for r in rows}
     assert "unique-level" in claims and "idle-slots" in claims
@@ -708,7 +723,6 @@ def test_audit_skips_a_stride_too_long_to_print(tmp_path, capsys):
         ("level-count", "huge-m", "1", "0", "0.000000", "1.952245"),
         ("degenerate-count", "huge-m", "0", "0", "0.000000", "0.000000"),
         ("idle-slots", "huge-m", "0", "0", "0.000000", "0.000000"),
-        ("recursion-depth", "huge-m", "0", "0", "0.000000", "1.000000"),
         ("recursion-depth-analysis", "huge-m", "0", "0", "0.000000", "1.000000"),
     ]
 
@@ -742,6 +756,25 @@ def test_cyclic_instance_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("n", [10**20, 1 << 62], ids=["overflow", "memory"])
+def test_a_huge_job_count_exits_2(tmp_path, capsys, n):
+    # build_instance's per-job lists raised OverflowError at 10**20 jobs and
+    # MemoryError at 2**62: solve, bench and gen printed a traceback and exited 1.
+    corp = tmp_path / "corpus"
+    corp.mkdir()
+    inst = corp / "huge-n.inst"
+    inst.write_text(f"jobs {n}\nmachines 2\n")
+    refused = f"{inst}: line 1: job count must be <= {JOBS_MAX}, got {n}"
+    out = tmp_path / "out"
+    for argv in (["solve", "--alg", "ls", "--input", str(inst)], ["bench", "--input", str(corp)]):
+        assert main([*argv, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {refused}\n"
+        assert not out.exists()
+    assert main(["gen", "--kind", "antichain", "--n", str(n), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: n must be in [0, {JOBS_MAX}], got {n}\n"
+    assert not out.exists()
+
+
 @st.composite
 def _instance_texts(draw):
     """Instance text with any edge list: cycles, self-loops, ids past n, m >= n."""
@@ -751,6 +784,9 @@ def _instance_texts(draw):
     # float and str() alike.
     if draw(st.integers(min_value=0, max_value=7)) == 0:
         m = 10**4299 - 1
+    # One text in eight has a 20-digit job count, far above JOBS_MAX.
+    if draw(st.integers(min_value=0, max_value=7)) == 0:
+        n = 10**20 - 1
     # One edge list in five may name job n, one past the last job.
     top = n if draw(st.integers(min_value=0, max_value=4)) == 0 else max(n - 1, 0)
     ids = st.integers(min_value=0, max_value=top)
@@ -768,6 +804,8 @@ def _instance_texts(draw):
 @given(_instance_texts(), st.sampled_from(["auto", "1", "3"]))
 # At eps 1/11 audit's stride for this file has 4301 digits.
 @example(f"jobs 3\nmachines {'9' * 4299}\n", "auto")
+# A job count that build_instance could not allocate.
+@example("jobs 100000000000000000000\nmachines 1\n", "auto")
 def test_any_instance_text_keeps_the_exit_code_contract(tmp_path, capsys, text, horizon):
     # parse -> solve (every algorithm) -> verify exits 0, 1 or 2 and never
     # raises; a schedule that solve wrote verifies clean. So do bench and
@@ -870,8 +908,8 @@ def test_unreadable_or_unwritable_path_exits_2(tmp_path, capsys, case):
 # alters any of them on purpose updates the digest and says so.
 GOLDEN = {
     "bench": "4bbdda249bdca406acb230906d4e106c024c4515ff084dfbb715494794e67172",
-    "audit-eps-1": "5215ab21196294cb2ef415b1db61af18955dc56871f8e631a9661eb70feb8fa4",
-    "audit-eps-1/2": "972114c9821c9a5bb929106a56b59afcbfaa11d50e51ed4df4638c10ae406635",
+    "audit-eps-1": "f116b5853d6879151404faa0bc815823f124f2340e7f605b7276e0b0834c6794",
+    "audit-eps-1/2": "3b1828fb7d85a93f3b8c7c987e034e0dfa08c6ed13717a2164d10cf05e5509c9",
     "analyze-levels": "9a45cec427639d0c19206ba3d0540334dcf5033bf61dd8cb2927cc46590edac6",
 }
 

@@ -19,7 +19,6 @@ from precsched.laminar import (
     build_laminar,
     chain_threshold,
     check_eps,
-    default_depth_max,
     feasible_window,
     pad_schedule,
     pad_to_power_of_two,
@@ -318,9 +317,6 @@ def test_chain_threshold_is_exact():
 
 
 def test_analysis_parameter_helpers():
-    assert default_depth_max(build_laminar(1, 16, 1, 1)) == 5
-    assert default_depth_max(build_laminar(1, 16, 4, 1)) == 2
-    assert default_depth_max(build_laminar(1, 2, 1, 1)) == 2
     assert analysis_depth_limit(build_laminar(1, 16, 1, 1)) == 3
     assert analysis_depth_limit(build_laminar(1, 65536, 2, 1)) == 3
     assert analysis_depth_limit(build_laminar(1, 2, 1, 1)) == 1

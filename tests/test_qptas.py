@@ -13,12 +13,18 @@ from precsched.laminar import (
     BadHorizon,
     EmptyWindow,
     build_laminar,
-    default_depth_max,
     pad_with_family,
     partition_level,
     pin_windows,
 )
-from precsched.model import Schedule, _bits, _mask, build_instance, validate_schedule
+from precsched.model import (
+    Schedule,
+    _bits,
+    _mask,
+    build_instance,
+    longest_chain,
+    validate_schedule,
+)
 from precsched.oracle import optimal_makespan
 from precsched.qptas import (
     InfeasibleHorizon,
@@ -499,7 +505,7 @@ def test_laminar_solve_plus_repair_is_always_complete(case):
     inst = build_instance(n, m, edges)
     T = optimal_makespan(inst)
     padded, fam = pad_with_family(inst, T, 1)
-    depth_max = default_depth_max(fam)
+    depth_max = fam.level_count()
     res = solve(padded, fam.T, laminar_guesses(fam), depth_max)
     again = solve(padded, fam.T, laminar_guesses(fam), depth_max)
     assert (res.schedule.start, res.discarded) == (again.schedule.start, again.discarded)
@@ -519,7 +525,7 @@ def test_solve_traces_only_the_winning_calls(case, k_max, slack):
     padded, fam = pad_with_family(inst, T, 1)
     runs = [
         (inst, T + slack, exhaustive_guesses(inst, min(k_max, n)), 2),
-        (padded, fam.T, laminar_guesses(fam), default_depth_max(fam)),
+        (padded, fam.T, laminar_guesses(fam), fam.level_count()),
     ]
     for target, horizon, guesses, depth_max in runs:
         res = solve(target, horizon, guesses, depth_max)
@@ -532,6 +538,33 @@ def test_solve_traces_only_the_winning_calls(case, k_max, slack):
             assert tr.placed_tops.keys() <= {w.job for w in tr.windows}
             for j, t in {**tr.pins, **tr.placed_tops}.items():
                 assert res.schedule.start[j] == t
+
+
+@st.composite
+def _family_runs(draw):
+    """(instance, eps, T) with n <= 40, m <= 4, T from the lower bound up to n."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    m = draw(st.integers(min_value=1, max_value=4))
+    ids = st.integers(min_value=0, max_value=n - 1)
+    drawn = draw(st.lists(st.tuples(ids, ids), max_size=60))
+    inst = build_instance(n, m, [(min(e), max(e)) for e in drawn if e[0] != e[1]])
+    eps = draw(st.sampled_from([Fraction(1), Fraction(1, 2)]))
+    T = draw(st.integers(min_value=max(-(-n // m), longest_chain(inst)), max_value=n))
+    return inst, eps, T
+
+
+@settings(max_examples=60, deadline=None)
+@given(_family_runs())
+def test_a_family_run_never_reaches_its_depth_cap(run):
+    # solve_laminar caps a family run at fam.level_count() and takes no
+    # depth_max, because every call splits its interval at least one level
+    # deeper: a non-unit call sits above the deepest level, and no child
+    # reaches the cap. A looser cap must change nothing.
+    inst, eps, T = run
+    padded, fam = pad_with_family(inst, T, eps)
+    at_cap = solve(padded, fam.T, laminar_guesses(fam), fam.level_count())
+    assert at_cap == solve(padded, fam.T, laminar_guesses(fam), fam.level_count() + 5)
+    assert all(tr.depth < fam.deepest for tr in at_cap.traces)
 
 
 @settings(max_examples=60, deadline=None)

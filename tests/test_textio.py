@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from precsched.generators import standard_corpus
-from precsched.model import Schedule, build_instance
+from precsched.model import JOBS_MAX, Schedule, build_instance
 from precsched.textio import (
     ParseError,
     emit_instance,
@@ -92,6 +92,16 @@ def test_edge_out_of_range_reports_line():
 def test_malformed_instances_rejected(text):
     with pytest.raises(ParseError):
         parse_instance(text)
+
+
+@pytest.mark.parametrize("n", [JOBS_MAX + 1, 1 << 62, 10**20])
+def test_a_job_count_above_the_bound_is_refused_on_its_line(n):
+    # build_instance allocates per-job lists first: 2**62 jobs raised
+    # MemoryError there and 10**20 OverflowError, neither a ParseError.
+    with pytest.raises(ParseError) as err:
+        parse_instance(f"# huge\njobs {n}\nmachines 1\nedge 0 1\n")
+    assert err.value.line == 2
+    assert str(err.value) == f"line 2: job count must be <= {JOBS_MAX}, got {n}"
 
 
 def test_parse_schedule_and_round_trip():
