@@ -23,12 +23,18 @@ exceeds EXACT_CAP. A state budget in place of the cap changes those four.
 
 Search space: order ideals (downward-closed job sets) of the precedence
 order, encoded as bitmasks. A schedule prefix that has run for t slots is
-fully described by the set S of finished jobs, so breadth-first search over
-ideals, stepping S -> S | A for A a subset of the currently available jobs
-with |A| <= m, finds the optimal makespan as the BFS distance from the empty
-set to the full set.
+fully described by the set S of finished jobs, so the optimal makespan is
+the fewest steps S -> S | A, for A a subset of the currently available jobs
+with |A| <= m, from the empty set to the full set. _optimal_path finds a
+shortest such path by iterative deepening depth-first search (Korf 1985):
+each pass searches paths up to a horizon, the first at lower_bound, and
+cuts a state whose depth plus a lower bound on its remaining steps passes
+the horizon. The remaining-steps bound is Hu's height bound on the pending
+jobs, raised to what an earlier pass proved when it backed out of the
+state. No state lattice is built: the pass that succeeds goes down one
+path.
 
-Two admissible prunings keep the lattice small. Both are exact, not
+Two admissible prunings keep the steps few. Both are exact, not
 heuristic:
 
 1. Maximal steps. If A is a strict subset of another available set A' with
@@ -64,9 +70,8 @@ The deterministic tie-break for optimal_schedule ("lexicographically
 smallest job set among optimal next steps") is evaluated over this pruned
 universe; replacing a member of a canonical set with a smaller same-class id
 is itself canonical, so the lexicographic minimum over all optimal maximal
-steps is always enumerated. Steps come out in no particular order:
-optimal_makespan reads only a BFS distance, and optimal_schedule sorts the
-steps it walks.
+steps is always enumerated. _steps returns them in no particular order, and
+_optimal_path sorts each state's steps by job set before it tries them.
 """
 
 from __future__ import annotations
@@ -153,28 +158,87 @@ def _steps(inst: Instance, tables, state: int, m: int) -> list[int]:
     return [mask | more for mask, need in steps for more in fill[need]]
 
 
-def _levels(inst: Instance, tables) -> dict[int, int]:
-    """BFS level of every ideal reached until the full set turns up (n >= 1)."""
+def _height_masks(inst: Instance) -> list[int]:
+    """masks[k] is the set of jobs of height k + 1 or more, for k below the
+    longest chain; the masks nest, largest first."""
+    depth = _chain_depths(inst, (1 << inst.n) - 1)
+    masks = [0] * max(depth.values(), default=0)
+    for j, h in depth.items():
+        masks[h - 1] |= 1 << j
+    for k in range(len(masks) - 2, -1, -1):
+        masks[k] |= masks[k + 1]
+    return masks
+
+
+def _rest_bound(masks: list[int], pending: int, m: int) -> int:
+    """Hu's height bound on the pending jobs: max over k of k - 1 + ceil(|{j
+    pending : height(j) >= k}| / m), 0 when nothing is pending.
+
+    The pending set is an up-set whenever the done set is an ideal, so each
+    pending job's height in the pending jobs is its height in the instance,
+    and one popcount per height counts the jobs. Integer ceilings only, so no
+    machine count overflows a float.
+    """
+    bound = 0
+    for k, mask in enumerate(masks):
+        count = (pending & mask).bit_count()
+        if not count:
+            break
+        bound = max(bound, k - (-count // m))
+    return bound
+
+
+def _optimal_path(inst: Instance) -> list[int]:
+    """The done sets of the first optimal schedule in step order, the empty
+    set first and the full set last (n >= 1).
+
+    Iterative deepening depth-first search (IDA*, Korf 1985). The horizon
+    starts at lower_bound and rises by 1 after each pass that fails. Each
+    pass tries the steps of a state in lexicographic order of their job sets
+    and cuts a child at depth d + 1 when d + 1 + max(need, rest bound)
+    exceeds the horizon. The rest bound is _rest_bound of the child's
+    pending jobs; need[S] is the number of steps S was proven to need when
+    a pass backed out of it, kept across passes. Neither cut removes a
+    subtree that could finish within the horizon, so the first pass that
+    succeeds is at the optimum D and returns the first path of length D in
+    step order.
+    """
     full = (1 << inst.n) - 1
-    dist = {0: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            d = dist[state] + 1
-            for step in _steps(inst, tables, state, inst.m):
-                s2 = state | step
-                if s2 not in dist:
-                    dist[s2] = d
-                    if s2 == full:
-                        return dist
-                    nxt.append(s2)
-        frontier = nxt
-    raise AssertionError("full state unreachable in an acyclic instance")
+    m = inst.m
+    tables = _step_tables(inst)
+    masks = _height_masks(inst)
+    need: dict[int, int] = {}
+
+    def children(state: int):
+        steps = _steps(inst, tables, state, m)
+        return iter(sorted(steps, key=lambda step: tuple(_bits(step))))
+
+    # lower_bound, with the forward masks built once for both uses.
+    horizon = max(_rest_bound(masks, full, m), _height_bound(reverse(inst)))
+    while True:
+        path = [0]
+        todo = [children(0)]
+        while todo:
+            step = next(todo[-1], 0)
+            d = len(path) - 1
+            if not step:
+                # No path from path[-1] fits in the horizon - d steps left.
+                need[path.pop()] = horizon - d + 1
+                todo.pop()
+                continue
+            child = path[-1] | step
+            if child == full:
+                path.append(child)
+                return path
+            if d + 1 + max(need.get(child, 0), _rest_bound(masks, full ^ child, m)) <= horizon:
+                path.append(child)
+                todo.append(children(child))
+        horizon += 1
 
 
 def optimal_makespan(inst: Instance, cap: int = EXACT_CAP) -> int:
-    """BFS distance from the empty ideal to the full job set.
+    """The optimum: the step count of _optimal_path from the empty ideal to
+    the full job set.
 
     Raises TooLarge if inst.n > cap.
     """
@@ -182,61 +246,32 @@ def optimal_makespan(inst: Instance, cap: int = EXACT_CAP) -> int:
         raise TooLarge(f"n={inst.n} exceeds exact-search cap {cap}")
     if inst.n == 0:
         return 0
-    return _levels(inst, _step_tables(inst))[(1 << inst.n) - 1]
+    return len(_optimal_path(inst)) - 1
 
 
 def optimal_schedule(inst: Instance, cap: int = EXACT_CAP) -> Schedule:
-    """A deterministic optimal schedule.
+    """A deterministic optimal schedule: step t of _optimal_path runs in slot t.
 
-    BFS gives the ideals their levels up to the optimum D. After t steps of
-    an optimal schedule the done set sits at level exactly t, so a
-    depth-first walk from the empty set that tries the steps to the next
-    level in lexicographic order of their job sets, and never re-enters a
-    state it has backed out of, takes at each step the lexicographically
-    smallest canonical step that preserves optimality.
+    After t steps of any optimal schedule the done set is t steps from the
+    empty set and D - t from the full set, so the first optimal path in step
+    order takes, at each step, the lexicographically smallest canonical step
+    that preserves optimality.
     """
     if inst.n > cap:
         raise TooLarge(f"n={inst.n} exceeds exact-search cap {cap}")
     if inst.n == 0:
         return Schedule(start={}, horizon=0)
-    full = (1 << inst.n) - 1
-    tables = _step_tables(inst)
-    dist = _levels(inst, tables)
-    horizon = dist[full]
-
-    def forward(state: int, d: int):
-        steps = _steps(inst, tables, state, inst.m)
-        ok = [s for s in steps if dist.get(state | s) == d + 1 < horizon or state | s == full]
-        return iter(sorted(ok, key=lambda step: tuple(_bits(step))))
-
-    dead: set[int] = set()
-    path = [0]
-    todo = [forward(0, 0)]
-    while path[-1] != full:
-        step = next(todo[-1], 0)
-        if not step:
-            dead.add(path.pop())
-            todo.pop()
-        elif path[-1] | step not in dead:
-            path.append(path[-1] | step)
-            todo.append(forward(path[-1], len(path) - 1))
+    path = _optimal_path(inst)
     start: dict[int, int] = {}
-    for t in range(horizon):
+    for t in range(len(path) - 1):
         for j in _bits(path[t + 1] ^ path[t]):
             start[j] = t
-    return Schedule(start=start, horizon=horizon)
+    return Schedule(start=start, horizon=len(path) - 1)
 
 
 def _height_bound(inst: Instance) -> int:
-    """Hu's height bound: max over k of k - 1 + ceil(|{j : height(j) >= k}| / m).
-
-    With heights in decreasing order, the i-th job (from 1) of height h
-    gives h - 1 + ceil(i/m), and the last job of each height gives that
-    height's term. Integer ceilings only, so no machine count overflows a
-    float; 0 at n = 0.
-    """
-    heights = sorted(_chain_depths(inst, (1 << inst.n) - 1).values(), reverse=True)
-    return max((h - 1 - (-i // inst.m) for i, h in enumerate(heights, 1)), default=0)
+    """Hu's height bound on every job: _rest_bound of the full set; 0 at n = 0."""
+    return _rest_bound(_height_masks(inst), (1 << inst.n) - 1, inst.m)
 
 
 def lower_bound(inst: Instance) -> int:

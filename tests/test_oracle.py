@@ -1,18 +1,19 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from precsched import oracle
+from precsched.baselines import coffman_graham_schedule, list_schedule
 from precsched.generators import GeneratorSpec, generate
 from precsched.laminar import pad_to_power_of_two
 from precsched.model import Schedule, build_instance, longest_chain, validate_schedule
 from precsched.oracle import (
     TooLarge,
     _height_bound,
-    _levels,
     _step_tables,
     _steps,
     certified_optimum,
@@ -21,6 +22,7 @@ from precsched.oracle import (
     optimal_makespan,
     optimal_schedule,
 )
+from precsched.qptas import solve_laminar
 
 from helpers import brute_force_makespan, enumerate_poset_classes, pairs
 
@@ -243,6 +245,47 @@ def test_bitmask_steps_match_the_tuple_reference(inst):
 
 
 @st.composite
+def _nearly_full_layered(draw):
+    """A full layered order, relabelled, with up to `width` edges between
+    consecutive layers dropped. The width w = q*m + r leaves a remainder r
+    with 1 <= r <= m(L-1)/L. With no edge dropped, every job of a layer
+    precedes every job of the next, so the optimum is L*(q + 1), and every
+    height term of the bound, L - i + i*q + ceil(i*r/m) for the last i
+    layers, falls short of it; dropping a few edges mostly keeps that gap."""
+    layers = draw(st.integers(min_value=2, max_value=3))
+    m = draw(st.integers(min_value=2, max_value=4))
+    q = draw(st.integers(min_value=1, max_value=2))
+    r = draw(st.integers(min_value=1, max_value=m * (layers - 1) // layers))
+    width = q * m + r
+    n = layers * width
+    edges = [(u, v) for u in range(n - width) for v in range(u - u % width + width,
+                                                             u - u % width + 2 * width)]
+    dropped = draw(st.sets(st.sampled_from(edges), max_size=width))
+    label = draw(st.permutations(range(n)))
+    return build_instance(n, m, [(label[u], label[v]) for u, v in edges if (u, v) not in dropped])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_nearly_full_layered())
+# The 2x5 full layered order at m = 4: bound 3, optimum 4, and no baseline
+# meets the bound (test_complete_bipartite_at_m4_has_no_certificate).
+@example(generate(GeneratorSpec("layered", 10, 4, layers=2, width=5, edge_prob=1.0)))
+# Bound 4, optimum 5, and the first optimal path runs through states the
+# pass at 4 backed out of: a need entry one step too large loses it.
+@example(generate(GeneratorSpec("layered", 12, 3, seed=359672275, layers=3, width=4,
+                                edge_prob=0.9)))
+def test_the_search_deepens_past_the_bound_to_the_reference_optimum(inst):
+    # Each pass below the optimum fails and leaves its need entries for the
+    # next, so the pass that succeeds starts from them.
+    want = _reference_schedule(inst)
+    assume(lower_bound(inst) < want.horizon)
+    assert _reference_makespan(inst) == want.horizon
+    assert optimal_makespan(inst, cap=inst.n) == want.horizon
+    got = optimal_schedule(inst, cap=inst.n)
+    assert (got.start, got.horizon) == (want.start, want.horizon)
+
+
+@st.composite
 def _step_cases(draw):
     """Relabelled DAGs on 1..20 jobs, so one to three byte tables, the last
     often partial. In half of them only the first few ids have successors:
@@ -260,13 +303,23 @@ def _step_cases(draw):
 
 
 def _assert_steps_match_the_reference(inst):
+    # Every state reachable from the empty ideal by _steps, found by a BFS
+    # of its own, so the search's pruning leaves no state unchecked.
     tables = _step_tables(inst)
     class_of = _reference_class_of(inst)
-    for state in _levels(inst, tables):
-        got = _steps(inst, tables, state, inst.m)
-        assert len(set(got)) == len(got)
-        want = {_reference_mask(mv) for mv in _reference_moves(inst, class_of, state)}
-        assert set(got) == want
+    seen, frontier = {0}, [0]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            got = _steps(inst, tables, state, inst.m)
+            assert len(set(got)) == len(got)
+            want = {_reference_mask(mv) for mv in _reference_moves(inst, class_of, state)}
+            assert set(got) == want
+            for step in got:
+                if state | step not in seen:
+                    seen.add(state | step)
+                    nxt.append(state | step)
+        frontier = nxt
 
 
 @settings(max_examples=150, deadline=None)
@@ -385,3 +438,25 @@ def test_lower_bound_takes_a_huge_machine_count():
     inst = build_instance(3, 10**5000, [(0, 1)])
     assert lower_bound(inst) == 2
     assert certified_optimum(inst).makespan() == 2
+
+
+@st.composite
+def _large_dags(draw):
+    """Relabelled DAGs on up to 60 jobs, well above EXACT_CAP."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    ids = st.integers(min_value=0, max_value=n - 1)
+    drawn = draw(st.lists(st.tuples(ids, ids), max_size=2 * n))
+    label = draw(st.permutations(range(n)))
+    m = draw(st.integers(min_value=1, max_value=5))
+    return build_instance(n, m, [(label[min(e)], label[max(e)]) for e in drawn if e[0] != e[1]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_large_dags(), st.sampled_from([1, Fraction(1, 2)]))
+def test_no_solver_beats_the_lower_bound_at_any_size(inst, eps):
+    bound = lower_bound(inst)
+    laminar, _, _ = solve_laminar(inst, bound, eps)
+    for sched in (list_schedule(inst, range(inst.n)), coffman_graham_schedule(inst), laminar):
+        report = validate_schedule(inst, sched)
+        assert report.feasible and report.complete
+        assert report.makespan >= bound

@@ -568,6 +568,20 @@ def test_a_family_run_never_reaches_its_depth_cap(run):
 
 
 @settings(max_examples=60, deadline=None)
+@given(_family_runs())
+def test_a_family_run_places_every_job_where_list_scheduling_by_id_does(run):
+    # laminar_guesses pins nothing, so every job is a top of the root with
+    # window [0, T*), and the sweep places them in id order: list scheduling
+    # by id, cut off at T*. A source that makes the family do work breaks this.
+    inst, eps, T = run
+    padded, fam = pad_with_family(inst, T, eps)
+    res = solve(padded, fam.T, laminar_guesses(fam), fam.level_count())
+    by_id = list_schedule(padded, range(padded.n)).start
+    assert all(by_id[j] == t for j, t in res.schedule.start.items())
+    assert all(by_id[j] >= fam.T for j in res.discarded)
+
+
+@settings(max_examples=60, deadline=None)
 @given(_solve_cases(), st.data())
 def test_insert_discarded_repairs_any_dropped_subset(case, data):
     n, edges, m = case
