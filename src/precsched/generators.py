@@ -68,21 +68,25 @@ def generate(spec: GeneratorSpec) -> Instance:
     """Build the instance described by spec. Raises BadSpec when invalid."""
     _check(spec)
     rng = random.Random(spec.seed)
+    # A pair gets an edge when a draw in [0, 1) falls below p. At p = 1 every
+    # draw would, so none is made, and at p = 0 none would, so no pair is
+    # visited. rng serves this call alone, so no other draw moves.
+    n, w, p = spec.n, spec.width, spec.edge_prob
+    draw = rng.random if p < 1.0 else (lambda: 0.0)
     edges: list[tuple[int, int]] = []
     if spec.kind == "chain":
-        edges = [(i, i + 1) for i in range(spec.n - 1)]
-    elif spec.kind == "layered":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif spec.kind == "layered" and p > 0.0:
         # Base edges only between consecutive layers; closure fills the rest.
-        for layer in range(spec.layers - 1):
-            for u in range(layer * spec.width, (layer + 1) * spec.width):
-                for v in range((layer + 1) * spec.width, (layer + 2) * spec.width):
-                    if rng.random() < spec.edge_prob:
-                        edges.append((u, v))
-    elif spec.kind == "random_order":
-        for i in range(spec.n):
-            for j in range(i + 1, spec.n):
-                if rng.random() < spec.edge_prob:
-                    edges.append((i, j))
+        edges = [
+            (u, v)
+            for layer in range(spec.layers - 1)
+            for u in range(layer * w, (layer + 1) * w)
+            for v in range((layer + 1) * w, (layer + 2) * w)
+            if draw() < p
+        ]
+    elif spec.kind == "random_order" and p > 0.0:
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if draw() < p]
     elif spec.kind == "diamond_mesh":
         for d in range(spec.depth):
             a = 3 * d

@@ -33,7 +33,16 @@ narrowed by the call's own placements only. The level analysis
 only grow once a guess's cells have returned, so a guess whose cells
 already discard as many jobs as the best guess so far stops there, before
 its tops are windowed and swept; it could not win, and it explores no
-further guesses either way.
+further guesses either way. A call at the depth cap also skips whole pin
+sets. Once it has a best guess, it takes a discard floor of each pin set's
+narrowed groups (_discard_floor): for every distinct window (a, b), the
+jobs whose windows lie inside it less the free slots of [a, b). Every job
+a guess places starts inside its group window, so no guess with those pins
+discards fewer, and while the floor is at least the best guess's discard
+count each of them is counted and skipped before classify. Only there do
+the children explore nothing; below the cap a skipped guess would take its
+children's guesses with it. Neither cutoff changes an output or a guess
+count.
 
 A unit cell [t, t + 1) needs no guess: each of its jobs has window
 [t, t + 1), so the EDF step over it is fixed. _settle_unit applies that
@@ -181,7 +190,7 @@ def _add_load(load, slots):
 
 
 def windows_for_top(inst, groups, cells, placed):
-    """Release/deadline per top job, in job order, snapped outward to cells.
+    """Release/deadline per top job, in job order, snapped inward to cells.
 
     groups holds the tops by window, {(lo, hi): job mask}, as classify
     returns them; slot_bounds narrows each job's group window by the placed
@@ -252,6 +261,30 @@ def _settle_unit(inst, sub, t, free, starts):
         else:
             disc |= low
     return disc
+
+
+def _discard_floor(groups, load, m):
+    """A lower bound on the discards of every guess whose groups these are.
+
+    groups are pin_windows' groups of a call, and load its pin load per
+    slot, ancestors' and own pins. A guess starts every job it places
+    inside the job's group window, and a slot t has room for m - load[t]
+    unpinned jobs. So for each distinct window (a, b), the jobs whose
+    windows lie inside it, less the free slots of [a, b), are discarded.
+    The floor is the largest such excess, or 0.
+    """
+    floor = 0
+    for a, b in groups:
+        excess = m * (a - b)
+        for t, count in load.items():
+            if a <= t < b:
+                excess += count
+        for (lo, hi), mask in groups.items():
+            if a <= lo and hi <= b:
+                excess += mask.bit_count()
+        if excess > floor:
+            floor = excess
+    return floor
 
 
 def _assignments(inst, subset, bounds, load):
@@ -348,10 +381,14 @@ def _recurse(inst, rin, depth_max, guesses):
     pins, since the cells, which partition the interval, do not change
     them. A child's input is its cell's groups and the load inside the
     cell. A guess whose cells discard at least as many jobs as the best
-    guess skips its tops. rin.depth is below depth_max; a child at
-    depth_max gets no call and discards its jobs, unless its cell is a unit
-    interval. A unit cell gets no call at any depth: _settle_unit settles
-    it in the cell loop, under the pins' load at its slot.
+    guess skips its tops. When rin.depth + 1 is depth_max, its children
+    explore nothing, and once a best guess exists every guess of a pin set
+    whose discard floor (_discard_floor) reaches the best guess's discards
+    is counted and skipped before classify: none of them could win, and the
+    count and every output stay as they were. rin.depth is below depth_max;
+    a child at depth_max gets no call and discards its jobs, unless its cell
+    is a unit interval. A unit cell gets no call at any depth: _settle_unit
+    settles it in the cell loop, under the pins' load at its slot.
     """
     s, e = rin.interval
     if not rin.jobs:
@@ -362,13 +399,16 @@ def _recurse(inst, rin, depth_max, guesses):
         starts: dict[JobId, int] = {}
         return starts, _settle_unit(inst, rin.jobs, s, inst.m - rin.load.get(s, 0), starts), 0, []
     best = None
+    # The best guess's discard count; before one exists, above any guess's.
+    fewest = rin.jobs.bit_count() + 1
     explored = 0
-    last_pins = groups = None
+    last_pins = groups = floor = None
     capped = rin.depth + 1 >= depth_max
     for pins, cells in guesses(rin):
         explored += 1
         if pins != last_pins:
             last_pins = dict(pins)
+            floor = None
             try:
                 groups = pin_windows(inst, rin.windows, pins)
                 pin_load = _add_load(rin.load, pins.values())
@@ -376,6 +416,14 @@ def _recurse(inst, rin, depth_max, guesses):
                 groups = None
         if groups is None:
             continue
+        if capped and best is not None:
+            # While the pins' floor reaches the best guess's discards, none
+            # of their guesses can win. Capped children explore no guess, so
+            # skipping one leaves the guess count as it was.
+            if floor is None:
+                floor = _discard_floor(groups, pin_load, inst.m)
+            if floor >= fewest:
+                continue
         bottom, top = classify(groups, cells)
         calls = []
         starts = dict(pins)
@@ -401,7 +449,7 @@ def _recurse(inst, rin, depth_max, guesses):
             disc |= cdisc
             explored += cexplored
             calls += ctraces
-        if best is not None and disc.bit_count() >= best[1].bit_count():
+        if disc.bit_count() >= fewest:
             # The tops can only add discards, so this guess cannot win.
             continue
         top_windows = windows_for_top(inst, top, cells, starts)
@@ -409,13 +457,14 @@ def _recurse(inst, rin, depth_max, guesses):
         tplaced, tdisc = edf_insert(inst, top_windows, occupancy, s, e)
         starts.update(tplaced)
         disc |= tdisc
-        if best is None or disc.bit_count() < best[1].bit_count():
+        if disc.bit_count() < fewest:
             # Only the best guess's trace is returned, so only a new best builds one.
             loads = _add_load({t: occupancy.get(t, 0) for t in range(s, e)}, tplaced.values())
             calls.append(
                 CallTrace(rin.depth, rin.interval, cells, dict(pins), top_windows, tplaced, loads)
             )
             best = (starts, disc, calls)
+            fewest = disc.bit_count()
             if not disc:
                 break
     if best is None:

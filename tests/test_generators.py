@@ -1,5 +1,7 @@
 """Generator determinism, spec validation, and the standard corpus."""
 
+import random
+
 import pytest
 
 from precsched.generators import (
@@ -9,6 +11,7 @@ from precsched.generators import (
     generate,
     standard_corpus,
 )
+from precsched.model import build_instance
 from precsched.oracle import optimal_makespan
 
 from helpers import pairs
@@ -51,6 +54,43 @@ def test_seeded_determinism():
     assert generate(spec) == generate(spec)
     other = GeneratorSpec("random_order", 9, 2, seed=113, edge_prob=0.3)
     assert generate(spec) != generate(other)
+
+
+def _drawn_per_pair(spec):
+    """The instance with one draw per candidate pair, whatever the probability."""
+    rng = random.Random(spec.seed)
+    if spec.kind == "layered":
+        w = spec.width
+        pairs = [(u, v) for layer in range(spec.layers - 1)
+                 for u in range(layer * w, (layer + 1) * w)
+                 for v in range((layer + 1) * w, (layer + 2) * w)]
+    else:
+        pairs = [(i, j) for i in range(spec.n) for j in range(i + 1, spec.n)]
+    edges = [pair for pair in pairs if rng.random() < spec.edge_prob]
+    return build_instance(spec.n, spec.m, edges)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("seed", [0, 1, 7, 112])
+def test_edges_match_one_draw_per_pair(p, seed):
+    # At p = 0 and 1 no pair draws, which must decide every pair as a draw would.
+    for spec in (
+        GeneratorSpec("layered", 12, 3, seed=seed, layers=3, width=4, edge_prob=p),
+        GeneratorSpec("random_order", 11, 2, seed=seed, edge_prob=p),
+    ):
+        assert generate(spec) == _drawn_per_pair(spec)
+
+
+def test_probability_zero_and_one_draw_nothing(monkeypatch):
+    def no_draw(self):
+        raise AssertionError("drew a random number")
+
+    monkeypatch.setattr(random.Random, "random", no_draw)
+    for p, want in ((0.0, 0), (1.0, 12)):
+        spec = GeneratorSpec("layered", 6, 2, layers=3, width=2, edge_prob=p)
+        assert len(pairs(generate(spec))) == want
+    assert len(pairs(generate(GeneratorSpec("random_order", 300, 2, edge_prob=0.0)))) == 0
+    assert len(pairs(generate(GeneratorSpec("random_order", 6, 2, edge_prob=1.0)))) == 15
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,8 @@ The exhaustive source's slot DFS and the whole recursion are checked the
 same way, against the references that rebuild their pins at every step and
 finish every guess. Window narrowing must compose, since a call narrows its
 ancestors' windows by its own pins only, and a recursion call's result must
-depend on its input alone.
+depend on its input alone. The discard floor that lets a capped call skip a
+pin set must never exceed the discards of a guess with those pins.
 """
 
 import pytest
@@ -21,9 +22,19 @@ from helpers import (
     ref_windows_for_top,
 )
 from precsched import qptas
+from precsched.generators import GeneratorSpec, generate
 from precsched.laminar import EmptyWindow, classify, feasible_window, pin_windows
-from precsched.model import _bits, _mask, build_instance, longest_chain
-from precsched.qptas import _assignments, exhaustive_guesses, solve, windows_for_top
+from precsched.model import _bits, _mask, build_instance, longest_chain, validate_schedule
+from precsched.qptas import (
+    RecursionInput,
+    _add_load,
+    _assignments,
+    _discard_floor,
+    exhaustive_guesses,
+    repair,
+    solve,
+    windows_for_top,
+)
 
 
 @st.composite
@@ -298,3 +309,91 @@ def _assert_solve_matches_reference(inst, T, k_max, depth_max):
     want = ref_solve(inst, T, _budgeted(ref_exhaustive_guesses(inst, k_max), 3000), depth_max)
     assert got == want
     return got
+
+
+def _root(inst, T):
+    jobs = (1 << inst.n) - 1
+    return RecursionInput((0, T), jobs, {(0, T): jobs}, {}, 0)
+
+
+def _discards_of(inst, root, pins, cells):
+    """The discard count of the one guess (pins, cells) at a capped root."""
+    _, disc, explored, _ = qptas._recurse(inst, root, 1, lambda rin: [(pins, cells)])
+    assert explored == 1
+    return disc.bit_count()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_closed_dags(max_n=7), st.integers(min_value=0, max_value=2), st.data())
+def test_the_discard_floor_never_exceeds_a_guess_discards(inst, k_max, data):
+    # Every guess the exhaustive source yields at the root, run alone: the
+    # floor of its pins' narrowed groups bounds its discards from below.
+    chain = longest_chain(inst)
+    T = data.draw(st.integers(min_value=max(chain, 2), max_value=max(chain, 2, inst.n)))
+    root = _root(inst, T)
+    last_pins = floor = None
+    for pins, cells in exhaustive_guesses(inst, k_max)(root):
+        if pins != last_pins:
+            last_pins = pins
+            try:
+                groups = pin_windows(inst, root.windows, pins)
+            except EmptyWindow:
+                floor = None
+            else:
+                floor = _discard_floor(groups, _add_load({}, pins.values()), inst.m)
+        if floor is not None:
+            assert 0 <= floor <= _discards_of(inst, root, pins, cells)
+
+
+def test_the_discard_floor_counts_an_overloaded_slot():
+    # Job 0 precedes jobs 1 and 2; on one machine, pinning 0 at slot 1 of
+    # [0, 3) leaves both successors the window [2, 3), which holds one job.
+    inst = build_instance(3, 1, [(0, 1), (0, 2)])
+    root = _root(inst, 3)
+    pins = {0: 1}
+    groups = pin_windows(inst, root.windows, pins)
+    assert groups == {(2, 3): 0b110}
+    assert _discard_floor(groups, {1: 1}, inst.m) == 1
+    for cells in ([(0, 3)], [(0, 1), (1, 3)], [(0, 2), (2, 3)], [(0, 1), (1, 2), (2, 3)]):
+        assert _discards_of(inst, root, pins, cells) >= 1
+
+
+# The full 2x5 layered order at m = 4: optimum 4, lower bound 3. At horizon
+# 3 every guess discards a job, so kmax = n walks every guess.
+LAYERED_10_FULL = GeneratorSpec("layered", 10, 4, seed=0, layers=2, width=5, edge_prob=1.0)
+
+
+def test_the_guess_heavy_shape_walks_every_guess():
+    inst = generate(LAYERED_10_FULL)
+    result = solve(inst, 3, exhaustive_guesses(inst, 10), 1)
+    assert result.stats.guesses_explored == 62164
+    assert len(result.discarded) == 1
+    sched, discards, explored = repair(inst, result, inst.n)
+    report = validate_schedule(inst, sched)
+    assert report.feasible and report.complete and report.makespan == 4
+    assert (discards, explored) == (1, 62164)
+
+
+def _classified(inst, depth_max, floor):
+    """How many guesses reach classify in the budgeted solve, under floor."""
+    count = [0]
+
+    def counted(groups, cells):
+        count[0] += 1
+        return classify(groups, cells)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qptas, "classify", counted)
+        patch.setattr(qptas, "_discard_floor", floor)
+        solve(inst, 3, _budgeted(exhaustive_guesses(inst, 10), 3000), depth_max)
+    return count[0]
+
+
+@pytest.mark.parametrize("depth_max", [1, 2])
+def test_the_guess_heavy_shape_matches_the_reference_recursion(depth_max):
+    inst = generate(LAYERED_10_FULL)
+    _assert_solve_matches_reference(inst, 3, 10, depth_max)
+    # The budget reaches pin sets that the floor skips in capped calls, so
+    # the comparison above covers the skipping path.
+    unfloored = _classified(inst, depth_max, lambda groups, load, m: 0)
+    assert _classified(inst, depth_max, _discard_floor) < unfloored
