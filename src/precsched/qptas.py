@@ -57,7 +57,13 @@ laminar_guesses(fam, offset) pins nothing and takes the one partition
 dictated by a checked interval family (laminar.build_laminar, which the
 caller runs once per solve) and a level offset. exhaustive_guesses
 enumerates the full guess space, which is astronomical, so it is only
-usable at toy sizes (n around 10). The auditors' source is
+usable at toy sizes (n around 10). It walks a prefix tree of pin sets
+(_pin_sets): combinations lists the subsets that share a prefix one after
+another, and a prefix's pin sets, each of its parent's extended by every
+free slot of the next job's window, are built once and read by every
+subset that extends it. The walk is lazy: it builds a pin set only when
+the recursion pulls a guess that needs it, so a search that stops at its
+first zero-discard guess pays for one path. The auditors' source is
 laminar_guesses plus pins: the same cells, with each call's guessed jobs
 pinned at their optimal slots.
 
@@ -85,7 +91,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from copy import copy
+from itertools import combinations, tee
 
 from .baselines import _sweep
 from .laminar import (
@@ -287,35 +294,52 @@ def _discard_floor(groups, load, m):
     return floor
 
 
-def _assignments(inst, subset, bounds, load):
-    """All consistent slot assignments for subset, DFS, slots ascending.
+def _pin_sets(inst, jobs, size, bounds, load):
+    """Every consistent pinning of each size-subset of jobs, lazily.
 
-    bounds maps each job of subset to its window under the ancestor pins,
-    and load each slot to their count there. The chosen slots and their
-    mask grow and shrink with the DFS, so each step is one slot_bounds that
-    narrows the job's window by the jobs chosen before it.
+    Subsets come in combinations(jobs, size) order, and a subset's pin sets
+    in DFS order, slots ascending per job, each a dict in subset order.
+    bounds maps each job to its window under the ancestor pins, and load
+    each slot to their count there. The pin sets of a prefix (j1 .. ji) are
+    those of (j1 .. j(i-1)), each extended by every slot that holds fewer
+    than m pins in ji's window, narrowed by slot_bounds to the prefix's
+    slots. Consecutive subsets share their longest common prefix, so each
+    prefix's stream is a tee, kept while the subsets extend it: each subset
+    reads a copy, and a prefix's pin sets are built once, and only as far
+    as some reader has pulled them.
     """
     m = inst.m
-    occ = dict(load)
-    chosen: dict[JobId, int] = {}
+    # A pin set carries its slots' pin counts, ancestors' included, packed
+    # into one int: w bits per slot, slot t at bit w * t.
+    w = max([m, *load.values()]).bit_length()
+    field = (1 << w) - 1
 
-    def rec(i, chosen_mask):
-        if i == len(subset):
-            yield dict(chosen)
-            return
-        j = subset[i]
-        lo, hi = slot_bounds(inst, j, chosen, chosen_mask, *bounds[j])
-        inner = chosen_mask | 1 << j
-        for t in range(lo, hi):
-            if occ.get(t, 0) >= m:
-                continue
-            chosen[j] = t
-            occ[t] = occ.get(t, 0) + 1
-            yield from rec(i + 1, inner)
-            occ[t] -= 1
-            del chosen[j]
+    def extend(stream, j, mask):
+        # The (pins, counts) stream of a prefix of jobs mask, extended by j.
+        lo, hi = bounds[j]
+        for pins, counts in stream:
+            for t in range(*slot_bounds(inst, j, pins, mask, lo, hi)):
+                if counts >> w * t & field < m:
+                    grown = pins.copy()
+                    grown[j] = t
+                    yield grown, counts + (1 << w * t)
 
-    yield from rec(0, 0)
+    # prefixes[i] holds the stream of the first i jobs of the last subset
+    # and their mask.
+    empty = tee([({}, sum(c << w * t for t, c in load.items()))], 1)[0]
+    prefixes = [(empty, 0)]
+    last = ()
+    for subset in combinations(jobs, size):
+        i = 0
+        while i < len(last) and last[i] == subset[i]:
+            i += 1
+        del prefixes[i + 1:]
+        for j in subset[i:]:
+            stream, mask = prefixes[-1]
+            prefixes.append((tee(extend(copy(stream), j, mask), 1)[0], mask | 1 << j))
+        last = subset
+        for pins, _ in copy(prefixes[-1][0]):
+            yield pins
 
 
 def _partitions(s, e, cells_cap):
@@ -352,7 +376,10 @@ def exhaustive_guesses(inst, k_max):
     partition of the interval into at most max(1, k_max) cells. Pin sets come
     largest-first, so the fully pinned branch, whose zero discards end the
     search early, is tried before anything else; within a size, subsets
-    ascend lexicographically and slots ascend per job.
+    ascend lexicographically and slots ascend per job. Per size, _pin_sets
+    walks the subsets as a prefix tree: the pin sets of a prefix are built
+    once for all the subsets that extend it, and only as far as the caller
+    pulls guesses.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
@@ -362,10 +389,9 @@ def exhaustive_guesses(inst, k_max):
         bounds = {j: w for w, mask in rin.windows.items() for j in _bits(mask)}
         partitions = list(_partitions(*rin.interval, max(1, k_max)))
         for size in range(min(k_max, len(jobs)), -1, -1):
-            for subset in combinations(jobs, size):
-                for pins in _assignments(inst, subset, bounds, rin.load):
-                    for cells in partitions:
-                        yield pins, cells
+            for pins in _pin_sets(inst, jobs, size, bounds, rin.load):
+                for cells in partitions:
+                    yield pins, cells
 
     return guesses
 

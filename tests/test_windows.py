@@ -1,6 +1,6 @@
 """Pinned and top windows from masks, checked against per-bit reference walks.
 
-The exhaustive source's slot DFS and the whole recursion are checked the
+The exhaustive source's prefix walk and the whole recursion are checked the
 same way, against the references that rebuild their pins at every step and
 finish every guess. Window narrowing must compose, since a call narrows its
 ancestors' windows by its own pins only, and a recursion call's result must
@@ -8,11 +8,14 @@ depend on its input alone. The discard floor that lets a capped call skip a
 pin set must never exceed the discards of a guess with those pins.
 """
 
+from itertools import combinations, islice
+
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    RefInput,
     _ref_loads,
     ref_assignments,
     ref_classify,
@@ -24,12 +27,19 @@ from helpers import (
 from precsched import qptas
 from precsched.generators import GeneratorSpec, generate
 from precsched.laminar import EmptyWindow, classify, feasible_window, pin_windows
-from precsched.model import _bits, _mask, build_instance, longest_chain, validate_schedule
+from precsched.model import (
+    _bits,
+    _mask,
+    build_instance,
+    longest_chain,
+    slot_bounds,
+    validate_schedule,
+)
 from precsched.qptas import (
     RecursionInput,
     _add_load,
-    _assignments,
     _discard_floor,
+    _pin_sets,
     exhaustive_guesses,
     repair,
     solve,
@@ -205,20 +215,74 @@ def test_exhaustive_solve_does_not_depend_on_pin_identity(inst, k_max, depth_max
 @settings(max_examples=150, deadline=None)
 @given(_window_cases(), st.data())
 def test_assignments_match_the_rebuilding_dfs(case, data):
+    # Each subset of one size, in combinations order over the drawn jobs,
+    # pinned in the rebuilding DFS's order. At the full size the one subset
+    # keeps the drawn order.
     inst, T, base = case
     s = data.draw(st.integers(min_value=0, max_value=T - 1))
     e = data.draw(st.integers(min_value=s + 1, max_value=T))
-    # The subset avoids the base pins, as a call's jobs avoid its ancestors'.
+    # The jobs avoid the base pins, as a call's jobs avoid its ancestors'.
     free = sorted(set(range(inst.n)) - base.keys())
-    subset = tuple(data.draw(st.lists(st.sampled_from(free), unique=True, max_size=3))) if free else ()
+    jobs = tuple(data.draw(st.lists(st.sampled_from(free), unique=True, max_size=3))) if free else ()
+    size = data.draw(st.integers(min_value=0, max_value=len(jobs)))
     bounds = {}
-    for j in subset:
+    for j in jobs:
         lo, hi = ref_feasible_window(inst, j, base, e)
         bounds[j] = (max(lo, s), hi)
     load = _ref_loads(base.values(), s, e)
-    got = [list(a.items()) for a in _assignments(inst, subset, bounds, load)]
-    assert got == [list(a.items()) for a in ref_assignments(inst, subset, base, s, e)]
+    got = [list(a.items()) for a in _pin_sets(inst, jobs, size, bounds, load)]
+    want = [
+        list(a.items())
+        for subset in combinations(jobs, size)
+        for a in ref_assignments(inst, subset, base, s, e)
+    ]
+    assert got == want
     assert load == _ref_loads(base.values(), s, e)
+
+
+@st.composite
+def _call_inputs(draw):
+    """A non-root RecursionInput and the RefInput of the same call.
+
+    Pins on other jobs narrow the windows of one to four jobs to an
+    interval of at most five slots and load its slots; jobs whose windows
+    they empty are left out, as pin_windows would refuse them.
+    """
+    inst = draw(_closed_dags(max_n=8, min_n=4))
+    count = draw(st.integers(min_value=1, max_value=4))
+    jobs = draw(st.lists(st.sampled_from(range(inst.n)), unique=True, min_size=count, max_size=count))
+    T = draw(st.integers(min_value=1, max_value=12))
+    others = sorted(set(range(inst.n)) - set(jobs))
+    pinned = draw(st.lists(st.sampled_from(others), unique=True, min_size=1)) if others else []
+    base = {j: draw(st.integers(min_value=0, max_value=T - 1)) for j in pinned}
+    s = draw(st.integers(min_value=0, max_value=T - 1))
+    e = draw(st.integers(min_value=s + 1, max_value=min(T, s + 5)))
+    groups = {}
+    for j in jobs:
+        lo, hi = ref_feasible_window(inst, j, base, e)
+        w = (max(lo, s), hi)
+        if w[0] < hi:
+            groups[w] = groups.get(w, 0) | 1 << j
+    assume(groups)
+    mask = sum(groups.values())
+    depth = draw(st.integers(min_value=0, max_value=2))
+    rin = RecursionInput((s, e), mask, groups, _ref_loads(base.values(), s, e), depth)
+    return inst, rin, RefInput((s, e), mask, base, depth)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_call_inputs(), st.data())
+def test_exhaustive_guesses_match_the_reference_source(case, data):
+    # Item for item, on windows that ancestor pins narrowed and under their
+    # load: the prefix walk reuses each prefix's pin sets, and must list
+    # exactly what the DFS that rebuilds every subset lists.
+    inst, rin, ref_in = case
+    k_max = data.draw(st.integers(min_value=0, max_value=inst.n))
+    windows, load = dict(rin.windows), dict(rin.load)
+    got = [(list(pins.items()), cells) for pins, cells in exhaustive_guesses(inst, k_max)(rin)]
+    want = ref_exhaustive_guesses(inst, k_max)(ref_in)
+    assert got == [(list(pins.items()), cells) for pins, cells in want]
+    assert rin.windows == windows and rin.load == load
 
 
 @settings(max_examples=30, deadline=None)
@@ -372,6 +436,42 @@ def test_the_guess_heavy_shape_walks_every_guess():
     report = validate_schedule(inst, sched)
     assert report.feasible and report.complete and report.makespan == 4
     assert (discards, explored) == (1, 62164)
+
+
+def _slot_bounds_calls(guesses, pulls):
+    """How many slot_bounds calls the first pulls guesses of guesses make."""
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return slot_bounds(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qptas, "slot_bounds", counted)
+        pulled = list(islice(guesses, pulls))
+    assert len(pulled) == pulls
+    return count[0]
+
+
+def test_the_first_guess_walks_one_path():
+    # 12 jobs fill 4 slots of 3 machines exactly: the first pin set pins
+    # them all in id order, one slot_bounds per job, and nothing is
+    # enumerated ahead of what is pulled.
+    inst = build_instance(12, 3, [])
+    root = _root(inst, 4)
+    guesses = exhaustive_guesses(inst, 12)
+    assert _slot_bounds_calls(guesses(root), 1) == 12
+    assert next(iter(guesses(root))) == (
+        {j: j // 3 for j in range(12)}, [(0, 1), (1, 2), (2, 3), (3, 4)],
+    )
+
+
+def test_the_guess_heavy_shape_extends_each_prefix_once():
+    # Every subset at the root of the guess-heavy shape reads its prefixes'
+    # pin sets from the subsets before it: 31651 slot_bounds calls, against
+    # 63678 for a DFS that starts each subset from an empty prefix.
+    inst = generate(LAYERED_10_FULL)
+    assert _slot_bounds_calls(exhaustive_guesses(inst, 10)(_root(inst, 3)), 62164) == 31651
 
 
 def _classified(inst, depth_max, floor):
