@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .laminar import (
+    EmptyWindow,
     LaminarFamily,
     LevelAssignment,
     analysis_depth_limit,
@@ -45,6 +46,7 @@ from .laminar import (
     check_eps,
     pad_schedule,
     pad_with_family,
+    pin_windows,
 )
 from .model import Instance, JobId, Schedule, _bits
 from .oracle import EXACT_CAP, TooLarge, optimal_schedule
@@ -254,7 +256,8 @@ def run_oracle_pinned(inst: Instance, opt: Schedule, offset: int, assign: LevelA
     fam = assign.fam, the family the assignment was made on; no other
     family is built. It pins its jobs that the level assignment guessed at
     the levels from fam.level_of(interval) up to, but not including,
-    fam.level_of(cells[0]), at their slots in opt. The solver then
+    fam.level_of(cells[0]), at their slots in opt, and narrows the call's
+    windows by them (pin_windows; None if one empties). The solver then
     classifies, recurses on bottoms, windows the tops and runs the EDF
     sweep as it always does. Its depth cap is the family's level count,
     which no call reaches. Returns the solver's SolveResult: the unrepaired
@@ -266,9 +269,14 @@ def run_oracle_pinned(inst: Instance, opt: Schedule, offset: int, assign: LevelA
     guessed = [sum(assign.guess.get(lvl, {}).values()) for lvl in range(fam.level_count())]
 
     def oracle_guess(rin):
-        for _, cells in laminar(rin):
+        for _, groups, [cells] in laminar(rin):
             levels = slice(fam.level_of(rin.interval), fam.level_of(cells[0]))
-            yield {j: opt.start[j] for j in _bits(rin.jobs & sum(guessed[levels]))}, cells
+            pins = {j: opt.start[j] for j in _bits(rin.jobs & sum(guessed[levels]))}
+            try:
+                groups = pin_windows(inst, groups, pins)
+            except EmptyWindow:
+                groups = None
+            yield pins, groups, [cells]
 
     return solve(inst, fam.T, oracle_guess, fam.level_count())
 

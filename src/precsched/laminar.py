@@ -34,11 +34,13 @@ best_offset and the shift-bound audit sum. partition_level(fam, level,
 depth, offset) picks the depth-th level of that bucket as the cells of a
 recursion call on a level-`level` interval.
 
-Jobs are grouped by start window, {(lo, hi): job mask}. pin_windows
-narrows grouped windows by pins, and pinned jobs leave the groups;
-narrowing composes, so a recursion call (qptas) narrows the windows its
+Jobs are grouped by start window, {(lo, hi): job mask}. narrow_by_pin
+narrows grouped windows by one pin, a mask operation per group, and
+pin_windows by many, one pin at a time; pinned jobs leave the groups.
+Narrowing composes, so a recursion call (qptas) narrows the windows its
 input carries, already narrowed by every ancestor pin, by its own pins
-only. classify gives each cell the groups whose window lies inside it, its
+only, and the exhaustive source narrows a pin set's groups by its last
+pin only. classify gives each cell the groups whose window lies inside it, its
 bottom jobs (a child call's windows as they stand), and calls any other
 window top. It is the one split of jobs by cells: the solver's split of
 every guess's jobs (qptas imports it) and assign_levels' split of jobs into
@@ -64,7 +66,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .model import Instance, JobId, Schedule, _bits, _mask, longest_chain_path, slot_bounds
+from .model import Instance, JobId, Schedule, _mask, longest_chain_path, slot_bounds
 
 
 class BadHorizon(ValueError):
@@ -262,24 +264,56 @@ def pad_schedule(inst: Instance, sched: Schedule, tstar: int) -> Schedule:
     return Schedule(start=start, horizon=tstar)
 
 
+def narrow_by_pin(inst: Instance, groups, p: JobId, t: int) -> dict:
+    """groups, {(lo, hi): job mask}, narrowed by the one pin of job p at slot t.
+
+    p leaves the groups. In each group, p's predecessors get hi = min(hi, t)
+    and its successors lo = max(lo, t + 1), a mask operation each; every
+    other job keeps its window, and a group that p touches not at all passes
+    through. Groups that come out with one window merge. A window may come
+    out empty (lo >= hi); it stays empty under further narrowing, so the
+    caller checks once, after the last pin.
+    """
+    preds = inst.pred_masks[p]
+    succs = inst.succ_masks[p]
+    near = preds | succs | 1 << p
+    out: dict[tuple[int, int], int] = {}
+    for w, mask in groups.items():
+        if mask & near:
+            lo, hi = w
+            before = mask & preds
+            if before:
+                nw = (lo, t) if t < hi else w
+                out[nw] = out.get(nw, 0) | before
+            after = mask & succs
+            if after:
+                nw = (t + 1, hi) if t >= lo else w
+                out[nw] = out.get(nw, 0) | after
+            mask &= ~near
+            if not mask:
+                continue
+        out[w] = out.get(w, 0) | mask
+    return out
+
+
 def pin_windows(inst: Instance, groups, pins) -> dict:
     """groups, {(lo, hi): job mask}, with every window narrowed by pins.
 
-    Pinned jobs leave the groups. Each other job's group window is narrowed
-    by model.slot_bounds under pins' mask, so a job with no pinned neighbor
-    costs O(1) and keeps its window. Narrowing composes: narrowing by A and
-    then by B is narrowing by both, so a recursion call narrows its
-    ancestors' windows by its own pins only. Raises EmptyWindow at the first
-    job whose window is empty.
+    A fold of narrow_by_pin over pins, one mask operation per group and pin,
+    then one check: pinned jobs leave the groups, empty masks are dropped,
+    and EmptyWindow is raised when an unpinned job's window is empty.
+    Narrowing composes: narrowing by A and then by B is narrowing by both,
+    so a recursion call narrows its ancestors' windows by its own pins only.
     """
-    pinned = _mask(pins)
-    out: dict[tuple[int, int], int] = {}
-    for w, mask in groups.items():
-        for j in _bits(mask & ~pinned):
-            lo, hi = nw = slot_bounds(inst, j, pins, pinned, *w)
+    for p, t in pins.items():
+        groups = narrow_by_pin(inst, groups, p, t)
+    out = {}
+    for (lo, hi), mask in groups.items():
+        if mask:
             if lo >= hi:
+                j = (mask & -mask).bit_length() - 1
                 raise EmptyWindow(f"job {j}: window [{lo}, {hi}) is empty")
-            out[nw] = out.get(nw, 0) | 1 << j
+            out[lo, hi] = mask
     return out
 
 

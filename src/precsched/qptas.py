@@ -18,18 +18,19 @@ jobs, its bottoms and tops, and all discards; solve returns a frozenset.
 A call's input is its subproblem alone (RecursionInput): its interval, its
 jobs, their start windows under every ancestor pin, grouped as
 {(lo, hi): job mask}, and the ancestor pins' load per slot of the interval.
-No ancestor's pin is carried down. A call narrows those windows by its own
-pins only (laminar.pin_windows: pinned jobs leave the groups, narrowing
-composes), once per pin set, and classify (laminar.classify, imported here)
-splits the groups into bottoms per cell and tops for every guess that
-carries those pins: one bisect per distinct window. A child's input is its
-cell's groups and the load inside its cell, with no further work. Windows
-come from masks: model.slot_bounds narrows a job's window by only the bits
-of its predecessor and successor masks that are pinned (for a pinned
-window) or placed (for a top window), so no hot loop walks the whole
-closure; a top starts from its group window and is
-narrowed by the call's own placements only. The level analysis
-(laminar.assign_levels) sorts jobs with the same two routines. Discards
+No ancestor's pin is carried down. A call's windows are narrowed by its
+own pins only (pinned jobs leave the groups, and narrowing composes), and
+the guess source does it: each pin set comes with its narrowed groups,
+which classify (laminar.classify, imported here) splits into bottoms per
+cell and tops for every guess that carries those pins, one bisect per
+distinct window. A child's input is its cell's groups and the load inside
+its cell, with no further work. Windows come from masks:
+laminar.narrow_by_pin narrows groups by one pin with a mask operation per
+group, and model.slot_bounds narrows one job's window by only the bits of
+its predecessor and successor masks that are placed, so no hot loop walks
+the whole closure; a top starts from its group window and is narrowed by
+the call's own placements only. The level analysis
+(laminar.assign_levels) sorts jobs with the same routines. Discards
 only grow once a guess's cells have returned, so a guess whose cells
 already discard as many jobs as the best guess so far stops there, before
 its tops are windowed and swept; it could not win, and it explores no
@@ -51,21 +52,27 @@ with no predecessor in the cell take the capacity the pins leave at t, and
 the rest are discarded. It builds no RecursionInput, explores no guess and
 records no trace; a root of horizon 1 is settled by the same helper.
 
-The recursion (_recurse) takes its guesses from a guess source, a callable
-RecursionInput -> iterable of (pins, cells), which solve's caller supplies.
-laminar_guesses(fam, offset) pins nothing and takes the one partition
-dictated by a checked interval family (laminar.build_laminar, which the
-caller runs once per solve) and a level offset. exhaustive_guesses
-enumerates the full guess space, which is astronomical, so it is only
-usable at toy sizes (n around 10). It walks a prefix tree of pin sets
-(_pin_sets): combinations lists the subsets that share a prefix one after
-another, and a prefix's pin sets, each of its parent's extended by every
-free slot of the next job's window, are built once and read by every
-subset that extends it. The walk is lazy: it builds a pin set only when
-the recursion pulls a guess that needs it, so a search that stops at its
-first zero-discard guess pays for one path. The auditors' source is
-laminar_guesses plus pins: the same cells, with each call's guessed jobs
-pinned at their optimal slots.
+The recursion (_recurse) takes its guesses from a guess source, which
+solve's caller supplies: a callable RecursionInput -> iterable of
+(pins, groups, partitions), one item per pin set. groups are the call's
+windows narrowed by pins (laminar.pin_windows(inst, rin.windows, pins)),
+or None when that empties an unpinned job's window, and each cells list
+in partitions, with those pins, is one guess. laminar_guesses(fam, offset)
+pins nothing, so it narrows nothing, and takes the one partition dictated
+by a checked interval family (laminar.build_laminar, which the caller runs
+once per solve) and a level offset. exhaustive_guesses enumerates the full
+guess space, which is astronomical, so it is only usable at toy sizes (n
+around 10). It walks a prefix tree of pin sets (_pin_sets): combinations
+lists the subsets that share a prefix one after another, and a prefix's
+pin sets, each of its parent's extended by every free slot of the next
+job's window, are built once and read by every subset that extends it.
+Each carries its narrowed groups, so an extension reads the next job's
+window from them and narrows them by its one new pin. The walk is lazy:
+it builds a pin set only when the recursion pulls it, so a search that
+stops at its first zero-discard guess pays for one path. The auditors'
+source is laminar_guesses plus pins: the same cells, with each call's
+guessed jobs pinned at their optimal slots and its windows narrowed by
+them.
 
 A call returns what it did: its starts, its discard mask, the number of
 guesses it and its calls explored, and its traces, one CallTrace per
@@ -95,13 +102,7 @@ from copy import copy
 from itertools import combinations, tee
 
 from .baselines import _sweep
-from .laminar import (
-    EmptyWindow,
-    classify,
-    pad_with_family,
-    partition_level,
-    pin_windows,
-)
+from .laminar import classify, narrow_by_pin, pad_with_family, partition_level
 from .model import (
     Instance,
     JobId,
@@ -294,19 +295,22 @@ def _discard_floor(groups, load, m):
     return floor
 
 
-def _pin_sets(inst, jobs, size, bounds, load):
-    """Every consistent pinning of each size-subset of jobs, lazily.
+def _pin_sets(inst, jobs, size, windows, load):
+    """Every consistent pinning of each size-subset of jobs, with its groups, lazily.
 
-    Subsets come in combinations(jobs, size) order, and a subset's pin sets
-    in DFS order, slots ascending per job, each a dict in subset order.
-    bounds maps each job to its window under the ancestor pins, and load
-    each slot to their count there. The pin sets of a prefix (j1 .. ji) are
-    those of (j1 .. j(i-1)), each extended by every slot that holds fewer
-    than m pins in ji's window, narrowed by slot_bounds to the prefix's
-    slots. Consecutive subsets share their longest common prefix, so each
-    prefix's stream is a tee, kept while the subsets extend it: each subset
-    reads a copy, and a prefix's pin sets are built once, and only as far
-    as some reader has pulled them.
+    Yields (pins, groups): pins a dict in subset order, groups windows
+    narrowed by pins (pin_windows(inst, windows, pins)), or None when that
+    empties an unpinned job's window. Subsets come in combinations(jobs,
+    size) order, and a subset's pin sets in DFS order, slots ascending per
+    job. windows groups the jobs by their window under the ancestor pins,
+    and load maps each slot to their count there. A prefix (j1 .. ji)
+    carries its narrowed groups: its pin sets are those of (j1 .. j(i-1)),
+    each extended by every slot of ji's window in them that holds fewer
+    than m pins, and each extension narrows the groups by its one new pin
+    (narrow_by_pin). Consecutive subsets share their longest common prefix,
+    so each prefix's stream is a tee, kept while the subsets extend it:
+    each subset reads a copy, and a prefix's pin sets are built and
+    narrowed once, and only as far as some reader has pulled them.
     """
     m = inst.m
     # A pin set carries its slots' pin counts, ancestors' included, packed
@@ -314,20 +318,20 @@ def _pin_sets(inst, jobs, size, bounds, load):
     w = max([m, *load.values()]).bit_length()
     field = (1 << w) - 1
 
-    def extend(stream, j, mask):
-        # The (pins, counts) stream of a prefix of jobs mask, extended by j.
-        lo, hi = bounds[j]
-        for pins, counts in stream:
-            for t in range(*slot_bounds(inst, j, pins, mask, lo, hi)):
+    def extend(stream, j):
+        # The (pins, counts, groups) stream of a prefix, extended by j.
+        for pins, counts, groups in stream:
+            for (lo, hi), mask in groups.items():
+                if mask >> j & 1:
+                    break
+            for t in range(lo, hi):
                 if counts >> w * t & field < m:
                     grown = pins.copy()
                     grown[j] = t
-                    yield grown, counts + (1 << w * t)
+                    yield grown, counts + (1 << w * t), narrow_by_pin(inst, groups, j, t)
 
-    # prefixes[i] holds the stream of the first i jobs of the last subset
-    # and their mask.
-    empty = tee([({}, sum(c << w * t for t, c in load.items()))], 1)[0]
-    prefixes = [(empty, 0)]
+    # prefixes[i] holds the stream of the first i jobs of the last subset.
+    prefixes = [tee([({}, sum(c << w * t for t, c in load.items()), windows)], 1)[0]]
     last = ()
     for subset in combinations(jobs, size):
         i = 0
@@ -335,11 +339,10 @@ def _pin_sets(inst, jobs, size, bounds, load):
             i += 1
         del prefixes[i + 1:]
         for j in subset[i:]:
-            stream, mask = prefixes[-1]
-            prefixes.append((tee(extend(copy(stream), j, mask), 1)[0], mask | 1 << j))
+            prefixes.append(tee(extend(copy(prefixes[-1]), j), 1)[0])
         last = subset
-        for pins, _ in copy(prefixes[-1][0]):
-            yield pins
+        for pins, _, groups in copy(prefixes[-1]):
+            yield pins, None if any(lo >= hi for lo, hi in groups) else groups
 
 
 def _partitions(s, e, cells_cap):
@@ -354,9 +357,9 @@ def _partitions(s, e, cells_cap):
 def laminar_guesses(fam, offset=0):
     """Guess source that pins nothing and takes the cells of the family fam.
 
-    Each call gets one guess: no pins, the cells of fam at the call's
-    partition level (see partition_level), whose level is shifted by
-    offset. build_laminar has checked fam's parameters, so only offset is
+    Each call gets one guess: no pins, so its groups are rin.windows as
+    they stand, and the cells of fam at the call's partition level (see
+    partition_level), whose level is shifted by offset. build_laminar has checked fam's parameters, so only offset is
     checked here, before any search.
     """
     if offset < 0:
@@ -364,7 +367,7 @@ def laminar_guesses(fam, offset=0):
 
     def guesses(rin):
         level = partition_level(fam, fam.level_of(rin.interval), rin.depth, offset)
-        yield {}, fam.cells(rin.interval, level)
+        yield {}, rin.windows, [fam.cells(rin.interval, level)]
 
     return guesses
 
@@ -377,21 +380,21 @@ def exhaustive_guesses(inst, k_max):
     largest-first, so the fully pinned branch, whose zero discards end the
     search early, is tried before anything else; within a size, subsets
     ascend lexicographically and slots ascend per job. Per size, _pin_sets
-    walks the subsets as a prefix tree: the pin sets of a prefix are built
-    once for all the subsets that extend it, and only as far as the caller
-    pulls guesses.
+    walks the subsets as a prefix tree: the pin sets of a prefix, with
+    their narrowed groups, are built once for all the subsets that extend
+    it, and only as far as the caller pulls them. Yields one
+    (pins, groups, partitions) per pin set, the same partitions list each
+    time; groups is None where pins empty a window.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
 
     def guesses(rin):
         jobs = list(_bits(rin.jobs))
-        bounds = {j: w for w, mask in rin.windows.items() for j in _bits(mask)}
         partitions = list(_partitions(*rin.interval, max(1, k_max)))
         for size in range(min(k_max, len(jobs)), -1, -1):
-            for pins in _pin_sets(inst, jobs, size, bounds, rin.load):
-                for cells in partitions:
-                    yield pins, cells
+            for pins, groups in _pin_sets(inst, jobs, size, rin.windows, rin.load):
+                yield pins, groups, partitions
 
     return guesses
 
@@ -401,17 +404,19 @@ def _recurse(inst, rin, depth_max, guesses):
 
     A function of its input: the count covers every guess the source
     yields for rin and its calls explore, and traces holds the winning
-    guess's CallTraces, its children's, then its own. A guess narrows
-    rin.windows by its own pins only (or prunes on EmptyWindow), and its
-    pins join rin.load; both are kept while consecutive guesses carry equal
-    pins, since the cells, which partition the interval, do not change
-    them. A child's input is its cell's groups and the load inside the
+    guess's CallTraces, its children's, then its own. The source yields
+    one (pins, groups, partitions) per pin set, its groups rin.windows
+    narrowed by those pins; each cells list in partitions is one guess. A pin
+    set whose groups are None (a window emptied) has all its guesses
+    counted and pruned at once. Otherwise its pins join rin.load once, for
+    all its guesses, since the cells, which partition the interval, change
+    neither. A child's input is its cell's groups and the load inside the
     cell. A guess whose cells discard at least as many jobs as the best
     guess skips its tops. When rin.depth + 1 is depth_max, its children
-    explore nothing, and once a best guess exists every guess of a pin set
-    whose discard floor (_discard_floor) reaches the best guess's discards
-    is counted and skipped before classify: none of them could win, and the
-    count and every output stay as they were. rin.depth is below depth_max;
+    explore nothing, and once a best guess exists the rest of a pin set's
+    guesses are counted and skipped, before classify, as soon as its
+    discard floor (_discard_floor) reaches the best guess's discards: none
+    of them could win, and the count and every output stay as they were. rin.depth is below depth_max;
     a child at depth_max gets no call and discards its jobs, unless its cell
     is a unit interval. A unit cell gets no call at any depth: _settle_unit
     settles it in the cell loop, under the pins' load at its slot.
@@ -428,71 +433,69 @@ def _recurse(inst, rin, depth_max, guesses):
     # The best guess's discard count; before one exists, above any guess's.
     fewest = rin.jobs.bit_count() + 1
     explored = 0
-    last_pins = groups = floor = None
     capped = rin.depth + 1 >= depth_max
-    for pins, cells in guesses(rin):
-        explored += 1
-        if pins != last_pins:
-            last_pins = dict(pins)
-            floor = None
-            try:
-                groups = pin_windows(inst, rin.windows, pins)
-                pin_load = _add_load(rin.load, pins.values())
-            except EmptyWindow:
-                groups = None
+    for pins, groups, partitions in guesses(rin):
         if groups is None:
+            # An empty window: every guess of these pins is pruned.
+            explored += len(partitions)
             continue
-        if capped and best is not None:
-            # While the pins' floor reaches the best guess's discards, none
-            # of their guesses can win. Capped children explore no guess, so
-            # skipping one leaves the guess count as it was.
-            if floor is None:
-                floor = _discard_floor(groups, pin_load, inst.m)
-            if floor >= fewest:
+        pin_load = _add_load(rin.load, pins.values())
+        floor = None
+        for i, cells in enumerate(partitions):
+            explored += 1
+            if capped and best is not None:
+                # Once the pins' floor reaches the best guess's discards, none
+                # of their guesses can win, and fewest only falls. Capped
+                # children explore no guess, so the rest are counted and
+                # skipped, and the guess count stays as it was.
+                if floor is None:
+                    floor = _discard_floor(groups, pin_load, inst.m)
+                if floor >= fewest:
+                    explored += len(partitions) - i - 1
+                    break
+            bottom, top = classify(groups, cells)
+            calls = []
+            starts = dict(pins)
+            disc = 0
+            for (lo, hi), windows in bottom.items():
+                sub = sum(windows.values())
+                if not sub:
+                    continue
+                if hi - lo == 1:
+                    # A unit cell explores no guess and records no trace, and
+                    # the depth cap does not apply to it.
+                    disc |= _settle_unit(inst, sub, lo, inst.m - pin_load.get(lo, 0), starts)
+                    continue
+                if capped:
+                    # The depth cap: the child's whole job set is discarded,
+                    # with no guess explored and no trace recorded.
+                    disc |= sub
+                    continue
+                load = {t: c for t, c in pin_load.items() if lo <= t < hi}
+                child = RecursionInput((lo, hi), sub, windows, load, rin.depth + 1)
+                cstarts, cdisc, cexplored, ctraces = _recurse(inst, child, depth_max, guesses)
+                starts.update(cstarts)
+                disc |= cdisc
+                explored += cexplored
+                calls += ctraces
+            if disc.bit_count() >= fewest:
+                # The tops can only add discards, so this guess cannot win.
                 continue
-        bottom, top = classify(groups, cells)
-        calls = []
-        starts = dict(pins)
-        disc = 0
-        for (lo, hi), windows in bottom.items():
-            sub = sum(windows.values())
-            if not sub:
-                continue
-            if hi - lo == 1:
-                # A unit cell explores no guess and records no trace, and
-                # the depth cap does not apply to it.
-                disc |= _settle_unit(inst, sub, lo, inst.m - pin_load.get(lo, 0), starts)
-                continue
-            if capped:
-                # The depth cap: the child's whole job set is discarded,
-                # with no guess explored and no trace recorded.
-                disc |= sub
-                continue
-            load = {t: c for t, c in pin_load.items() if lo <= t < hi}
-            child = RecursionInput((lo, hi), sub, windows, load, rin.depth + 1)
-            cstarts, cdisc, cexplored, ctraces = _recurse(inst, child, depth_max, guesses)
-            starts.update(cstarts)
-            disc |= cdisc
-            explored += cexplored
-            calls += ctraces
-        if disc.bit_count() >= fewest:
-            # The tops can only add discards, so this guess cannot win.
-            continue
-        top_windows = windows_for_top(inst, top, cells, starts)
-        occupancy = _add_load(rin.load, starts.values())
-        tplaced, tdisc = edf_insert(inst, top_windows, occupancy, s, e)
-        starts.update(tplaced)
-        disc |= tdisc
-        if disc.bit_count() < fewest:
-            # Only the best guess's trace is returned, so only a new best builds one.
-            loads = _add_load({t: occupancy.get(t, 0) for t in range(s, e)}, tplaced.values())
-            calls.append(
-                CallTrace(rin.depth, rin.interval, cells, dict(pins), top_windows, tplaced, loads)
-            )
-            best = (starts, disc, calls)
-            fewest = disc.bit_count()
-            if not disc:
-                break
+            top_windows = windows_for_top(inst, top, cells, starts)
+            occupancy = _add_load(rin.load, starts.values())
+            tplaced, tdisc = edf_insert(inst, top_windows, occupancy, s, e)
+            starts.update(tplaced)
+            disc |= tdisc
+            if disc.bit_count() < fewest:
+                # Only the best guess's trace is returned, so only a new best builds one.
+                loads = _add_load({t: occupancy.get(t, 0) for t in range(s, e)}, tplaced.values())
+                calls.append(
+                    CallTrace(rin.depth, rin.interval, cells, dict(pins), top_windows, tplaced, loads)
+                )
+                best = (starts, disc, calls)
+                fewest = disc.bit_count()
+                if not disc:
+                    return starts, disc, explored, calls
     if best is None:
         # Every guess was pruned; cannot happen from a consistent parent.
         return {}, rin.jobs, explored, []
@@ -503,7 +506,8 @@ def solve(inst: Instance, T: int, guesses, depth_max: int) -> SolveResult:
     """Best-guess schedule inside horizon T, its discards, guess count and traces.
 
     guesses is the guess source, a callable RecursionInput -> iterable of
-    (pins, cells), such as laminar_guesses or exhaustive_guesses. depth_max
+    (pins, groups, partitions), one per pin set, such as laminar_guesses or
+    exhaustive_guesses (see the module docstring). depth_max
     caps recursion depth: a cell at depth depth_max discards its whole job
     set, unless it is a unit interval, which _settle_unit settles at any
     depth with no guess explored. The result's traces hold one CallTrace

@@ -492,6 +492,13 @@ def ref_assignments(inst, subset, base_pins, s, e):
     yield from rec(0)
 
 
+def flat_guesses(items):
+    """A package guess source's items, (pins, groups, partitions) per pin set,
+    as the (pins, cells) guesses they stand for, in order: the form
+    ref_exhaustive_guesses yields and ref_solve reads."""
+    return [(pins, cells) for pins, _, partitions in items for cells in partitions]
+
+
 def ref_exhaustive_guesses(inst, k_max):
     """The exhaustive guess source on ref_assignments, in the package's order."""
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from precsched import laminar
+from precsched import laminar, qptas
 from precsched.baselines import list_schedule
 from precsched.laminar import (
     BadEps,
@@ -38,10 +38,11 @@ from precsched.qptas import (
     insert_discarded,
     laminar_guesses,
     solve,
+    solve_laminar,
     windows_for_top,
 )
 
-from helpers import ref_classify
+from helpers import flat_guesses, ref_classify
 
 DIAMOND = [(0, 1), (0, 2), (1, 3), (2, 3)]
 
@@ -343,7 +344,14 @@ def test_enumeration_count_matches_the_forced_example():
     inst = build_instance(1, 1, [])
     rin = RecursionInput((0, 2), 1, {(0, 2): 1}, {}, 0)
     got = list(exhaustive_guesses(inst, 1)(rin))
+    # One item per pin set, each with its narrowed groups: job 0 pinned
+    # leaves them empty, and the empty pin set keeps the call's windows.
     assert got == [
+        ({0: 0}, {}, [[(0, 2)]]),
+        ({0: 1}, {}, [[(0, 2)]]),
+        ({}, {(0, 2): 1}, [[(0, 2)]]),
+    ]
+    assert flat_guesses(got) == [
         ({0: 0}, [(0, 2)]),
         ({0: 1}, [(0, 2)]),
         ({}, [(0, 2)]),
@@ -354,7 +362,9 @@ def test_enumeration_laminar_k0_yields_one_guess():
     inst = build_instance(4, 1, [(i, i + 1) for i in range(3)])
     rin = RecursionInput((0, 4), _mask(range(4)), {(0, 4): _mask(range(4))}, {}, 0)
     got = list(laminar_guesses(build_laminar(4, 4, 1, 1))(rin))
-    assert got == [({}, [(0, 2), (2, 4)])]
+    assert got == [({}, rin.windows, [[(0, 2), (2, 4)]])]
+    # No pins, so the call's windows pass through as they are.
+    assert got[0][1] is rin.windows
 
 
 def test_partition_level_gives_the_cell_length_per_depth():
@@ -565,6 +575,30 @@ def test_a_family_run_never_reaches_its_depth_cap(run):
     at_cap = solve(padded, fam.T, laminar_guesses(fam), fam.level_count())
     assert at_cap == solve(padded, fam.T, laminar_guesses(fam), fam.level_count() + 5)
     assert all(tr.depth < fam.deepest for tr in at_cap.traces)
+
+
+def _refuse_narrowing(*args):
+    raise AssertionError("a family run narrowed a window")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_family_runs())
+def test_a_family_run_makes_no_narrowing_call(run):
+    # laminar_guesses pins nothing, so no call narrows a window: each hands
+    # its windows to classify as they stand. With the one-pin narrowing and
+    # pin_windows refusing every call, a family run gives the same result,
+    # traces included.
+    inst, eps, T = run
+    padded, fam = pad_with_family(inst, T, eps)
+    want = solve(padded, fam.T, laminar_guesses(fam), fam.level_count())
+    want_laminar = solve_laminar(inst, T, eps)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(laminar, "narrow_by_pin", _refuse_narrowing)
+        patch.setattr(qptas, "narrow_by_pin", _refuse_narrowing)
+        patch.setattr(laminar, "pin_windows", _refuse_narrowing)
+        patch.setattr(qptas, "pin_windows", _refuse_narrowing, raising=False)
+        assert solve(padded, fam.T, laminar_guesses(fam), fam.level_count()) == want
+        assert solve_laminar(inst, T, eps) == want_laminar
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,7 @@ depend on its input alone. The discard floor that lets a capped call skip a
 pin set must never exceed the discards of a guess with those pins.
 """
 
-from itertools import combinations, islice
+from itertools import combinations, groupby, islice
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from helpers import (
     RefInput,
     _ref_loads,
+    flat_guesses,
     ref_assignments,
     ref_classify,
     ref_exhaustive_guesses,
@@ -32,7 +33,6 @@ from precsched.model import (
     _mask,
     build_instance,
     longest_chain,
-    slot_bounds,
     validate_schedule,
 )
 from precsched.qptas import (
@@ -200,13 +200,14 @@ def test_top_windows_narrow_ancestor_windows_by_placements(case, data):
     st.integers(min_value=0, max_value=1),
 )
 def test_exhaustive_solve_does_not_depend_on_pin_identity(inst, k_max, depth_max, slack):
-    # Wrapping every pin set in a fresh dict defeats any reuse keyed on
-    # object identity; the windows must be reused on equal pins alone.
+    # Wrapping every pin set, its groups and its partitions in fresh
+    # containers defeats any reuse keyed on object identity.
     T = max(-(-inst.n // inst.m), longest_chain(inst)) + slack
     guesses = exhaustive_guesses(inst, k_max)
 
     def fresh(rin):
-        return ((dict(pins), cells) for pins, cells in guesses(rin))
+        for pins, groups, partitions in guesses(rin):
+            yield dict(pins), groups and dict(groups), [list(c) for c in partitions]
 
     # The results compare their traces too.
     assert solve(inst, T, fresh, depth_max) == solve(inst, T, guesses, depth_max)
@@ -225,18 +226,24 @@ def test_assignments_match_the_rebuilding_dfs(case, data):
     free = sorted(set(range(inst.n)) - base.keys())
     jobs = tuple(data.draw(st.lists(st.sampled_from(free), unique=True, max_size=3))) if free else ()
     size = data.draw(st.integers(min_value=0, max_value=len(jobs)))
-    bounds = {}
+    # Unlike a call's windows, these may be empty.
+    windows = {}
     for j in jobs:
         lo, hi = ref_feasible_window(inst, j, base, e)
-        bounds[j] = (max(lo, s), hi)
+        w = (max(lo, s), hi)
+        windows[w] = windows.get(w, 0) | 1 << j
     load = _ref_loads(base.values(), s, e)
-    got = [list(a.items()) for a in _pin_sets(inst, jobs, size, bounds, load)]
+    got = list(_pin_sets(inst, jobs, size, dict(windows), load))
     want = [
         list(a.items())
         for subset in combinations(jobs, size)
         for a in ref_assignments(inst, subset, base, s, e)
     ]
-    assert got == want
+    assert [list(pins.items()) for pins, _ in got] == want
+    # Each pin set comes with the windows narrowed by it, or None where
+    # pin_windows would refuse them.
+    for pins, groups in got:
+        assert groups == _narrowed(inst, windows, pins)
     assert load == _ref_loads(base.values(), s, e)
 
 
@@ -279,10 +286,26 @@ def test_exhaustive_guesses_match_the_reference_source(case, data):
     inst, rin, ref_in = case
     k_max = data.draw(st.integers(min_value=0, max_value=inst.n))
     windows, load = dict(rin.windows), dict(rin.load)
-    got = [(list(pins.items()), cells) for pins, cells in exhaustive_guesses(inst, k_max)(rin)]
+    got = flat_guesses(exhaustive_guesses(inst, k_max)(rin))
     want = ref_exhaustive_guesses(inst, k_max)(ref_in)
-    assert got == [(list(pins.items()), cells) for pins, cells in want]
+    assert [(list(p.items()), c) for p, c in got] == [(list(p.items()), c) for p, c in want]
     assert rin.windows == windows and rin.load == load
+
+
+@settings(max_examples=150, deadline=None)
+@given(_call_inputs(), st.data())
+def test_exhaustive_groups_are_the_pins_narrowing(case, data):
+    # Each pin set's groups, built one pin at a time down the prefix tree,
+    # are the call's windows narrowed by all its pins at once, or None
+    # exactly where that raises EmptyWindow; every pin set carries the
+    # same partitions.
+    inst, rin, _ = case
+    k_max = data.draw(st.integers(min_value=0, max_value=inst.n))
+    items = list(exhaustive_guesses(inst, k_max)(rin))
+    assert items and items[-1][0] == {}
+    for pins, groups, partitions in items:
+        assert groups == _narrowed(inst, rin.windows, pins)
+        assert partitions == items[0][2]
 
 
 @settings(max_examples=30, deadline=None)
@@ -323,15 +346,40 @@ def test_a_recursion_call_depends_only_on_its_input(inst, k_max, depth_max, slac
 
 
 def _budgeted(guesses, limit):
-    """guesses cut off after limit guesses in all, counted across calls."""
+    """guesses cut off after limit guesses in all, counted across calls.
+
+    An item holds one pin set's guesses, one per partition, and takes its
+    share of the budget when it is pulled, before its guesses run: the item
+    that reaches the limit keeps only its first partitions.
+    """
     left = [limit]
 
     def source(rin):
-        for guess in guesses(rin):
+        for pins, groups, partitions in guesses(rin):
             if not left[0]:
                 return
-            left[0] -= 1
-            yield guess
+            partitions = partitions[:left[0]]
+            left[0] -= len(partitions)
+            yield pins, groups, partitions
+
+    return source
+
+
+def _ref_budgeted(guesses, limit):
+    """The reference's (pins, cells) guesses, cut off where _budgeted cuts.
+
+    Consecutive guesses with equal pins are one pin set's, and take their
+    share of the budget together, when the first of them is pulled.
+    """
+    left = [limit]
+
+    def source(rin):
+        for _, same_pins in groupby(guesses(rin), key=lambda guess: guess[0]):
+            if not left[0]:
+                return
+            kept = list(same_pins)[:left[0]]
+            left[0] -= len(kept)
+            yield from kept
 
     return source
 
@@ -366,11 +414,12 @@ def test_unit_root_matches_the_reference_recursion(n, m):
 
 def _assert_solve_matches_reference(inst, T, k_max, depth_max):
     # Infeasible-at-the-bound instances explore 10^5-10^6 guesses at depth 3,
-    # so each side gets the same guess budget. Both explore the same guesses
-    # in the same order, so the budget cuts both at the same guess.
+    # so each side gets the same guess budget, taken pin set by pin set.
+    # Both explore the same guesses in the same order, so the budget cuts
+    # both at the same guess.
     # The results compare their traces too.
     got = solve(inst, T, _budgeted(exhaustive_guesses(inst, k_max), 3000), depth_max)
-    want = ref_solve(inst, T, _budgeted(ref_exhaustive_guesses(inst, k_max), 3000), depth_max)
+    want = ref_solve(inst, T, _ref_budgeted(ref_exhaustive_guesses(inst, k_max), 3000), depth_max)
     assert got == want
     return got
 
@@ -380,9 +429,9 @@ def _root(inst, T):
     return RecursionInput((0, T), jobs, {(0, T): jobs}, {}, 0)
 
 
-def _discards_of(inst, root, pins, cells):
+def _discards_of(inst, root, pins, groups, cells):
     """The discard count of the one guess (pins, cells) at a capped root."""
-    _, disc, explored, _ = qptas._recurse(inst, root, 1, lambda rin: [(pins, cells)])
+    _, disc, explored, _ = qptas._recurse(inst, root, 1, lambda rin: [(pins, groups, [cells])])
     assert explored == 1
     return disc.bit_count()
 
@@ -395,18 +444,12 @@ def test_the_discard_floor_never_exceeds_a_guess_discards(inst, k_max, data):
     chain = longest_chain(inst)
     T = data.draw(st.integers(min_value=max(chain, 2), max_value=max(chain, 2, inst.n)))
     root = _root(inst, T)
-    last_pins = floor = None
-    for pins, cells in exhaustive_guesses(inst, k_max)(root):
-        if pins != last_pins:
-            last_pins = pins
-            try:
-                groups = pin_windows(inst, root.windows, pins)
-            except EmptyWindow:
-                floor = None
-            else:
-                floor = _discard_floor(groups, _add_load({}, pins.values()), inst.m)
-        if floor is not None:
-            assert 0 <= floor <= _discards_of(inst, root, pins, cells)
+    for pins, groups, partitions in exhaustive_guesses(inst, k_max)(root):
+        if groups is None:
+            continue
+        floor = _discard_floor(groups, _add_load({}, pins.values()), inst.m)
+        for cells in partitions:
+            assert 0 <= floor <= _discards_of(inst, root, pins, groups, cells)
 
 
 def test_the_discard_floor_counts_an_overloaded_slot():
@@ -419,7 +462,7 @@ def test_the_discard_floor_counts_an_overloaded_slot():
     assert groups == {(2, 3): 0b110}
     assert _discard_floor(groups, {1: 1}, inst.m) == 1
     for cells in ([(0, 3)], [(0, 1), (1, 3)], [(0, 2), (2, 3)], [(0, 1), (1, 2), (2, 3)]):
-        assert _discards_of(inst, root, pins, cells) >= 1
+        assert _discards_of(inst, root, pins, groups, cells) >= 1
 
 
 # The full 2x5 layered order at m = 4: optimum 4, lower bound 3. At horizon
@@ -438,40 +481,45 @@ def test_the_guess_heavy_shape_walks_every_guess():
     assert (discards, explored) == (1, 62164)
 
 
-def _slot_bounds_calls(guesses, pulls):
-    """How many slot_bounds calls the first pulls guesses of guesses make."""
+def _narrowings(items, pulls):
+    """(one-pin narrowings, guesses) of the first pulls items of a source."""
     count = [0]
+    narrow_by_pin = qptas.narrow_by_pin
 
     def counted(*args):
         count[0] += 1
-        return slot_bounds(*args)
+        return narrow_by_pin(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(qptas, "slot_bounds", counted)
-        pulled = list(islice(guesses, pulls))
+        patch.setattr(qptas, "narrow_by_pin", counted)
+        pulled = list(islice(items, pulls))
     assert len(pulled) == pulls
-    return count[0]
+    return count[0], len(flat_guesses(pulled))
 
 
 def test_the_first_guess_walks_one_path():
     # 12 jobs fill 4 slots of 3 machines exactly: the first pin set pins
-    # them all in id order, one slot_bounds per job, and nothing is
+    # them all in id order, one narrowing per job, and nothing is
     # enumerated ahead of what is pulled.
     inst = build_instance(12, 3, [])
     root = _root(inst, 4)
     guesses = exhaustive_guesses(inst, 12)
-    assert _slot_bounds_calls(guesses(root), 1) == 12
-    assert next(iter(guesses(root))) == (
-        {j: j // 3 for j in range(12)}, [(0, 1), (1, 2), (2, 3), (3, 4)],
-    )
+    assert _narrowings(guesses(root), 1)[0] == 12
+    pins, groups, partitions = next(iter(guesses(root)))
+    assert (pins, groups) == ({j: j // 3 for j in range(12)}, {})
+    assert partitions[0] == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
 
 def test_the_guess_heavy_shape_extends_each_prefix_once():
     # Every subset at the root of the guess-heavy shape reads its prefixes'
-    # pin sets from the subsets before it: 31651 slot_bounds calls, against
-    # 63678 for a DFS that starts each subset from an empty prefix.
+    # pin sets, groups narrowed, from the subsets before it: 15541 pin sets
+    # holding 62164 guesses cost 30252 narrowings, one per distinct prefix
+    # pin set (dead ends included), against 78195 for a DFS that starts
+    # each subset from an empty prefix.
     inst = generate(LAYERED_10_FULL)
-    assert _slot_bounds_calls(exhaustive_guesses(inst, 10)(_root(inst, 3)), 62164) == 31651
+    items = exhaustive_guesses(inst, 10)(_root(inst, 3))
+    assert _narrowings(items, 15541) == (30252, 62164)
+    assert next(items, None) is None
 
 
 def _classified(inst, depth_max, floor):
