@@ -7,8 +7,13 @@ opt column share. The baselines go through one dispatch, _baseline, which
 `solve` and bench's exact, ls and cg rows share. The laminar scheme is one
 call, qptas.solve_laminar (padding, family, solve and repair), which `solve
 --mode laminar` and bench's qptas column share; the exhaustive mode runs
-qptas.solve and the same repair step, qptas.repair. bench, analyze levels
-and audit write their CSV through one writer, _write_csv.
+qptas.solve and the same repair step, qptas.repair. That laminar call is
+list scheduling in id order on the instance padded to the power-of-two
+horizon T*, cut off at T*, then repair (its family pins nothing, so every
+job is a top of the root with window [0, T*); see the qptas module
+docstring), and that is what `solve --mode laminar` and the qptas column
+report. bench, analyze levels and audit write their CSV through one
+writer, _write_csv.
 
 Exit codes: 0 success (verify: feasible), 1 infeasible or violations found,
 2 usage or parse errors (a cyclic instance file, an --eps outside (0, 1],

@@ -49,14 +49,13 @@ levels.
 assign_levels replays an optimal schedule against this family and sorts
 every job into exactly one guess set or one top set at exactly one level;
 the sets are job masks. A job belongs to the level where its feasible
-window (under the pins made so far) still straddles at least two child
+window (under its ancestors' pins) still straddles at least two child
 intervals; long chains of such flexible jobs (model.longest_chain_path) get
 their per-child first and last members pinned to their optimal slots until
-no long chain remains. Each level narrows {(0, T): unassigned jobs} by all
-earlier pins once; within a level, the recursion's rule applies: a node
-takes its cell's groups as they stand (the level's other pins lie in other
-cells and narrow none of its windows), and each chain round narrows them by
-its own new pins only.
+no long chain remains. It walks the family as the recursion does: the root
+takes {(0, T): every job}, each chain round narrows a node's groups by its
+own new pins only, and each child takes, as they stand, the groups its
+parent's last classify gave its cell. So every pin narrows windows once.
 """
 
 from __future__ import annotations
@@ -377,13 +376,11 @@ def assign_levels(inst: Instance, opt: Schedule, fam: LaminarFamily) -> LevelAss
     """Sort every job into one guess or top set at one level, as job masks.
 
     fam is inst's family: its n, m and eps set the chain thresholds.
-    Processes levels top-down and intervals left to right. An interval's
-    pool is its cell's groups when pin_windows then classify split the
-    unassigned jobs by the level's cells, under pins from strictly earlier
-    levels; pins made earlier at its level lie in other cells and leave
-    them as they are. Each chain round narrows the groups by that round's
-    new pins only (narrowing composes); the interval's flexible jobs are the
-    top when classify sorts the unguessed pool's groups by its
+    Processes levels top-down and intervals left to right. The root's pool
+    is every job with window (0, T); a child's pool is its cell's groups
+    from its parent's last classify. Each chain round narrows the groups by
+    that round's new pins only (narrowing composes); the interval's flexible
+    jobs are the top when classify sorts the unguessed pool's groups by its
     children. At unit leaves every remaining pool member becomes top, which
     is what makes the partition total.
     """
@@ -391,17 +388,17 @@ def assign_levels(inst: Instance, opt: Schedule, fam: LaminarFamily) -> LevelAss
     if opt.makespan() > T or any(j not in opt.start for j in range(n)):
         raise ValueError("opt must be complete with makespan <= T")
     slot = opt.start
-    pinned: dict[int, int] = {}
-    free = (1 << n) - 1
     out = LevelAssignment(fam=fam, n=n)
+    # The level's pools, {node: its groups under its ancestors' pins}, left
+    # to right: parents in order, each parent's cells in order.
+    pools = {(0, T): {(0, T): (1 << n) - 1}} if n else {}
     # Every window below is taken under pins at optimal slots, so none is
     # empty and pin_windows never raises.
     for level in range(fam.level_count()):
-        groups = pin_windows(inst, {(0, T): free}, pinned)
-        pools, _ = classify(groups, fam.cells((0, T), level))
         thresh = chain_threshold(fam, fam.level_lengths[level])
         guess_row: dict[tuple[int, int], int] = {}
         top_row: dict[tuple[int, int], int] = {}
+        below: dict[tuple[int, int], dict] = {}
         for node, groups in pools.items():
             if not groups:
                 continue
@@ -410,12 +407,9 @@ def assign_levels(inst: Instance, opt: Schedule, fam: LaminarFamily) -> LevelAss
                 top_row[node] = sum(groups.values())
                 continue
             children = fam.cells(node, level + 1)
-            # The pins made at this level so far sit in other cells. A pinned
-            # predecessor of a job here sits before this cell and a successor
-            # after it, so they leave this cell's windows as they are.
             guessed = 0
             while True:
-                _, tops = classify(groups, children)
+                bottom, tops = classify(groups, children)
                 flexible = sum(tops.values())
                 # The chain runs head first, so its optimal slots ascend.
                 chain = longest_chain_path(inst, flexible)
@@ -429,16 +423,16 @@ def assign_levels(inst: Instance, opt: Schedule, fam: LaminarFamily) -> LevelAss
                 # The guessed jobs are pinned, so they leave the groups.
                 groups = pin_windows(inst, groups, new)
                 guessed |= _mask(new)
-                pinned.update(new)
             if guessed:
                 guess_row[node] = guessed
             if flexible:
                 top_row[node] = flexible
-            free &= ~(guessed | flexible)
+            below.update(bottom)
         if guess_row:
             out.guess[level] = guess_row
         if top_row:
             out.top[level] = top_row
+        pools = below
     return out
 
 

@@ -46,11 +46,13 @@ children's guesses with it. Neither cutoff changes an output or a guess
 count.
 
 A unit cell [t, t + 1) needs no guess: each of its jobs has window
-[t, t + 1), so the EDF step over it is fixed. _settle_unit applies that
-step as one mask rule inside the parent's cell loop: in id order, the jobs
-with no predecessor in the cell take the capacity the pins leave at t, and
-the rest are discarded. It builds no RecursionInput, explores no guess and
-records no trace; a root of horizon 1 is settled by the same helper.
+[t, t + 1), so the EDF step over it is fixed. _settle_unit runs that step
+inside the parent's cell loop as one call of the shared slot sweep
+(baselines._sweep) over windows [t, t + 1), with the pin load as its
+occupancy: in id order, the jobs with no predecessor in the cell take the
+capacity the pins leave at t, and the rest are discarded. It builds no
+RecursionInput, explores no guess and records no trace; a root of horizon
+1 is settled by the same helper.
 
 The recursion (_recurse) takes its guesses from a guess source, which
 solve's caller supplies: a callable RecursionInput -> iterable of
@@ -86,7 +88,14 @@ instance to a power-of-two horizon and builds its family, solve runs
 laminar_guesses there, and repair (insert_discarded, then the jobs below
 the original count) reinserts the discards and drops the padding. The
 exhaustive mode shares repair. The auditors' pinned run calls solve
-directly: it needs the unrepaired result and its traces.
+directly: it needs the unrepaired result and its traces. What the run
+computes today is list scheduling by id on the padded instance, cut off at
+T*, then repair: laminar_guesses pins nothing, so the root's one window
+(0, T*) straddles every cell, every job is a top with window [0, T*), and
+the root's sweep places them in id order with no child call. That is what
+the CLI's --mode laminar and bench's qptas rows measure; tests/test_qptas.py
+(test_a_family_run_places_every_job_where_list_scheduling_by_id_does)
+pins it.
 
 solve's depth cap, depth_max, matters to the exhaustive mode alone. A
 family source splits every call's interval at least one level deeper
@@ -247,28 +256,19 @@ def edf_insert(inst, tops, occupancy, start, end):
     return placed, degenerate | left
 
 
-def _settle_unit(inst, sub, t, free, starts):
+def _settle_unit(inst, sub, t, load, starts):
     """Settle the unit cell [t, t + 1) that holds the job mask sub.
 
-    Every job of the cell has window [t, t + 1), so the EDF step is one
-    slot with nothing expired: a job is eligible iff none of its
-    predecessors is in sub, and the first free eligible jobs in id order
-    start at t. Placements go into starts in that order, and the mask of
-    every other job is returned, as edf_insert would place and discard them.
+    Every job of the cell has window [t, t + 1), so the cell's EDF step is
+    the one greedy slot sweep (baselines._sweep) over those windows, with
+    load, the pins per slot, as its occupancy: the jobs with no predecessor
+    in sub take the machines the pins leave free at t in id order. Its
+    placements go into starts, and the mask of every other job is returned,
+    as edf_insert would place and discard them.
     """
-    pred_masks = inst.pred_masks
-    disc = 0
-    rest = sub
-    while rest:
-        low = rest & -rest
-        j = low.bit_length() - 1
-        rest ^= low
-        if free > 0 and not pred_masks[j] & sub:
-            starts[j] = t
-            free -= 1
-        else:
-            disc |= low
-    return disc
+    placed, left = _sweep(inst, [(t + 1, j, t) for j in _bits(sub)], load, t, t + 1)
+    starts.update(placed)
+    return left
 
 
 def _discard_floor(groups, load, m):
@@ -428,7 +428,7 @@ def _recurse(inst, rin, depth_max, guesses):
         # Only a root of horizon 1 gets here: unit cells are settled in
         # their parent's cell loop, by the same rule.
         starts: dict[JobId, int] = {}
-        return starts, _settle_unit(inst, rin.jobs, s, inst.m - rin.load.get(s, 0), starts), 0, []
+        return starts, _settle_unit(inst, rin.jobs, s, rin.load, starts), 0, []
     best = None
     # The best guess's discard count; before one exists, above any guess's.
     fewest = rin.jobs.bit_count() + 1
@@ -464,7 +464,7 @@ def _recurse(inst, rin, depth_max, guesses):
                 if hi - lo == 1:
                     # A unit cell explores no guess and records no trace, and
                     # the depth cap does not apply to it.
-                    disc |= _settle_unit(inst, sub, lo, inst.m - pin_load.get(lo, 0), starts)
+                    disc |= _settle_unit(inst, sub, lo, pin_load, starts)
                     continue
                 if capped:
                     # The depth cap: the child's whole job set is discarded,
@@ -519,8 +519,6 @@ def solve(inst: Instance, T: int, guesses, depth_max: int) -> SolveResult:
     """
     if depth_max < 1:
         raise ValueError(f"depth_max must be >= 1, got {depth_max}")
-    if inst.n == 0:
-        return SolveResult(Schedule({}, T), frozenset(), SolveStats(), ())
     chain = longest_chain(inst)
     if T < chain:
         raise InfeasibleHorizon(f"horizon {T} is below the chain bound {chain}")

@@ -11,14 +11,15 @@ package used before it ran the EDF step's sweep; and ref_chain_depths is the
 chain-depth table walking every successor, without the package's skip of
 memo hits. The one exception is ref_solve, the
 recursion as it ran before the dominance cutoff, the grouped split, the
-unit-cell mask rule and the per-call inputs: it builds the package's trace
+unit-cell rule and the per-call inputs: it builds the package's trace
 records and runs its EDF sweep (which tests/test_qptas.py checks against its
 own reference), but classifies and windows with the references here. Its
 calls take a RefInput, which carries every ancestor's pin, and each call
 re-derives its windows and loads from all of them, where the package's
 RecursionInput carries only the call's windows and pin load. Its unit
 intervals still recurse and run edf_insert over windows [t, t + 1), so that
-path is now the reference for the package's unit rule (qptas._settle_unit).
+path is the reference for the package's unit rule (qptas._settle_unit, which
+sweeps those windows without a call of its own).
 It keeps its job sets as sets, and builds or reads a job mask only where
 RefInput and the package's edf_insert take or return one.
 """
@@ -350,7 +351,9 @@ def ref_assign_levels(inst, opt, fam, eps):
 
     The bookkeeping the package used before windows came from the pinned
     mask: every job keeps lo/hi, and each pin tightens those of all its
-    successors and predecessors. Reads only fam's T and level lengths.
+    successors and predecessors. Each level's pools read every unassigned
+    job's window under all pins so far, where the package hands each node's
+    groups to its children. Reads only fam's T and level lengths.
     """
     n, m, T = inst.n, inst.m, fam.T
     eps = Fraction(eps)

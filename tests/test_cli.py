@@ -911,6 +911,7 @@ GOLDEN = {
     "audit-eps-1": "f116b5853d6879151404faa0bc815823f124f2340e7f605b7276e0b0834c6794",
     "audit-eps-1/2": "3b1828fb7d85a93f3b8c7c987e034e0dfa08c6ed13717a2164d10cf05e5509c9",
     "analyze-levels": "9a45cec427639d0c19206ba3d0540334dcf5033bf61dd8cb2927cc46590edac6",
+    "analyze-levels-eps-1/2": "d9d151b75061e7356b7959a6e237cac79f7cf76022c6f06658ae784873dd9fd5",
 }
 
 
@@ -927,14 +928,15 @@ def test_deterministic_outputs_match_golden_digests(tmp_path, capsys):
         got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
     # Instances above the oracle cap exit 2 and write nothing; the exit code
     # is part of the digest.
-    levels = hashlib.sha256()
-    for path in sorted(corp.glob("*.inst")):
-        out = tmp_path / f"{path.stem}.csv"
-        rc = main(["analyze", "levels", "--input", str(path), "--output", str(out)])
-        levels.update(f"{path.stem} {rc}\n".encode())
-        if rc == 0:
-            levels.update(out.read_bytes())
-    got["analyze-levels"] = levels.hexdigest()
+    for name, eps in (("analyze-levels", []), ("analyze-levels-eps-1/2", ["--eps", "1/2"])):
+        levels = hashlib.sha256()
+        for path in sorted(corp.glob("*.inst")):
+            out = tmp_path / f"{path.stem}.csv"
+            rc = main(["analyze", "levels", *eps, "--input", str(path), "--output", str(out)])
+            levels.update(f"{path.stem} {rc}\n".encode())
+            if rc == 0:
+                levels.update(out.read_bytes())
+        got[name] = levels.hexdigest()
     capsys.readouterr()
     assert got == GOLDEN
 

@@ -1,5 +1,6 @@
 """Laminar family construction, padding, windows, and level assignment."""
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -277,6 +278,28 @@ def test_assign_levels_sixteen_chain_guesses_everything():
     assert assign.top == {}
     assert memberships(assign, 0) == [("guess", 0, (0, 16))]
     assert memberships(assign, 13) == [("guess", 1, (12, 16))]
+
+
+def test_assign_levels_narrows_by_each_pin_once(monkeypatch):
+    # A node's pool is the groups its parent's last chain round left in its
+    # cell, so each pin narrows windows in exactly one pin_windows call: the
+    # round that made it, not again at every deeper level.
+    inst = build_instance(16, 1, [(i, i + 1) for i in range(15)])
+    opt = Schedule({j: j for j in range(16)}, 16)
+    fam = build_laminar(16, 16, 1, 1)
+    assert fam.level_lengths == (16, 4, 1)
+    seen = Counter()
+    pin_windows = laminar.pin_windows
+
+    def spy(inst, groups, pins):
+        seen.update(pins.keys())
+        return pin_windows(inst, groups, pins)
+
+    monkeypatch.setattr(laminar, "pin_windows", spy)
+    assign = assign_levels(inst, opt, fam)
+    guessed = [j for row in assign.guess.values() for mask in row.values() for j in _bits(mask)]
+    assert sorted(guessed) == list(range(16))
+    assert seen == Counter(range(16))
 
 
 def test_assign_levels_squeezed_jobs_become_leaf_tops():

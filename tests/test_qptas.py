@@ -333,7 +333,7 @@ def _unit_cells(draw):
 def test_unit_cell_rule_matches_edf_insert(case):
     inst, cell, t, load = case
     starts = {}
-    disc = _settle_unit(inst, _mask(cell), t, inst.m - load, starts)
+    disc = _settle_unit(inst, _mask(cell), t, {t: load}, starts)
     tops = [TopWindow(j, t, t + 1) for j in sorted(cell)]
     placed, want_disc = edf_insert(inst, tops, {t: load}, t, t + 1)
     assert list(starts.items()) == list(placed.items())
