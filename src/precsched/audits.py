@@ -107,7 +107,10 @@ def check_shift_bound(assign: LevelAssignment) -> AuditReport:
     violation), the job count may not exceed m*T, and the smallest bucket
     must fit under eps*T. The size comparison is exact. population counts
     all m/eps offsets, but bucket_tops stops at offset level_count() - 1:
-    its bucket and every later one are empty.
+    its bucket and every later one are empty. Disjoint buckets of at most
+    m*T jobs leave the smallest of the m/eps buckets at most eps*T jobs, so
+    the size clause fires only together with an overlap or an overfull
+    horizon, and then adds one violation to theirs.
     """
     fam = assign.fam
     e, T = fam.eps, fam.T

@@ -33,17 +33,15 @@ the call's own placements only. The level analysis
 (laminar.assign_levels) sorts jobs with the same routines. Discards
 only grow once a guess's cells have returned, so a guess whose cells
 already discard as many jobs as the best guess so far stops there, before
-its tops are windowed and swept; it could not win, and it explores no
-further guesses either way. A call at the depth cap also skips whole pin
-sets. Once it has a best guess, it takes a discard floor of each pin set's
-narrowed groups (_discard_floor): for every distinct window (a, b), the
-jobs whose windows lie inside it less the free slots of [a, b). Every job
-a guess places starts inside its group window, so no guess with those pins
+its tops are windowed and swept; it could not win. A call also skips
+whole pin sets, at any depth. Once it has a best guess, it takes a discard
+floor of each pin set's narrowed groups (_discard_floor): for every
+distinct window (a, b), the jobs whose windows lie inside it less the free
+slots of [a, b). Every job a guess places, in the call or in its
+children, starts inside its group window, so no guess with those pins
 discards fewer, and while the floor is at least the best guess's discard
-count each of them is counted and skipped before classify. Only there do
-the children explore nothing; below the cap a skipped guess would take its
-children's guesses with it. Neither cutoff changes an output or a guess
-count.
+count each of them is counted and skipped before classify, and the child
+calls they would make never run. Neither cutoff changes an output.
 
 A unit cell [t, t + 1) needs no guess: each of its jobs has window
 [t, t + 1), so the EDF step over it is fixed. _settle_unit runs that step
@@ -77,11 +75,13 @@ guessed jobs pinned at their optimal slots and its windows narrowed by
 them.
 
 A call returns what it did: its starts, its discard mask, the number of
-guesses it and its calls explored, and its traces, one CallTrace per
-non-unit call of the winning guess (its children's, then its own), built
-from the sweep's inputs and result. It reads and writes no shared state,
-so equal inputs give equal returns. solve puts the count and the traces in
-its SolveResult; the sweep itself has no trace mode.
+guesses yielded to it and to the calls it ran (a guess the floor skips
+counts, the child calls it never starts count nothing; see SolveStats),
+and its traces, one CallTrace per non-unit call of the winning guess (its
+children's, then its own), built from the sweep's inputs and result. It
+reads and writes no shared state, so equal inputs give equal returns.
+solve puts the count and the traces in its SolveResult; the sweep itself
+has no trace mode.
 
 solve_laminar is the scheme's one run: laminar.pad_with_family pads the
 instance to a power-of-two horizon and builds its family, solve runs
@@ -164,6 +164,17 @@ class RecursionInput:
 
 @dataclass
 class SolveStats:
+    """A solve's guess count, the `explored=` of the CLI.
+
+    guesses_explored is the number of guesses yielded to calls that ran:
+    each call counts every guess (one cells list of a pin set) it takes
+    from its source, whether it runs it, prunes it for an emptied window or
+    skips it by the discard floor, and stops taking at its first guess with
+    no discard. A skipped guess counts once; the child calls it never
+    starts explore nothing. Unit cells, and a root of horizon 1, explore
+    no guess.
+    """
+
     guesses_explored: int = 0
 
 
@@ -359,8 +370,9 @@ def laminar_guesses(fam, offset=0):
 
     Each call gets one guess: no pins, so its groups are rin.windows as
     they stand, and the cells of fam at the call's partition level (see
-    partition_level), whose level is shifted by offset. build_laminar has checked fam's parameters, so only offset is
-    checked here, before any search.
+    partition_level), whose level is shifted by offset. build_laminar has
+    checked fam's parameters, so only offset is checked here, before any
+    search.
     """
     if offset < 0:
         raise ValueError(f"offset must be >= 0, got {offset}")
@@ -402,22 +414,22 @@ def exhaustive_guesses(inst, k_max):
 def _recurse(inst, rin, depth_max, guesses):
     """(starts, discard mask, guesses explored, traces) of the best guess for rin.
 
-    A function of its input: the count covers every guess the source
-    yields for rin and its calls explore, and traces holds the winning
-    guess's CallTraces, its children's, then its own. The source yields
-    one (pins, groups, partitions) per pin set, its groups rin.windows
-    narrowed by those pins; each cells list in partitions is one guess. A pin
-    set whose groups are None (a window emptied) has all its guesses
-    counted and pruned at once. Otherwise its pins join rin.load once, for
-    all its guesses, since the cells, which partition the interval, change
-    neither. A child's input is its cell's groups and the load inside the
-    cell. A guess whose cells discard at least as many jobs as the best
-    guess skips its tops. When rin.depth + 1 is depth_max, its children
-    explore nothing, and once a best guess exists the rest of a pin set's
-    guesses are counted and skipped, before classify, as soon as its
-    discard floor (_discard_floor) reaches the best guess's discards: none
-    of them could win, and the count and every output stay as they were. rin.depth is below depth_max;
-    a child at depth_max gets no call and discards its jobs, unless its cell
+    A function of its input: the count covers the guesses the source
+    yields for rin and those of the calls it runs (see SolveStats), and
+    traces holds the winning guess's CallTraces, its children's, then its
+    own. The source yields one (pins, groups, partitions) per pin set, its
+    groups rin.windows narrowed by those pins; each cells list in
+    partitions is one guess. A pin set whose groups are None (a window
+    emptied) has all its guesses counted and pruned at once. Otherwise its
+    pins join rin.load once, for all its guesses, since the cells, which
+    partition the interval, change neither. A child's input is its cell's
+    groups and the load inside the cell. A guess whose cells discard at
+    least as many jobs as the best guess skips its tops. Once a best guess
+    exists, the rest of a pin set's guesses are counted and skipped, before
+    classify and with no child call, as soon as its discard floor
+    (_discard_floor) reaches the best guess's discards: none of them could
+    win, so every output stays as it was. rin.depth is below depth_max; a
+    child at depth_max gets no call and discards its jobs, unless its cell
     is a unit interval. A unit cell gets no call at any depth: _settle_unit
     settles it in the cell loop, under the pins' load at its slot.
     """
@@ -443,11 +455,10 @@ def _recurse(inst, rin, depth_max, guesses):
         floor = None
         for i, cells in enumerate(partitions):
             explored += 1
-            if capped and best is not None:
+            if best is not None:
                 # Once the pins' floor reaches the best guess's discards, none
-                # of their guesses can win, and fewest only falls. Capped
-                # children explore no guess, so the rest are counted and
-                # skipped, and the guess count stays as it was.
+                # of their guesses can win, and fewest only falls: the rest
+                # are counted and skipped, and their children never run.
                 if floor is None:
                     floor = _discard_floor(groups, pin_load, inst.m)
                 if floor >= fewest:

@@ -9,11 +9,11 @@ and its walk over cover edges; ref_list_schedule is list
 scheduling as a per-slot scan and sort of every remaining job, the form the
 package used before it ran the EDF step's sweep; and ref_chain_depths is the
 chain-depth table walking every successor, without the package's skip of
-memo hits. The one exception is ref_solve, the
-recursion as it ran before the dominance cutoff, the grouped split, the
-unit-cell rule and the per-call inputs: it builds the package's trace
-records and runs its EDF sweep (which tests/test_qptas.py checks against its
-own reference), but classifies and windows with the references here. Its
+memo hits. The one exception is ref_solve, the recursion as it ran before
+the dominance cutoff, the discard floor, the grouped split, the unit-cell
+rule and the per-call inputs: it builds the package's trace records and
+runs its EDF sweep (which tests/test_qptas.py checks against its own
+reference), but classifies and windows with the references here. Its
 calls take a RefInput, which carries every ancestor's pin, and each call
 re-derives its windows and loads from all of them, where the package's
 RecursionInput carries only the call's windows and pin load. Its unit
@@ -539,7 +539,11 @@ def ref_solve(inst, T, guesses, depth_max):
     abandoned before its EDF sweep. It skips solve's input checks and final
     validation. guesses takes a RefInput, as ref_exhaustive_guesses does.
     Its calls count guesses into one shared SolveStats and append the
-    winning guesses' CallTraces to one shared list, children first.
+    winning guesses' CallTraces to one shared list, children first. It has
+    no discard floor, so it counts the floor-free tree: every guess it
+    takes runs, child calls included. That is the package's count with
+    qptas._discard_floor at 0, and no less than its count with the floor,
+    which skips guesses without starting their child calls.
     """
     stats = SolveStats()
     starts, disc, traces = {}, set(), []

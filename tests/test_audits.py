@@ -23,6 +23,7 @@ from precsched.audits import (
     run_oracle_pinned,
 )
 from precsched.laminar import (
+    LevelAssignment,
     assign_levels,
     best_offset,
     bucket_levels,
@@ -86,6 +87,35 @@ def test_shift_bound_flags_overfull_horizon():
     # Read against the instance's own two machines, nothing overflows.
     two = build_laminar(2, 4, 2, 1)
     assert check_shift_bound(assign_levels(inst, optimal_schedule(inst), two)).violations == 0
+
+
+def test_shift_bound_size_clause_fires_with_overlapping_buckets():
+    # 16 jobs, m = 2, T = 8, eps = 1: the buckets are levels 1 and 2. Each
+    # level holds all 16 jobs as tops, so every bucket exceeds eps*T = 8,
+    # and each job's second appearance is an overlap.
+    fam = build_laminar(8, 16, 2, 1)
+    assert [list(bucket_levels(fam, a)) for a in range(fam.stride)] == [[1], [2]]
+    top = {level: {fam.cells((0, 8), level)[0]: (1 << 16) - 1} for level in (1, 2)}
+    overlaps = 16
+    rep = check_shift_bound(LevelAssignment(fam, 16, top=top))
+    assert (rep.violations, rep.worst, rep.bound) == (overlaps + 1, 16.0, 8.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(8, 2, 1), (8, 1, Fraction(1, 2)), (16, 2, Fraction(1, 2))]), st.data())
+def test_shift_bound_size_clause_needs_an_overlap_or_an_overfull_horizon(case, data):
+    # Disjoint buckets of n <= m*T jobs: the smallest of the m/eps buckets
+    # holds at most m*T/(m/eps) = eps*T jobs, so no clause fires.
+    T, m, eps = case
+    n = data.draw(st.integers(min_value=2, max_value=m * T))
+    fam = build_laminar(T, n, m, eps)
+    levels = {}
+    for j in range(n):
+        level = data.draw(st.integers(min_value=0, max_value=fam.deepest))
+        levels[level] = levels.get(level, 0) | 1 << j
+    top = {level: {fam.cells((0, T), level)[0]: mask} for level, mask in levels.items()}
+    rep = check_shift_bound(LevelAssignment(fam, n, top=top))
+    assert rep.violations == 0 and rep.worst <= rep.bound
 
 
 def test_level_count_frozen_and_vacuous():

@@ -1017,8 +1017,10 @@ def test_qptas_solves_match_golden_digests(tmp_path, capsys):
 # on a full 2x3 layered instance, which is infeasible there: per (depth_max,
 # kmax), the exit code, the `makespan= discarded= explored=` line and the
 # schedule file. At depth >= 2 the children explore guesses of their own, so
-# this pins `explored=` through the recursion.
-GOLDEN_QPTAS_DEEP = "3584d6c3cdf7128c903e94ef049ba73c03d1a6adba18c4c5c8566c60cc43bad0"
+# this pins `explored=` through the recursion: the guesses yielded to calls
+# that ran, 2709, 8972 and 14085, since the discard floor skips guesses at
+# every depth without starting their child calls.
+GOLDEN_QPTAS_DEEP = "f719721ad5ca46fcc63da0f18a1057b22b81d9aaa6431c8d6e7f9b704b3efd79"
 
 
 def test_deep_exhaustive_solves_match_golden_digest(tmp_path, capsys):

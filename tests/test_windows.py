@@ -4,8 +4,8 @@ The exhaustive source's prefix walk and the whole recursion are checked the
 same way, against the references that rebuild their pins at every step and
 finish every guess. Window narrowing must compose, since a call narrows its
 ancestors' windows by its own pins only, and a recursion call's result must
-depend on its input alone. The discard floor that lets a capped call skip a
-pin set must never exceed the discards of a guess with those pins.
+depend on its input alone. The discard floor that lets a call skip a pin
+set must never exceed the discards of a guess with those pins.
 """
 
 from itertools import combinations, groupby, islice
@@ -346,20 +346,22 @@ def test_a_recursion_call_depends_only_on_its_input(inst, k_max, depth_max, slac
 
 
 def _budgeted(guesses, limit):
-    """guesses cut off after limit guesses in all, counted across calls.
+    """guesses cut off after limit guesses per call.
 
     An item holds one pin set's guesses, one per partition, and takes its
-    share of the budget when it is pulled, before its guesses run: the item
-    that reaches the limit keeps only its first partitions.
+    share of the call's budget when it is pulled, before its guesses run:
+    the item that reaches the limit keeps only its first partitions. Each
+    call has a budget of its own, so the guesses it gets depend on its
+    input alone.
     """
-    left = [limit]
 
     def source(rin):
+        left = limit
         for pins, groups, partitions in guesses(rin):
-            if not left[0]:
+            if not left:
                 return
-            partitions = partitions[:left[0]]
-            left[0] -= len(partitions)
+            partitions = partitions[:left]
+            left -= len(partitions)
             yield pins, groups, partitions
 
     return source
@@ -369,16 +371,16 @@ def _ref_budgeted(guesses, limit):
     """The reference's (pins, cells) guesses, cut off where _budgeted cuts.
 
     Consecutive guesses with equal pins are one pin set's, and take their
-    share of the budget together, when the first of them is pulled.
+    share of the call's budget together, when the first of them is pulled.
     """
-    left = [limit]
 
     def source(rin):
+        left = limit
         for _, same_pins in groupby(guesses(rin), key=lambda guess: guess[0]):
-            if not left[0]:
+            if not left:
                 return
-            kept = list(same_pins)[:left[0]]
-            left[0] -= len(kept)
+            kept = list(same_pins)[:left]
+            left -= len(kept)
             yield from kept
 
     return source
@@ -398,7 +400,7 @@ def test_exhaustive_solve_matches_the_reference_recursion(inst, k_max, depth_max
     chain = longest_chain(inst)
     bound = max(-(-inst.n // inst.m), chain)
     T = data.draw(st.integers(min_value=chain, max_value=bound + 1))
-    _assert_solve_matches_reference(inst, T, k_max, depth_max)
+    _assert_solve_matches_reference(inst, T, k_max, depth_max, 60)
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
@@ -407,20 +409,36 @@ def test_unit_root_matches_the_reference_recursion(n, m):
     # An antichain at T = 1: the root explores no guess and places the
     # first min(n, m) jobs.
     inst = build_instance(n, m, [])
-    got = _assert_solve_matches_reference(inst, 1, 2, 1)
+    got = _assert_solve_matches_reference(inst, 1, 2, 1, 60)
     assert got.stats.guesses_explored == 0
     assert got.schedule.start == dict.fromkeys(range(min(n, m)), 0)
 
 
-def _assert_solve_matches_reference(inst, T, k_max, depth_max):
+def _no_floor(groups, load, m):
+    return 0
+
+
+def _assert_solve_matches_reference(inst, T, k_max, depth_max, budget):
     # Infeasible-at-the-bound instances explore 10^5-10^6 guesses at depth 3,
-    # so each side gets the same guess budget, taken pin set by pin set.
-    # Both explore the same guesses in the same order, so the budget cuts
-    # both at the same guess.
-    # The results compare their traces too.
-    got = solve(inst, T, _budgeted(exhaustive_guesses(inst, k_max), 3000), depth_max)
-    want = ref_solve(inst, T, _ref_budgeted(ref_exhaustive_guesses(inst, k_max), 3000), depth_max)
-    assert got == want
+    # so each call on either side gets the same guess budget, taken pin set
+    # by pin set. A call's guesses then depend on its input alone, and both
+    # sides explore the same guesses of a call in the same order.
+    # The results compare their traces too. The reference finishes every
+    # guess, so it counts the whole tree of calls; the discard floor skips
+    # guesses without starting their child calls, so the package counts no
+    # more, and exactly as many at depth_max 1, where no guess has a child.
+    # With the floor at 0 nothing is skipped, and the results are equal.
+    got = solve(inst, T, _budgeted(exhaustive_guesses(inst, k_max), budget), depth_max)
+    want = ref_solve(inst, T, _ref_budgeted(ref_exhaustive_guesses(inst, k_max), budget), depth_max)
+    assert (got.schedule, got.discarded, got.traces) == (want.schedule, want.discarded, want.traces)
+    if depth_max == 1:
+        assert got.stats == want.stats
+    else:
+        assert got.stats.guesses_explored <= want.stats.guesses_explored
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qptas, "_discard_floor", _no_floor)
+        unfloored = solve(inst, T, _budgeted(exhaustive_guesses(inst, k_max), budget), depth_max)
+    assert unfloored == want
     return got
 
 
@@ -523,7 +541,7 @@ def test_the_guess_heavy_shape_extends_each_prefix_once():
 
 
 def _classified(inst, depth_max, floor):
-    """How many guesses reach classify in the budgeted solve, under floor."""
+    """How many guesses reach classify in the solve budgeted per call, under floor."""
     count = [0]
 
     def counted(groups, cells):
@@ -537,11 +555,14 @@ def _classified(inst, depth_max, floor):
     return count[0]
 
 
-@pytest.mark.parametrize("depth_max", [1, 2])
-def test_the_guess_heavy_shape_matches_the_reference_recursion(depth_max):
+@pytest.mark.parametrize(
+    ("depth_max", "floored", "unfloored"), [(1, 21, 3000), (2, 56, 12409)], ids=["1", "2"]
+)
+def test_the_guess_heavy_shape_matches_the_reference_recursion(depth_max, floored, unfloored):
     inst = generate(LAYERED_10_FULL)
-    _assert_solve_matches_reference(inst, 3, 10, depth_max)
-    # The budget reaches pin sets that the floor skips in capped calls, so
-    # the comparison above covers the skipping path.
-    unfloored = _classified(inst, depth_max, lambda groups, load, m: 0)
-    assert _classified(inst, depth_max, _discard_floor) < unfloored
+    _assert_solve_matches_reference(inst, 3, 10, depth_max, 3000)
+    # The budget reaches pin sets that the floor skips, at the root and, at
+    # depth_max 2, in its children, so the comparison above covers the
+    # skipping path at both depths.
+    assert _classified(inst, depth_max, _no_floor) == unfloored
+    assert _classified(inst, depth_max, _discard_floor) == floored
