@@ -271,7 +271,7 @@ def run_oracle_pinned(inst: Instance, opt: Schedule, offset: int, assign: LevelA
     # The level's guess masks; a job has one level, so sums are unions.
     guessed = [sum(assign.guess.get(lvl, {}).values()) for lvl in range(fam.level_count())]
 
-    def oracle_guess(rin):
+    def oracle_guess(rin, bound=None):
         for _, groups, [cells] in laminar(rin):
             levels = slice(fam.level_of(rin.interval), fam.level_of(cells[0]))
             pins = {j: opt.start[j] for j in _bits(rin.jobs & sum(guessed[levels]))}

@@ -41,7 +41,14 @@ slots of [a, b). Every job a guess places, in the call or in its
 children, starts inside its group window, so no guess with those pins
 discards fewer, and while the floor is at least the best guess's discard
 count each of them is counted and skipped before classify, and the child
-calls they would make never run. Neither cutoff changes an output.
+calls they would make never run. A window's excess never falls when a pin
+is added: the other jobs' windows only shrink, and the pinned job either
+moves from the window's jobs to its pins or adds a pin. So the floor of a
+pin-set prefix bounds every pin set below it, and the exhaustive source,
+which the call tells its best discard count, counts those pin sets instead
+of building them (see below). Neither cutoff changes an output; the
+prefix floor can only lower the guess count, and only where guesses have
+child calls (see SolveStats).
 
 A unit cell [t, t + 1) needs no guess: each of its jobs has window
 [t, t + 1), so the EDF step over it is fixed. _settle_unit runs that step
@@ -53,11 +60,16 @@ RecursionInput, explores no guess and records no trace; a root of horizon
 1 is settled by the same helper.
 
 The recursion (_recurse) takes its guesses from a guess source, which
-solve's caller supplies: a callable RecursionInput -> iterable of
+solve's caller supplies: a callable (RecursionInput, bound) -> iterable of
 (pins, groups, partitions), one item per pin set. groups are the call's
 windows narrowed by pins (laminar.pin_windows(inst, rin.windows, pins)),
 or None when that empties an unpinned job's window, and each cells list
-in partitions, with those pins, is one guess. laminar_guesses(fam, offset)
+in partitions, with those pins, is one guess. bound returns the call's
+best discard count so far, or None before it has a best guess. A source
+may yield an int in place of pin sets none of whose guesses can discard
+fewer: the number of those guesses, which the call counts and runs
+nothing for. A source may also ignore bound, as laminar_guesses and the
+auditors' source do. laminar_guesses(fam, offset)
 pins nothing, so it narrows nothing, and takes the one partition dictated
 by a checked interval family (laminar.build_laminar, which the caller runs
 once per solve) and a level offset. exhaustive_guesses enumerates the full
@@ -69,13 +81,19 @@ job's window, are built once and read by every subset that extends it.
 Each carries its narrowed groups, so an extension reads the next job's
 window from them and narrows them by its one new pin. The walk is lazy:
 it builds a pin set only when the recursion pulls it, so a search that
-stops at its first zero-discard guess pays for one path. The auditors'
+stops at its first zero-discard guess pays for one path. It also reads
+the bound: a prefix takes its floor once, and below a prefix whose floor
+reaches the bound the walk goes lean. There each pin set is a mask of the
+slots its later jobs may not start at and its slots' pin counts, and a
+new pin updates both with a few integer operations: no narrow_by_pin, no
+pins dict, no load and no floor. The last job's slots are only counted,
+per parent, and the count comes to the call as an int. The auditors'
 source is laminar_guesses plus pins: the same cells, with each call's
 guessed jobs pinned at their optimal slots and its windows narrowed by
 them.
 
 A call returns what it did: its starts, its discard mask, the number of
-guesses yielded to it and to the calls it ran (a guess the floor skips
+guesses yielded to it and to the calls it ran (a guess a floor skips
 counts, the child calls it never starts count nothing; see SolveStats),
 and its traces, one CallTrace per non-unit call of the winning guess (its
 children's, then its own), built from the sweep's inputs and result. It
@@ -169,10 +187,14 @@ class SolveStats:
     guesses_explored is the number of guesses yielded to calls that ran:
     each call counts every guess (one cells list of a pin set) it takes
     from its source, whether it runs it, prunes it for an emptied window or
-    skips it by the discard floor, and stops taking at its first guess with
-    no discard. A skipped guess counts once; the child calls it never
-    starts explore nothing. Unit cells, and a root of horizon 1, explore
-    no guess.
+    skips it by a discard floor, and stops taking at its first guess with
+    no discard. A guess is skipped by its pin set's floor in the call, or
+    by the floor of one of the pin set's prefixes in the exhaustive source,
+    which yields the number of such guesses. A skipped guess counts once;
+    the child calls it never starts explore nothing. So at depth_max 1,
+    where no guess has a child call, the floors move no count, and deeper
+    they can only lower it. Unit cells, and a root of horizon 1, explore no
+    guess.
     """
 
     guesses_explored: int = 0
@@ -290,7 +312,10 @@ def _discard_floor(groups, load, m):
     inside the job's group window, and a slot t has room for m - load[t]
     unpinned jobs. So for each distinct window (a, b), the jobs whose
     windows lie inside it, less the free slots of [a, b), are discarded.
-    The floor is the largest such excess, or 0.
+    The floor is the largest such excess, or 0. No window's excess falls
+    when a pin at a slot of its job's window is added, so the floor of a
+    prefix of pins also bounds the discards of every guess whose pins
+    extend the prefix.
     """
     floor = 0
     for a, b in groups:
@@ -306,7 +331,7 @@ def _discard_floor(groups, load, m):
     return floor
 
 
-def _pin_sets(inst, jobs, size, windows, load):
+def _pin_sets(inst, jobs, size, windows, load, bound=None):
     """Every consistent pinning of each size-subset of jobs, with its groups, lazily.
 
     Yields (pins, groups): pins a dict in subset order, groups windows
@@ -322,38 +347,150 @@ def _pin_sets(inst, jobs, size, windows, load):
     so each prefix's stream is a tee, kept while the subsets extend it:
     each subset reads a copy, and a prefix's pin sets are built and
     narrowed once, and only as far as some reader has pulled them.
+
+    bound, when given, returns the caller's best discard count, or None
+    before it has one. It is read before a prefix is extended and before
+    each pin set of a subset's last job is built. A prefix's floor bounds
+    every pin set below it (see _discard_floor). A prefix takes its floor
+    once, the first time it is extended under a bound: _discard_floor of
+    its groups and its packed pin counts, or its own prefix's floor if
+    that is higher. Once the floor reaches the bound,
+    the pin sets below the prefix are counted, not built. Each is lean: a
+    mask of the slots where each later job may not start, built once from
+    the floored prefix's groups and counts, and the packed counts. A new
+    pin adds its predecessors at its slot and after it, its successors at
+    its slot and before it, and every job at a slot it fills. So a lean pin
+    set calls no narrow_by_pin, copies no pins and takes no floor, and on
+    the last level only the slots are counted, per parent. The walk yields
+    an int, the number of pin sets it skipped, before the next pin set it
+    yields and at its end. A pin set's own floor is left to the caller.
     """
     m = inst.m
+    preds, succs = inst.pred_masks, inst.succ_masks
     # A pin set carries its slots' pin counts, ancestors' included, packed
     # into one int: w bits per slot, slot t at bit w * t.
     w = max([m, *load.values()]).bit_length()
     field = (1 << w) - 1
+    # Below a floored prefix, a pin set is lean: (blocked, counts), blocked
+    # packing one job mask per slot of [s, e), slot t at bit n * t: the jobs
+    # that may not start at t, or every job once t holds m pins. rep[t] has
+    # bit n * u set for each u < t, so a mask times rep[b] - rep[a] is that
+    # mask at every slot of [a, b); it is filled when a prefix first goes
+    # lean.
+    n = max(inst.n, 1)
+    s = min([lo for lo, _ in windows], default=0)
+    e = max([hi for _, hi in windows], default=0)
+    rep = []
+    everyone = (1 << n) - 1
+
+    # A prefix is a list [pins, counts, groups, floor or None, its own
+    # prefix or None, blocked or None].
+    def floor_of(node):
+        _, counts, groups, floor, parent, _ = node
+        if floor is None:
+            slots = {}
+            for t in range(counts.bit_length() // w + 1):
+                if c := counts >> w * t & field:
+                    slots[t] = c
+            floor = _discard_floor(groups, slots, m)
+            if parent is not None:
+                floor = max(floor, floor_of(parent))
+            node[3] = floor
+        return floor
+
+    def blocked_of(node):
+        # A floored prefix's blocked mask, built once.
+        if not rep:
+            rep.append(0)
+            for t in range(e):
+                rep.append(rep[-1] | 1 << n * t)
+        if node[5] is None:
+            counts = node[1]
+            blocked = 0
+            for (lo, hi), mask in node[2].items():
+                if lo < hi:
+                    blocked |= mask * (rep[lo] - rep[s] + rep[e] - rep[hi])
+                else:
+                    blocked |= mask * (rep[e] - rep[s])
+            for t in range(s, e):
+                if counts >> w * t & field >= m:
+                    blocked |= everyone << n * t
+            node[5] = blocked
+        return node[5]
 
     def extend(stream, j):
-        # The (pins, counts, groups) stream of a prefix, extended by j.
-        for pins, counts, groups in stream:
+        # The stream of a prefix, extended by j; what extends a floored
+        # prefix or a lean pin set is lean.
+        pj, sj = preds[j], succs[j]
+        for node in stream:
+            fewest = bound and bound()
+            if type(node) is list and (fewest is None or floor_of(node) < fewest):
+                pins, counts, groups = node[0], node[1], node[2]
+                for (lo, hi), mask in groups.items():
+                    if mask >> j & 1:
+                        break
+                for t in range(lo, hi):
+                    if counts >> w * t & field < m:
+                        grown = pins.copy()
+                        grown[j] = t
+                        narrowed = narrow_by_pin(inst, groups, j, t)
+                        yield [grown, counts + (1 << w * t), narrowed, None, node, None]
+                continue
+            blocked, counts = node if type(node) is tuple else (blocked_of(node), node[1])
+            free = (rep[e] - rep[s]) << j & ~blocked
+            while free:
+                low = free & -free
+                free ^= low
+                t = (low.bit_length() - 1) // n
+                grown = counts + (1 << w * t)
+                narrowed = blocked | pj * (rep[e] - rep[t]) | sj * (rep[t + 1] - rep[s])
+                if grown >> w * t & field >= m:
+                    narrowed |= everyone << n * t
+                yield narrowed, grown
+
+    if not size:
+        yield {}, None if any(lo >= hi for lo, hi in windows) else windows
+        return
+    # prefixes[i] holds the stream of the first i jobs of the last subset,
+    # for i < size; each subset's last job is read off its stream directly,
+    # and each of its pin sets is checked against the bound as it is read.
+    root = [{}, sum(c << w * t for t, c in load.items()), windows, None, None, None]
+    prefixes = [tee([root], 1)[0]]
+    last = ()
+    skipped = 0
+    for subset in combinations(jobs, size):
+        i = 0
+        while i < len(last) - 1 and last[i] == subset[i]:
+            i += 1
+        del prefixes[i + 1:]
+        for j in subset[i:-1]:
+            prefixes.append(tee(extend(copy(prefixes[-1]), j), 1)[0])
+        last = subset
+        j = subset[-1]
+        for node in copy(prefixes[-1]):
+            if type(node) is tuple:
+                skipped += ((rep[e] - rep[s]) << j & ~node[0]).bit_count()
+                continue
+            pins, counts, groups = node[0], node[1], node[2]
             for (lo, hi), mask in groups.items():
                 if mask >> j & 1:
                     break
             for t in range(lo, hi):
-                if counts >> w * t & field < m:
-                    grown = pins.copy()
-                    grown[j] = t
-                    yield grown, counts + (1 << w * t), narrow_by_pin(inst, groups, j, t)
-
-    # prefixes[i] holds the stream of the first i jobs of the last subset.
-    prefixes = [tee([({}, sum(c << w * t for t, c in load.items()), windows)], 1)[0]]
-    last = ()
-    for subset in combinations(jobs, size):
-        i = 0
-        while i < len(last) and last[i] == subset[i]:
-            i += 1
-        del prefixes[i + 1:]
-        for j in subset[i:]:
-            prefixes.append(tee(extend(copy(prefixes[-1]), j), 1)[0])
-        last = subset
-        for pins, _, groups in copy(prefixes[-1]):
-            yield pins, None if any(lo >= hi for lo, hi in groups) else groups
+                if counts >> w * t & field >= m:
+                    continue
+                fewest = bound and bound()
+                if fewest is not None and floor_of(node) >= fewest:
+                    skipped += sum(counts >> w * u & field < m for u in range(t, hi))
+                    break
+                if skipped:
+                    yield skipped
+                    skipped = 0
+                grown = pins.copy()
+                grown[j] = t
+                narrowed = narrow_by_pin(inst, groups, j, t)
+                yield grown, None if any(lo >= hi for lo, hi in narrowed) else narrowed
+    if skipped:
+        yield skipped
 
 
 def _partitions(s, e, cells_cap):
@@ -377,7 +514,7 @@ def laminar_guesses(fam, offset=0):
     if offset < 0:
         raise ValueError(f"offset must be >= 0, got {offset}")
 
-    def guesses(rin):
+    def guesses(rin, bound=None):
         level = partition_level(fam, fam.level_of(rin.interval), rin.depth, offset)
         yield {}, rin.windows, [fam.cells(rin.interval, level)]
 
@@ -396,17 +533,23 @@ def exhaustive_guesses(inst, k_max):
     their narrowed groups, are built once for all the subsets that extend
     it, and only as far as the caller pulls them. Yields one
     (pins, groups, partitions) per pin set, the same partitions list each
-    time; groups is None where pins empty a window.
+    time; groups is None where pins empty a window. Given the call's bound
+    (see _pin_sets), it yields in place of the pin sets below a floored
+    prefix an int, their number times the number of partitions: the guesses
+    it skipped. Without one it skips nothing and yields no int.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
 
-    def guesses(rin):
+    def guesses(rin, bound=None):
         jobs = list(_bits(rin.jobs))
         partitions = list(_partitions(*rin.interval, max(1, k_max)))
         for size in range(min(k_max, len(jobs)), -1, -1):
-            for pins, groups in _pin_sets(inst, jobs, size, rin.windows, rin.load):
-                yield pins, groups, partitions
+            for item in _pin_sets(inst, jobs, size, rin.windows, rin.load, bound):
+                if type(item) is int:
+                    yield item * len(partitions)
+                else:
+                    yield *item, partitions
 
     return guesses
 
@@ -419,10 +562,14 @@ def _recurse(inst, rin, depth_max, guesses):
     traces holds the winning guess's CallTraces, its children's, then its
     own. The source yields one (pins, groups, partitions) per pin set, its
     groups rin.windows narrowed by those pins; each cells list in
-    partitions is one guess. A pin set whose groups are None (a window
-    emptied) has all its guesses counted and pruned at once. Otherwise its
-    pins join rin.load once, for all its guesses, since the cells, which
-    partition the interval, change neither. A child's input is its cell's
+    partitions is one guess. It gets the call's best discard count as a
+    callable, which returns None until a best guess exists, and may yield
+    an int in place of pin sets it skipped under it, the number of their
+    guesses: they count as explored and run nothing. A pin set whose
+    groups are None (a window emptied) has all its guesses counted and
+    pruned at once. Otherwise its pins join rin.load once, for all its
+    guesses, since the cells, which partition the interval, change
+    neither. A child's input is its cell's
     groups and the load inside the cell. A guess whose cells discard at
     least as many jobs as the best guess skips its tops. Once a best guess
     exists, the rest of a pin set's guesses are counted and skipped, before
@@ -446,7 +593,12 @@ def _recurse(inst, rin, depth_max, guesses):
     fewest = rin.jobs.bit_count() + 1
     explored = 0
     capped = rin.depth + 1 >= depth_max
-    for pins, groups, partitions in guesses(rin):
+    for item in guesses(rin, lambda: None if best is None else fewest):
+        if type(item) is int:
+            # Guesses the source skipped under the bound: none could win.
+            explored += item
+            continue
+        pins, groups, partitions = item
         if groups is None:
             # An empty window: every guess of these pins is pruned.
             explored += len(partitions)
@@ -516,8 +668,9 @@ def _recurse(inst, rin, depth_max, guesses):
 def solve(inst: Instance, T: int, guesses, depth_max: int) -> SolveResult:
     """Best-guess schedule inside horizon T, its discards, guess count and traces.
 
-    guesses is the guess source, a callable RecursionInput -> iterable of
-    (pins, groups, partitions), one per pin set, such as laminar_guesses or
+    guesses is the guess source, a callable (RecursionInput, bound) ->
+    iterable of (pins, groups, partitions), one per pin set, or of ints
+    that count skipped guesses, such as laminar_guesses or
     exhaustive_guesses (see the module docstring). depth_max
     caps recursion depth: a cell at depth depth_max discards its whole job
     set, unless it is a unit interval, which _settle_unit settles at any

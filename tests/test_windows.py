@@ -5,7 +5,10 @@ same way, against the references that rebuild their pins at every step and
 finish every guess. Window narrowing must compose, since a call narrows its
 ancestors' windows by its own pins only, and a recursion call's result must
 depend on its input alone. The discard floor that lets a call skip a pin
-set must never exceed the discards of a guess with those pins.
+set must never exceed the discards of a guess with those pins, and no pin
+may lower a window's excess, so that the exhaustive walk may count,
+instead of build, every pin set below a prefix whose floor reaches the
+call's best discard count.
 """
 
 from itertools import combinations, groupby, islice
@@ -27,7 +30,7 @@ from helpers import (
 )
 from precsched import qptas
 from precsched.generators import GeneratorSpec, generate
-from precsched.laminar import EmptyWindow, classify, feasible_window, pin_windows
+from precsched.laminar import EmptyWindow, classify, feasible_window, narrow_by_pin, pin_windows
 from precsched.model import (
     _bits,
     _mask,
@@ -205,8 +208,12 @@ def test_exhaustive_solve_does_not_depend_on_pin_identity(inst, k_max, depth_max
     T = max(-(-inst.n // inst.m), longest_chain(inst)) + slack
     guesses = exhaustive_guesses(inst, k_max)
 
-    def fresh(rin):
-        for pins, groups, partitions in guesses(rin):
+    def fresh(rin, bound=None):
+        for item in guesses(rin, bound):
+            if type(item) is int:
+                yield item
+                continue
+            pins, groups, partitions = item
             yield dict(pins), groups and dict(groups), [list(c) for c in partitions]
 
     # The results compare their traces too.
@@ -346,16 +353,18 @@ def test_a_recursion_call_depends_only_on_its_input(inst, k_max, depth_max, slac
 
 
 def _budgeted(guesses, limit):
-    """guesses cut off after limit guesses per call.
+    """guesses cut off after limit guesses per call, with no bound.
 
     An item holds one pin set's guesses, one per partition, and takes its
     share of the call's budget when it is pulled, before its guesses run:
     the item that reaches the limit keeps only its first partitions. Each
     call has a budget of its own, so the guesses it gets depend on its
-    input alone.
+    input alone. The call's bound is not passed on, so the source skips no
+    prefix and yields no count, and every pin set reaches the call: this is
+    the path on which the call's own floor does all the skipping.
     """
 
-    def source(rin):
+    def source(rin, bound=None):
         left = limit
         for pins, groups, partitions in guesses(rin):
             if not left:
@@ -449,7 +458,7 @@ def _root(inst, T):
 
 def _discards_of(inst, root, pins, groups, cells):
     """The discard count of the one guess (pins, cells) at a capped root."""
-    _, disc, explored, _ = qptas._recurse(inst, root, 1, lambda rin: [(pins, groups, [cells])])
+    _, disc, explored, _ = qptas._recurse(inst, root, 1, lambda rin, _: [(pins, groups, [cells])])
     assert explored == 1
     return disc.bit_count()
 
@@ -481,6 +490,155 @@ def test_the_discard_floor_counts_an_overloaded_slot():
     assert _discard_floor(groups, {1: 1}, inst.m) == 1
     for cells in ([(0, 3)], [(0, 1), (1, 3)], [(0, 2), (2, 3)], [(0, 1), (1, 2), (2, 3)]):
         assert _discards_of(inst, root, pins, groups, cells) >= 1
+
+
+def _excess(inst, groups, load, a, b):
+    """The window (a, b)'s excess, counted job by job and pin by pin: the jobs
+    whose windows lie inside it, plus the pins in [a, b), less m * (b - a)."""
+    inside = sum(1 for (lo, hi), mask in groups.items() for _ in _bits(mask) if a <= lo and hi <= b)
+    return inside + sum(c for t, c in load.items() if a <= t < b) - inst.m * (b - a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_call_inputs(), st.data())
+def test_a_pin_never_lowers_a_window_excess(case, data):
+    # Pinning a job at a slot of its window, one pin after another: the
+    # other windows only shrink, and the pinned job moves from a window's
+    # jobs to its pins or adds a pin. So no window of the interval, a group
+    # window or not, loses excess, also once a window has emptied. This is
+    # why a pin-set prefix's floor bounds every pin set below it.
+    inst, rin, _ = case
+    s, e = rin.interval
+    groups, load = rin.windows, rin.load
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        open_jobs = [(j, w) for w, mask in groups.items() if w[0] < w[1] for j in _bits(mask)]
+        if not open_jobs:
+            break
+        p, (lo, hi) = data.draw(st.sampled_from(open_jobs))
+        t = data.draw(st.integers(min_value=lo, max_value=hi - 1))
+        narrowed, grown = narrow_by_pin(inst, groups, p, t), _add_load(load, [t])
+        for a in range(s, e):
+            for b in range(a + 1, e + 1):
+                assert _excess(inst, narrowed, grown, a, b) >= _excess(inst, groups, load, a, b)
+        groups, load = narrowed, grown
+
+
+@st.composite
+def _root_inputs(draw):
+    """A root RecursionInput at a horizon from the chain bound (at least 2) to 4."""
+    inst = draw(_closed_dags(max_n=6, min_n=3))
+    low = max(longest_chain(inst), 2)
+    return inst, _root(inst, draw(st.integers(min_value=low, max_value=max(low, 4)))), None
+
+
+def _assert_the_walk_skips_below_floored_prefixes(inst, windows, load, size, bounds):
+    # The bound falls as the caller takes pin sets, as a call's best discard
+    # count does: bounds[k] once the caller has taken k of them, the last
+    # one from then on. A pin set is skipped exactly when one of its proper
+    # prefixes, the empty one included, has a floor at the bound as the pin
+    # set is read, and the walk yields the others as the walk without a
+    # bound does, in order. Before each of them, and at the end, it yields
+    # one int, the number skipped since the last, unless that is 0.
+    jobs = list(_bits(sum(windows.values())))
+
+    def prefix_floor(pins):
+        groups, slots, floor = windows, load, 0
+        for p, t in list(pins.items())[:-1]:
+            floor = max(floor, _discard_floor(groups, slots, inst.m))
+            groups, slots = narrow_by_pin(inst, groups, p, t), _add_load(slots, [t])
+        return max(floor, _discard_floor(groups, slots, inst.m)) if pins else 0
+
+    want, taken, skipped = [], 0, 0
+    for pins, groups in _pin_sets(inst, jobs, size, windows, load):
+        fewest = bounds[min(taken, len(bounds) - 1)]
+        if fewest is not None and prefix_floor(pins) >= fewest:
+            skipped += 1
+            continue
+        want += [skipped, (pins, groups)] if skipped else [(pins, groups)]
+        taken, skipped = taken + 1, 0
+    want += [skipped] if skipped else []
+    got, taken = [], 0
+
+    def bound():
+        return bounds[min(taken, len(bounds) - 1)]
+
+    for item in _pin_sets(inst, jobs, size, windows, load, bound):
+        got.append(item)
+        taken += type(item) is not int
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_call_inputs(), _root_inputs()), st.data())
+def test_the_walk_counts_the_pin_sets_below_a_floored_prefix(case, data):
+    # None for the first few pin sets, then each drawn level in turn.
+    inst, rin, _ = case
+    jobs = rin.jobs.bit_count()
+    size = data.draw(st.integers(min_value=0, max_value=min(jobs, 4)))
+    levels = data.draw(st.lists(st.integers(min_value=1, max_value=jobs), min_size=1, max_size=4))
+    opening = data.draw(st.integers(min_value=0, max_value=2))
+    bounds = [None] * opening + sorted(levels, reverse=True)
+    _assert_the_walk_skips_below_floored_prefixes(inst, rin.windows, rin.load, size, bounds)
+
+
+def test_a_prefix_floor_reaches_the_pin_sets_of_prefixes_built_before_it():
+    # Jobs 1, 2, 4 and 5 share the window [2, 5) on one machine, whose
+    # floor is 1. The prefix that pins job 1 at slot 2 and job 2 at slot 4
+    # has floor 0. It is built for the subset (1, 2, 4) while there is no
+    # bound. When the subset (1, 2, 5) extends it, three pin sets later,
+    # the bound has fallen to 1: the empty prefix's floor reaches it, the
+    # prefix's own floor does not, and the pin sets below it are skipped.
+    edges = [(0, 5), (4, 5), (0, 2), (4, 0), (3, 5), (1, 0), (3, 0)]
+    inst = build_instance(6, 1, edges)
+    _assert_the_walk_skips_below_floored_prefixes(inst, {(2, 5): 0b110110}, {}, 3, [None, 3, 3, 1])
+
+
+# n = 7 on one machine at horizon 7 (its lower bound), kmax 2, depth_max 3.
+_DEEP_SKIP_EDGES = [(1, 0), (2, 1), (2, 4), (2, 6), (3, 1), (4, 0), (5, 0), (5, 1), (6, 4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _closed_dags(max_n=6, min_n=3),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=-1, max_value=0),
+)
+# The walk skips pin sets below floored prefixes in child calls here:
+# 762 guesses where the call's own floors alone take 779.
+@example(build_instance(7, 1, _DEEP_SKIP_EDGES), 2, 3, 0)
+def test_the_prefix_floor_skip_matches_the_reference_recursion(inst, k_max, depth_max, shift):
+    # The unwrapped source, with no budget, gets the call's bound and skips
+    # pin sets below floored prefixes. Horizons are the lower bound
+    # max(ceil(n/m), chain) and one below it, not below the chain, where
+    # guesses discard jobs and a best guess's count can stop a prefix.
+    chain = longest_chain(inst)
+    T = max(chain, -(-inst.n // inst.m) + shift)
+    got = solve(inst, T, exhaustive_guesses(inst, k_max), depth_max)
+    want = ref_solve(inst, T, ref_exhaustive_guesses(inst, k_max), depth_max)
+    if depth_max == 1:
+        assert got == want
+    else:
+        assert (got.schedule, got.discarded) == (want.schedule, want.discarded)
+        assert got.traces == want.traces
+        assert got.stats.guesses_explored <= want.stats.guesses_explored
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qptas, "_discard_floor", _no_floor)
+        assert solve(inst, T, exhaustive_guesses(inst, k_max), depth_max) == want
+
+
+def test_the_prefix_floor_skips_child_calls_below_the_cap():
+    # The source with the bound skips pin sets that the call's own floor
+    # would run, and their child calls with them; without the bound it
+    # skips nothing, and the call's floors alone skip what they did before
+    # the walk took the bound. Everything but the count is the same.
+    inst = build_instance(7, 1, _DEEP_SKIP_EDGES)
+    guesses = exhaustive_guesses(inst, 2)
+    with_bound = solve(inst, 7, guesses, 3)
+    without = solve(inst, 7, lambda rin, bound: guesses(rin), 3)
+    assert (with_bound.stats.guesses_explored, without.stats.guesses_explored) == (762, 779)
+    assert with_bound.discarded == without.discarded == frozenset()
+    assert (with_bound.schedule, with_bound.traces) == (without.schedule, without.traces)
 
 
 # The full 2x5 layered order at m = 4: optimum 4, lower bound 3. At horizon
@@ -538,6 +696,32 @@ def test_the_guess_heavy_shape_extends_each_prefix_once():
     items = exhaustive_guesses(inst, 10)(_root(inst, 3))
     assert _narrowings(items, 15541) == (30252, 62164)
     assert next(items, None) is None
+
+
+def test_the_guess_heavy_solve_builds_only_the_prefixes_it_cannot_skip():
+    # A solve hands the source its bound. From its first best guess on, the
+    # pin sets below a prefix whose floor reaches it are counted, not
+    # built: the same 62164 guesses cost 4660 narrowings instead of the
+    # 30252 of the whole prefix tree, and 4112 floors, of prefixes and of
+    # the pin sets that reach the call, instead of one per pin set (13981).
+    inst = generate(LAYERED_10_FULL)
+    calls = dict.fromkeys(["narrow_by_pin", "_discard_floor"], 0)
+
+    def counted(name):
+        inner = getattr(qptas, name)
+
+        def call(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in calls:
+            patch.setattr(qptas, name, counted(name))
+        result = solve(inst, 3, exhaustive_guesses(inst, 10), 1)
+    assert result.stats.guesses_explored == 62164
+    assert calls == {"narrow_by_pin": 4660, "_discard_floor": 4112}
 
 
 def _classified(inst, depth_max, floor):
