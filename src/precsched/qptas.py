@@ -78,19 +78,21 @@ around 10). It walks a prefix tree of pin sets (_pin_sets): combinations
 lists the subsets that share a prefix one after another, and a prefix's
 pin sets, each of its parent's extended by every free slot of the next
 job's window, are built once and read by every subset that extends it.
-Each carries its narrowed groups, so an extension reads the next job's
-window from them and narrows them by its one new pin. The walk is lazy:
-it builds a pin set only when the recursion pulls it, so a search that
-stops at its first zero-discard guess pays for one path. It also reads
-the bound: a prefix takes its floor once, and below a prefix whose floor
-reaches the bound the walk goes lean. There each pin set is a mask of the
-slots its later jobs may not start at and its slots' pin counts, and a
-new pin updates both with a few integer operations: no narrow_by_pin, no
-pins dict, no load and no floor. The last job's slots are only counted,
-per parent, and the count comes to the call as an int. The auditors'
-source is laminar_guesses plus pins: the same cells, with each call's
-guessed jobs pinned at their optimal slots and its windows narrowed by
-them.
+A pin set is a mask of the slots its later jobs may not start at and its
+slots' pin counts: a new pin updates both with a few integer operations,
+and the next job's free slots are read off the mask. Its narrowed groups,
+one narrow_by_pin from its prefix's, its pins and its floor are built
+only when read: the groups and pins when a pin set below it is yielded,
+the floor when the call's bound is read. The walk is lazy: it builds a
+pin set only when the recursion pulls it, so a search that stops at its
+first zero-discard guess narrows one path, one narrowing per pin, and no
+dead end on the way. Below a prefix whose floor reaches the bound, pin
+sets take its floor and build nothing more, the last job's slots are
+only counted, per parent, and the count comes to the call as an int. The
+call's partitions are listed as its guesses read them, once for all its
+pin sets. The auditors' source is laminar_guesses plus pins: the same
+cells, with each call's guessed jobs pinned at their optimal slots and
+its windows narrowed by them.
 
 A call returns what it did: its starts, its discard mask, the number of
 guesses yielded to it and to the calls it ran (a guess a floor skips
@@ -127,6 +129,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from copy import copy
 from itertools import combinations, tee
+from math import comb
 
 from .baselines import _sweep
 from .laminar import classify, narrow_by_pin, pad_with_family, partition_level
@@ -339,105 +342,103 @@ def _pin_sets(inst, jobs, size, windows, load, bound=None):
     empties an unpinned job's window. Subsets come in combinations(jobs,
     size) order, and a subset's pin sets in DFS order, slots ascending per
     job. windows groups the jobs by their window under the ancestor pins,
-    and load maps each slot to their count there. A prefix (j1 .. ji)
-    carries its narrowed groups: its pin sets are those of (j1 .. j(i-1)),
-    each extended by every slot of ji's window in them that holds fewer
-    than m pins, and each extension narrows the groups by its one new pin
-    (narrow_by_pin). Consecutive subsets share their longest common prefix,
-    so each prefix's stream is a tee, kept while the subsets extend it:
-    each subset reads a copy, and a prefix's pin sets are built and
-    narrowed once, and only as far as some reader has pulled them.
+    and load maps each slot to their count there. The pin sets of a prefix
+    (j1 .. ji) are those of (j1 .. j(i-1)), each extended by every slot of
+    ji's window that holds fewer than m pins. Consecutive subsets share
+    their longest common prefix, so each prefix's stream is a tee, kept
+    while the subsets extend it: each subset reads a copy, and a prefix's
+    pin sets are built once, and only as far as some reader has pulled
+    them.
+
+    A pin set is a mask of the slots where each job may not start and its
+    slots' pin counts, each built from its prefix's with a few integer
+    operations: the new pin blocks its predecessors at its slot and after
+    it, its successors at its slot and before it, and every job at a slot
+    it fills. The next job's free slots are read off the mask, the root's
+    built once from windows and load. A pin set's narrowed groups (one
+    narrow_by_pin of its prefix's), its pins and its floor are built when
+    first read: the groups and pins when a pin set below it is yielded,
+    the floor, and the groups it takes, when the bound is read on it. So
+    without a bound no prefix below which no pin set lies is narrowed, and
+    under one no prefix whose next job has no free slot is.
 
     bound, when given, returns the caller's best discard count, or None
-    before it has one. It is read before a prefix is extended and before
-    each pin set of a subset's last job is built. A prefix's floor bounds
-    every pin set below it (see _discard_floor). A prefix takes its floor
-    once, the first time it is extended under a bound: _discard_floor of
-    its groups and its packed pin counts, or its own prefix's floor if
-    that is higher. Once the floor reaches the bound,
-    the pin sets below the prefix are counted, not built. Each is lean: a
-    mask of the slots where each later job may not start, built once from
-    the floored prefix's groups and counts, and the packed counts. A new
-    pin adds its predecessors at its slot and after it, its successors at
-    its slot and before it, and every job at a slot it fills. So a lean pin
-    set calls no narrow_by_pin, copies no pins and takes no floor, and on
-    the last level only the slots are counted, per parent. The walk yields
-    an int, the number of pin sets it skipped, before the next pin set it
+    before it has one. It is read before a pin set with a free slot for
+    the next job is extended and before each pin set of a subset's last
+    job is yielded. A prefix's floor, _discard_floor of its groups and its
+    packed pin counts or its own prefix's floor if that is higher, bounds
+    every pin set below it (see _discard_floor). Once it reaches the bound,
+    the pin sets below the prefix are counted, not yielded: they take its
+    floor, so they build no groups, pins or floor of their own, and on the
+    last level only the slots are counted, per parent. The walk yields an
+    int, the number of pin sets it skipped, before the next pin set it
     yields and at its end. A pin set's own floor is left to the caller.
     """
+    if not size:
+        yield {}, None if any(lo >= hi for lo, hi in windows) else windows
+        return
     m = inst.m
     preds, succs = inst.pred_masks, inst.succ_masks
-    # A pin set carries its slots' pin counts, ancestors' included, packed
-    # into one int: w bits per slot, slot t at bit w * t.
+    # A pin set's slots' pin counts, ancestors' included, are packed into
+    # one int: w bits per slot, slot t at bit w * t.
     w = max([m, *load.values()]).bit_length()
     field = (1 << w) - 1
-    # Below a floored prefix, a pin set is lean: (blocked, counts), blocked
-    # packing one job mask per slot of [s, e), slot t at bit n * t: the jobs
-    # that may not start at t, or every job once t holds m pins. rep[t] has
-    # bit n * u set for each u < t, so a mask times rep[b] - rep[a] is that
-    # mask at every slot of [a, b); it is filled when a prefix first goes
-    # lean.
+    # Its blocked mask packs one job mask per slot of [s, e), slot t at bit
+    # n * t: the jobs that may not start at t, or every job once t holds m
+    # pins. rep[t] has bit n * u set for each u < t, so a mask times
+    # rep[b] - rep[a] is that mask at every slot of [a, b).
     n = max(inst.n, 1)
     s = min([lo for lo, _ in windows], default=0)
-    e = max([hi for _, hi in windows], default=0)
-    rep = []
+    e = max([s, *(hi for _, hi in windows)])
+    rep = [0]
+    for t in range(e):
+        rep.append(rep[-1] | 1 << n * t)
+    span = rep[e] - rep[s]
     everyone = (1 << n) - 1
+    blocked = counts = 0
+    for (lo, hi), mask in windows.items():
+        blocked |= mask * (rep[lo] - rep[s] + rep[e] - rep[hi] if lo < hi else span)
+    for t, c in load.items():
+        counts += c << w * t
+        if c >= m:
+            blocked |= everyone << n * t
 
-    # A prefix is a list [pins, counts, groups, floor or None, its own
-    # prefix or None, blocked or None].
+    # A pin set is a list [blocked, counts, its prefix, the job and slot of
+    # its last pin, groups, pins, floor]; the last three are built when
+    # first read.
+    def groups_of(node):
+        if node[5] is None:
+            node[5] = narrow_by_pin(inst, groups_of(node[2]), node[3], node[4])
+        return node[5]
+
+    def pins_of(node):
+        if node[6] is None:
+            node[6] = {**pins_of(node[2]), node[3]: node[4]}
+        return node[6]
+
     def floor_of(node):
-        _, counts, groups, floor, parent, _ = node
-        if floor is None:
+        if node[7] is None:
+            counts = node[1]
             slots = {}
             for t in range(counts.bit_length() // w + 1):
                 if c := counts >> w * t & field:
                     slots[t] = c
-            floor = _discard_floor(groups, slots, m)
-            if parent is not None:
-                floor = max(floor, floor_of(parent))
-            node[3] = floor
-        return floor
-
-    def blocked_of(node):
-        # A floored prefix's blocked mask, built once.
-        if not rep:
-            rep.append(0)
-            for t in range(e):
-                rep.append(rep[-1] | 1 << n * t)
-        if node[5] is None:
-            counts = node[1]
-            blocked = 0
-            for (lo, hi), mask in node[2].items():
-                if lo < hi:
-                    blocked |= mask * (rep[lo] - rep[s] + rep[e] - rep[hi])
-                else:
-                    blocked |= mask * (rep[e] - rep[s])
-            for t in range(s, e):
-                if counts >> w * t & field >= m:
-                    blocked |= everyone << n * t
-            node[5] = blocked
-        return node[5]
+            floor = _discard_floor(groups_of(node), slots, m)
+            node[7] = floor if node[2] is None else max(floor, floor_of(node[2]))
+        return node[7]
 
     def extend(stream, j):
-        # The stream of a prefix, extended by j; what extends a floored
-        # prefix or a lean pin set is lean.
+        # The stream of a prefix, extended by j. The pin sets below one
+        # whose floor reaches the bound take its floor, so they never build
+        # their own.
         pj, sj = preds[j], succs[j]
         for node in stream:
-            fewest = bound and bound()
-            if type(node) is list and (fewest is None or floor_of(node) < fewest):
-                pins, counts, groups = node[0], node[1], node[2]
-                for (lo, hi), mask in groups.items():
-                    if mask >> j & 1:
-                        break
-                for t in range(lo, hi):
-                    if counts >> w * t & field < m:
-                        grown = pins.copy()
-                        grown[j] = t
-                        narrowed = narrow_by_pin(inst, groups, j, t)
-                        yield [grown, counts + (1 << w * t), narrowed, None, node, None]
+            free = span << j & ~node[0]
+            if not free:
                 continue
-            blocked, counts = node if type(node) is tuple else (blocked_of(node), node[1])
-            free = (rep[e] - rep[s]) << j & ~blocked
+            fewest = bound and bound()
+            floor = node[7] if fewest is not None and floor_of(node) >= fewest else None
+            blocked, counts = node[0], node[1]
             while free:
                 low = free & -free
                 free ^= low
@@ -446,15 +447,12 @@ def _pin_sets(inst, jobs, size, windows, load, bound=None):
                 narrowed = blocked | pj * (rep[e] - rep[t]) | sj * (rep[t + 1] - rep[s])
                 if grown >> w * t & field >= m:
                     narrowed |= everyone << n * t
-                yield narrowed, grown
+                yield [narrowed, grown, node, j, t, None, None, floor]
 
-    if not size:
-        yield {}, None if any(lo >= hi for lo, hi in windows) else windows
-        return
     # prefixes[i] holds the stream of the first i jobs of the last subset,
     # for i < size; each subset's last job is read off its stream directly,
     # and each of its pin sets is checked against the bound as it is read.
-    root = [{}, sum(c << w * t for t, c in load.items()), windows, None, None, None]
+    root = [blocked, counts, None, None, None, windows, {}, None]
     prefixes = [tee([root], 1)[0]]
     last = ()
     skipped = 0
@@ -468,27 +466,20 @@ def _pin_sets(inst, jobs, size, windows, load, bound=None):
         last = subset
         j = subset[-1]
         for node in copy(prefixes[-1]):
-            if type(node) is tuple:
-                skipped += ((rep[e] - rep[s]) << j & ~node[0]).bit_count()
-                continue
-            pins, counts, groups = node[0], node[1], node[2]
-            for (lo, hi), mask in groups.items():
-                if mask >> j & 1:
-                    break
-            for t in range(lo, hi):
-                if counts >> w * t & field >= m:
-                    continue
+            free = span << j & ~node[0]
+            while free:
                 fewest = bound and bound()
                 if fewest is not None and floor_of(node) >= fewest:
-                    skipped += sum(counts >> w * u & field < m for u in range(t, hi))
+                    skipped += free.bit_count()
                     break
                 if skipped:
                     yield skipped
                     skipped = 0
-                grown = pins.copy()
-                grown[j] = t
-                narrowed = narrow_by_pin(inst, groups, j, t)
-                yield grown, None if any(lo >= hi for lo, hi in narrowed) else narrowed
+                low = free & -free
+                free ^= low
+                t = (low.bit_length() - 1) // n
+                narrowed = narrow_by_pin(inst, groups_of(node), j, t)
+                yield {**pins_of(node), j: t}, None if any(lo >= hi for lo, hi in narrowed) else narrowed
     if skipped:
         yield skipped
 
@@ -500,6 +491,30 @@ def _partitions(s, e, cells_cap):
         for cuts in combinations(inner, b):
             bounds = [s, *cuts, e]
             yield [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
+
+
+class _Partitions:
+    """_partitions(s, e, cells_cap), listed as far as its farthest reader has read.
+
+    Each iteration reads a copy of one tee, so a partition is built once,
+    when the first reader reaches it, and a search that stops at its first
+    guess lists one. len counts them without listing them: one per set of
+    b < min(cells_cap, e - s) cuts among the e - s - 1 inner boundaries. It
+    compares equal to the list of its partitions.
+    """
+
+    def __init__(self, s, e, cells_cap):
+        self._listed = tee(_partitions(s, e, cells_cap), 1)[0]
+        self._count = sum(comb(e - s - 1, b) for b in range(min(cells_cap, e - s)))
+
+    def __len__(self):
+        return self._count
+
+    def __iter__(self):
+        return self._listed.__copy__()
+
+    def __eq__(self, other):
+        return list(self) == other
 
 
 def laminar_guesses(fam, offset=0):
@@ -529,21 +544,22 @@ def exhaustive_guesses(inst, k_max):
     largest-first, so the fully pinned branch, whose zero discards end the
     search early, is tried before anything else; within a size, subsets
     ascend lexicographically and slots ascend per job. Per size, _pin_sets
-    walks the subsets as a prefix tree: the pin sets of a prefix, with
-    their narrowed groups, are built once for all the subsets that extend
-    it, and only as far as the caller pulls them. Yields one
-    (pins, groups, partitions) per pin set, the same partitions list each
-    time; groups is None where pins empty a window. Given the call's bound
-    (see _pin_sets), it yields in place of the pin sets below a floored
-    prefix an int, their number times the number of partitions: the guesses
-    it skipped. Without one it skips nothing and yields no int.
+    walks the subsets as a prefix tree: the pin sets of a prefix are built
+    once for all the subsets that extend it, and only as far as the caller
+    pulls them. Yields one (pins, groups, partitions) per pin set, the same
+    partitions each time: a _Partitions, which lists a partition when one
+    of the call's guesses first reads it. groups is None where pins empty a
+    window. Given the call's bound (see _pin_sets), it yields in place of
+    the pin sets below a floored prefix an int, their number times the
+    number of partitions: the guesses it skipped. Without one it skips
+    nothing and yields no int.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
 
     def guesses(rin, bound=None):
         jobs = list(_bits(rin.jobs))
-        partitions = list(_partitions(*rin.interval, max(1, k_max)))
+        partitions = _Partitions(*rin.interval, max(1, k_max))
         for size in range(min(k_max, len(jobs)), -1, -1):
             for item in _pin_sets(inst, jobs, size, rin.windows, rin.load, bound):
                 if type(item) is int:

@@ -369,7 +369,7 @@ def _budgeted(guesses, limit):
         for pins, groups, partitions in guesses(rin):
             if not left:
                 return
-            partitions = partitions[:left]
+            partitions = list(islice(partitions, left))
             left -= len(partitions)
             yield pins, groups, partitions
 
@@ -673,37 +673,88 @@ def _narrowings(items, pulls):
     return count[0], len(flat_guesses(pulled))
 
 
-def test_the_first_guess_walks_one_path():
-    # 12 jobs fill 4 slots of 3 machines exactly: the first pin set pins
-    # them all in id order, one narrowing per job, and nothing is
-    # enumerated ahead of what is pulled.
-    inst = build_instance(12, 3, [])
-    root = _root(inst, 4)
-    guesses = exhaustive_guesses(inst, 12)
-    assert _narrowings(guesses(root), 1)[0] == 12
+@pytest.mark.parametrize(
+    ("inst", "T", "first"),
+    [
+        # 12 jobs fill 4 slots of 3 machines exactly: the first pin set
+        # pins them all in id order.
+        (build_instance(12, 3, []), 4, [j // 3 for j in range(12)]),
+        # At its lower bound 4, the walk to the first pin set builds 34
+        # prefix pin sets below which no pin set lies: a later job finds no
+        # free slot there.
+        (
+            generate(GeneratorSpec("random_order", 10, 3, seed=0, edge_prob=0.25)),
+            4,
+            [0, 0, 1, 0, 1, 1, 2, 2, 3, 3],
+        ),
+    ],
+    ids=["antichain-12", "random-10-dead-ends"],
+)
+def test_the_first_guess_walks_one_path(inst, T, first):
+    # The first pin set pins every job and costs one narrowing per pin:
+    # nothing is narrowed ahead of what is pulled, and no dead end is.
+    root = _root(inst, T)
+    guesses = exhaustive_guesses(inst, inst.n)
+    assert _narrowings(guesses(root), 1)[0] == inst.n
     pins, groups, partitions = next(iter(guesses(root)))
-    assert (pins, groups) == ({j: j // 3 for j in range(12)}, {})
-    assert partitions[0] == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert (pins, groups) == (dict(enumerate(first)), {})
+    assert next(iter(partitions)) == [(t, t + 1) for t in range(T)]
+
+
+def test_partitions_are_counted_as_they_are_listed():
+    for s, e in combinations(range(9), 2):
+        for cap in range(1, 10):
+            listed = list(qptas._partitions(s, e, cap))
+            lazy = qptas._Partitions(s, e, cap)
+            assert len(lazy) == len(listed)
+            assert list(lazy) == list(lazy) == listed
+
+
+def test_a_search_lists_only_the_partitions_it_reads():
+    # On a 14-job chain at horizon 14 the first guess pins every job on the
+    # finest of the root's 8192 partitions and discards nothing, so the
+    # search lists that one partition and no other.
+    inst = build_instance(14, 1, [(j, j + 1) for j in range(13)])
+    pulled = [0]
+    partitions = qptas._partitions
+
+    def counted(*args):
+        for cells in partitions(*args):
+            pulled[0] += 1
+            yield cells
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qptas, "_partitions", counted)
+        result = solve(inst, 14, exhaustive_guesses(inst, 14), 1)
+    assert (result.stats.guesses_explored, result.discarded, pulled[0]) == (1, frozenset(), 1)
 
 
 def test_the_guess_heavy_shape_extends_each_prefix_once():
     # Every subset at the root of the guess-heavy shape reads its prefixes'
-    # pin sets, groups narrowed, from the subsets before it: 15541 pin sets
-    # holding 62164 guesses cost 30252 narrowings, one per distinct prefix
-    # pin set (dead ends included), against 78195 for a DFS that starts
-    # each subset from an empty prefix.
+    # pin sets from the subsets before it, and a prefix's groups are
+    # narrowed once, when the first pin set below it is yielded: 15541 pin
+    # sets holding 62164 guesses cost 25298 narrowings, one per yielded pin
+    # set and one per distinct prefix pin set above one. The 4954 dead-end
+    # prefixes, below which no pin set lies, are never narrowed; narrowing
+    # every prefix as it is built cost 30252, and a DFS that starts each
+    # subset from an empty prefix 78195.
     inst = generate(LAYERED_10_FULL)
     items = exhaustive_guesses(inst, 10)(_root(inst, 3))
-    assert _narrowings(items, 15541) == (30252, 62164)
+    assert _narrowings(items, 15541) == (25298, 62164)
     assert next(items, None) is None
 
 
 def test_the_guess_heavy_solve_builds_only_the_prefixes_it_cannot_skip():
     # A solve hands the source its bound. From its first best guess on, the
     # pin sets below a prefix whose floor reaches it are counted, not
-    # built: the same 62164 guesses cost 4660 narrowings instead of the
-    # 30252 of the whole prefix tree, and 4112 floors, of prefixes and of
-    # the pin sets that reach the call, instead of one per pin set (13981).
+    # built. A prefix is floored, and so narrowed, only when the bound is
+    # read on it, which it never is when its next job has no free slot,
+    # and otherwise narrowed only when a pin set below it is yielded: the
+    # same 62164 guesses cost 4101 narrowings instead of the 25298 of the
+    # whole prefix tree, and 4049 floors, of prefixes and of the pin sets
+    # that reach the call, instead of one per pin set (13981). Narrowing
+    # every prefix as it was built and flooring every one extended under
+    # the bound, dead ends included, cost 4660 and 4112.
     inst = generate(LAYERED_10_FULL)
     calls = dict.fromkeys(["narrow_by_pin", "_discard_floor"], 0)
 
@@ -721,7 +772,7 @@ def test_the_guess_heavy_solve_builds_only_the_prefixes_it_cannot_skip():
             patch.setattr(qptas, name, counted(name))
         result = solve(inst, 3, exhaustive_guesses(inst, 10), 1)
     assert result.stats.guesses_explored == 62164
-    assert calls == {"narrow_by_pin": 4660, "_discard_floor": 4112}
+    assert calls == {"narrow_by_pin": 4101, "_discard_floor": 4049}
 
 
 def _classified(inst, depth_max, floor):
